@@ -1,12 +1,12 @@
 //! Substrate microbenchmarks: the operations every experiment leans on —
-//! longest-prefix matching, route-tree computation, traceroute simulation,
-//! relationship inference, and alias resolution.
+//! longest-prefix matching, route-table computation, the forwarding plane,
+//! traceroute simulation, relationship inference, and alias resolution.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use net_types::{Asn, Prefix, PrefixTrie};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use topo_gen::GeneratorConfig;
+use topo_gen::{GeneratorConfig, Internet, RouterId};
 use traceroute::sim::{destinations, select_vps, trace_one, ProbeConfig};
 
 fn bench_trie(c: &mut Criterion) {
@@ -41,17 +41,60 @@ fn bench_routing(c: &mut Criterion) {
     c.bench_function("routing_tree_per_destination", |b| {
         let mut i = 0usize;
         b.iter(|| {
-            // Rotate destinations to defeat the cache and measure real
-            // tree computation.
+            // A fresh oracle per iteration defeats the table cache, and
+            // rotating destinations measures real table computation.
             let routing = topo_gen::routing::Routing::new(
                 net.graph.relationships.clone(),
                 net.addressing.announce_via.clone(),
             );
             let dst = stubs[i % stubs.len()];
             i += 1;
-            routing.tree(dst)
+            routing.next_hop(dst, dst)
         });
     });
+}
+
+/// Every `n`-th pair of the VP-major probe matrix, `n` pairs in all.
+fn matrix_sample(vps: &[RouterId], dests: &[u32], n: usize) -> Vec<(RouterId, u32)> {
+    let total = vps.len() * dests.len();
+    (0..total)
+        .step_by((total / n).max(1))
+        .take(n)
+        .map(|k| (vps[k / dests.len()], dests[k % dests.len()]))
+        .collect()
+}
+
+/// The forwarding plane and trace synthesis on the itdk topology from 20
+/// VPs: a fixed 512-pair sample of the probe matrix. Every route table and
+/// internal path the sample touches is warmed first, so the numbers are
+/// the steady state a campaign runs in.
+fn bench_forwarding(c: &mut Criterion) {
+    let net = Internet::generate(GeneratorConfig::itdk_scale(2018));
+    let cfg = ProbeConfig::default();
+    let vps = select_vps(&net, 20, &[], 2018);
+    let pairs = matrix_sample(&vps, &destinations(&net, &cfg), 512);
+    for &(vp, dst) in &pairs {
+        net.forward_path(vp, dst);
+    }
+    let mut g = c.benchmark_group("forwarding_itdk");
+    g.throughput(criterion::Throughput::Elements(pairs.len() as u64));
+    g.bench_function("forward_path", |b| {
+        b.iter(|| {
+            pairs
+                .iter()
+                .map(|&(vp, dst)| net.forward_path(vp, dst).hops.len())
+                .sum::<usize>()
+        });
+    });
+    g.bench_function("trace_one", |b| {
+        b.iter(|| {
+            pairs
+                .iter()
+                .map(|&(vp, dst)| trace_one(&net, vp, dst, &cfg).responsive_count())
+                .sum::<usize>()
+        });
+    });
+    g.finish();
 }
 
 fn bench_traceroute_sim(c: &mut Criterion) {
@@ -99,7 +142,7 @@ fn bench_alias(c: &mut Criterion) {
 criterion_group! {
     name = substrates;
     config = Criterion::default().sample_size(20);
-    targets = bench_trie, bench_routing, bench_traceroute_sim,
+    targets = bench_trie, bench_routing, bench_forwarding, bench_traceroute_sim,
               bench_rel_inference, bench_alias
 }
 criterion_main!(substrates);

@@ -19,12 +19,18 @@
 //! - every thread run dispatches campaign, graph build, and refinement on
 //!   ONE shared worker pool, and reports that pool's cumulative scheduling
 //!   stats (tasks, steals, batches, busy time)
-//! - an `end_to_end` speedup series (sum of all timed phases) joins the
+//! - an `end_to_end` speedup series (sum of the top-level phases) joins the
 //!   per-phase ones, and the top-level `crossover` records the first swept
 //!   scale where end-to-end speedup at 2 threads exceeds 1.0
 //! - scales and thread counts are selectable from the command line, and
 //!   `--contract T:MIN` turns a minimum end-to-end speedup into an exit
 //!   code (the CI bench-large gate)
+//! - `end_to_end_ms` sums the top-level phases only (`TOP_LEVEL_PHASES`):
+//!   the `phase1.*` sub-spans nested inside `phase1.graph` are reported but
+//!   not counted twice
+//! - the document records the host's `available_parallelism`, and a run
+//!   with more threads than cores is flagged `oversubscribed`: its speedup
+//!   measures scheduling overhead, not scaling
 //!
 //! Usage:
 //!   bench-pipeline [--scales S1,S2] [--threads T1,T2] [--contract T:MIN]
@@ -56,9 +62,18 @@ const SWEPT_PHASES: [&str; 3] = [
     names::PHASE_REFINE,
 ];
 const FRONT_END_COMBINED: &str = "front_end_combined";
-/// Sum of every timed phase (campaign through refinement; generation is
-/// outside the timed region by construction).
+/// Sum of the top-level timed phases (campaign through refinement;
+/// generation is outside the timed region by construction).
 const END_TO_END: &str = "end_to_end";
+/// The phases a run's wall time is made of. Every other span in a run
+/// report (the `phase1.*` passes) nests inside one of these.
+const TOP_LEVEL_PHASES: [&str; 5] = [
+    names::PHASE_TRACEROUTE,
+    names::PHASE_ALIAS,
+    names::PHASE_GRAPH,
+    names::PHASE_LASTHOP,
+    names::PHASE_REFINE,
+];
 /// The phases every per-run report must cover. `topo.generate` is absent
 /// by design (hoisted out of the sweep), so `RunReport::validate` — which
 /// demands it — does not apply; this is the sweep's own mandatory list.
@@ -76,6 +91,8 @@ const CROSSOVER_THREADS: usize = 2;
 struct BenchDoc {
     schema: &'static str,
     seed: u64,
+    /// Cores the host offers this process.
+    available_parallelism: usize,
     threads_swept: Vec<usize>,
     scales: Vec<ScaleDoc>,
     crossover: CrossoverDoc,
@@ -117,8 +134,10 @@ struct ScaleDoc {
 #[derive(Serialize)]
 struct RunDoc {
     threads: usize,
+    /// More threads than `available_parallelism`: not scaling evidence.
+    oversubscribed: bool,
     output_hash: String,
-    /// Sum of every timed phase's wall time.
+    /// Sum of the top-level phases' wall times.
     end_to_end_ms: f64,
     phase_wall_ms: BTreeMap<String, f64>,
     /// Cumulative scheduling stats of the run's shared worker pool.
@@ -229,7 +248,7 @@ fn validate_run(report: &obs::RunReport) -> Result<(), String> {
     }
 }
 
-fn sweep_scale(scale: &str, threads_swept: &[usize]) -> Result<ScaleDoc, String> {
+fn sweep_scale(scale: &str, threads_swept: &[usize], cores: usize) -> Result<ScaleDoc, String> {
     let (gen_cfg, vps) = scale_config(scale).ok_or_else(|| format!("unknown scale {scale:?}"))?;
 
     // Generation is deliberately OUTSIDE the timed sweep: one scenario per
@@ -256,8 +275,9 @@ fn sweep_scale(scale: &str, threads_swept: &[usize]) -> Result<ScaleDoc, String>
             .collect();
         runs.push(RunDoc {
             threads,
+            oversubscribed: threads > cores,
             output_hash: format!("{:#018x}", output_hash(&result, &report)),
-            end_to_end_ms: phase_wall_ms.values().sum(),
+            end_to_end_ms: end_to_end_ms(&phase_wall_ms),
             phase_wall_ms,
             pool: pool_doc,
         });
@@ -315,6 +335,14 @@ fn sweep_scale(scale: &str, threads_swept: &[usize]) -> Result<ScaleDoc, String>
         runs,
         baseline_report: report,
     })
+}
+
+/// Sum of the top-level phases' wall times.
+fn end_to_end_ms(phase_wall_ms: &BTreeMap<String, f64>) -> f64 {
+    TOP_LEVEL_PHASES
+        .iter()
+        .filter_map(|&phase| phase_wall_ms.get(phase))
+        .sum()
 }
 
 /// A `--contract T:MIN` clause: end-to-end speedup at `threads` must reach
@@ -397,9 +425,10 @@ fn main() -> ExitCode {
         }
     };
 
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let mut scales = Vec::new();
     for scale in &args.scales {
-        match sweep_scale(scale, &args.threads) {
+        match sweep_scale(scale, &args.threads, cores) {
             Ok(doc) => scales.push(doc),
             Err(e) => {
                 eprintln!("bench-pipeline: {e}");
@@ -425,6 +454,7 @@ fn main() -> ExitCode {
     let doc = BenchDoc {
         schema: "bdrmapit.bench-pipeline/v3",
         seed: SEED,
+        available_parallelism: cores,
         threads_swept: args.threads.clone(),
         scales,
         crossover,
@@ -482,4 +512,26 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn end_to_end_counts_nested_phase1_spans_once() {
+        let phases: BTreeMap<String, f64> = [
+            (names::PHASE_TRACEROUTE, 40.0),
+            (names::PHASE_ALIAS, 2.0),
+            (names::PHASE_GRAPH, 30.0),
+            (names::PHASE1_LINKS, 20.0),
+            (names::PHASE1_REDUCE, 9.0),
+            (names::PHASE_LASTHOP, 1.0),
+            (names::PHASE_REFINE, 7.0),
+        ]
+        .into_iter()
+        .map(|(name, ms)| (name.to_string(), ms))
+        .collect();
+        assert_eq!(end_to_end_ms(&phases), 80.0);
+    }
 }

@@ -47,6 +47,10 @@ pub struct AsGraph {
     /// Peerings established over an IXP fabric: `(a, b, ixp id)`. These AS
     /// pairs interconnect through the shared LAN instead of a private link.
     pub ixp_peerings: Vec<(Asn, Asn, u32)>,
+    /// `ixp_peerings` sorted by AS pair, for [`AsGraph::ixp_for_pair`]'s
+    /// binary search. A pair appears at most once: a fabric peering is only
+    /// added where the two ASes had no relationship yet.
+    ixp_index: Vec<(Asn, Asn, u32)>,
 }
 
 /// ASN numbering scheme: readable, collision-free ranges per tier.
@@ -222,11 +226,14 @@ impl AsGraph {
             });
         }
 
+        let mut ixp_index = ixp_peerings.clone();
+        ixp_index.sort_unstable();
         AsGraph {
             nodes,
             relationships: rels,
             ixps,
             ixp_peerings,
+            ixp_index,
         }
     }
 
@@ -257,11 +264,11 @@ impl AsGraph {
     /// Does the AS pair interconnect over an IXP fabric (rather than a
     /// private link)?
     pub fn ixp_for_pair(&self, a: Asn, b: Asn) -> Option<u32> {
-        let (lo, hi) = (a.min(b), a.max(b));
-        self.ixp_peerings
-            .iter()
-            .find(|&&(x, y, _)| x == lo && y == hi)
-            .map(|&(_, _, id)| id)
+        let key = (a.min(b), a.max(b));
+        self.ixp_index
+            .binary_search_by_key(&key, |&(x, y, _)| (x, y))
+            .ok()
+            .map(|i| self.ixp_index[i].2)
     }
 }
 
@@ -384,6 +391,27 @@ mod tests {
             assert!(g.relationships.is_peer(a, b));
             assert_eq!(g.ixp_for_pair(a, b), Some(id));
             assert_eq!(g.ixp_for_pair(b, a), Some(id));
+        }
+    }
+
+    #[test]
+    fn ixp_index_matches_a_linear_scan() {
+        for seed in 0..8 {
+            let g = AsGraph::generate(&GeneratorConfig::tiny(seed));
+            let mut pairs: Vec<(Asn, Asn)> =
+                g.ixp_peerings.iter().map(|&(a, b, _)| (a, b)).collect();
+            pairs.sort_unstable();
+            pairs.dedup();
+            assert_eq!(pairs.len(), g.ixp_peerings.len(), "a pair peers twice");
+            for (a, b, _) in g.relationships.iter() {
+                let scan = g
+                    .ixp_peerings
+                    .iter()
+                    .find(|&&(x, y, _)| (x, y) == (a, b))
+                    .map(|&(_, _, id)| id);
+                assert_eq!(g.ixp_for_pair(a, b), scan);
+                assert_eq!(g.ixp_for_pair(b, a), scan);
+            }
         }
     }
 

@@ -172,7 +172,7 @@ impl Internet {
                     }
                 };
                 *via = vec![next];
-                // A fresh oracle drops every cached route tree.
+                // A fresh oracle drops every cached route table.
                 self.routing = crate::routing::Routing::new(
                     self.graph.relationships.clone(),
                     self.addressing.announce_via.clone(),

@@ -233,26 +233,13 @@ impl Internet {
     /// Appends the internal path `from → to` (excluding `from`) to `hops`,
     /// with per-hop ingress interfaces.
     fn extend_internal(&self, hops: &mut Vec<ForwardHop>, from: RouterId, to: RouterId) {
-        if from == to {
-            return;
-        }
-        let path = self
+        let start = hops.len();
+        let steps = self
             .topology
-            .internal_path(from, to)
+            .internal_path_rev(from, to)
             .expect("AS internal topology is connected");
-        for win in path.windows(2) {
-            let (prev, cur) = (win[0], win[1]);
-            let ingress = self.topology.router(cur).ifaces.iter().copied().find(|&i| {
-                self.topology
-                    .iface(i)
-                    .neighbor
-                    .is_some_and(|n| self.topology.iface(n).router == prev)
-            });
-            hops.push(ForwardHop {
-                router: cur,
-                ingress,
-            });
-        }
+        hops.extend(steps.map(|(router, ingress)| ForwardHop { router, ingress }));
+        hops[start..].reverse();
     }
 
     /// Deterministic "host location": which router inside `asn` serves
@@ -290,8 +277,7 @@ impl Internet {
             let info = self.topology.router(router);
             return Some(self.topology.iface(info.ifaces[0]).addr);
         }
-        let tree = self.routing.tree(vp_as);
-        let next = tree.get(&owner)?.next;
+        let next = self.routing.next_hop(owner, vp_as)?;
         // A direct link from this router to the next AS?
         if let Some(ixp) = self.graph.ixp_for_pair(owner, next) {
             if let Some(&(r, i)) = self.topology.ixp_ports.get(&(ixp, owner)) {

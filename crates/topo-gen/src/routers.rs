@@ -15,7 +15,8 @@ use net_types::Asn;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::OnceLock;
 
 /// How a link was provisioned; drives addressing and ground-truth labels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,8 +78,24 @@ pub struct ExtLink {
     pub iface_b: IfaceId,
 }
 
+/// One router's entry in a cached internal shortest-path tree: its BFS
+/// parent and the interface it is entered on from that parent.
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    parent: RouterId,
+    ingress: Option<IfaceId>,
+}
+
+/// A source router's BFS tree over its AS's internal links, indexed by each
+/// router's position in the AS's router list (`None`: not reached).
+type PathRow = Vec<Option<Step>>;
+
 /// The full router-level topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// Internal shortest paths are cached per source router; mutate
+/// `internal_adj` and `as_routers` only through the methods below, which
+/// reset the cached paths of the AS they touch.
+#[derive(Clone, Debug)]
 pub struct RouterTopology {
     /// All routers, indexed by `RouterId`.
     pub routers: Vec<RouterInfo>,
@@ -96,6 +113,10 @@ pub struct RouterTopology {
     /// Address → interface id (for destination-hits-router detection and
     /// alias ground truth).
     pub addr_to_iface: BTreeMap<u32, IfaceId>,
+    /// Position of each router in its AS's `as_routers` list.
+    as_index: Vec<u32>,
+    /// Per source router: its internal BFS tree, built on first use.
+    path_rows: Vec<OnceLock<PathRow>>,
 }
 
 impl RouterTopology {
@@ -110,6 +131,8 @@ impl RouterTopology {
             ext_links: BTreeMap::new(),
             ixp_ports: BTreeMap::new(),
             addr_to_iface: BTreeMap::new(),
+            as_index: Vec::new(),
+            path_rows: Vec::new(),
         };
         let mut pools: BTreeMap<Asn, crate::addressing::AddrPool> = BTreeMap::new();
         let mut dark_pools: BTreeMap<Asn, crate::addressing::AddrPool> = BTreeMap::new();
@@ -130,20 +153,18 @@ impl RouterTopology {
                 Tier::Stub => cfg.routers_stub,
             }
             .max(1);
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                let id = RouterId(topo.routers.len() as u32);
-                topo.routers.push(RouterInfo {
-                    id,
-                    owner: node.asn,
-                    silent: rng.gen_bool(cfg.router_silent_prob),
-                    egress_reply: rng.gen_bool(cfg.router_egress_reply_prob),
-                    echo_offpath: rng.gen_bool(cfg.echo_offpath_prob),
-                    ifaces: Vec::new(),
-                });
-                topo.internal_adj.push(Vec::new());
-                ids.push(id);
-            }
+            let ids: Vec<RouterId> = (0..count)
+                .map(|_| {
+                    topo.push_router(RouterInfo {
+                        id: RouterId(topo.routers.len() as u32),
+                        owner: node.asn,
+                        silent: rng.gen_bool(cfg.router_silent_prob),
+                        egress_reply: rng.gen_bool(cfg.router_egress_reply_prob),
+                        echo_offpath: rng.gen_bool(cfg.echo_offpath_prob),
+                        ifaces: Vec::new(),
+                    })
+                })
+                .collect();
             // Router-id interface (loopback-style) for every router.
             for &rid in &ids {
                 let pool = pools.get_mut(&node.asn).expect("pool exists");
@@ -185,7 +206,6 @@ impl RouterTopology {
                     }
                 }
             }
-            topo.as_routers.insert(node.asn, ids);
         }
 
         // ---- interdomain links ----
@@ -258,6 +278,20 @@ impl RouterTopology {
         }
 
         topo
+    }
+
+    /// Appends a router (`info.id` must be its index) to the topology and to
+    /// its owner's router list.
+    fn push_router(&mut self, info: RouterInfo) -> RouterId {
+        let id = info.id;
+        debug_assert_eq!(id.0 as usize, self.routers.len());
+        let members = self.as_routers.entry(info.owner).or_default();
+        self.as_index.push(members.len() as u32);
+        members.push(id);
+        self.routers.push(info);
+        self.internal_adj.push(Vec::new());
+        self.path_rows.push(OnceLock::new());
+        id
     }
 
     fn add_iface(
@@ -337,51 +371,94 @@ impl RouterTopology {
         self.addr_to_iface.get(&addr).map(|&i| self.iface(i))
     }
 
-    /// Shortest internal path between two routers of the same AS (BFS over
-    /// internal links). Returns the router sequence including both ends.
-    pub fn internal_path(&self, from: RouterId, to: RouterId) -> Option<Vec<RouterId>> {
-        if from == to {
-            return Some(vec![from]);
-        }
-        let mut prev: BTreeMap<RouterId, RouterId> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::from([from]);
-        prev.insert(from, from);
-        while let Some(cur) = queue.pop_front() {
-            let mut neighbors = self.internal_adj[cur.0 as usize].clone();
-            neighbors.sort_unstable();
-            for n in neighbors {
-                if let std::collections::btree_map::Entry::Vacant(e) = prev.entry(n) {
-                    e.insert(cur);
-                    if n == to {
-                        let mut path = vec![to];
-                        let mut c = to;
-                        while c != from {
-                            c = prev[&c];
-                            path.push(c);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(n);
-                }
-            }
-        }
-        None
-    }
-
-    /// The internal interface on `from` facing the first hop toward `to`
-    /// (used for egress-reply behaviour).
-    pub fn internal_iface_toward(&self, from: RouterId, to: RouterId) -> Option<IfaceId> {
-        let path = self.internal_path(from, to)?;
-        let next = *path.get(1)?;
-        self.routers[from.0 as usize]
+    /// The first interface on `router` whose link peer sits on `peer`.
+    fn link_iface(&self, router: RouterId, peer: RouterId) -> Option<IfaceId> {
+        self.routers[router.0 as usize]
             .ifaces
             .iter()
             .copied()
             .find(|&i| {
-                let info = self.iface(i);
-                info.neighbor.is_some_and(|n| self.iface(n).router == next)
+                self.iface(i)
+                    .neighbor
+                    .is_some_and(|n| self.iface(n).router == peer)
             })
+    }
+
+    /// `src`'s internal BFS tree, computed on first use.
+    fn path_row(&self, src: RouterId) -> &PathRow {
+        self.path_rows[src.0 as usize].get_or_init(|| self.bfs_row(src))
+    }
+
+    /// Breadth-first search from `src` over its AS's internal links,
+    /// visiting neighbours in ascending id order: each router's parent is
+    /// the first router that reaches it.
+    fn bfs_row(&self, src: RouterId) -> PathRow {
+        let mut row = vec![None; self.as_routers[&self.owner(src)].len()];
+        row[self.as_index[src.0 as usize] as usize] = Some(Step {
+            parent: src,
+            ingress: None,
+        });
+        let mut queue = VecDeque::from([src]);
+        let mut neighbours = Vec::new();
+        while let Some(cur) = queue.pop_front() {
+            neighbours.clear();
+            neighbours.extend_from_slice(&self.internal_adj[cur.0 as usize]);
+            neighbours.sort_unstable();
+            for &n in &neighbours {
+                let slot = &mut row[self.as_index[n.0 as usize] as usize];
+                if slot.is_none() {
+                    *slot = Some(Step {
+                        parent: cur,
+                        ingress: self.link_iface(n, cur),
+                    });
+                    queue.push_back(n);
+                }
+            }
+        }
+        row
+    }
+
+    /// Drops the cached internal paths of every router of `asn`.
+    fn reset_paths(&mut self, asn: Asn) {
+        for &r in &self.as_routers[&asn] {
+            self.path_rows[r.0 as usize].take();
+        }
+    }
+
+    /// The shortest internal path `from → to`, walked backwards: each
+    /// router from `to` back to (but excluding) `from`, with the interface
+    /// it is entered on. `None` when `to` is not reachable from `from` over
+    /// their AS's internal links.
+    pub fn internal_path_rev(
+        &self,
+        from: RouterId,
+        to: RouterId,
+    ) -> Option<impl Iterator<Item = (RouterId, Option<IfaceId>)> + '_> {
+        if self.owner(from) != self.owner(to) {
+            return None;
+        }
+        let row = self.path_row(from);
+        let step = |r: RouterId| row[self.as_index[r.0 as usize] as usize];
+        step(to)?;
+        let mut cur = to;
+        Some(std::iter::from_fn(move || {
+            if cur == from {
+                return None;
+            }
+            let s = step(cur).expect("a reached router's parent is reached");
+            let hop = (cur, s.ingress);
+            cur = s.parent;
+            Some(hop)
+        }))
+    }
+
+    /// Shortest internal path between two routers of the same AS (BFS over
+    /// internal links). Returns the router sequence including both ends.
+    pub fn internal_path(&self, from: RouterId, to: RouterId) -> Option<Vec<RouterId>> {
+        let mut path: Vec<RouterId> = self.internal_path_rev(from, to)?.map(|(r, _)| r).collect();
+        path.push(from);
+        path.reverse();
+        Some(path)
     }
 
     /// Fails the internal link between `a` and `b`: removes the adjacency so
@@ -421,14 +498,15 @@ impl RouterTopology {
         }
         self.internal_adj[a.0 as usize].retain(|&r| r != b);
         self.internal_adj[b.0 as usize].retain(|&r| r != a);
+        self.reset_paths(self.owner(a));
         true
     }
 
     /// Restores a previously failed internal link by re-adding the adjacency.
     /// Returns `false` when the adjacency already exists, the routers belong
     /// to different ASes, or they never shared a link (no interface pair to
-    /// re-enable). Adjacency-list order does not matter: `internal_path`
-    /// sorts neighbors at every step.
+    /// re-enable). Adjacency-list order does not matter: the internal path
+    /// search sorts neighbours at every step.
     pub fn restore_internal_link(&mut self, a: RouterId, b: RouterId) -> bool {
         if a == b
             || self.internal_adj[a.0 as usize].contains(&b)
@@ -436,16 +514,12 @@ impl RouterTopology {
         {
             return false;
         }
-        let linked = self.routers[a.0 as usize].ifaces.iter().any(|&i| {
-            self.ifaces[i.0 as usize]
-                .neighbor
-                .is_some_and(|n| self.iface(n).router == b)
-        });
-        if !linked {
+        if self.link_iface(a, b).is_none() {
             return false;
         }
         self.internal_adj[a.0 as usize].push(b);
         self.internal_adj[b.0 as usize].push(a);
+        self.reset_paths(self.owner(a));
         true
     }
 
@@ -471,16 +545,14 @@ impl RouterTopology {
                 "router address {a:#010x} already in use"
             );
         }
-        let id = RouterId(self.routers.len() as u32);
-        self.routers.push(RouterInfo {
-            id,
+        let id = self.push_router(RouterInfo {
+            id: RouterId(self.routers.len() as u32),
             owner,
             silent: false,
             egress_reply: false,
             echo_offpath: false,
             ifaces: Vec::new(),
         });
-        self.internal_adj.push(Vec::new());
         // Router-id (loopback-style) interface first: `ifaces[0]` is the
         // reply-source fallback, like every generated router.
         self.add_iface(addrs[0], id, None, LinkKind::Internal);
@@ -490,10 +562,7 @@ impl RouterTopology {
         self.ifaces[ib.0 as usize].neighbor = Some(ia);
         self.internal_adj[id.0 as usize].push(attach);
         self.internal_adj[attach.0 as usize].push(id);
-        self.as_routers
-            .get_mut(&owner)
-            .expect("owner AS has a router list")
-            .push(id);
+        self.reset_paths(owner);
         id
     }
 
