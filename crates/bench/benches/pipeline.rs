@@ -5,6 +5,7 @@
 use as_rel::CustomerCones;
 use bdrmapit_core::{AnnotationState, Bdrmapit, Config, IrGraph};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eval::Scenario;
 use topo_gen::GeneratorConfig;
 
 fn bench_phases(c: &mut Criterion) {
@@ -136,6 +137,42 @@ fn bench_front_end_threads(c: &mut Criterion) {
     g.finish();
 }
 
+/// The phase-1 graph build alone on the itdk topology's 20-VP corpus (the
+/// VPs `forwarding_itdk` samples), at 1 and 2 workers on a pool that lives
+/// across iterations, as the pipeline's does.
+fn bench_graph_itdk(c: &mut Criterion) {
+    let s = Scenario::build(GeneratorConfig::itdk_scale(2018));
+    let vps = traceroute::sim::select_vps(&s.net, 20, &[], 2018);
+    let bundle = s.campaign_from(&vps, 2018);
+    let cones = CustomerCones::compute(&s.rels);
+    let rec = obs::Recorder::disabled();
+
+    let mut g = c.benchmark_group("graph_itdk");
+    g.sample_size(10);
+    for threads in [1usize, 2] {
+        let cfg = Config {
+            threads,
+            ..Config::default()
+        };
+        let wp = pool::WorkerPool::new(threads);
+        g.bench_with_input(BenchmarkId::new("build", threads), &cfg, |b, cfg| {
+            b.iter(|| {
+                IrGraph::build_in_pool(
+                    &bundle.traces,
+                    &bundle.aliases,
+                    &s.ip2as,
+                    cfg,
+                    &s.rels,
+                    &cones,
+                    &wp,
+                    &rec,
+                )
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_full_algorithm(c: &mut Criterion) {
     let mut g = c.benchmark_group("bdrmapit_end_to_end");
     g.sample_size(10);
@@ -195,6 +232,7 @@ fn bench_baselines(c: &mut Criterion) {
 criterion_group! {
     name = pipeline;
     config = Criterion::default().sample_size(20);
-    targets = bench_phases, bench_refine_threads, bench_front_end_threads, bench_full_algorithm, bench_baselines
+    targets = bench_phases, bench_refine_threads, bench_front_end_threads, bench_graph_itdk,
+              bench_full_algorithm, bench_baselines
 }
 criterion_main!(pipeline);

@@ -172,13 +172,15 @@ fn front_end(threads: usize, with_obs: bool) -> (u64, u64, usize, usize) {
         threads,
         ..Config::default()
     };
-    let g = IrGraph::build_with_obs(
+    let wp = s.worker_pool();
+    let g = IrGraph::build_in_pool(
         &bundle.traces,
         &bundle.aliases,
         &s.ip2as,
         &cfg,
         &s.rels,
         &cones,
+        &wp,
         &rec,
     );
     (
