@@ -421,7 +421,7 @@ pub fn pair_accuracy(sets: &AliasSets, net: &Internet) -> (usize, usize) {
 mod tests {
     use super::*;
     use topo_gen::GeneratorConfig;
-    use traceroute::sim::{probe_campaign, select_vps, ProbeConfig};
+    use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
 
     fn corpus() -> (Internet, Vec<Trace>) {
         let net = Internet::generate(GeneratorConfig::tiny(55));
@@ -430,7 +430,8 @@ mod tests {
             ..ProbeConfig::default()
         };
         let vps = select_vps(&net, 5, &[], 1);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let wp = pool::WorkerPool::new(0);
+        let traces = probe_campaign_in_pool(&net, &vps, &cfg, &wp, &obs::Recorder::disabled());
         (net, traces)
     }
 

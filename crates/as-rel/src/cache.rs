@@ -1,12 +1,12 @@
 //! Memoized relationship/cone queries for hot election loops.
 //!
-//! The refinement engine consults [`CustomerCones::size`] and
+//! Refinement consults [`CustomerCones::size`] and
 //! [`AsRelationships::has_relationship`] for every candidate of every
 //! election, every iteration. Both are `BTreeMap` lookups; inside one sweep
-//! the same handful of ASes is queried thousands of times, so a worker-local
-//! memo table turns the tree walks into hash probes. The cache borrows the
-//! underlying read-only databases and is cheap to construct, so each
-//! refinement worker owns one.
+//! the same handful of ASes is queried thousands of times, so a memo table
+//! turns the tree walks into hash probes. The cache borrows the underlying
+//! read-only databases and is cheap to construct, so each refinement run
+//! owns one.
 
 use crate::{AsRelationships, CustomerCones};
 use net_types::Asn;

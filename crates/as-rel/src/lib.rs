@@ -11,8 +11,8 @@
 //! * [`CustomerCones`] — per-AS customer cones (the set of ASes reachable by
 //!   following only provider→customer edges) and cone sizes, which the
 //!   bdrmapIT tie-breaks consult constantly.
-//! * [`RelQueryCache`] — a worker-local memo table over the two structures
-//!   above for the refinement engine's hot election loops.
+//! * [`RelQueryCache`] — a memo table over the two structures
+//!   above for refinement's hot election loops.
 //! * [`infer`] — relationship *inference* from collapsed BGP AS paths, a
 //!   Gao-style vote algorithm extended with clique detection and transit
 //!   degrees in the spirit of Luckie et al. 2013, so the pipeline can run

@@ -43,59 +43,22 @@ fn bench_phases(c: &mut Criterion) {
             state
         });
     });
+    let rec = obs::Recorder::disabled();
     g.bench_function("phase3_refinement", |b| {
         b.iter(|| {
             let mut state = AnnotationState::new(&graph);
             bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut state);
-            bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &cfg, &mut state);
+            bdrmapit_core::refine::refine(&graph, &s.rels, &cones, &cfg, &mut state, &rec);
             state
         });
     });
     g.finish();
 }
 
-/// Serial vs. parallel refinement on one prebuilt graph: the state after
-/// phase 2 is cloned into every timing iteration, so the numbers isolate
-/// `refine` itself. The 4-thread point is the acceptance gauge for the
-/// sharded engine (≥1.5× over serial on a 4-core runner); results are
-/// bit-identical across the sweep, so this measures pure scheduling.
-fn bench_refine_threads(c: &mut Criterion) {
-    let fx = bench::Fixture::standard();
-    let s = &fx.scenario;
-    let cones = CustomerCones::compute(&s.rels);
-    let base = Config::default();
-    let graph = IrGraph::build(
-        &fx.bundle.traces,
-        &fx.bundle.aliases,
-        &s.ip2as,
-        &base,
-        &s.rels,
-        &cones,
-    );
-    let mut annotated = AnnotationState::new(&graph);
-    bdrmapit_core::lasthop::annotate_last_hops(&graph, &s.rels, &cones, &mut annotated);
-
-    let mut g = c.benchmark_group("phase3_refine");
-    for threads in [1usize, 2, 4] {
-        let cfg = Config {
-            threads,
-            ..Config::default()
-        };
-        g.bench_with_input(BenchmarkId::new("threads", threads), &cfg, |b, cfg| {
-            b.iter(|| {
-                let mut state = annotated.clone();
-                bdrmapit_core::refine::refine(&graph, &s.rels, &cones, cfg, &mut state);
-                state
-            });
-        });
-    }
-    g.finish();
-}
-
 /// Front-end thread sweep: the sharded probe campaign and the interned
 /// phase-1 graph build at 1/2/4 workers. Output is bit-identical across the
-/// sweep (enforced by `tests/front_end_determinism.rs`), so — as with the
-/// refinement sweep above — this measures pure scheduling.
+/// sweep (enforced by `tests/front_end_determinism.rs`), so this measures
+/// pure scheduling.
 fn bench_front_end_threads(c: &mut Criterion) {
     let fx = bench::Fixture::standard();
     let s = &fx.scenario;
@@ -108,8 +71,16 @@ fn bench_front_end_threads(c: &mut Criterion) {
             BenchmarkId::new("campaign_threads", threads),
             &threads,
             |b, &t| {
+                let wp = pool::WorkerPool::new(t);
+                let rec = obs::Recorder::disabled();
                 b.iter(|| {
-                    traceroute::sim::probe_campaign_sharded(&s.net, &fx.bundle.vps, &probe_cfg, t)
+                    traceroute::sim::probe_campaign_in_pool(
+                        &s.net,
+                        &fx.bundle.vps,
+                        &probe_cfg,
+                        &wp,
+                        &rec,
+                    )
                 });
             },
         );
@@ -232,7 +203,7 @@ fn bench_baselines(c: &mut Criterion) {
 criterion_group! {
     name = pipeline;
     config = Criterion::default().sample_size(20);
-    targets = bench_phases, bench_refine_threads, bench_front_end_threads, bench_graph_itdk,
+    targets = bench_phases, bench_front_end_threads, bench_graph_itdk,
               bench_full_algorithm, bench_baselines
 }
 criterion_main!(pipeline);

@@ -16,9 +16,9 @@
 //!   the timed region (v2 re-generated the corpus topology inside every
 //!   thread-sweep iteration, polluting wall-clock totals); its cost is
 //!   reported separately as `generate_ms`
-//! - every thread run dispatches campaign, graph build, and refinement on
-//!   ONE shared worker pool, and reports that pool's cumulative scheduling
-//!   stats (tasks, steals, batches, busy time)
+//! - every thread run dispatches campaign and graph build on ONE shared
+//!   worker pool, and reports that pool's cumulative scheduling stats
+//!   (tasks, steals, batches, busy time)
 //! - an `end_to_end` speedup series (sum of the top-level phases) joins the
 //!   per-phase ones, and the top-level `crossover` records the first swept
 //!   scale where end-to-end speedup at 2 threads exceeds 1.0
@@ -55,7 +55,8 @@ const SEED: u64 = 2018;
 const DEFAULT_THREADS: [usize; 4] = [1, 2, 4, 8];
 const DEFAULT_SCALES: [&str; 2] = ["tiny", "small"];
 /// The phases whose scaling the sweep reports individually: the two
-/// front-end phases, their combination, and the refinement engine.
+/// front-end phases, their combination, and refinement (serial, so its
+/// speedup should read 1.0).
 const SWEPT_PHASES: [&str; 3] = [
     names::PHASE_TRACEROUTE,
     names::PHASE_GRAPH,

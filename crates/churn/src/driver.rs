@@ -274,7 +274,6 @@ pub fn run_churn(
                 &cones,
                 &cfg,
                 &mut state,
-                &wp,
                 rec,
                 &mut shard_cache,
             )

@@ -72,14 +72,20 @@ pub fn write_bundle(
     rec: &obs::Recorder,
 ) -> io::Result<String> {
     fs::create_dir_all(dir)?;
-    let s = Scenario::build_with_obs(gen_cfg, rec.clone());
+    let mut s = Scenario::build_with_obs(gen_cfg, rec.clone());
+    s.threads = threads;
     let probe_cfg = ProbeConfig {
         seed,
         ..ProbeConfig::default()
     };
     let vp_routers = traceroute::sim::select_vps(&s.net, vps, &[], seed);
-    let traces =
-        traceroute::sim::probe_campaign_with_obs(&s.net, &vp_routers, &probe_cfg, threads, rec);
+    let traces = traceroute::sim::probe_campaign_in_pool(
+        &s.net,
+        &vp_routers,
+        &probe_cfg,
+        &s.worker_pool(),
+        rec,
+    );
     let observed = alias::observed_addresses(&traces);
     let aliases = alias::resolve_midar_with_obs(&s.net, &observed, 0.9, seed, rec);
 

@@ -70,9 +70,9 @@ pub struct Cli {
     pub scale: Scale,
     /// Number of VPs for Internet-wide experiments.
     pub vps: usize,
-    /// Worker threads for the probe campaign, phase-1 graph build, and
-    /// refinement (0 = all available parallelism). Output is bit-identical
-    /// for every value.
+    /// Worker threads for the probe campaign and the phase-1 graph build
+    /// (0 = all available parallelism). Output is bit-identical for every
+    /// value.
     pub threads: usize,
     /// Write the JSON [`obs::RunReport`] here after the run.
     pub report: Option<PathBuf>,
@@ -310,8 +310,8 @@ OPTIONS:
                  (large is the ~1e5-router speedup-contract scale; use a
                  release build)
     --vps N      vantage points                   [default: scale-dependent]
-    --threads N  worker threads for the probe campaign, the phase-1 graph
-                 build, and refinement; 0 = all cores, 1 = serial.
+    --threads N  worker threads for the probe campaign and the phase-1
+                 graph build; 0 = all cores, 1 = serial.
                  Results are identical for every value.   [default: 0]
     --report F   write the JSON run report (phase wall times, counters,
                  histograms; schema bdrmapit.run-report/v1) to F

@@ -120,8 +120,8 @@ pub struct IrGraph {
     /// `i`-th smallest observed address, so the interner's dense ids *are*
     /// the `IfIdx` values.
     pub interner: AddrInterner,
-    /// Annotation-dependency shards (link-connected components) with their
-    /// wavefront levels, precomputed for the refinement engine.
+    /// Annotation-dependency shards (link-connected components),
+    /// precomputed for the refinement engine.
     pub shards: ShardPlan,
 }
 

@@ -74,10 +74,11 @@ pub struct Config {
     /// Safety cap on refinement iterations (the paper iterates to a
     /// repeated state; this bounds pathological inputs).
     pub max_iterations: usize,
-    /// Worker threads for the phase-1 graph build and the phase-3
-    /// refinement engine. `0` (the default) means all available
+    /// Worker threads for the phase-1 graph build (and, through the shared
+    /// pool, the probe campaign). `0` (the default) means all available
     /// parallelism; `1` forces the serial paths. Results are bit-identical
-    /// for every value (see [`graph`] and `refine::parallel`).
+    /// for every value (see [`graph`]). Refinement always runs on the
+    /// calling thread.
     pub threads: usize,
 }
 
@@ -181,7 +182,7 @@ impl Bdrmapit {
         }
         {
             let _span = self.obs.span(names::PHASE_REFINE);
-            refine::refine_in_pool(&graph, rels, &cones, &self.cfg, &mut state, &wp, &self.obs);
+            refine::refine(&graph, rels, &cones, &self.cfg, &mut state, &self.obs);
         }
         Annotated { graph, state }
     }
@@ -201,7 +202,7 @@ pub struct AnnotationState {
     /// Per-shard convergence hash traces, indexed by the shard's position in
     /// the [`ShardPlan`](refine::shard::ShardPlan): `[h_0, h_1, ..., h_n]`,
     /// the shard-state hash before refinement and after each iteration.
-    /// Part of the determinism contract — serial and parallel runs must
+    /// Part of the determinism contract — runs at every thread count must
     /// produce identical traces, not merely identical fixpoints.
     pub convergence_traces: Vec<Vec<u64>>,
 }

@@ -9,16 +9,17 @@
 //! no annotation state, so each component stops at its own first repeated
 //! state, and `state.iterations` reports the maximum across shards.
 //!
-//! Depending on [`Config::threads`] the shards are converged on the calling
-//! thread or by the [`parallel`](crate::refine::parallel) engine; the two
-//! paths execute the identical per-shard routine and produce bit-identical
-//! annotations.
+//! Each sweep is Gauss-Seidel and runs on the calling thread: IRs are
+//! annotated in ascending index order, in place, so a read of a
+//! lower-indexed IR sees this sweep's value and a read of a higher-indexed
+//! one the pre-sweep value.
 
 use crate::graph::IrGraph;
-use crate::refine::parallel::{self, SweepCells, SweepCtx, LOCKSTEP_MIN_MID_PATH};
-use crate::refine::shard::ShardPlan;
+use crate::refine::shard::Shard;
+use crate::refine::{interface, router};
 use crate::{AnnotationState, Config};
-use as_rel::{AsRelationships, CustomerCones};
+use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
+use std::collections::HashSet;
 
 /// Seed of the convergence hash. Fixed (rather than `DefaultHasher`'s
 /// per-process randomness) so convergence traces are reproducible across
@@ -63,87 +64,80 @@ impl ShardHasher {
     }
 }
 
-/// Runs phase 3 to completion.
+/// Read-only context threaded through the annotation routines: the graph,
+/// the configuration, the memoized relationship/cone cache, and the
+/// write-only telemetry (nothing here reads the sheet or the tracer).
+pub(crate) struct SweepCtx<'a> {
+    pub graph: &'a IrGraph,
+    pub cfg: &'a Config,
+    pub cache: RelQueryCache<'a>,
+    pub sheet: obs::MetricSheet,
+    pub tracer: obs::WorkerTracer,
+}
+
+impl<'a> SweepCtx<'a> {
+    /// A context whose event track reports into `rec`'s tracer (a no-op
+    /// track when tracing is off).
+    pub fn new(
+        graph: &'a IrGraph,
+        cfg: &'a Config,
+        rels: &'a AsRelationships,
+        cones: &'a CustomerCones,
+        rec: &obs::Recorder,
+    ) -> Self {
+        SweepCtx {
+            graph,
+            cfg,
+            cache: RelQueryCache::new(rels, cones),
+            sheet: obs::MetricSheet::new(),
+            tracer: rec.tracer().worker(obs::names::TRACK_REFINE_WORKER, 0),
+        }
+    }
+
+    /// Moves the cache hit/miss tallies into the sheet, submits the event
+    /// track, and hands the sheet to `rec`. Cache statistics are
+    /// execution-dependent: they depend on the order shards are visited.
+    pub fn finish(mut self, rec: &obs::Recorder) {
+        let stats = self.cache.stats();
+        self.sheet.add_exec(obs::names::EXEC_CACHE_HITS, stats.hits);
+        self.sheet
+            .add_exec(obs::names::EXEC_CACHE_MISSES, stats.misses);
+        rec.tracer().submit(self.tracer);
+        rec.absorb(&self.sheet);
+    }
+}
+
+/// Runs phase 3 to completion, reporting convergence telemetry through
+/// `rec`. Telemetry is write-only: every annotation, iteration count, and
+/// convergence trace is bit-identical whether `rec` is enabled, disabled,
+/// or shared with other phases.
 pub fn refine(
     graph: &IrGraph,
     rels: &AsRelationships,
     cones: &CustomerCones,
     cfg: &Config,
     state: &mut AnnotationState,
-) {
-    refine_with_obs(graph, rels, cones, cfg, state, &obs::Recorder::disabled());
-}
-
-/// Runs phase 3 to completion, reporting convergence telemetry through
-/// `rec`. Telemetry is write-only: every annotation, iteration count, and
-/// convergence trace is bit-identical whether `rec` is enabled, disabled,
-/// or shared with other phases — the determinism suite checks this at
-/// thread counts 1/2/8.
-pub fn refine_with_obs(
-    graph: &IrGraph,
-    rels: &AsRelationships,
-    cones: &CustomerCones,
-    cfg: &Config,
-    state: &mut AnnotationState,
-    rec: &obs::Recorder,
-) {
-    let wp = pool::WorkerPool::with_recorder(cfg.threads, rec.clone());
-    refine_in_pool(graph, rels, cones, cfg, state, &wp, rec);
-}
-
-/// [`refine_with_obs`] on a caller-provided worker pool — the entry the
-/// pipeline uses so all phases share one pool. The worker budget comes from
-/// the pool ([`Config::threads`] only feeds the pool's construction), then
-/// shrinks to what the shard plan can actually occupy.
-pub fn refine_in_pool(
-    graph: &IrGraph,
-    rels: &AsRelationships,
-    cones: &CustomerCones,
-    cfg: &Config,
-    state: &mut AnnotationState,
-    wp: &pool::WorkerPool,
     rec: &obs::Recorder,
 ) {
     use obs::names;
 
     let plan = &graph.shards;
-    let cells = SweepCells::new(state);
-    let threads = effective_threads(wp.workers(), plan);
-    let tracer = rec.tracer();
-    let (iterations, traces, mut sheet) = if threads <= 1 {
-        let mut ctx = SweepCtx::new(graph, cfg, rels, cones);
-        ctx.tracer = tracer.worker(names::TRACK_REFINE_WORKER, 0);
-        let mut iterations = 0;
-        let mut traces = Vec::with_capacity(plan.shards.len());
-        for (idx, shard) in plan.shards.iter().enumerate() {
-            ctx.tracer.begin(names::EV_REFINE_SHARD, idx as u64);
-            let run =
-                parallel::converge_shard(shard, &cells, &mut ctx, cfg.max_iterations, 0, 1, None);
-            ctx.tracer.end(names::EV_REFINE_SHARD);
-            iterations = iterations.max(run.iterations);
-            ctx.sheet
-                .record(names::HIST_SHARD_ITERATIONS, run.iterations as u64);
-            traces.push(run.trace);
-        }
-        ctx.flush_cache_stats();
-        tracer.submit(ctx.tracer);
-        (iterations, traces, ctx.sheet)
-    } else {
-        parallel::refine_parallel(graph, plan, &cells, rels, cones, cfg, threads, wp, &tracer)
-    };
-    cells.write_back(state);
+    let mut ctx = SweepCtx::new(graph, cfg, rels, cones, rec);
+    let mut iterations = 0;
+    let mut traces = Vec::with_capacity(plan.shards.len());
+    for (idx, shard) in plan.shards.iter().enumerate() {
+        let trace = converge_shard(idx, shard, state, &mut ctx);
+        iterations = iterations.max(trace.len() - 1);
+        traces.push(trace);
+    }
     state.iterations = iterations;
     state.convergence_traces = traces;
 
-    // Plan-level telemetry, recorded once on the calling thread so serial
-    // and parallel runs produce the identical deterministic sheet.
-    sheet.inc(names::REFINE_RUNS);
-    sheet.add(names::REFINE_ITERATIONS, iterations as u64);
-    sheet.add(names::REFINE_SHARDS, plan.shards.len() as u64);
-    for shard in &plan.shards {
-        sheet.record(names::HIST_SHARD_WAVEFRONTS, shard.levels.len() as u64);
-    }
-    sheet.add(
+    ctx.sheet.inc(names::REFINE_RUNS);
+    ctx.sheet.add(names::REFINE_ITERATIONS, iterations as u64);
+    ctx.sheet
+        .add(names::REFINE_SHARDS, plan.shards.len() as u64);
+    ctx.sheet.add(
         names::REFINE_ROUTERS_ANNOTATED,
         state
             .router
@@ -151,35 +145,96 @@ pub fn refine_in_pool(
             .filter(|a| **a != net_types::Asn::NONE)
             .count() as u64,
     );
-    sheet.add_exec(names::EXEC_REFINE_WORKERS, threads as u64);
-    rec.absorb(&sheet);
+    ctx.finish(rec);
 }
 
-/// Resolves the pool's worker budget against the shard plan, falling back
-/// to the serial path when the plan has nothing to offer a thread pool
-/// (e.g. a single narrow shard). Shared with the incremental engine, which
-/// resolves against its dirty-shard subset plan.
-pub(crate) fn effective_threads(requested: usize, plan: &ShardPlan) -> usize {
-    if requested <= 1 {
-        return 1;
+/// Stable hash of one shard's annotation state (routers then interfaces,
+/// ascending index order).
+fn shard_hash(shard: &Shard, state: &AnnotationState) -> u64 {
+    let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
+    for &ir in &shard.irs {
+        h.write_u32(state.router[ir as usize].0);
     }
-    let lockstep_shards = plan
-        .shards
-        .iter()
-        .filter(|s| s.mid_path.len() >= LOCKSTEP_MIN_MID_PATH)
-        .count();
-    let solo_shards = plan.shards.len() - lockstep_shards;
-    if lockstep_shards == 0 && solo_shards <= 1 {
-        return 1;
+    for &j in &shard.ifaces {
+        h.write_u32(state.iface[j as usize].0);
     }
-    // More workers than the widest level (or the shard count, whichever
-    // offers more slots) would only ever wait at barriers.
-    requested.min(plan.max_level_width().max(plan.shards.len()))
+    h.finish()
+}
+
+/// Runs shard `idx` to convergence (§6.3 applied shard-locally): sweep the
+/// mid-path routers in ascending IR order, sweep the interfaces, and stop
+/// at the first repeated shard state, with `cfg.max_iterations` as the
+/// backstop. Annotations are written in place, so the router sweep is
+/// Gauss-Seidel; the interface sweep reads only router annotations, so its
+/// order does not matter.
+///
+/// Returns the convergence trace `[h_0, h_1, ..., h_n]`: the shard-state
+/// hash before refinement and after each of the `n` iterations. The trace
+/// is part of the determinism contract: runs must produce identical
+/// traces, not merely identical fixpoints, so an ordering bug that happens
+/// to converge to the right answer still shows up.
+pub(crate) fn converge_shard(
+    idx: usize,
+    shard: &Shard,
+    state: &mut AnnotationState,
+    ctx: &mut SweepCtx<'_>,
+) -> Vec<u64> {
+    use obs::names;
+
+    let graph = ctx.graph;
+    ctx.tracer.begin(names::EV_REFINE_SHARD, idx as u64);
+    // detlint::allow(unordered-collection): membership-only duplicate
+    // detector for convergence hashes; never iterated, so storage order
+    // cannot influence when the loop stops
+    let mut seen: HashSet<u64> = HashSet::new();
+    let mut trace = vec![shard_hash(shard, state)];
+    seen.insert(trace[0]);
+    for i in 0..ctx.cfg.max_iterations {
+        ctx.tracer.begin(names::EV_REFINE_WAVE, i as u64);
+        // Router sweep (§6.1).
+        for &iri in &shard.mid_path {
+            let iri = iri as usize;
+            if state.frozen[iri] {
+                continue;
+            }
+            let a = router::annotate_ir(&graph.irs[iri], state, ctx);
+            if a.is_some() {
+                if state.router[iri] != a {
+                    ctx.sheet.inc(names::REFINE_VOTES_CHANGED);
+                }
+                state.router[iri] = a;
+            }
+        }
+        // Interface sweep (§6.2).
+        for &j in &shard.ifaces {
+            if let Some(a) = interface::annotate_iface_one(j as usize, state, ctx) {
+                state.iface[j as usize] = a;
+            }
+        }
+        let h = shard_hash(shard, state);
+        trace.push(h);
+        ctx.tracer.end(names::EV_REFINE_WAVE);
+        if !seen.insert(h) {
+            break;
+        }
+    }
+    ctx.tracer.end(names::EV_REFINE_SHARD);
+    ctx.sheet
+        .record(names::HIST_SHARD_ITERATIONS, trace.len() as u64 - 1);
+    trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::LinkLabel;
+    use crate::lasthop;
+    use alias::AliasSets;
+    use bgp::IpToAs;
+    use net_types::{Asn, Prefix};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+    use traceroute::{Hop, ReplyType, StopReason, Trace};
 
     #[test]
     fn hasher_is_stable_across_runs_and_platforms() {
@@ -211,5 +266,197 @@ mod tests {
         a.write_u32(42);
         b.write_u32(42);
         assert_ne!(a.finish(), b.finish());
+    }
+
+    /// Oracle: the sweep as the former lockstep engine scheduled it. Mid-path
+    /// IRs run in wavefront levels (longest chain of links into
+    /// lower-indexed mid-path IRs), each against a versioned view: this
+    /// sweep's value for lower-indexed IRs, the pre-sweep value for the rest.
+    fn oracle_converge(
+        shard: &Shard,
+        state: &mut AnnotationState,
+        ctx: &mut SweepCtx<'_>,
+    ) -> Vec<u64> {
+        let graph = ctx.graph;
+        let mut depth = vec![0usize; graph.irs.len()];
+        let mut levels: Vec<Vec<u32>> = Vec::new();
+        for &i in &shard.mid_path {
+            let ir = &graph.irs[i as usize];
+            let d = (ir.links.iter())
+                .map(|l| graph.iface_ir[l.dst.0 as usize].0)
+                .filter(|&jr| jr < i && !graph.irs[jr as usize].links.is_empty())
+                .map(|jr| depth[jr as usize] + 1)
+                .max()
+                .unwrap_or(0);
+            depth[i as usize] = d;
+            levels.resize(levels.len().max(d + 1), Vec::new());
+            levels[d].push(i);
+        }
+        let mut trace = vec![shard_hash(shard, state)];
+        for _ in 0..ctx.cfg.max_iterations {
+            let prev = state.router.clone();
+            for &iri in levels.iter().flatten() {
+                if state.frozen[iri as usize] {
+                    continue;
+                }
+                let mut view = state.clone();
+                view.router[iri as usize..].copy_from_slice(&prev[iri as usize..]);
+                let a = router::annotate_ir(&graph.irs[iri as usize], &view, ctx);
+                if a.is_some() {
+                    state.router[iri as usize] = a;
+                }
+            }
+            for &j in &shard.ifaces {
+                if let Some(a) = interface::annotate_iface_one(j as usize, state, ctx) {
+                    state.iface[j as usize] = a;
+                }
+            }
+            let h = shard_hash(shard, state);
+            let repeated = trace.contains(&h);
+            trace.push(h);
+            if repeated {
+                break;
+            }
+        }
+        trace
+    }
+
+    /// Island `k` of three: `10.(2k+1)/16` (AS 2k+1), `10.(2k+2)/16`
+    /// (AS 2k+2) and unannounced `172.(16+k)/16`. No trace crosses islands,
+    /// so each is at least one shard.
+    fn addr(k: u32, space: u32, host: u32) -> u32 {
+        match space {
+            0 | 1 => 0x0A00_0000 + ((2 * k + 1 + space) << 16) + host,
+            _ => 0xAC10_0000 + (k << 16) + host,
+        }
+    }
+
+    fn trace(dst: u32, hops: &[Option<(u32, ReplyType)>]) -> Trace {
+        let hops = hops
+            .iter()
+            .map(|h| h.map(|(addr, reply)| Hop { addr, reply }));
+        Trace {
+            monitor: "vp".into(),
+            src: 1,
+            dst,
+            hops: hops.collect(),
+            stop: StopReason::GapLimit,
+        }
+    }
+
+    /// Fixed traces per island, on hosts ≥ 220 that random traces never
+    /// use: a Nexthop chain walked forward and back (back-edges into
+    /// lower-indexed mid-path IRs), an Echo link, a Multihop link across a
+    /// gap, frozen last hops, and a descending unannounced chain whose
+    /// votes are its successors' router annotations.
+    fn scaffold(k: u32) -> Vec<Trace> {
+        use ReplyType::{EchoReply as ER, TimeExceeded as TE};
+        let (a1, a2, b3) = (addr(k, 0, 221), addr(k, 0, 222), addr(k, 1, 223));
+        let (b9, u4, u5) = (addr(k, 1, 229), addr(k, 2, 240), addr(k, 2, 250));
+        vec![
+            trace(
+                b9,
+                &[
+                    Some((a1, TE)),
+                    Some((a2, TE)),
+                    Some((b3, TE)),
+                    Some((b9, ER)),
+                ],
+            ),
+            trace(
+                b9,
+                &[
+                    Some((b3, TE)),
+                    Some((a2, TE)),
+                    Some((a1, TE)),
+                    None,
+                    Some((b9, TE)),
+                ],
+            ),
+            trace(
+                b9,
+                &[
+                    Some((addr(k, 0, 225), TE)),
+                    Some((u5, TE)),
+                    Some((u4, TE)),
+                    Some((b3, TE)),
+                ],
+            ),
+        ]
+    }
+
+    fn random_trace() -> impl Strategy<Value = Trace> {
+        let reply = prop_oneof![
+            5 => Just(ReplyType::TimeExceeded),
+            1 => Just(ReplyType::EchoReply),
+            1 => Just(ReplyType::DestUnreachable),
+        ];
+        let hop = proptest::option::weighted(0.8, (0u32..3, 0u32..200, reply));
+        (0u32..3, 0u32..200, proptest::collection::vec(hop, 1..10)).prop_map(|(k, host, hops)| {
+            let hops: Vec<_> = (hops.into_iter())
+                .map(|h| h.map(|(space, host, reply)| (addr(k, space, host), reply)))
+                .collect();
+            trace(addr(k, 1, host), &hops)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The in-place ascending sweep reproduces the oracle exactly:
+        /// annotations, iteration count and every shard's convergence trace.
+        #[test]
+        fn in_place_sweep_matches_the_versioned_view_oracle(
+            random in proptest::collection::vec(random_trace(), 0..40),
+        ) {
+            let mut traces: Vec<Trace> = (0..3).flat_map(scaffold).collect();
+            traces.extend(random);
+            // Interfaces 2m and 2m+1 of one /16 are aliases.
+            let mut observed: Vec<u32> =
+                traces.iter().flat_map(|t| t.responsive().map(|(_, h)| h.addr)).collect();
+            observed.sort_unstable();
+            observed.dedup();
+            let aliases = AliasSets::from_groups(
+                observed.chunk_by(|x, y| x & !1 == y & !1).map(|g| g.iter().copied().collect()),
+            );
+            let ip2as = IpToAs::from_pairs((1..=6u32).map(|n| {
+                (format!("10.{n}.0.0/16").parse::<Prefix>().unwrap(), Asn(n))
+            }));
+            let mut rels = AsRelationships::new();
+            rels.add_p2p(Asn(1), Asn(2));
+            for (p, c) in [(3, 4), (5, 6), (1, 3), (2, 5)] {
+                rels.add_p2c(Asn(p), Asn(c));
+            }
+            let cones = CustomerCones::compute(&rels);
+            let cfg = Config { threads: 1, ..Config::default() };
+            let graph = IrGraph::build(&traces, &aliases, &ip2as, &cfg, &rels, &cones);
+            let mut initial = AnnotationState::new(&graph);
+            lasthop::annotate_last_hops(&graph, &rels, &cones, &mut initial);
+
+            // The corpus exercises everything the sweep order matters for.
+            prop_assert!(graph.shards.shards.len() >= 3);
+            prop_assert!(initial.frozen.contains(&true), "no frozen IR");
+            let links = || graph.irs.iter().flat_map(|ir| ir.links.iter().map(move |l| (ir, l)));
+            let labels: BTreeSet<LinkLabel> = links().map(|(_, l)| l.label).collect();
+            prop_assert_eq!(labels.len(), 3);
+            prop_assert!(links().any(|(ir, l)| {
+                let jr = graph.iface_ir[l.dst.0 as usize];
+                jr < ir.id && !graph.irs[jr.0 as usize].links.is_empty()
+            }), "no back-edge");
+
+            let mut swept = initial.clone();
+            refine(&graph, &rels, &cones, &cfg, &mut swept, &obs::Recorder::disabled());
+
+            let mut want = initial;
+            let mut ctx = SweepCtx::new(&graph, &cfg, &rels, &cones, &obs::Recorder::disabled());
+            let traces: Vec<Vec<u64>> = (graph.shards.shards.iter())
+                .map(|shard| oracle_converge(shard, &mut want, &mut ctx))
+                .collect();
+            prop_assert_eq!(&swept.router, &want.router);
+            prop_assert_eq!(&swept.iface, &want.iface);
+            let iterations = traces.iter().map(|t| t.len() - 1).max().unwrap_or(0);
+            prop_assert_eq!(swept.iterations, iterations);
+            prop_assert_eq!(&swept.convergence_traces, &traces);
+        }
     }
 }

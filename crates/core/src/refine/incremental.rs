@@ -16,21 +16,19 @@
 //! predecessor interfaces by their addresses), so a shard keeps its
 //! fingerprint when unrelated graph growth shifts the global index space.
 //!
-//! Because [`converge_shard`](super::parallel::converge_shard) is a pure
-//! function of exactly those inputs (plus the relationship table and the
-//! heuristic configuration, covered by the cache-level environment
-//! fingerprint), a fingerprint hit replays the cached converged
-//! annotations and convergence trace *byte-identically* — there is no
-//! "approximately equal" path. Shards that miss are re-converged on the
-//! shared [`pool::WorkerPool`] by the very same routine the full engine
-//! uses, wavefront levels and all. The churn driver additionally
+//! Because the per-shard convergence loop is a pure function of exactly
+//! those inputs (plus the relationship table and the heuristic
+//! configuration, covered by the cache-level environment fingerprint), a
+//! fingerprint hit replays the cached converged annotations and
+//! convergence trace *byte-identically* — there is no "approximately
+//! equal" path. Shards that miss are re-converged by the very same routine
+//! [`refine`](super::refine) runs. The churn driver additionally
 //! byte-compares every incremental epoch against a from-scratch recompute,
 //! so a fingerprint collision (2⁻⁶⁴ per pair) cannot silently ship.
 
 use crate::graph::IrGraph;
-use crate::refine::engine::{effective_threads, ShardHasher, CONVERGENCE_HASH_SEED};
-use crate::refine::parallel::{self, SweepCells, SweepCtx};
-use crate::refine::shard::{Shard, ShardPlan};
+use crate::refine::engine::{converge_shard, ShardHasher, SweepCtx, CONVERGENCE_HASH_SEED};
+use crate::refine::shard::Shard;
 use crate::{AnnotationState, Config};
 use as_rel::{AsRelationships, CustomerCones, Relationship};
 use net_types::Asn;
@@ -206,21 +204,19 @@ fn shard_fingerprint(graph: &IrGraph, state: &AnnotationState, shard: &Shard) ->
 
 /// Runs phase 3 incrementally: shards whose fingerprint hits `cache`
 /// replay their cached annotations and convergence trace; the rest
-/// converge on `wp` exactly as [`refine_in_pool`](super::refine_in_pool)
-/// would converge them. On return, `state` (annotations, iteration count,
-/// convergence traces) is byte-identical to what a full recompute with the
-/// same inputs produces, and `cache` holds exactly this epoch's shards.
+/// converge exactly as [`refine`](super::refine) would converge them. On
+/// return, `state` (annotations, iteration count, convergence traces) is
+/// byte-identical to what a full recompute with the same inputs produces,
+/// and `cache` holds exactly this epoch's shards.
 ///
 /// `state` must be the post-phase-2 state (last hops annotated, frozen
 /// bits set) for the *current* `graph`.
-#[allow(clippy::too_many_arguments)]
 pub fn refine_incremental(
     graph: &IrGraph,
     rels: &AsRelationships,
     cones: &CustomerCones,
     cfg: &Config,
     state: &mut AnnotationState,
-    wp: &pool::WorkerPool,
     rec: &obs::Recorder,
     cache: &mut ShardCache,
 ) -> IncrementalStats {
@@ -263,49 +259,14 @@ pub fn refine_incremental(
         }
     }
 
-    // Converge the dirty subset with the full engine's machinery. The
-    // subset plan's `ir_shard` is left empty: the convergence paths never
-    // consult it.
+    // Converge the dirty shards with the full engine's routine.
     if !dirty.is_empty() {
-        let sub = ShardPlan {
-            shards: dirty.iter().map(|&i| plan.shards[i].clone()).collect(),
-            ir_shard: Vec::new(),
-        };
-        let cells = SweepCells::new(state);
-        let threads = effective_threads(wp.workers(), &sub);
-        let tracer = rec.tracer();
-        let (max_iter, sub_traces, sheet) = if threads <= 1 {
-            let mut ctx = SweepCtx::new(graph, cfg, rels, cones);
-            ctx.tracer = tracer.worker(names::TRACK_REFINE_WORKER, 0);
-            let mut max_iter = 0;
-            let mut sub_traces = Vec::with_capacity(sub.shards.len());
-            for (k, shard) in sub.shards.iter().enumerate() {
-                ctx.tracer.begin(names::EV_REFINE_SHARD, dirty[k] as u64);
-                let run = parallel::converge_shard(
-                    shard,
-                    &cells,
-                    &mut ctx,
-                    cfg.max_iterations,
-                    0,
-                    1,
-                    None,
-                );
-                ctx.tracer.end(names::EV_REFINE_SHARD);
-                max_iter = max_iter.max(run.iterations);
-                sub_traces.push(run.trace);
-            }
-            ctx.flush_cache_stats();
-            tracer.submit(ctx.tracer);
-            (max_iter, sub_traces, ctx.sheet)
-        } else {
-            parallel::refine_parallel(graph, &sub, &cells, rels, cones, cfg, threads, wp, &tracer)
-        };
-        cells.write_back(state);
-        iterations = iterations.max(max_iter);
-        for (k, trace) in sub_traces.into_iter().enumerate() {
-            traces[dirty[k]] = trace;
+        let mut ctx = SweepCtx::new(graph, cfg, rels, cones, rec);
+        for &idx in &dirty {
+            traces[idx] = converge_shard(idx, &plan.shards[idx], state, &mut ctx);
+            iterations = iterations.max(traces[idx].len() - 1);
         }
-        rec.absorb(&sheet);
+        ctx.finish(rec);
     }
 
     state.iterations = iterations;
@@ -368,7 +329,13 @@ mod tests {
             ..ProbeConfig::default()
         };
         let vps = sim::select_vps(&net, 4, &[], seed);
-        let traces = sim::probe_campaign(&net, &vps, &cfg);
+        let traces = sim::probe_campaign_in_pool(
+            &net,
+            &vps,
+            &cfg,
+            &pool::WorkerPool::new(0),
+            &obs::Recorder::disabled(),
+        );
         let observed = observed_addresses(&traces);
         let aliases = resolve_midar(&net, &observed, 0.9, seed);
         let rib = net.build_rib();
@@ -410,12 +377,9 @@ mod tests {
         let full = Bdrmapit::new(cfg.clone()).run(&traces, &aliases, &ip2as, &rels);
 
         let (graph, mut state, cones) = prepared(&traces, &aliases, &ip2as, &rels, &cfg);
-        let wp = pool::WorkerPool::new(1);
         let rec = obs::Recorder::disabled();
         let mut cache = ShardCache::new();
-        let stats = refine_incremental(
-            &graph, &rels, &cones, &cfg, &mut state, &wp, &rec, &mut cache,
-        );
+        let stats = refine_incremental(&graph, &rels, &cones, &cfg, &mut state, &rec, &mut cache);
         assert_eq!(stats.reused_shards, 0, "cold cache reuses nothing");
         assert_eq!(stats.dirty_shards, graph.shards.shards.len());
         assert_states_identical(&state, &full.state);
@@ -423,41 +387,11 @@ mod tests {
 
         // Second run over the identical corpus: everything replays.
         let (graph2, mut state2, cones2) = prepared(&traces, &aliases, &ip2as, &rels, &cfg);
-        let stats2 = refine_incremental(
-            &graph2,
-            &rels,
-            &cones2,
-            &cfg,
-            &mut state2,
-            &wp,
-            &rec,
-            &mut cache,
-        );
+        let stats2 =
+            refine_incremental(&graph2, &rels, &cones2, &cfg, &mut state2, &rec, &mut cache);
         assert_eq!(stats2.dirty_shards, 0, "warm cache re-converges nothing");
         assert_eq!(stats2.reused_shards, graph2.shards.shards.len());
         assert_states_identical(&state2, &full.state);
-    }
-
-    #[test]
-    fn incremental_is_thread_invariant() {
-        let (traces, aliases, ip2as, rels) = corpus(22);
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let cfg = Config {
-                threads,
-                ..Config::default()
-            };
-            let (graph, mut state, cones) = prepared(&traces, &aliases, &ip2as, &rels, &cfg);
-            let wp = pool::WorkerPool::new(threads);
-            let rec = obs::Recorder::disabled();
-            let mut cache = ShardCache::new();
-            refine_incremental(
-                &graph, &rels, &cones, &cfg, &mut state, &wp, &rec, &mut cache,
-            );
-            results.push(state);
-        }
-        assert_states_identical(&results[0], &results[1]);
-        assert_states_identical(&results[0], &results[2]);
     }
 
     #[test]
@@ -467,13 +401,10 @@ mod tests {
             threads: 1,
             ..Config::default()
         };
-        let wp = pool::WorkerPool::new(1);
         let rec = obs::Recorder::disabled();
         let mut cache = ShardCache::new();
         let (graph, mut state, cones) = prepared(&traces, &aliases, &ip2as, &rels, &cfg);
-        refine_incremental(
-            &graph, &rels, &cones, &cfg, &mut state, &wp, &rec, &mut cache,
-        );
+        refine_incremental(&graph, &rels, &cones, &cfg, &mut state, &rec, &mut cache);
 
         // Toggling a heuristic must not replay outcomes computed under the
         // old configuration.
@@ -489,7 +420,6 @@ mod tests {
             &cones2,
             &cfg2,
             &mut state2,
-            &wp,
             &rec,
             &mut cache,
         );

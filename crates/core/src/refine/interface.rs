@@ -8,17 +8,18 @@
 //! toward the largest customer cone holding a BGP relationship with the
 //! interface origin (Figs. 13b, 13c).
 
-use crate::refine::parallel::{RouterView, SweepCells, SweepCtx};
+use crate::refine::engine::SweepCtx;
+use crate::AnnotationState;
 use bgp::OriginKind;
 use net_types::{Asn, Counter};
 
-/// Computes the new annotation of one interface from the committed router
+/// Computes the new annotation of one interface from the router
 /// annotations, or `None` to keep the current value. Reads no interface
-/// annotation (only router state), so a whole sweep can run in any order —
-/// or concurrently — and commit as it goes.
+/// annotation (only router state), so a whole sweep can run in any order
+/// and commit as it goes.
 pub(crate) fn annotate_iface_one(
     idx: usize,
-    cells: &SweepCells,
+    state: &AnnotationState,
     ctx: &mut SweepCtx<'_>,
 ) -> Option<Asn> {
     let graph = ctx.graph;
@@ -28,9 +29,8 @@ pub(crate) fn annotate_iface_one(
     if origin.kind == OriginKind::Ixp {
         return None;
     }
-    let view = RouterView::committed(cells);
     let ir = graph.iface_ir[idx];
-    let r_ann = view.router(ir);
+    let r_ann = state.router[ir.0 as usize];
     if r_ann.is_none() {
         return None;
     }
@@ -42,7 +42,7 @@ pub(crate) fn annotate_iface_one(
     // theirs seen immediately prior to this one.
     let mut v: Counter<Asn> = Counter::new();
     for (pred_ir, prior_ifaces) in &graph.preds[idx] {
-        let ann = view.router(*pred_ir);
+        let ann = state.router[pred_ir.0 as usize];
         if ann.is_some() {
             v.add_n(ann, prior_ifaces.len() as u64);
         }

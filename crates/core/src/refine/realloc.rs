@@ -8,7 +8,8 @@
 //! origin AS, the votes flip from the provider to that customer (Fig. 10).
 
 use crate::graph::Ir;
-use crate::refine::parallel::{RouterView, SweepCtx};
+use crate::refine::engine::SweepCtx;
+use crate::AnnotationState;
 use net_types::{Asn, Prefix};
 use std::collections::BTreeSet;
 
@@ -16,7 +17,7 @@ use std::collections::BTreeSet;
 /// `ir.links`).
 pub(crate) fn correct_reallocated(
     ir: &Ir,
-    view: &RouterView<'_>,
+    state: &AnnotationState,
     ctx: &mut SweepCtx<'_>,
     votes: &mut [Option<Asn>],
     usable: &[bool],
@@ -49,7 +50,7 @@ pub(crate) fn correct_reallocated(
     // All their routers must carry the same annotation X...
     let annotations: BTreeSet<Asn> = cand
         .iter()
-        .map(|&i| view.router(graph.iface_ir[ir.links[i].dst.0 as usize]))
+        .map(|&i| state.router[graph.iface_ir[ir.links[i].dst.0 as usize].0 as usize])
         .collect();
     let [x] = annotations.into_iter().collect::<Vec<_>>()[..] else {
         return;

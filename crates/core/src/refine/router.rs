@@ -1,18 +1,18 @@
 //! Router annotation (§6.1, Algorithm 2).
 
 use crate::graph::{Ir, LinkLabel};
-use crate::refine::parallel::{RouterView, SweepCtx};
+use crate::refine::engine::SweepCtx;
 use crate::refine::{exceptions, hidden, realloc, votes};
+use crate::AnnotationState;
 use as_rel::RelQueryCache;
 use bgp::OriginKind;
 use net_types::{Asn, Counter};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Annotates one IR (Algorithm 2), returning its new annotation
-/// ([`Asn::NONE`] when no evidence exists at all). Reads annotation state
-/// only through `view`, which presents exactly what the serial in-place
-/// sweep would see at this IR's turn.
-pub(crate) fn annotate_ir(ir: &Ir, view: &RouterView<'_>, ctx: &mut SweepCtx<'_>) -> Asn {
+/// ([`Asn::NONE`] when no evidence exists at all) from the annotation state
+/// as the in-place sweep leaves it at this IR's turn.
+pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn {
     // §4.2: use only the highest-confidence label class present — Nexthop
     // links when any exist, otherwise Echo, otherwise Multihop.
     let best_label = ir
@@ -27,7 +27,7 @@ pub(crate) fn annotate_ir(ir: &Ir, view: &RouterView<'_>, ctx: &mut SweepCtx<'_>
     let mut link_votes: Vec<Option<Asn>> = Vec::with_capacity(ir.links.len());
     for (i, l) in ir.links.iter().enumerate() {
         link_votes.push(if usable[i] {
-            votes::link_vote(l, view, ctx)
+            votes::link_vote(l, state, ctx)
         } else {
             None
         });
@@ -35,7 +35,7 @@ pub(crate) fn annotate_ir(ir: &Ir, view: &RouterView<'_>, ctx: &mut SweepCtx<'_>
 
     // ---- Alg. 2 line 8: reallocated-prefix correction (§6.1.2) ----
     if ctx.cfg.enable_realloc {
-        realloc::correct_reallocated(ir, view, ctx, &mut link_votes, &usable);
+        realloc::correct_reallocated(ir, state, ctx, &mut link_votes, &usable);
     }
 
     // Tally V and the origin-set map M (Alg. 2 lines 5–7).

@@ -1,4 +1,4 @@
-//! Annotation-dependency shards and wavefront levels.
+//! Annotation-dependency shards.
 //!
 //! During a router sweep (§6.1), annotating IR *i* reads only the state of
 //! IRs reachable through *i*'s links (`state.router` of the subsequent
@@ -8,18 +8,8 @@
 //! to *j*. Annotation state therefore never flows between two IRs unless
 //! they are connected by a chain of Nexthop/Echo/Multihop links, so the
 //! weakly connected components of the IR graph partition the refinement
-//! problem into independent **shards** that can converge separately and in
-//! parallel without changing any result.
-//!
-//! Within one shard, the serial engine is Gauss-Seidel: IRs are processed in
-//! ascending index order and a read of a *lower*-indexed mid-path IR sees
-//! the value written earlier in the same sweep. Those "reads new value"
-//! edges always point from a lower index to a higher one, so they form a
-//! DAG, and scheduling IRs by longest-path depth (**wavefront levels**)
-//! exposes the second tier of parallelism: all IRs in one level can be
-//! annotated concurrently while reproducing the serial sweep bit for bit
-//! (reads of higher-indexed IRs go to the pre-sweep snapshot either way —
-//! see `refine::parallel`).
+//! problem into independent **shards** that converge separately without
+//! changing any result.
 
 use crate::graph::{Ir, IrId};
 
@@ -33,10 +23,6 @@ pub struct Shard {
     pub mid_path: Vec<u32>,
     /// Member interface indices (ascending) — the interface-sweep set.
     pub ifaces: Vec<u32>,
-    /// Wavefront levels over `mid_path`: `levels[d]` holds the IRs whose
-    /// longest same-sweep dependency chain has depth `d`, each level
-    /// ascending. Concatenated they contain exactly `mid_path`.
-    pub levels: Vec<Vec<u32>>,
 }
 
 /// The shard partition of an IR graph, computed once at graph-build time.
@@ -49,8 +35,7 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Partitions the IR graph into link-connected shards and computes the
-    /// wavefront levels of each.
+    /// Partitions the IR graph into link-connected shards.
     pub fn compute(irs: &[Ir], iface_ir: &[IrId]) -> ShardPlan {
         let n = irs.len();
         // Union-find over IR indices; links connect an IR to the IR owning
@@ -105,41 +90,7 @@ impl ShardPlan {
                 .push(idx as u32);
         }
 
-        // Wavefront levels: depth(i) = 1 + max depth over same-sweep
-        // dependencies (mid-path link destinations with a lower index).
-        // Ascending order means every dependency is resolved before use.
-        let mut depth = vec![0u32; n];
-        for ir in irs {
-            if ir.links.is_empty() {
-                continue;
-            }
-            let i = ir.id.0;
-            let mut d = 0;
-            for link in &ir.links {
-                let jr = iface_ir[link.dst.0 as usize].0;
-                if jr < i && !irs[jr as usize].links.is_empty() {
-                    d = d.max(depth[jr as usize] + 1);
-                }
-            }
-            depth[i as usize] = d;
-            let shard = &mut shards[ir_shard[i as usize] as usize];
-            if shard.levels.len() <= d as usize {
-                shard.levels.resize(d as usize + 1, Vec::new());
-            }
-            shard.levels[d as usize].push(i);
-        }
-
         ShardPlan { shards, ir_shard }
-    }
-
-    /// The widest wavefront level across all shards — an upper bound on the
-    /// useful intra-shard parallelism.
-    pub fn max_level_width(&self) -> usize {
-        self.shards
-            .iter()
-            .flat_map(|s| s.levels.iter().map(Vec::len))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -210,36 +161,5 @@ mod tests {
         let plan = plan_of(4, &[(0, 1), (2, 3)]);
         assert_eq!(plan.shards[0].ifaces, vec![0, 1]);
         assert_eq!(plan.shards[1].ifaces, vec![2, 3]);
-    }
-
-    #[test]
-    fn levels_partition_mid_path_and_respect_dependencies() {
-        // 0→1→2→3 chain plus 1→0 back-edge: mid-path IRs are 0,1,2.
-        // Same-sweep dependencies point at *lower-indexed mid-path* IRs
-        // only: 0 reads nothing below it (depth 0); 1 reads 0 via the
-        // back-edge (depth 1); 2 reads only IR 3, which is higher-indexed
-        // and not mid-path (depth 0).
-        let plan = plan_of(4, &[(0, 1), (1, 2), (2, 3), (1, 0)]);
-        let shard = &plan.shards[0];
-        assert_eq!(shard.levels.len(), 2);
-        assert_eq!(shard.levels[0], vec![0, 2]);
-        assert_eq!(shard.levels[1], vec![1]);
-        // Levels concatenate to exactly the mid-path set.
-        let mut flat: Vec<u32> = shard.levels.iter().flatten().copied().collect();
-        flat.sort_unstable();
-        assert_eq!(flat, shard.mid_path);
-        assert_eq!(plan.max_level_width(), 2);
-    }
-
-    #[test]
-    fn wide_level_for_independent_irs() {
-        // 1..=4 all link only to 0: every mid-path IR sits in level 1
-        // (they depend on nothing below themselves except via 0? no — 0 is
-        // their destination and has no links, so all are depth 0).
-        let plan = plan_of(5, &[(1, 0), (2, 0), (3, 0), (4, 0)]);
-        let shard = &plan.shards[0];
-        assert_eq!(shard.levels.len(), 1);
-        assert_eq!(shard.levels[0], vec![1, 2, 3, 4]);
-        assert_eq!(plan.max_level_width(), 4);
     }
 }

@@ -7,13 +7,18 @@
 //! is unannounced or inferred to be a third-party address (lines 5–8).
 
 use crate::graph::Link;
-use crate::refine::parallel::{RouterView, SweepCtx};
+use crate::refine::engine::SweepCtx;
+use crate::AnnotationState;
 use bgp::OriginKind;
 use net_types::Asn;
 
 /// Algorithm 3: the AS a single link votes for, or `None` when the link
 /// contributes no information.
-pub(crate) fn link_vote(link: &Link, view: &RouterView<'_>, ctx: &mut SweepCtx<'_>) -> Option<Asn> {
+pub(crate) fn link_vote(
+    link: &Link,
+    state: &AnnotationState,
+    ctx: &mut SweepCtx<'_>,
+) -> Option<Asn> {
     let j = link.dst.0 as usize;
     let j_origin = ctx.graph.iface_origin[j];
 
@@ -34,7 +39,7 @@ pub(crate) fn link_vote(link: &Link, view: &RouterView<'_>, ctx: &mut SweepCtx<'
 
     // Line 3: the annotation of j's router.
     let jr = ctx.graph.iface_ir[j];
-    let as_j = view.router(jr);
+    let as_j = state.router[jr.0 as usize];
 
     if as_j.is_none() {
         // j's IR not yet annotated (first iteration only): skip the
@@ -43,7 +48,7 @@ pub(crate) fn link_vote(link: &Link, view: &RouterView<'_>, ctx: &mut SweepCtx<'
         if j_origin.asn.is_none() {
             return None;
         }
-        let ann = view.iface(link.dst);
+        let ann = state.iface[j];
         return ann.is_some().then_some(ann);
     }
 
@@ -71,7 +76,7 @@ pub(crate) fn link_vote(link: &Link, view: &RouterView<'_>, ctx: &mut SweepCtx<'
     }
 
     // Line 9: the interface annotation.
-    let ann = view.iface(link.dst);
+    let ann = state.iface[j];
     if ann.is_some() {
         Some(ann)
     } else {

@@ -7,7 +7,16 @@ use bdrmapit_core::{Bdrmapit, Config};
 use bgp::IpToAs;
 use net_types::Asn;
 use topo_gen::{GeneratorConfig, Internet};
-use traceroute::sim::{probe_campaign, select_vps, ProbeConfig};
+use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
+
+fn campaign(
+    net: &Internet,
+    vps: &[topo_gen::RouterId],
+    cfg: &ProbeConfig,
+) -> Vec<traceroute::Trace> {
+    let wp = pool::WorkerPool::new(0);
+    probe_campaign_in_pool(net, vps, cfg, &wp, &obs::Recorder::disabled())
+}
 
 struct Pipeline {
     net: Internet,
@@ -21,7 +30,7 @@ fn run_pipeline(seed: u64, vps: usize) -> Pipeline {
         ..ProbeConfig::default()
     };
     let vp_routers = select_vps(&net, vps, &[], seed);
-    let traces = probe_campaign(&net, &vp_routers, &probe_cfg);
+    let traces = campaign(&net, &vp_routers, &probe_cfg);
     assert!(traces.len() > 100, "campaign too small: {}", traces.len());
 
     let rib = net.build_rib();
@@ -144,7 +153,7 @@ fn last_hop_phase_annotates_firewalled_edges() {
     });
     let probe_cfg = ProbeConfig::default();
     let vp_routers = select_vps(&net, 5, &[], 23);
-    let traces = probe_campaign(&net, &vp_routers, &probe_cfg);
+    let traces = campaign(&net, &vp_routers, &probe_cfg);
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
@@ -184,7 +193,7 @@ fn works_without_alias_resolution() {
     let net = Internet::generate(GeneratorConfig::tiny(29));
     let probe_cfg = ProbeConfig::default();
     let vp_routers = select_vps(&net, 5, &[], 29);
-    let traces = probe_campaign(&net, &vp_routers, &probe_cfg);
+    let traces = campaign(&net, &vp_routers, &probe_cfg);
     let rib = net.build_rib();
     let ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());

@@ -3,7 +3,7 @@
 //! From one file's token stream the indexer extracts function definitions
 //! (with body extents and return-type presence), call sites (attributed to
 //! their innermost enclosing function), worker closures (closures passed to
-//! `WorkerPool::run`/`broadcast`), and per-function *taint facts* — whether
+//! `WorkerPool::run`), and per-function *taint facts* — whether
 //! a function binds a hash collection, iterates one, reads the clock, or
 //! reads a `Relaxed` atomic. Phase B ([`crate::dataflow`]) joins the
 //! per-file indexes into a workspace call graph and propagates order taint
@@ -176,12 +176,10 @@ pub(crate) fn match_brace(toks: &[Tok], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// A closure handed to `WorkerPool::run`/`broadcast` — the code whose
-/// captures and interior mutability the pool-concurrency rules police.
+/// A closure handed to `WorkerPool::run` — the code whose captures and
+/// interior mutability the pool-concurrency rules police.
 #[derive(Clone, Debug)]
 pub(crate) struct WorkerClosure {
-    /// `run` or `broadcast`.
-    pub method: String,
     /// Identifiers appearing in the parameter list (`|w: usize|` → both
     /// `w` and `usize`; over-inclusive, used only to exclude candidates).
     pub params: Vec<String>,
@@ -189,15 +187,15 @@ pub(crate) struct WorkerClosure {
     pub body: (usize, usize),
 }
 
-/// Finds worker closures: `.run(…)`/`.broadcast(…)` method calls whose
-/// arguments contain an inline closure, or whose final argument is a bare
-/// identifier bound earlier in the file by `let name = |…|` (the
-/// `let worker = |w| …; wp.broadcast(.., worker)` shape).
+/// Finds worker closures: `.run(…)` method calls whose arguments contain
+/// an inline closure, or whose final argument is a bare identifier bound
+/// earlier in the file by `let name = |…|` (the
+/// `let worker = |w| …; wp.run(.., worker)` shape).
 pub(crate) fn worker_closures(toks: &[Tok]) -> Vec<WorkerClosure> {
     let mut out = Vec::new();
     for i in 1..toks.len() {
         let t = &toks[i];
-        if !(t.is_ident("run") || t.is_ident("broadcast")) {
+        if !t.is_ident("run") {
             continue;
         }
         if !toks[i - 1].is_punct(".") || !toks.get(i + 1).is_some_and(|p| p.is_punct("(")) {
@@ -205,7 +203,7 @@ pub(crate) fn worker_closures(toks: &[Tok]) -> Vec<WorkerClosure> {
         }
         let open = i + 1;
         let close = match_paren(toks, open);
-        if let Some(c) = inline_closure(toks, open + 1, close, &t.text) {
+        if let Some(c) = inline_closure(toks, open + 1, close) {
             out.push(c);
             continue;
         }
@@ -215,7 +213,7 @@ pub(crate) fn worker_closures(toks: &[Tok]) -> Vec<WorkerClosure> {
             let before = &toks[close - 2];
             if before.is_punct(",") || close - 2 == open {
                 let name = &toks[close - 1].text;
-                if let Some(c) = let_closure(toks, name, &t.text) {
+                if let Some(c) = let_closure(toks, name) {
                     out.push(c);
                 }
             }
@@ -246,7 +244,7 @@ fn match_paren(toks: &[Tok], open: usize) -> usize {
 
 /// Parses an inline `|params| body` closure between `from..to` (exclusive),
 /// at the call's top argument level.
-fn inline_closure(toks: &[Tok], from: usize, to: usize, method: &str) -> Option<WorkerClosure> {
+fn inline_closure(toks: &[Tok], from: usize, to: usize) -> Option<WorkerClosure> {
     let mut depth = 0i32;
     let mut k = from;
     while k < to {
@@ -255,14 +253,14 @@ fn inline_closure(toks: &[Tok], from: usize, to: usize, method: &str) -> Option<
             match t.text.as_str() {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth -= 1,
-                "||" if depth == 0 => return Some(closure_at(toks, k, k, method)),
+                "||" if depth == 0 => return Some(closure_at(toks, k, k)),
                 "|" if depth == 0 => {
                     // Scan the parameter list to the closing `|`.
                     let mut p = k + 1;
                     while p < to && !toks[p].is_punct("|") {
                         p += 1;
                     }
-                    return Some(closure_at(toks, k, p, method));
+                    return Some(closure_at(toks, k, p));
                 }
                 _ => {}
             }
@@ -274,12 +272,7 @@ fn inline_closure(toks: &[Tok], from: usize, to: usize, method: &str) -> Option<
 
 /// Builds a [`WorkerClosure`] whose parameter list spans `params_open ..=
 /// params_close` (equal for `||`) and whose body starts right after.
-fn closure_at(
-    toks: &[Tok],
-    params_open: usize,
-    params_close: usize,
-    method: &str,
-) -> WorkerClosure {
+fn closure_at(toks: &[Tok], params_open: usize, params_close: usize) -> WorkerClosure {
     let params: Vec<String> = toks[params_open..=params_close]
         .iter()
         .filter(|t| t.kind == TokKind::Ident)
@@ -308,7 +301,6 @@ fn closure_at(
         k.saturating_sub(1)
     };
     WorkerClosure {
-        method: method.to_string(),
         params,
         body: (body_start, body_end),
     }
@@ -316,7 +308,7 @@ fn closure_at(
 
 /// Resolves a bare-identifier argument to a file-local `let name = |…|`
 /// closure definition.
-fn let_closure(toks: &[Tok], name: &str, method: &str) -> Option<WorkerClosure> {
+fn let_closure(toks: &[Tok], name: &str) -> Option<WorkerClosure> {
     for k in 0..toks.len() {
         if !toks[k].is_ident("let") {
             continue;
@@ -333,14 +325,14 @@ fn let_closure(toks: &[Tok], name: &str, method: &str) -> Option<WorkerClosure> 
         }
         let bar = n + 2;
         if toks.get(bar).is_some_and(|t| t.is_punct("||")) {
-            return Some(closure_at(toks, bar, bar, method));
+            return Some(closure_at(toks, bar, bar));
         }
         if toks.get(bar).is_some_and(|t| t.is_punct("|")) {
             let mut p = bar + 1;
             while p < toks.len() && !toks[p].is_punct("|") {
                 p += 1;
             }
-            return Some(closure_at(toks, bar, p, method));
+            return Some(closure_at(toks, bar, p));
         }
     }
     None
@@ -487,15 +479,13 @@ mod tests {
     fn worker_closures_inline_and_let_bound() {
         let src = "fn f(wp: &P) {\n\
                    let worker = |w: usize| { w + 1 };\n\
-                   wp.broadcast(\"x\", 4, worker);\n\
+                   wp.run(\"x\", 4, worker);\n\
                    wp.run(\"y\", 8, |i| i * 2);\n\
                    }";
         let (toks, _) = lex(src);
         let ws = worker_closures(&toks);
         assert_eq!(ws.len(), 2);
-        assert_eq!(ws[0].method, "broadcast");
         assert!(ws[0].params.contains(&"w".to_string()));
-        assert_eq!(ws[1].method, "run");
         assert!(ws[1].params.contains(&"i".to_string()));
     }
 

@@ -1,7 +1,7 @@
 //! **detlint**: the workspace determinism/ordering static-analysis pass.
 //!
-//! The refinement engine guarantees bit-identical output for every
-//! `Config::threads` value, and the whole pipeline promises run-to-run
+//! The pipeline guarantees bit-identical output for every
+//! `Config::threads` value, and promises run-to-run
 //! reproducibility (same inputs → same annotations, same convergence hash
 //! trace). That contract is easy to break silently: one `for` loop over a
 //! `HashMap`, one `DefaultHasher`, one stray `thread::spawn`, one float

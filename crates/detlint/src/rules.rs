@@ -19,7 +19,7 @@ pub const RULE_UNORDERED_ITER: &str = "unordered-iter";
 pub const RULE_UNORDERED_COLLECTION: &str = "unordered-collection";
 /// Use of a nondeterministic value source.
 pub const RULE_NONDET_SOURCE: &str = "nondet-source";
-/// Thread creation outside the refinement engine's scoped pool.
+/// Thread creation outside the pool crate.
 pub const RULE_UNSCOPED_THREAD: &str = "unscoped-thread";
 /// Float accumulation in vote-tally / metric paths.
 pub const RULE_FLOAT_ACCUM: &str = "float-accum";
@@ -27,7 +27,7 @@ pub const RULE_FLOAT_ACCUM: &str = "float-accum";
 pub const RULE_MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
 /// Malformed or unknown `detlint::allow` annotation.
 pub const RULE_INVALID_ALLOW: &str = "invalid-allow";
-/// Closure passed to `WorkerPool::run`/`broadcast` captures an identifier
+/// Closure passed to `WorkerPool::run` captures an identifier
 /// also mutated outside the closure in the same file.
 pub const RULE_POOL_SHARED_CAPTURE: &str = "pool-shared-capture";
 /// A function with a return type performs an `Ordering::Relaxed` atomic
@@ -662,10 +662,10 @@ pub(crate) fn analyze_lexed(
                         t.line,
                         t.col,
                         format!(
-                            "worker closure passed to `{}` uses interior mutability \
+                            "worker closure passed to `run` uses interior mutability \
                              (`{}`): lock/borrow order is scheduling-dependent; merge \
                              per-worker results after the batch instead",
-                            c.method, t.text
+                            t.text
                         ),
                     );
                     break;
@@ -752,10 +752,10 @@ pub(crate) fn analyze_lexed(
                     t.line,
                     t.col,
                     format!(
-                        "worker closure passed to `{}` captures `{}`, which is also \
+                        "worker closure passed to `run` captures `{}`, which is also \
                          mutated outside the closure: shared mutable state across \
                          the pool boundary makes results depend on worker scheduling",
-                        c.method, t.text
+                        t.text
                     ),
                 );
             }

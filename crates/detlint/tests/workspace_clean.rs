@@ -70,15 +70,9 @@ fn allow_inventory_does_not_silently_grow() {
         // obs::MonotonicClock — the workspace's only sanctioned wall-clock
         // read (see the sole-clock assertion below).
         ("nondet-source", 1),
-        // Pool accounting in run/broadcast (counters feed the exec-only
-        // metrics surface) and the refinement engine's barrier-disciplined
-        // annotation cells (RouterView reads, snapshot copy, convergence
-        // hash) — each justified at the site; the determinism suite pins
-        // the resulting traces.
-        ("relaxed-atomic-output", 6),
-        // The refinement worker's slot-per-shard trace mailbox (single
-        // designated writer per slot).
-        ("interior-mut-in-worker", 1),
+        // Pool accounting in `run` (counters feed the exec-only metrics
+        // surface).
+        ("relaxed-atomic-output", 1),
     ]
     .into_iter()
     .collect();

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 /// An exact-value histogram: `value → occurrence count`.
 ///
-/// Pipeline histogram samples (iterations per shard, wavefronts per shard)
+/// Pipeline histogram samples (e.g. iterations per shard)
 /// are small integers with tiny cardinality, so exact counts are cheaper
 /// than bucketing and keep the report bit-reproducible.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -117,7 +117,8 @@ pub const EV_REFINE_DIRTY_SHARD: &str = "refine.dirty_shard";
 
 /// Iterations to convergence, one sample per shard.
 pub const HIST_SHARD_ITERATIONS: &str = "refine.shard_iterations";
-/// Wavefront levels, one sample per shard.
+/// Wavefront levels, one sample per shard. No longer recorded (refinement
+/// sweeps serially); kept because the benchmark's per-layer report reads it.
 pub const HIST_SHARD_WAVEFRONTS: &str = "refine.shard_wavefronts";
 
 // ---- detlint static-analysis counters ----------------------------------------
@@ -138,12 +139,10 @@ pub const DETLINT_TAINTED_FNS: &str = "detlint.tainted_fns";
 // Vary with thread count and scheduling (per-worker caches); reported for
 // tuning but excluded from the deterministic view.
 
-/// RelQueryCache memo hits across all refinement workers.
+/// RelQueryCache memo hits across refinement.
 pub const EXEC_CACHE_HITS: &str = "asrel.cache_hits";
-/// RelQueryCache memo misses across all refinement workers.
+/// RelQueryCache memo misses across refinement.
 pub const EXEC_CACHE_MISSES: &str = "asrel.cache_misses";
-/// Worker slots the refinement engine actually used.
-pub const EXEC_REFINE_WORKERS: &str = "refine.workers";
 /// Worker slots the probe-campaign sharder actually used.
 pub const EXEC_CAMPAIGN_WORKERS: &str = "campaign.workers";
 /// Worker slots the phase-1 graph build actually used.
@@ -156,7 +155,9 @@ pub const EXEC_POOL_STEALS: &str = "pool.steals";
 pub const EXEC_POOL_BUSY_CAMPAIGN: &str = "pool.busy_us.campaign";
 /// Aggregate pool worker busy time in the phase-1 graph build, microseconds.
 pub const EXEC_POOL_BUSY_GRAPH: &str = "pool.busy_us.graph";
-/// Aggregate pool worker busy time in phase-3 refinement, microseconds.
+/// Aggregate pool worker busy time in phase-3 refinement, microseconds. No
+/// longer recorded (refinement runs on the calling thread); kept because
+/// the benchmark's per-layer report reads it.
 pub const EXEC_POOL_BUSY_REFINE: &str = "pool.busy_us.refine";
 /// Aggregate pool worker busy time in detlint's phase-A file scan,
 /// microseconds.
@@ -198,7 +199,7 @@ pub const TRACK_MAIN: &str = "main";
 pub const TRACK_POOL_WORKER: &str = "pool.worker";
 /// The pool's batch-level track (dispatch and reassembly spans).
 pub const TRACK_POOL_BATCHES: &str = "pool.batches";
-/// Per-worker refinement tracks (`refine.worker0`, ...).
+/// The refinement track (`refine.worker0`; refinement is serial).
 pub const TRACK_REFINE_WORKER: &str = "refine.worker";
 /// Per-worker serve tracks (`serve.worker0`, ...).
 pub const TRACK_SERVE_WORKER: &str = "serve.worker";
@@ -210,9 +211,9 @@ pub const EV_POOL_TASK: &str = "pool.task";
 pub const EV_POOL_STEAL: &str = "pool.steal";
 /// Span: index-ordered reassembly of batch results on the coordinator.
 pub const EV_POOL_REASSEMBLE: &str = "pool.reassemble";
-/// Span: one shard converging on a refinement worker (arg: shard index).
+/// Span: one shard converging (arg: shard index).
 pub const EV_REFINE_SHARD: &str = "refine.shard";
-/// Span: one lockstep refinement wave/iteration (arg: iteration index).
+/// Span: one refinement iteration of a shard (arg: iteration index).
 pub const EV_REFINE_WAVE: &str = "refine.wave";
 /// Instant: probe campaign destination count (arg: destinations).
 pub const EV_CAMPAIGN_DESTS: &str = "traceroute.dests";

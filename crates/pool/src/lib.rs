@@ -1,12 +1,11 @@
 //! **pool**: the pipeline's shared work-stealing worker pool.
 //!
 //! One [`WorkerPool`] is created per pipeline run and threaded through the
-//! probe campaign, the phase-1 graph build, and the phase-3 refinement
-//! engine, replacing the per-phase fixed-slot spawns each of those used to
-//! carry. The pool is the *only* place in the workspace allowed to create
-//! threads (detlint's `unscoped-thread` rule pins it); every other crate
-//! expresses parallelism as indexed task batches handed to [`WorkerPool::run`]
-//! or as lockstep crews handed to [`WorkerPool::broadcast`].
+//! probe campaign and the phase-1 graph build, replacing the per-phase
+//! fixed-slot spawns each of those used to carry. The pool is the *only*
+//! place in the workspace allowed to create threads (detlint's
+//! `unscoped-thread` rule pins it); every other crate expresses parallelism
+//! as indexed task batches handed to [`WorkerPool::run`].
 //!
 //! # Scheduling model (DESIGN.md §13)
 //!
@@ -38,7 +37,7 @@
 //! thread budget and the cumulative scheduling statistics. The OS threads
 //! are scoped per batch — in safe Rust (the workspace forbids `unsafe`),
 //! long-lived threads cannot borrow phase-local data such as the trace
-//! corpus or the half-built graph, so each `run`/`broadcast` opens a
+//! corpus or the half-built graph, so each `run` opens a
 //! `crossbeam::thread::scope` whose threads may freely borrow from the
 //! caller's stack. Spawning a scoped thread costs tens of microseconds;
 //! at the scales where parallelism pays at all this is noise, and at toy
@@ -82,11 +81,11 @@ pub fn steal_take(rem: usize) -> usize {
 /// Cumulative scheduling statistics, across every batch a pool has run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks executed (including broadcast crew slots).
+    /// Tasks executed.
     pub tasks: u64,
     /// Tasks taken from a sibling's interval rather than the dealt one.
     pub steals: u64,
-    /// `run`/`broadcast` batches dispatched.
+    /// `run` batches dispatched.
     pub batches: u64,
     /// Aggregate worker busy time, in nanoseconds (sums across workers, so
     /// it can exceed wall time).
@@ -273,87 +272,6 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Runs `job(w)` once per crew member `w in 0..crew`, each on its own
-    /// thread, concurrently — the SPMD shape the refinement engine's
-    /// lockstep barrier needs, where two crew slots landing on one thread
-    /// would deadlock. Broadcast slots are therefore never stolen. Results
-    /// come back in crew order; panics propagate as in [`WorkerPool::run`].
-    pub fn broadcast<T: Send>(
-        &self,
-        busy: &'static str,
-        crew: usize,
-        job: impl Fn(usize) -> T + Sync,
-    ) -> Vec<T> {
-        if crew == 0 {
-            // Same contract as `run`: an empty crew still counts a batch.
-            self.account(busy, 0, 0, 0);
-            return Vec::new();
-        }
-        if crew == 1 {
-            let mut batch_tr = self.tracer.track(obs::names::TRACK_POOL_BATCHES);
-            batch_tr.begin(obs::names::EV_POOL_BATCH, 1);
-            let t0 = self.clock.now_nanos();
-            let out = vec![job(0)];
-            let busy_ns = self.clock.now_nanos().saturating_sub(t0);
-            batch_tr.end(obs::names::EV_POOL_BATCH);
-            self.tracer.submit(batch_tr);
-            self.account(busy, 1, 0, busy_ns);
-            return out;
-        }
-        let busy_ns = AtomicU64::new(0);
-        let trace_slots: Vec<Mutex<Option<WorkerTracer>>> =
-            (0..crew).map(|_| Mutex::new(None)).collect();
-        let mut batch_tr = self.tracer.track(obs::names::TRACK_POOL_BATCHES);
-        batch_tr.begin(obs::names::EV_POOL_BATCH, crew as u64);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        let result = crossbeam::thread::scope(|s| {
-            let job = &job;
-            let busy_ns = &busy_ns;
-            let (clock, tracer) = (&self.clock, &self.tracer);
-            for (w, trace_slot) in trace_slots.iter().enumerate().skip(1) {
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    let mut wt = tracer.worker(obs::names::TRACK_POOL_WORKER, w);
-                    wt.begin(obs::names::EV_POOL_TASK, w as u64);
-                    let t0 = clock.now_nanos();
-                    let v = job(w);
-                    busy_ns.fetch_add(clock.now_nanos().saturating_sub(t0), Ordering::Relaxed);
-                    wt.end(obs::names::EV_POOL_TASK);
-                    *trace_slot.lock() = Some(wt);
-                    let _ = tx.send((w, v));
-                });
-            }
-            let mut wt = tracer.worker(obs::names::TRACK_POOL_WORKER, 0);
-            wt.begin(obs::names::EV_POOL_TASK, 0);
-            let t0 = clock.now_nanos();
-            let v = job(0);
-            busy_ns.fetch_add(clock.now_nanos().saturating_sub(t0), Ordering::Relaxed);
-            wt.end(obs::names::EV_POOL_TASK);
-            *trace_slots[0].lock() = Some(wt);
-            let _ = tx.send((0, v));
-        });
-        drop(tx);
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
-        }
-        let mut out: Vec<Option<T>> = (0..crew).map(|_| None).collect();
-        for (i, v) in rx {
-            out[i] = Some(v);
-        }
-        batch_tr.end(obs::names::EV_POOL_BATCH);
-        for slot in trace_slots {
-            if let Some(wt) = slot.into_inner() {
-                self.tracer.submit(wt);
-            }
-        }
-        self.tracer.submit(batch_tr);
-        // detlint::allow(relaxed-atomic-output): busy-time counter feeds the exec-only PoolStats/metrics surface, never the returned Vec
-        self.account(busy, crew as u64, 0, busy_ns.load(Ordering::Relaxed));
-        out.into_iter()
-            .map(|s| s.expect("broadcast crew member lost"))
-            .collect()
-    }
-
     /// Folds one batch's scheduling tallies into the cumulative stats and
     /// the execution-dependent counter class.
     fn account(&self, busy: &'static str, tasks: u64, steals: u64, busy_nanos: u64) {
@@ -432,7 +350,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
@@ -481,22 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_runs_every_crew_member_concurrently() {
-        let pool = WorkerPool::new(4);
-        // A rendezvous only completes if all crew members run at once —
-        // exactly the property the refinement barrier depends on.
-        let arrived = AtomicUsize::new(0);
-        let out = pool.broadcast("pool.busy_us.test", 4, |w| {
-            arrived.fetch_add(1, Ordering::SeqCst);
-            while arrived.load(Ordering::SeqCst) < 4 {
-                std::hint::spin_loop();
-            }
-            w * 2
-        });
-        assert_eq!(out, vec![0, 2, 4, 6]);
-    }
-
-    #[test]
     fn worker_panic_propagates_and_does_not_hang() {
         let pool = WorkerPool::new(4);
         let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -513,33 +414,18 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_panic_propagates() {
-        let pool = WorkerPool::new(3);
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.broadcast("pool.busy_us.test", 3, |w| {
-                if w == 2 {
-                    panic!("crew member 2 exploded");
-                }
-                w
-            })
-        }));
-        assert!(caught.is_err());
-    }
-
-    #[test]
     fn stats_accumulate_across_batches() {
         let pool = WorkerPool::new(2);
         pool.run("pool.busy_us.test", 10, |i| i);
         pool.run("pool.busy_us.test", 5, |i| i);
-        pool.broadcast("pool.busy_us.test", 2, |w| w);
         let stats = pool.stats();
-        assert_eq!(stats.tasks, 17);
-        assert_eq!(stats.batches, 3);
+        assert_eq!(stats.tasks, 15);
+        assert_eq!(stats.batches, 2);
     }
 
     /// PoolStats accounting contract: `tasks` is the sum of per-batch sizes
-    /// and `batches` increments exactly once per `run`/`broadcast`
-    /// invocation — including the empty-input early-return paths.
+    /// and `batches` increments exactly once per `run` invocation —
+    /// including the empty-input early-return path.
     #[test]
     fn stats_account_every_batch_including_empty() {
         let pool = WorkerPool::new(3);
@@ -547,19 +433,16 @@ mod tests {
         for &n in &sizes {
             pool.run("pool.busy_us.test", n, |i| i);
         }
-        pool.broadcast("pool.busy_us.test", 0, |w| w);
-        pool.broadcast("pool.busy_us.test", 2, |w| w);
         let stats = pool.stats();
         let run_tasks: usize = sizes.iter().sum();
         assert_eq!(
-            stats.tasks,
-            run_tasks as u64 + 2,
-            "tasks == sum of per-batch sizes (broadcast crew slots included)"
+            stats.tasks, run_tasks as u64,
+            "tasks == sum of per-batch sizes"
         );
         assert_eq!(
             stats.batches,
-            sizes.len() as u64 + 2,
-            "every run/broadcast counts one batch, empty inputs included"
+            sizes.len() as u64,
+            "every run counts one batch, empty inputs included"
         );
     }
 
@@ -629,7 +512,6 @@ mod tests {
         let rec = Recorder::new(false);
         let pool = WorkerPool::with_recorder(4, rec.clone());
         pool.run("pool.busy_us.test", 32, |i| i);
-        pool.broadcast("pool.busy_us.test", 2, |w| w);
         assert!(rec.tracer().finish().tracks.is_empty());
     }
 

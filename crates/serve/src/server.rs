@@ -1,7 +1,6 @@
 //! The TCP server: accept loop + crossbeam scoped worker pool.
 //!
-//! The threading model is the refine engine's, repointed at sockets: a
-//! fixed pool of scoped workers ([`crossbeam::thread::scope`], the
+//! A fixed pool of scoped workers ([`crossbeam::thread::scope`], the
 //! workspace's one sanctioned parallelism primitive) pulls accepted
 //! connections off an in-process queue, and the accept loop runs in the
 //! calling thread. [`Server::run`] therefore blocks until a
@@ -21,12 +20,17 @@ use crate::protocol;
 use obs::WorkerTracer;
 use snapshot::Snapshot;
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// Longest request line the server reads, excluding its newline. A client
+/// that sends more without a newline is answered `line too long` and
+/// disconnected, so no connection can grow the read buffer without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// In-flight connections, keyed by an id so a worker can deregister the
 /// exact socket it finished with. Closed wholesale at shutdown.
@@ -216,7 +220,8 @@ impl Server {
     }
 
     /// Serves one persistent connection: request line in, response line
-    /// out, until EOF, a read timeout, or an I/O error.
+    /// out, until EOF, a read timeout, an I/O error, or a request line
+    /// longer than [`MAX_REQUEST_BYTES`].
     fn handle_connection(&self, stream: TcpStream, wt: &mut WorkerTracer) {
         // NODELAY matters: the protocol is small request/response lines, and
         // Nagle + delayed ACK turns each into a ~40 ms round trip.
@@ -235,16 +240,38 @@ impl Server {
                 return;
             }
         };
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = match line {
-                Ok(l) => l,
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let limit = MAX_REQUEST_BYTES as u64 + 1;
+            match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+                Ok(0) => return,
+                Ok(_) => {}
                 Err(_) => {
                     // Timeout or broken pipe: count it and give the worker
                     // back to the pool.
                     self.rec.add_exec(obs::names::EXEC_SERVE_ERRORS, 1);
                     return;
                 }
+            }
+            if buf.last() == Some(&b'\n') {
+                buf.pop();
+                if buf.last() == Some(&b'\r') {
+                    buf.pop();
+                }
+            } else if buf.len() > MAX_REQUEST_BYTES {
+                self.rec.add_exec(obs::names::EXEC_SERVE_ERRORS, 1);
+                let mut text = serde_json::to_string(&protocol::Response::error("line too long"))
+                    .expect("response serializes");
+                text.push('\n');
+                let _ = writer.write_all(text.as_bytes());
+                let _ = writer.shutdown(Shutdown::Write);
+                return;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                self.rec.add_exec(obs::names::EXEC_SERVE_ERRORS, 1);
+                return;
             };
             if line.trim().is_empty() {
                 continue;
@@ -252,7 +279,7 @@ impl Server {
             self.rec.add_exec(obs::names::EXEC_SERVE_REQUESTS, 1);
             let t0 = self.metrics.begin();
             wt.begin(obs::names::EV_SERVE_REQUEST, line.len() as u64);
-            let (verb, resp) = match protocol::parse_line(&line) {
+            let (verb, resp) = match protocol::parse_line(line) {
                 Ok(req) => {
                     let verb = obs::names::serve_verb(&req.cmd);
                     let mut resp = protocol::dispatch(&self.snapshot, &req);

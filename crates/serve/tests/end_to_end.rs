@@ -211,3 +211,48 @@ fn counters_flow_through_the_recorder() {
     assert!(report.exec["serve.connections"] >= 1);
     assert!(report.exec["serve.errors"] >= 1);
 }
+
+#[test]
+fn oversized_request_line_is_refused_and_others_still_served() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let rec = obs::Recorder::new(false);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        test_snapshot(),
+        ServerConfig {
+            workers: 2,
+            read_timeout: Duration::from_secs(5),
+        },
+        rec.clone(),
+    )
+    .unwrap();
+    let running = server.spawn_background();
+
+    // 1 MiB without a newline. The server stops reading after
+    // MAX_REQUEST_BYTES + 1 and closes, so later chunks may fail to send.
+    let mut hostile = std::net::TcpStream::connect(running.addr()).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..16 {
+        if hostile.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let mut reply = String::new();
+    BufReader::new(&hostile).read_line(&mut reply).unwrap();
+    let resp: serve::Response = serde_json::from_str(reply.trim_end()).unwrap();
+    assert!(!resp.ok);
+    assert_eq!(resp.error.as_deref(), Some("line too long"));
+    assert!(serve::server::MAX_REQUEST_BYTES < chunk.len() * 16);
+
+    // A well-behaved client is still answered.
+    let mut c = Client::connect(running.addr()).unwrap();
+    assert!(c.call(&Request::verb("stats")).unwrap().ok);
+    drop(c);
+    drop(hostile);
+    running.shutdown();
+    assert!(rec.report().exec["serve.errors"] >= 1);
+}

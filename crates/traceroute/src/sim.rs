@@ -22,7 +22,6 @@ use net_types::Asn;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use topo_gen::routers::LinkKind;
 use topo_gen::{ForwardOutcome, Internet, RouterId, Tier};
 
 /// Probing campaign parameters.
@@ -307,115 +306,17 @@ pub fn reactive_campaign(
     out
 }
 
-/// Worker count for a sharded campaign: `threads == 0` asks the OS
-/// (mirroring the refinement engine's `Config::threads` convention), and the
-/// pool never exceeds the number of probe pairs. Thread count can only
-/// change wall time, never output — every probe is a pure function of
-/// `(seed, vp, dst)` and shards concatenate in canonical order.
-pub fn campaign_workers(threads: usize, probe_pairs: usize) -> usize {
-    let t = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    t.clamp(1, probe_pairs.max(1))
-}
-
-/// Probes the contiguous slice `[lo, hi)` of the flattened `(vp, dst)`
-/// matrix (vp-major), appending responsive traces to `out` in matrix order.
-fn fill_shard(
-    net: &Internet,
-    vps: &[RouterId],
-    dests: &[u32],
-    cfg: &ProbeConfig,
-    lo: usize,
-    hi: usize,
-    out: &mut Vec<Trace>,
-) {
-    for k in lo..hi {
-        let vp = vps[k / dests.len()];
-        let dst = dests[k % dests.len()];
-        let t = trace_one(net, vp, dst, cfg);
-        if t.responsive_count() > 0 {
-            out.push(t);
-        }
-    }
-}
-
-/// Runs the full campaign: every VP probes every destination. Parallel over
-/// VPs with deterministic per-probe seeding, so output order and content are
-/// reproducible. Worker count is taken from the OS (`threads == 0`).
-pub fn probe_campaign(net: &Internet, vps: &[RouterId], cfg: &ProbeConfig) -> Vec<Trace> {
-    probe_campaign_sharded(net, vps, cfg, 0)
-}
-
-/// [`probe_campaign`] with an explicit thread count (0 = ask the OS),
-/// dispatched on an ad-hoc [`pool::WorkerPool`].
+/// Runs the full campaign on `wp`: every VP probes every destination.
+/// Destination enumeration runs *before* the `traceroute.campaign` span
+/// opens: it is input preparation, identical at every thread count.
 ///
 /// The `(vp, dst)` probe matrix is flattened vp-major and split into
 /// pool-sized task chunks; each task fills a private trace buffer for its
-/// contiguous index range, and the buffers are concatenated in range order.
-/// Because every trace depends only on `(campaign seed, vp, dst)` and the
-/// ranges partition the matrix in its canonical order, the merged corpus is
-/// byte-identical to a serial walk for every thread count — stealing can
-/// move a chunk between workers, never reorder the chunks.
-pub fn probe_campaign_sharded(
-    net: &Internet,
-    vps: &[RouterId],
-    cfg: &ProbeConfig,
-    threads: usize,
-) -> Vec<Trace> {
-    let dests = destinations(net, cfg);
-    campaign_in_pool(net, vps, &dests, cfg, &pool::WorkerPool::new(threads)).0
-}
-
-/// Shard runner shared by the entry points: probes the full `(vp, dst)`
-/// matrix on the given pool. Returns the corpus plus the worker count the
-/// batch could use (the execution-dependent `campaign.workers` value).
-fn campaign_in_pool(
-    net: &Internet,
-    vps: &[RouterId],
-    dests: &[u32],
-    cfg: &ProbeConfig,
-    wp: &pool::WorkerPool,
-) -> (Vec<Trace>, usize) {
-    let jobs = vps.len() * dests.len();
-    if jobs == 0 {
-        return (Vec::new(), 1);
-    }
-    let workers = wp.worker_cap(jobs);
-    let batch = wp.batch_size(jobs);
-    let tasks = jobs.div_ceil(batch);
-    let shards = wp.run(obs::names::EXEC_POOL_BUSY_CAMPAIGN, tasks, |t| {
-        let (lo, hi) = (t * batch, ((t + 1) * batch).min(jobs));
-        let mut out = Vec::new();
-        fill_shard(net, vps, dests, cfg, lo, hi, &mut out);
-        out
-    });
-    (shards.into_iter().flatten().collect(), workers)
-}
-
-/// [`probe_campaign_sharded`] under an observability span: records the
-/// `traceroute.campaign` phase, corpus size counters, and the
-/// execution-dependent `campaign.workers` pool size. The corpus is
-/// bit-identical to the plain variant's.
-pub fn probe_campaign_with_obs(
-    net: &Internet,
-    vps: &[RouterId],
-    cfg: &ProbeConfig,
-    threads: usize,
-    rec: &obs::Recorder,
-) -> Vec<Trace> {
-    let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
-    probe_campaign_in_pool(net, vps, cfg, &wp, rec)
-}
-
-/// [`probe_campaign_with_obs`] on a caller-provided worker pool — the entry
-/// the pipeline uses so campaign, graph build, and refinement share one
-/// pool. Destination enumeration runs *before* the phase span opens: it is
-/// input preparation, identical at every thread count, and timing it inside
-/// the span inflated the campaign's serial baseline (bench-pipeline v3
-/// measures probing only).
+/// contiguous index range, keeping responsive traces only, and the buffers
+/// are concatenated in range order. Because every trace depends only on
+/// `(campaign seed, vp, dst)` and the ranges partition the matrix in its
+/// canonical order, the corpus is byte-identical for every pool size —
+/// stealing can move a chunk between workers, never reorder the chunks.
 pub fn probe_campaign_in_pool(
     net: &Internet,
     vps: &[RouterId],
@@ -427,7 +328,19 @@ pub fn probe_campaign_in_pool(
     let _span = rec.span(obs::names::PHASE_TRACEROUTE);
     rec.tracer()
         .instant_main(obs::names::EV_CAMPAIGN_DESTS, dests.len() as u64);
-    let (traces, workers) = campaign_in_pool(net, vps, &dests, cfg, wp);
+    let jobs = vps.len() * dests.len();
+    let batch = wp.batch_size(jobs);
+    let shards = wp.run(
+        obs::names::EXEC_POOL_BUSY_CAMPAIGN,
+        jobs.div_ceil(batch),
+        |t| {
+            (t * batch..((t + 1) * batch).min(jobs))
+                .map(|k| trace_one(net, vps[k / dests.len()], dests[k % dests.len()], cfg))
+                .filter(|t| t.responsive_count() > 0)
+                .collect::<Vec<Trace>>()
+        },
+    );
+    let traces: Vec<Trace> = shards.into_iter().flatten().collect();
     rec.add(obs::names::TRACEROUTE_TRACES, traces.len() as u64);
     rec.add(
         obs::names::TRACEROUTE_HOPS,
@@ -437,7 +350,10 @@ pub fn probe_campaign_in_pool(
         obs::names::TRACEROUTE_RESPONSIVE_HOPS,
         traces.iter().map(|t| t.responsive_count() as u64).sum(),
     );
-    rec.add_exec(obs::names::EXEC_CAMPAIGN_WORKERS, workers as u64);
+    rec.add_exec(
+        obs::names::EXEC_CAMPAIGN_WORKERS,
+        wp.worker_cap(jobs) as u64,
+    );
     traces
 }
 
@@ -505,55 +421,6 @@ pub fn traversed_ases(net: &Internet, vp: RouterId, dst: u32) -> std::collection
     out
 }
 
-/// Which /24-equivalent interface kinds a trace traversed — handy campaign
-/// statistics used by tests and the experiment drivers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CampaignStats {
-    /// Total traces.
-    pub traces: usize,
-    /// Traces that reached their destination.
-    pub completed: usize,
-    /// Total responsive hops.
-    pub responsive_hops: usize,
-    /// Total unresponsive hops.
-    pub gaps: usize,
-    /// Echo replies observed.
-    pub echo_replies: usize,
-}
-
-/// Computes campaign statistics.
-pub fn stats(traces: &[Trace]) -> CampaignStats {
-    let mut s = CampaignStats {
-        traces: traces.len(),
-        ..Default::default()
-    };
-    for t in traces {
-        if t.reached_dst() {
-            s.completed += 1;
-        }
-        for h in &t.hops {
-            match h {
-                Some(h) => {
-                    s.responsive_hops += 1;
-                    if h.reply == ReplyType::EchoReply {
-                        s.echo_replies += 1;
-                    }
-                }
-                None => s.gaps += 1,
-            }
-        }
-    }
-    s
-}
-
-/// True if an address belongs to an interface on an IXP LAN in the
-/// generated topology (test helper).
-pub fn is_ixp_addr(net: &Internet, addr: u32) -> bool {
-    net.topology
-        .iface_by_addr(addr)
-        .is_some_and(|i| matches!(i.kind, LinkKind::Ixp(_)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,6 +433,11 @@ mod tests {
             ..ProbeConfig::default()
         };
         (net, cfg)
+    }
+
+    fn campaign(net: &Internet, vps: &[RouterId], cfg: &ProbeConfig) -> Vec<Trace> {
+        let wp = pool::WorkerPool::new(0);
+        probe_campaign_in_pool(net, vps, cfg, &wp, &obs::Recorder::disabled())
     }
 
     #[test]
@@ -610,7 +482,7 @@ mod tests {
     fn campaign_matches_serial_execution() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 3, &[], 3);
-        let parallel = probe_campaign(&net, &vps, &cfg);
+        let parallel = campaign(&net, &vps, &cfg);
         let dests = destinations(&net, &cfg);
         let (net_ref, cfg_ref) = (&net, &cfg);
         let serial: Vec<Trace> = vps
@@ -629,35 +501,25 @@ mod tests {
     fn sharded_campaign_matches_for_every_thread_count() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 3, &[], 3);
-        let serial = probe_campaign_sharded(&net, &vps, &cfg, 1);
+        let rec = obs::Recorder::disabled();
+        let serial = probe_campaign_in_pool(&net, &vps, &cfg, &pool::WorkerPool::new(1), &rec);
         // Sweep thread counts past the job count: shards must concatenate to
         // the same corpus whether they split mid-VP, per-VP, or per-probe.
         for threads in [2, 3, 5, 8, 64] {
-            let sharded = probe_campaign_sharded(&net, &vps, &cfg, threads);
+            let wp = pool::WorkerPool::new(threads);
+            let sharded = probe_campaign_in_pool(&net, &vps, &cfg, &wp, &rec);
             assert_eq!(serial, sharded, "threads={threads}");
         }
-        assert_eq!(
-            serial,
-            probe_campaign(&net, &vps, &cfg),
-            "auto thread count"
-        );
     }
 
     #[test]
-    fn campaign_workers_clamps() {
-        assert_eq!(campaign_workers(4, 100), 4);
-        assert_eq!(campaign_workers(4, 2), 2);
-        assert_eq!(campaign_workers(1, 0), 1);
-        assert!(campaign_workers(0, 100) >= 1, "auto resolves to >= 1");
-    }
-
-    #[test]
-    fn with_obs_matches_and_records_workers() {
+    fn campaign_records_corpus_counters_and_workers() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 9);
         let rec = obs::Recorder::new(false);
-        let traces = probe_campaign_with_obs(&net, &vps, &cfg, 2, &rec);
-        assert_eq!(traces, probe_campaign_sharded(&net, &vps, &cfg, 2));
+        let wp = pool::WorkerPool::with_recorder(2, rec.clone());
+        let traces = probe_campaign_in_pool(&net, &vps, &cfg, &wp, &rec);
+        assert_eq!(traces, campaign(&net, &vps, &cfg));
         let report = rec.report();
         assert_eq!(report.exec[obs::names::EXEC_CAMPAIGN_WORKERS], 2);
         assert_eq!(
@@ -670,7 +532,7 @@ mod tests {
     fn first_hop_is_in_vp_as() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 4);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = campaign(&net, &vps, &cfg);
         assert!(!traces.is_empty());
         for t in traces.iter().take(50) {
             if let Some(Some(h)) = t.hops.first() {
@@ -691,7 +553,7 @@ mod tests {
         let cfg = ProbeConfig::default();
         let vps = select_vps(&net, 3, &[], 5);
         let stubs = net.graph.tier_members(Tier::Stub);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = campaign(&net, &vps, &cfg);
         // Border-dropping firewalled ASes never respond; border-responding
         // ones expose at most one router (the border) per trace.
         for t in &traces {
@@ -735,18 +597,21 @@ mod tests {
     fn echo_replies_present() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 4, &[], 6);
-        let traces = probe_campaign(&net, &vps, &cfg);
-        let s = stats(&traces);
-        assert!(s.echo_replies > 0, "campaign should contain echo replies");
-        assert!(s.completed > 0);
-        assert!(s.responsive_hops > s.traces, "multi-hop traces expected");
+        let traces = campaign(&net, &vps, &cfg);
+        let hops = || traces.iter().flat_map(|t| t.hops.iter().flatten());
+        assert!(
+            hops().any(|h| h.reply == ReplyType::EchoReply),
+            "campaign should contain echo replies"
+        );
+        assert!(traces.iter().any(Trace::reached_dst));
+        assert!(hops().count() > traces.len(), "multi-hop traces expected");
     }
 
     #[test]
     fn dest_unreachables_occur_and_end_measurements() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 4, &[], 11);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = campaign(&net, &vps, &cfg);
         let unreachable: Vec<&Trace> = traces
             .iter()
             .filter(|t| t.stop == StopReason::Unreachable)
@@ -868,7 +733,7 @@ mod tests {
     fn gap_limit_bounds_silent_tails() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 7);
-        let traces = probe_campaign(&net, &vps, &cfg);
+        let traces = campaign(&net, &vps, &cfg);
         for t in &traces {
             if t.stop != StopReason::Completed {
                 let trailing = t.hops.iter().rev().take_while(|h| h.is_none()).count();

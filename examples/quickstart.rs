@@ -8,8 +8,8 @@
 use bdrmapit::core::{Bdrmapit, Config};
 use bdrmapit::net_types::format_ipv4;
 use bdrmapit::topo_gen::{GeneratorConfig, Internet};
-use bdrmapit::traceroute::sim::{probe_campaign, select_vps, ProbeConfig};
-use bdrmapit::{alias, as_rel, bgp};
+use bdrmapit::traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
+use bdrmapit::{alias, as_rel, bgp, obs, pool};
 
 fn main() {
     // 1. A deterministic synthetic Internet (the substitute for the real
@@ -24,7 +24,9 @@ fn main() {
 
     // 2. An ITDK-style traceroute campaign from 8 vantage points.
     let vps = select_vps(&net, 8, &[], 1);
-    let traces = probe_campaign(&net, &vps, &ProbeConfig::default());
+    let wp = pool::WorkerPool::new(0);
+    let rec = obs::Recorder::disabled();
+    let traces = probe_campaign_in_pool(&net, &vps, &ProbeConfig::default(), &wp, &rec);
     println!("collected {} traces", traces.len());
 
     // 3. The supporting datasets the paper consumes: a BGP collector RIB,

@@ -9,6 +9,7 @@ pub use eval;
 pub use mapit;
 pub use net_types;
 pub use obs;
+pub use pool;
 pub use serve;
 pub use snapshot;
 pub use topo_gen;
