@@ -26,7 +26,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use topo_gen::Internet;
-use traceroute::{ReplyType, Trace};
+use traceroute::{Corpus, ReplyType};
 
 /// Disjoint alias groups over interface addresses.
 ///
@@ -176,24 +176,34 @@ impl UnionFind {
     }
 }
 
-/// Every address observed as a responding hop in the corpus.
-pub fn observed_addresses(traces: &[Trace]) -> BTreeSet<u32> {
-    traces
-        .iter()
-        .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
-        .collect()
+/// Every address observed as a responding hop in the corpus, sorted and
+/// deduplicated: one pass over the corpus's flat hop column.
+///
+/// Most hops repeat an address seen shortly before (every trace from a VP
+/// starts on the same routers), so a direct-mapped table of recently seen
+/// addresses drops most repeats before the sort. It only ever drops exact
+/// repeats, so the result is the same set.
+pub fn observed_addresses(traces: &Corpus) -> Vec<u32> {
+    const SLOTS_LOG2: u32 = 16;
+    let mut recent = vec![u64::MAX; 1 << SLOTS_LOG2];
+    let mut addrs = Vec::new();
+    for h in traces.hops(0..traces.len()).iter().flatten() {
+        let slot = (h.addr.wrapping_mul(0x9E37_79B1) >> (32 - SLOTS_LOG2)) as usize;
+        if recent[slot] != u64::from(h.addr) {
+            recent[slot] = u64::from(h.addr);
+            addrs.push(h.addr);
+        }
+    }
+    addrs.sort_unstable();
+    addrs.dedup();
+    addrs
 }
 
 /// Synthetic MIDAR + iffinder: per router, with probability `coverage`,
 /// publishes the set of its addresses that were observed in the corpus.
 /// Groups of observed addresses on the same true router — never a false
 /// alias, matching MIDAR's "highly precise" characterization (§7.4).
-pub fn resolve_midar(
-    net: &Internet,
-    observed: &BTreeSet<u32>,
-    coverage: f64,
-    seed: u64,
-) -> AliasSets {
+pub fn resolve_midar(net: &Internet, observed: &[u32], coverage: f64, seed: u64) -> AliasSets {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4D49_4441);
     let mut by_router: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
     for &addr in observed {
@@ -213,13 +223,32 @@ pub fn resolve_midar(
 /// bit-identical to the plain variant's.
 pub fn resolve_midar_with_obs(
     net: &Internet,
-    observed: &BTreeSet<u32>,
+    observed: &[u32],
     coverage: f64,
     seed: u64,
     rec: &obs::Recorder,
 ) -> AliasSets {
     let _span = rec.span(obs::names::PHASE_ALIAS);
-    let sets = resolve_midar(net, observed, coverage, seed);
+    record(resolve_midar(net, observed, coverage, seed), rec)
+}
+
+/// The alias phase for a corpus: [`observed_addresses`] and
+/// [`resolve_midar`], both inside one `alias.resolve` span, with the
+/// dataset size counters of [`resolve_midar_with_obs`].
+pub fn resolve_corpus(
+    net: &Internet,
+    traces: &Corpus,
+    coverage: f64,
+    seed: u64,
+    rec: &obs::Recorder,
+) -> AliasSets {
+    let _span = rec.span(obs::names::PHASE_ALIAS);
+    let observed = observed_addresses(traces);
+    record(resolve_midar(net, &observed, coverage, seed), rec)
+}
+
+/// Records the alias dataset's size counters.
+fn record(sets: AliasSets, rec: &obs::Recorder) -> AliasSets {
     rec.add(obs::names::ALIAS_GROUPS, sets.len() as u64);
     rec.add(
         obs::names::ALIAS_ALIASED_ADDRS,
@@ -239,7 +268,7 @@ pub fn resolve_midar_with_obs(
 /// off-path replies, third-party addresses, and mid-size LANs — producing
 /// kapar's characteristic over-merging of distinct routers (Fig. 20's
 /// mechanism).
-pub fn resolve_kapar(traces: &[Trace], base: &AliasSets) -> AliasSets {
+pub fn resolve_kapar(traces: &Corpus, base: &AliasSets) -> AliasSets {
     let observed = observed_addresses(traces);
     // Observed-address density per /24: point-to-point inference is only
     // plausible on sparse subnets.
@@ -273,10 +302,10 @@ pub fn resolve_kapar(traces: &[Trace], base: &AliasSets) -> AliasSets {
             // /31 mate; fall back to the /30 host pair.
             let mate31 = x_or_mate(y.addr, 1);
             let mate30 = mate_in_slash30(y.addr);
-            let mate = if observed.contains(&mate31) {
+            let mate = if observed.binary_search(&mate31).is_ok() {
                 Some(mate31)
             } else {
-                mate30.filter(|m| observed.contains(m))
+                mate30.filter(|m| observed.binary_search(m).is_ok())
             };
             if let Some(m) = mate {
                 if m != y.addr {
@@ -335,7 +364,7 @@ pub const LAN_DENSITY_LIMIT: usize = 8;
 /// function substitutes those unmodeled error sources (see DESIGN.md).
 pub fn degrade_with_false_merges(
     base: &AliasSets,
-    traces: &[Trace],
+    traces: &Corpus,
     rate: f64,
     seed: u64,
 ) -> AliasSets {
@@ -423,7 +452,7 @@ mod tests {
     use topo_gen::GeneratorConfig;
     use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
 
-    fn corpus() -> (Internet, Vec<Trace>) {
+    fn corpus() -> (Internet, Corpus) {
         let net = Internet::generate(GeneratorConfig::tiny(55));
         let cfg = ProbeConfig {
             per_prefix_cap: 2,
@@ -491,6 +520,31 @@ mod tests {
     }
 
     #[test]
+    fn observed_addresses_are_the_sorted_responsive_set() {
+        let (_, traces) = corpus();
+        let observed = observed_addresses(&traces);
+        let oracle: BTreeSet<u32> = traces
+            .iter()
+            .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
+            .collect();
+        assert!(observed.iter().eq(oracle.iter()));
+    }
+
+    #[test]
+    fn resolve_corpus_is_the_observed_then_midar_path() {
+        let (net, traces) = corpus();
+        let rec = obs::Recorder::new(false);
+        let sets = resolve_corpus(&net, &traces, 0.9, 7, &rec);
+        assert_eq!(
+            sets,
+            resolve_midar(&net, &observed_addresses(&traces), 0.9, 7)
+        );
+        let report = rec.report();
+        assert_eq!(report.phases[obs::names::PHASE_ALIAS].count, 1);
+        assert_eq!(report.counters[obs::names::ALIAS_GROUPS], sets.len() as u64);
+    }
+
+    #[test]
     fn midar_coverage_scales() {
         let (net, traces) = corpus();
         let observed = observed_addresses(&traces);
@@ -532,9 +586,9 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let sets = resolve_kapar(&[], &AliasSets::empty());
+        let sets = resolve_kapar(&Corpus::new(), &AliasSets::empty());
         assert!(sets.is_empty());
-        assert!(observed_addresses(&[]).is_empty());
+        assert!(observed_addresses(&Corpus::new()).is_empty());
         let (tp, tot) = pair_accuracy(&AliasSets::empty(), &corpus().0);
         assert_eq!((tp, tot), (0, 0));
     }

@@ -21,39 +21,64 @@ pub struct CustomerCones {
 impl CustomerCones {
     /// Computes every cone from a relationship database.
     ///
-    /// Provider→customer edges should form a DAG; if inference produced a
-    /// cycle, members of the cycle end up in each other's cones, which is
-    /// the conservative outcome (cycle handling never loops).
+    /// A cone is the set of ASes reachable over provider→customer edges,
+    /// so it is computed as reachability over dense AS ranks with one
+    /// bitset per strongly connected component, customers before
+    /// providers. Provider→customer edges should form a DAG; if inference
+    /// produced a cycle, its members share one component and each other's
+    /// cones — the conservative outcome, and the least fixpoint of "a cone
+    /// is its AS plus its customers' cones", which is unique, so it equals
+    /// the pass-until-stable computation this replaces.
     pub fn compute(rels: &AsRelationships) -> Self {
-        let mut cones: BTreeMap<Asn, BTreeSet<Asn>> = BTreeMap::new();
-        // Iterative DFS with an explicit visiting stack per root would be
-        // O(V·E) worst case; instead run a fixpoint over reverse topological
-        // structure: repeatedly fold customers' cones into providers until
-        // stable. Converges in ≤ depth-of-hierarchy passes on a DAG.
-        let ases = rels.ases();
-        for &asn in &ases {
-            cones.insert(asn, BTreeSet::from([asn]));
+        let ases: Vec<Asn> = rels.ases().into_iter().collect();
+        let rank = |a: Asn| ases.binary_search(&a).expect("customer is a known AS");
+        let customers: Vec<Vec<usize>> = ases
+            .iter()
+            .map(|&a| rels.customers_of(a).map(rank).collect())
+            .collect();
+        let comps = components(&customers);
+        let mut comp_of = vec![0; ases.len()];
+        for (c, members) in comps.iter().enumerate() {
+            for &m in members {
+                comp_of[m] = c;
+            }
         }
-        loop {
-            let mut changed = false;
-            for &asn in &ases {
-                let mut merged: BTreeSet<Asn> = BTreeSet::new();
-                for cust in rels.customers_of(asn) {
-                    if let Some(cc) = cones.get(&cust) {
-                        merged.extend(cc.iter().copied());
+        // `reach[c]` is component `c`'s cone as a bitset over ranks; every
+        // component a member's customers fall in was finished before it.
+        let words = ases.len().div_ceil(64);
+        let mut reach = vec![0u64; comps.len() * words];
+        for (c, members) in comps.iter().enumerate() {
+            let (done, rest) = reach.split_at_mut(c * words);
+            let row = &mut rest[..words];
+            for &m in members {
+                row[m / 64] |= 1 << (m % 64);
+                for &cust in &customers[m] {
+                    let cc = comp_of[cust];
+                    if cc != c {
+                        for (w, &bits) in row.iter_mut().zip(&done[cc * words..(cc + 1) * words]) {
+                            *w |= bits;
+                        }
                     }
                 }
-                let mine = cones.get_mut(&asn).expect("initialized");
-                let before = mine.len();
-                mine.extend(merged);
-                if mine.len() != before {
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
             }
         }
+        let ases = &ases;
+        let cones = ases
+            .iter()
+            .enumerate()
+            .map(|(i, &asn)| {
+                let row = &reach[comp_of[i] * words..(comp_of[i] + 1) * words];
+                // Set bits, lowest first: ascending ranks are ascending ASNs.
+                let members = row.iter().enumerate().flat_map(|(w, &bits)| {
+                    std::iter::successors((bits != 0).then_some(bits), |&b| {
+                        let rest = b & (b - 1);
+                        (rest != 0).then_some(rest)
+                    })
+                    .map(move |b| ases[w * 64 + b.trailing_zeros() as usize])
+                });
+                (asn, members.collect())
+            })
+            .collect();
         CustomerCones { cones }
     }
 
@@ -100,9 +125,128 @@ impl CustomerCones {
     }
 }
 
+/// The strongly connected components of the graph with successor lists
+/// `succ`, by an iterative Tarjan walk. Components are emitted in reverse
+/// topological order: each comes after every component it reaches.
+fn components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    const UNSEEN: usize = usize::MAX;
+    let n = succ.len();
+    let (mut index, mut low) = (vec![UNSEEN; n], vec![0; n]);
+    let mut on_stack = vec![false; n];
+    let (mut stack, mut comps) = (Vec::new(), Vec::new());
+    // The walk's call stack: a node and the next successor to visit.
+    let mut call: Vec<(usize, usize)> = Vec::new();
+    let mut next = 0;
+    for root in 0..n {
+        if index[root] != UNSEEN {
+            continue;
+        }
+        call.push((root, 0));
+        while let Some(&(v, i)) = call.last() {
+            if index[v] == UNSEEN {
+                index[v] = next;
+                low[v] = next;
+                next += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = succ[v].get(i) {
+                call.last_mut().expect("v is on the call stack").1 += 1;
+                if index[w] == UNSEEN {
+                    call.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            call.pop();
+            if let Some(&(u, _)) = call.last() {
+                low[u] = low[u].min(low[v]);
+            }
+            if low[v] == index[v] {
+                let mut comp = Vec::new();
+                loop {
+                    let w = stack.pop().expect("component members are stacked");
+                    on_stack[w] = false;
+                    comp.push(w);
+                    if w == v {
+                        break;
+                    }
+                }
+                comps.push(comp);
+            }
+        }
+    }
+    comps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pass-until-stable computation the bitset walk replaced: fold
+    /// customers' cones into providers until nothing changes.
+    fn fixpoint(rels: &AsRelationships) -> CustomerCones {
+        let mut cones: BTreeMap<Asn, BTreeSet<Asn>> = BTreeMap::new();
+        let ases = rels.ases();
+        for &asn in &ases {
+            cones.insert(asn, BTreeSet::from([asn]));
+        }
+        loop {
+            let mut changed = false;
+            for &asn in &ases {
+                let mut merged: BTreeSet<Asn> = BTreeSet::new();
+                for cust in rels.customers_of(asn) {
+                    if let Some(cc) = cones.get(&cust) {
+                        merged.extend(cc.iter().copied());
+                    }
+                }
+                let mine = cones.get_mut(&asn).expect("initialized");
+                let before = mine.len();
+                mine.extend(merged);
+                if mine.len() != before {
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        CustomerCones { cones }
+    }
+
+    proptest! {
+        /// Random relationship graphs — p2c cycles, peers, and queries for
+        /// ASes outside the graph — answer every query like the fixpoint.
+        #[test]
+        fn bitset_cones_match_the_fixpoint(
+            edges in proptest::collection::vec((0u32..24, 0u32..24, 0u32..4), 0..60),
+            others in proptest::collection::vec(0u32..30, 0..8),
+        ) {
+            let mut rels = AsRelationships::new();
+            for (a, b, kind) in edges {
+                // Mostly provider→customer edges, which close cycles often.
+                if kind == 0 {
+                    rels.add_p2p(Asn(a), Asn(b));
+                } else {
+                    rels.add_p2c(Asn(a), Asn(b));
+                }
+            }
+            let (got, want) = (CustomerCones::compute(&rels), fixpoint(&rels));
+            prop_assert_eq!(&got.cones, &want.cones);
+            let others: BTreeSet<Asn> = others.into_iter().map(Asn).collect();
+            // ASes 24..30 are never in the graph.
+            for a in (0..30).map(Asn) {
+                prop_assert_eq!(got.cone(a), want.cone(a));
+                prop_assert_eq!(got.size(a), want.size(a));
+                prop_assert_eq!(got.intersection_size(a, &others), want.intersection_size(a, &others));
+                for b in (0..30).map(Asn) {
+                    prop_assert_eq!(got.contains(a, b), want.contains(a, b));
+                }
+            }
+        }
+    }
 
     /// 1 ── clique peer ── 2
     /// │                   │

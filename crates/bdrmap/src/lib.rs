@@ -27,7 +27,7 @@ use bgp::IpToAs;
 use net_types::{Asn, Counter};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use traceroute::Trace;
+use traceroute::Corpus;
 
 /// One inferred border link: a router operated by `owner` attaches to the
 /// VP network.
@@ -56,7 +56,7 @@ pub struct BdrmapResult {
 /// `vp_as` may be supplied explicitly; otherwise it is inferred from the
 /// majority origin of the probes' source addresses.
 pub fn run(
-    traces: &[Trace],
+    traces: &Corpus,
     aliases: &alias::AliasSets,
     ip2as: &IpToAs,
     rels: &AsRelationships,
@@ -164,7 +164,7 @@ pub fn run(
 }
 
 /// Majority origin AS of the probe source addresses.
-pub fn infer_vp_as(traces: &[Trace], ip2as: &IpToAs) -> Asn {
+pub fn infer_vp_as(traces: &Corpus, ip2as: &IpToAs) -> Asn {
     let mut votes: Counter<Asn> = Counter::new();
     for t in traces {
         let o = ip2as.origin(t.src);
@@ -249,6 +249,11 @@ fn classify_boundary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traceroute::Trace;
+
+    fn corpus(traces: &[Trace]) -> Corpus {
+        traces.iter().cloned().collect()
+    }
     use net_types::Prefix;
     use traceroute::{Hop, ReplyType, StopReason};
 
@@ -292,7 +297,7 @@ mod tests {
     #[test]
     fn vp_as_inferred_from_sources() {
         let traces = [tr(a("10.1.0.1"), a("10.2.0.9"), &[a("10.1.0.2")])];
-        assert_eq!(infer_vp_as(&traces, &oracle()), Asn(1));
+        assert_eq!(infer_vp_as(&corpus(&traces), &oracle()), Asn(1));
     }
 
     #[test]
@@ -304,7 +309,7 @@ mod tests {
             &[a("10.1.0.2"), a("10.1.0.3"), a("10.2.0.1")],
         )];
         let res = run(
-            &traces,
+            &corpus(&traces),
             &alias::AliasSets::empty(),
             &oracle(),
             &rels(),
@@ -324,7 +329,7 @@ mod tests {
             &[a("10.1.0.2"), a("10.1.0.3"), a("10.2.0.1"), a("10.2.0.2")],
         )];
         let res = run(
-            &traces,
+            &corpus(&traces),
             &alias::AliasSets::empty(),
             &oracle(),
             &rels(),
@@ -355,7 +360,7 @@ mod tests {
             ),
         ];
         let res = run(
-            &traces,
+            &corpus(&traces),
             &alias::AliasSets::empty(),
             &oracle(),
             &rels(),
@@ -372,7 +377,7 @@ mod tests {
             &[a("10.1.0.2"), a("10.1.0.3"), a("10.2.0.1"), a("10.2.0.2")],
         )];
         let res = run(
-            &traces,
+            &corpus(&traces),
             &alias::AliasSets::empty(),
             &oracle(),
             &rels(),
@@ -399,7 +404,7 @@ mod tests {
             ],
         )];
         let res = run(
-            &traces,
+            &corpus(&traces),
             &alias::AliasSets::empty(),
             &oracle(),
             &rels(),

@@ -68,9 +68,10 @@ const FRONT_END_COMBINED: &str = "front_end_combined";
 const END_TO_END: &str = "end_to_end";
 /// The phases a run's wall time is made of. Every other span in a run
 /// report (the `phase1.*` passes) nests inside one of these.
-const TOP_LEVEL_PHASES: [&str; 5] = [
+const TOP_LEVEL_PHASES: [&str; 6] = [
     names::PHASE_TRACEROUTE,
     names::PHASE_ALIAS,
+    names::PHASE_ASREL_CONES,
     names::PHASE_GRAPH,
     names::PHASE_LASTHOP,
     names::PHASE_REFINE,

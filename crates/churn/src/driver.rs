@@ -7,13 +7,17 @@
 //!
 //! Two caches persist across epochs:
 //!
-//! * the **pair cache** maps each `(vp, dst)` pair to its last trace and
-//!   the set of ASes that measurement depends on
-//!   ([`traversed_ases`]). After an epoch's events, a pair is *dirty* —
+//! * the **pair cache** ([`PairCache`]) holds the previous epoch's probe
+//!   matrix: its sorted destinations, one unfiltered [`Corpus`] row per
+//!   `(vp, dst)` pair in vp-major order, and per pair the sorted set of
+//!   ASes that measurement depends on ([`traversed_ases`]), as a slice of
+//!   one flat column. After an epoch's events, a pair is *dirty* —
 //!   re-probed — iff interdomain routing changed, the pair is new to the
-//!   probe matrix, or its AS set intersects the events' touched set;
-//!   everything else replays its cached trace verbatim (the traceroute
-//!   crate's untouched-pairs contract test backs this).
+//!   probe matrix (its destination is not among the cached ones), or its
+//!   AS set intersects the events' touched set; everything else replays
+//!   its cached row verbatim (the traceroute crate's untouched-pairs
+//!   contract test backs this). The epoch's corpus is spliced by copying
+//!   rows, fresh or cached, in pair order.
 //! * the **shard cache** ([`ShardCache`]) replays converged refinement
 //!   outcomes for shards whose fingerprint is unchanged; see
 //!   [`refine_incremental`].
@@ -27,7 +31,7 @@
 
 use crate::bench::{report_delta, EpochCost};
 use crate::schedule::ChurnSchedule;
-use alias::{observed_addresses, resolve_midar, resolve_midar_with_obs};
+use alias::{observed_addresses, resolve_corpus, resolve_midar};
 use as_rel::infer::{infer_relationships, InferenceConfig};
 use as_rel::CustomerCones;
 use bdrmapit_core::refine::{refine_incremental, ShardCache};
@@ -39,14 +43,14 @@ use obs::names;
 use obs::Clock as _;
 use obs::RunReport;
 use snapshot::SnapshotData;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use topo_gen::{GeneratorConfig, Internet};
+use topo_gen::{GeneratorConfig, Internet, RouterId};
 use traceroute::sim::{
     destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, traversed_ases,
     ProbeConfig,
 };
-use traceroute::Trace;
+use traceroute::Corpus;
 
 /// Knobs for one churn run.
 #[derive(Clone, Debug)]
@@ -123,10 +127,62 @@ pub struct ChurnRun {
     pub schedule: ChurnSchedule,
 }
 
-/// A cached measurement for one `(vp, dst)` pair.
-struct PairInfo {
-    trace: Trace,
-    ases: BTreeSet<Asn>,
+/// The previous epoch's probe matrix, measured: pair `(v, dests[j])` is
+/// pair index `v * dests.len() + j`.
+struct PairCache {
+    /// The epoch's destinations, sorted.
+    dests: Vec<u32>,
+    /// One row per pair, unresponsive ones included, in pair order.
+    rows: Corpus,
+    /// Pair `p`'s traversed-AS set is `ases[ases_off[p]..ases_off[p + 1]]`,
+    /// sorted.
+    ases: Vec<Asn>,
+    ases_off: Vec<u32>,
+}
+
+impl PairCache {
+    fn new() -> PairCache {
+        PairCache {
+            dests: Vec::new(),
+            rows: Corpus::new(),
+            ases: Vec::new(),
+            ases_off: vec![0],
+        }
+    }
+
+    /// Empties the cache, keeping its allocations: the driver fills two
+    /// caches in turn, so an epoch's splice writes into memory the
+    /// process already holds instead of faulting in fresh pages.
+    fn clear(&mut self) {
+        self.dests.clear();
+        self.rows.clear();
+        self.ases.clear();
+        self.ases_off.truncate(1);
+    }
+
+    /// The pair index of `(v, dst)`, if it was in the cached matrix.
+    fn find(&self, v: usize, dst: u32) -> Option<usize> {
+        let j = self.dests.binary_search(&dst).ok()?;
+        Some(v * self.dests.len() + j)
+    }
+
+    /// Pair `p`'s traversed-AS set.
+    fn ases(&self, p: usize) -> &[Asn] {
+        &self.ases[self.ases_off[p] as usize..self.ases_off[p + 1] as usize]
+    }
+}
+
+/// Whether two sorted slices have no element in common.
+fn disjoint(a: &[Asn], b: &[Asn]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
 }
 
 /// Milliseconds elapsed since `start_nanos` on `clock`.
@@ -144,11 +200,22 @@ pub fn run_churn(
     opts: &ChurnOptions,
     rec: &obs::Recorder,
 ) -> Result<ChurnRun, String> {
-    let mut net = Internet::generate_with_obs(gen, rec);
+    let net = Internet::generate_with_obs(gen, rec);
+    let schedule = ChurnSchedule::generate(&net, opts.seed, opts.epochs);
+    run_schedule(net, schedule, opts, rec)
+}
+
+/// [`run_churn`] on a given Internet and schedule; `opts.epochs` is
+/// ignored in favour of the schedule's length.
+fn run_schedule(
+    mut net: Internet,
+    schedule: ChurnSchedule,
+    opts: &ChurnOptions,
+    rec: &obs::Recorder,
+) -> Result<ChurnRun, String> {
     // Wall times (informational cost fields only) go through obs's clock
     // abstraction — determinism policy bans direct clock reads out here.
     let clock = obs::MonotonicClock::new();
-    let schedule = ChurnSchedule::generate(&net, opts.seed, opts.epochs);
     let wp = Arc::new(pool::WorkerPool::with_recorder(opts.threads, rec.clone()));
     let full_wp = Arc::new(pool::WorkerPool::new(opts.threads));
     let silent = obs::Recorder::disabled();
@@ -161,14 +228,18 @@ pub fn run_churn(
     let mut rib = net.build_rib();
     let mut ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let mut rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-    let mut cones = CustomerCones::compute(&rels);
+    let mut cones = {
+        let _span = rec.span(names::PHASE_ASREL_CONES);
+        CustomerCones::compute(&rels)
+    };
 
-    let mut pair_cache: BTreeMap<(usize, u32), PairInfo> = BTreeMap::new();
+    let (mut cache, mut next) = (PairCache::new(), PairCache::new());
+    let mut corpus = Corpus::new();
     let mut shard_cache = ShardCache::new();
-    let mut epochs_out = Vec::with_capacity(opts.epochs + 1);
+    let mut epochs_out = Vec::with_capacity(schedule.epochs.len() + 1);
     let mut report_mark = rec.report();
 
-    for epoch in 0..=opts.epochs {
+    for epoch in 0..=schedule.epochs.len() {
         rec.inc(names::CHURN_EPOCHS);
         let epoch_span = rec.span(names::PHASE_CHURN_EPOCH);
         let inc_start = clock.now_nanos();
@@ -198,62 +269,81 @@ pub fn run_churn(
             rib = net.build_rib();
             ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
             rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
+            let _span = rec.span(names::PHASE_ASREL_CONES);
             cones = CustomerCones::compute(&rels);
         }
 
         // 2. The epoch's probe matrix and its dirty subset. Destinations are
         // re-enumerated — router additions can shift the live-biased
         // sampling — and the matrix stays vp-major, so the spliced corpus
-        // below is ordered exactly like a full campaign's.
+        // below is ordered exactly like a full campaign's. Each pair's
+        // source is its cached row, or `None` when it must be re-probed.
+        let splice_span = rec.span(names::PHASE_CHURN_SPLICE);
         let dests = destinations(&net, &opts.probe);
-        let pairs: Vec<(usize, u32)> = (0..vps.len())
-            .flat_map(|v| dests.iter().map(move |&d| (v, d)))
-            .collect();
-        let dirty: Vec<(usize, u32)> = pairs
-            .iter()
-            .copied()
-            .filter(|key| {
-                rib_changed
-                    || pair_cache
-                        .get(key)
-                        .is_none_or(|info| !info.ases.is_disjoint(&touched))
+        let n_pairs = vps.len() * dests.len();
+        let pair = |p: usize| (p / dests.len(), dests[p % dests.len()]);
+        let touched: Vec<Asn> = touched.into_iter().collect();
+        let source: Vec<Option<usize>> = (0..n_pairs)
+            .map(|p| {
+                let (v, dst) = pair(p);
+                cache
+                    .find(v, dst)
+                    .filter(|&o| !rib_changed && disjoint(cache.ases(o), &touched))
             })
             .collect();
+        let dirty: Vec<(RouterId, u32)> = (0..n_pairs)
+            .filter(|&p| source[p].is_none())
+            .map(|p| {
+                let (v, dst) = pair(p);
+                (vps[v], dst)
+            })
+            .collect();
+        drop(splice_span);
         rec.add(names::CHURN_DIRTY_PAIRS, dirty.len() as u64);
-        rec.add(names::CHURN_CLEAN_PAIRS, (pairs.len() - dirty.len()) as u64);
+        rec.add(names::CHURN_CLEAN_PAIRS, (n_pairs - dirty.len()) as u64);
 
-        // 3. Re-probe the dirty pairs; splice fresh traces over the cache.
+        // 3. Re-probe the dirty pairs.
         let fresh = {
             let _span = rec.span(names::PHASE_TRACEROUTE);
-            let router_pairs: Vec<_> = dirty.iter().map(|&(v, d)| (vps[v], d)).collect();
-            probe_pairs_in_pool(&net, &router_pairs, &opts.probe, &wp)
+            probe_pairs_in_pool(&net, &dirty, &opts.probe, &wp)
         };
-        let mut next_cache: BTreeMap<(usize, u32), PairInfo> = BTreeMap::new();
-        for (key, trace) in dirty.iter().copied().zip(fresh) {
-            let ases = traversed_ases(&net, vps[key.0], key.1);
-            next_cache.insert(key, PairInfo { trace, ases });
-        }
-        for &key in &pairs {
-            next_cache.entry(key).or_insert_with(|| {
-                pair_cache
-                    .remove(&key)
-                    .expect("clean pair must be cached from the previous epoch")
-            });
-        }
-        pair_cache = next_cache;
 
-        // 4. The spliced corpus, filtered exactly like a full campaign.
-        let corpus: Vec<Trace> = pairs
-            .iter()
-            .map(|key| pair_cache[key].trace.clone())
-            .filter(|t| t.responsive_count() > 0)
-            .collect();
+        // 4. The next cache and the spliced corpus: every pair's row, fresh
+        // or cached, in pair order; the corpus keeps the responsive ones,
+        // exactly like a full campaign.
+        let splice_span = rec.span(names::PHASE_CHURN_SPLICE);
+        next.clear();
+        next.rows
+            .reserve(n_pairs, cache.rows.hops(0..cache.rows.len()).len());
+        next.ases_off.reserve(n_pairs);
+        corpus.clear();
+        let mut fresh_rows = fresh.iter();
+        for (p, src) in source.iter().enumerate() {
+            let row = match *src {
+                Some(o) => {
+                    next.ases.extend_from_slice(cache.ases(o));
+                    cache.rows.row(o)
+                }
+                None => {
+                    let (v, dst) = pair(p);
+                    traversed_ases(&net, vps[v], dst, &mut next.ases);
+                    fresh_rows.next().expect("one fresh row per dirty pair")
+                }
+            };
+            next.ases_off.push(next.ases.len() as u32);
+            next.rows.push(row).expect("a cached row fits a corpus");
+            if row.responsive_count() > 0 {
+                corpus.push(row).expect("a cached row fits a corpus");
+            }
+        }
+        next.dests = dests;
+        std::mem::swap(&mut cache, &mut next);
+        drop(splice_span);
 
         // 5. Aliases are re-resolved from scratch: alias sets are global
         // (any changed trace can re-cluster distant interfaces), and the
         // resolver is cheap next to probing.
-        let observed = observed_addresses(&corpus);
-        let aliases = resolve_midar_with_obs(&net, &observed, 0.9, opts.seed, rec);
+        let aliases = resolve_corpus(&net, &corpus, 0.9, opts.seed, rec);
 
         // 6. Incremental inference: rebuild the graph, freeze last hops,
         // then re-converge only the dirty shards.
@@ -317,7 +407,7 @@ pub fn run_churn(
             &rib.origin_table(),
         ));
         let full = EpochCost::new(
-            pairs.len() as u64,
+            n_pairs as u64,
             full_result.graph.shards.shards.len() as u64,
             elapsed_ms(&clock, full_start),
         );
@@ -338,7 +428,7 @@ pub fn run_churn(
             skipped,
             rib_changed,
             dirty_pairs: dirty.len(),
-            total_pairs: pairs.len(),
+            total_pairs: n_pairs,
             dirty_shards: stats.dirty_shards,
             total_shards,
             incremental,
@@ -411,5 +501,41 @@ mod tests {
         // The session recorder holds the cumulative view.
         let total = rec.report();
         assert_eq!(total.counters[names::CHURN_EPOCHS], 3);
+    }
+
+    /// A router addition that changes the destination sample: pairs whose
+    /// destination left the matrix vanish, new destinations are dirty, and
+    /// the spliced corpus still equals the full campaign every epoch.
+    #[test]
+    fn router_add_that_shifts_destinations_keeps_the_proof() {
+        let gen = GeneratorConfig::tiny(44);
+        let opts = tiny_opts(0, 2, 44);
+        let base = destinations(&Internet::generate(gen.clone()), &opts.probe);
+        let net = Internet::generate(gen.clone());
+        let add = net
+            .topology
+            .as_routers
+            .iter()
+            .map(|(&asn, routers)| topo_gen::TopologyEvent::RouterAdd {
+                asn,
+                attach: routers[0],
+            })
+            .find(|ev| {
+                let mut probe = Internet::generate(gen.clone());
+                let out = probe.apply_event(ev);
+                out.applied && !out.rib_changed && destinations(&probe, &opts.probe) != base
+            })
+            .expect("some router addition shifts the destinations");
+        let schedule = ChurnSchedule {
+            epochs: vec![vec![add], vec![]],
+        };
+        let run = run_schedule(net, schedule, &opts, &obs::Recorder::disabled()).unwrap();
+        let e = &run.epochs[1];
+        assert_eq!(e.applied, 1);
+        assert!(e.dirty_pairs > 0 && e.dirty_pairs < e.total_pairs);
+        assert_eq!(
+            run.epochs[2].dirty_pairs, 0,
+            "a quiet epoch replays every pair"
+        );
     }
 }

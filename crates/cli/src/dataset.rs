@@ -86,8 +86,7 @@ pub fn write_bundle(
         &s.worker_pool(),
         rec,
     );
-    let observed = alias::observed_addresses(&traces);
-    let aliases = alias::resolve_midar_with_obs(&s.net, &observed, 0.9, seed, rec);
+    let aliases = alias::resolve_corpus(&s.net, &traces, 0.9, seed, rec);
 
     let mut f = fs::File::create(dir.join(files::TRACES))?;
     write_jsonl(&mut f, &traces)?;

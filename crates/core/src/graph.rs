@@ -45,7 +45,7 @@ use bgp::{IpToAs, OriginInfo, OriginKind};
 use net_types::{AddrInterner, Asn};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use traceroute::{ReplyType, Trace};
+use traceroute::{Corpus, ReplyType};
 
 /// Index of an inferred router.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
@@ -214,7 +214,7 @@ impl IrGraph {
     /// Builds the graph from a corpus (§4) on an ad-hoc worker pool sized
     /// from `cfg.threads`, without telemetry.
     pub fn build(
-        traces: &[Trace],
+        traces: &Corpus,
         aliases: &AliasSets,
         ip2as: &IpToAs,
         cfg: &Config,
@@ -235,7 +235,7 @@ impl IrGraph {
     /// stealing never reaches the output.
     #[allow(clippy::too_many_arguments)]
     pub fn build_in_pool(
-        traces: &[Trace],
+        traces: &Corpus,
         aliases: &AliasSets,
         ip2as: &IpToAs,
         cfg: &Config,
@@ -263,9 +263,9 @@ impl IrGraph {
                 let (lo, hi) = task_range(traces.len(), t, trace_batch);
                 let mut addrs: Vec<u32> = Vec::new();
                 let mut dsts: Vec<u32> = Vec::new();
-                for t in &traces[lo..hi] {
+                for t in traces.rows(lo..hi) {
                     let before = addrs.len();
-                    addrs.extend(t.responsive().map(|(_, h)| h.addr));
+                    addrs.extend(t.hops.iter().flatten().map(|h| h.addr));
                     if addrs.len() > before {
                         dsts.push(t.dst);
                     }
@@ -383,11 +383,11 @@ impl IrGraph {
             |t| {
                 let (lo, hi) = task_range(traces.len(), t, trace_batch);
                 // Every responsive hop yields at most one key of each kind.
-                let bound: usize = traces[lo..hi].iter().map(|t| t.hops.len()).sum();
+                let bound = traces.hops(lo..hi).len();
                 let mut links: Vec<u128> = Vec::with_capacity(bound);
                 let mut dest_keys: Vec<u64> = Vec::with_capacity(bound);
                 let mut hops: Vec<(u8, u32, ReplyType)> = Vec::new();
-                for t in &traces[lo..hi] {
+                for t in traces.rows(lo..hi) {
                     hops.clear();
                     hops.extend(t.responsive().map(|(ttl, h)| {
                         let id = graph.interner.id(h.addr).expect("hop addr interned");
@@ -680,7 +680,7 @@ fn filtered_iface_dests(
 mod tests {
     use super::*;
     use net_types::Prefix;
-    use traceroute::{Hop, StopReason};
+    use traceroute::{Hop, StopReason, Trace};
 
     fn cfg() -> Config {
         Config::default()
@@ -720,7 +720,8 @@ mod tests {
     fn build(traces: &[Trace], aliases: &AliasSets) -> IrGraph {
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        IrGraph::build(traces, aliases, &oracle(), &cfg(), &rels, &cones)
+        let corpus: Corpus = traces.iter().cloned().collect();
+        IrGraph::build(&corpus, aliases, &oracle(), &cfg(), &rels, &cones)
     }
 
     #[test]
@@ -929,6 +930,7 @@ mod tests {
         }
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
+        let traces: Corpus = traces.into_iter().collect();
         let build_at = |threads: usize| {
             let cfg = Config {
                 threads,
@@ -961,7 +963,14 @@ mod tests {
             threads: 8,
             ..Config::default()
         };
-        let g = IrGraph::build(&[], &AliasSets::empty(), &oracle(), &cfg, &rels, &cones);
+        let g = IrGraph::build(
+            &Corpus::new(),
+            &AliasSets::empty(),
+            &oracle(),
+            &cfg,
+            &rels,
+            &cones,
+        );
         assert!(g.irs.is_empty());
         assert!(g.iface_addrs.is_empty());
     }
@@ -987,7 +996,7 @@ mod tests {
         let rec = obs::Recorder::new(false);
         let wp = pool::WorkerPool::with_recorder(cfg.threads, rec.clone());
         IrGraph::build_in_pool(
-            &traces,
+            &traces.into_iter().collect(),
             &AliasSets::empty(),
             &oracle(),
             &cfg,
@@ -1311,9 +1320,10 @@ mod tests {
                 let (ip2as, rels) = (ip2as(), rels());
                 let cones = CustomerCones::compute(&rels);
                 let want = oracle_build(&traces, &aliases, &ip2as, &rels, &cones);
+                let corpus: Corpus = traces.iter().cloned().collect();
                 for threads in [1usize, 2, 8] {
                     let cfg = Config { threads, ..Config::default() };
-                    let g = IrGraph::build(&traces, &aliases, &ip2as, &cfg, &rels, &cones);
+                    let g = IrGraph::build(&corpus, &aliases, &ip2as, &cfg, &rels, &cones);
                     prop_assert_eq!(&g.interner, &want.interner, "threads={}", threads);
                     prop_assert_eq!(&g.iface_origin, &want.iface_origin, "threads={}", threads);
                     prop_assert_eq!(&g.iface_ir, &want.iface_ir, "threads={}", threads);

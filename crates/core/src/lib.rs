@@ -24,7 +24,7 @@
 //!
 //! ```no_run
 //! use bdrmapit_core::{Bdrmapit, Config};
-//! # fn inputs() -> (Vec<traceroute::Trace>, alias::AliasSets, bgp::IpToAs,
+//! # fn inputs() -> (traceroute::Corpus, alias::AliasSets, bgp::IpToAs,
 //! #                 as_rel::AsRelationships) { unimplemented!() }
 //! let (traces, aliases, ip2as, rels) = inputs();
 //! let result = Bdrmapit::new(Config::default())
@@ -143,7 +143,7 @@ impl Bdrmapit {
     /// Runs all three phases and returns the annotated graph.
     pub fn run(
         &self,
-        traces: &[traceroute::Trace],
+        traces: &traceroute::Corpus,
         aliases: &alias::AliasSets,
         ip2as: &IpToAs,
         rels: &AsRelationships,
@@ -156,7 +156,10 @@ impl Bdrmapit {
                 self.obs.clone(),
             ))
         });
-        let cones = CustomerCones::compute(rels);
+        let cones = {
+            let _span = self.obs.span(names::PHASE_ASREL_CONES);
+            CustomerCones::compute(rels)
+        };
         let graph = {
             let _span = self.obs.span(names::PHASE_GRAPH);
             let graph = IrGraph::build_in_pool(

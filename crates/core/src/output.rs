@@ -232,7 +232,7 @@ mod tests {
             stop: StopReason::GapLimit,
         }];
         Bdrmapit::new(Config::default()).run(
-            &traces,
+            &traces.into_iter().collect(),
             &AliasSets::empty(),
             &oracle,
             &AsRelationships::new(),

@@ -429,7 +429,7 @@ mod tests {
             }
             let cones = CustomerCones::compute(&rels);
             let cfg = Config { threads: 1, ..Config::default() };
-            let graph = IrGraph::build(&traces, &aliases, &ip2as, &cfg, &rels, &cones);
+            let graph = IrGraph::build(&traces.into_iter().collect(), &aliases, &ip2as, &cfg, &rels, &cones);
             let mut initial = AnnotationState::new(&graph);
             lasthop::annotate_last_hops(&graph, &rels, &cones, &mut initial);
 

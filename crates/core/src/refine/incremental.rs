@@ -318,7 +318,7 @@ mod tests {
     fn corpus(
         seed: u64,
     ) -> (
-        Vec<traceroute::Trace>,
+        traceroute::Corpus,
         alias::AliasSets,
         IpToAs,
         AsRelationships,
@@ -346,7 +346,7 @@ mod tests {
 
     /// Fresh graph + post-lasthop state for a corpus.
     fn prepared(
-        traces: &[traceroute::Trace],
+        traces: &traceroute::Corpus,
         aliases: &alias::AliasSets,
         ip2as: &bgp::IpToAs,
         rels: &AsRelationships,

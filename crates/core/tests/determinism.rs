@@ -11,7 +11,7 @@ use bdrmapit_core::{Bdrmapit, Config, IrGraph};
 use bgp::IpToAs;
 use net_types::{Asn, Prefix};
 use proptest::prelude::*;
-use traceroute::{Hop, ReplyType, StopReason, Trace};
+use traceroute::{Corpus, Hop, ReplyType, StopReason, Trace};
 
 /// Oracle: 10.N.0.0/16 → AS N for N in 1..=6; everything else unannounced.
 fn oracle() -> IpToAs {
@@ -69,8 +69,8 @@ prop_compose! {
     }
 }
 
-fn corpus_strategy() -> impl Strategy<Value = Vec<Trace>> {
-    proptest::collection::vec(trace_strategy(), 1..40)
+fn corpus_strategy() -> impl Strategy<Value = Corpus> {
+    proptest::collection::vec(trace_strategy(), 1..40).prop_map(|t| t.into_iter().collect())
 }
 
 proptest! {

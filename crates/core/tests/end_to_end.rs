@@ -9,11 +9,7 @@ use net_types::Asn;
 use topo_gen::{GeneratorConfig, Internet};
 use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
 
-fn campaign(
-    net: &Internet,
-    vps: &[topo_gen::RouterId],
-    cfg: &ProbeConfig,
-) -> Vec<traceroute::Trace> {
+fn campaign(net: &Internet, vps: &[topo_gen::RouterId], cfg: &ProbeConfig) -> traceroute::Corpus {
     let wp = pool::WorkerPool::new(0);
     probe_campaign_in_pool(net, vps, cfg, &wp, &obs::Recorder::disabled())
 }

@@ -11,7 +11,7 @@ use bdrmapit_core::{Annotated, Bdrmapit, Config};
 use bgp::IpToAs;
 use net_types::{Asn, Prefix};
 use std::collections::BTreeSet;
-use traceroute::{Hop, ReplyType, StopReason, Trace};
+use traceroute::{Corpus, Hop, ReplyType, StopReason, Trace};
 
 fn a(s: &str) -> u32 {
     net_types::parse_ipv4(s).unwrap()
@@ -43,7 +43,8 @@ fn tr(dst: &str, hops: &[&str]) -> Trace {
 }
 
 fn run(traces: &[Trace], aliases: &AliasSets, rels: &AsRelationships, cfg: Config) -> Annotated {
-    Bdrmapit::new(cfg).run(traces, aliases, &oracle(), rels)
+    let corpus: Corpus = traces.iter().cloned().collect();
+    Bdrmapit::new(cfg).run(&corpus, aliases, &oracle(), rels)
 }
 
 fn owner(result: &Annotated, addr: &str) -> Option<Asn> {

@@ -1,6 +1,6 @@
 //! Reproducible experiment scenarios.
 
-use alias::{observed_addresses, resolve_kapar, resolve_midar_with_obs, AliasSets};
+use alias::{resolve_corpus, resolve_kapar, AliasSets};
 use as_rel::infer::{infer_relationships, InferenceConfig};
 use as_rel::AsRelationships;
 use bgp::{IpToAs, Rib};
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use topo_gen::{GeneratorConfig, Internet, RouterId, Tier};
 use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
-use traceroute::Trace;
+use traceroute::Corpus;
 
 /// The four networks validated in the paper (§7): "a Tier-1 network, a
 /// large access network, and two research and education (R&E) networks".
@@ -138,8 +138,7 @@ impl Scenario {
         let probe_cfg = ProbeConfig::default();
         let wp = self.worker_pool();
         let traces = probe_campaign_in_pool(&self.net, vps, &probe_cfg, &wp, &self.obs);
-        let observed = observed_addresses(&traces);
-        let aliases = resolve_midar_with_obs(&self.net, &observed, 0.9, seed, &self.obs);
+        let aliases = resolve_corpus(&self.net, &traces, 0.9, seed, &self.obs);
         CorpusBundle {
             traces,
             aliases,
@@ -161,8 +160,7 @@ impl Scenario {
             let _span = self.obs.span(obs::names::PHASE_TRACEROUTE);
             traceroute::sim::reactive_campaign(&self.net, vp, &probe_cfg, 2)
         };
-        let observed = observed_addresses(&traces);
-        let aliases = resolve_midar_with_obs(&self.net, &observed, 0.9, seed, &self.obs);
+        let aliases = resolve_corpus(&self.net, &traces, 0.9, seed, &self.obs);
         CorpusBundle {
             traces,
             aliases,
@@ -184,7 +182,7 @@ impl Scenario {
 #[derive(Clone, Debug)]
 pub struct CorpusBundle {
     /// The traces.
-    pub traces: Vec<Trace>,
+    pub traces: Corpus,
     /// MIDAR+iffinder-style alias sets.
     pub aliases: AliasSets,
     /// The VP routers used.

@@ -14,7 +14,7 @@ use bdrmapit_core::Annotated;
 use net_types::Asn;
 use std::collections::BTreeSet;
 use topo_gen::Internet;
-use traceroute::Trace;
+use traceroute::Corpus;
 
 /// A canonical (low, high) AS pair.
 pub type AsPair = (Asn, Asn);
@@ -53,7 +53,7 @@ fn owner_of_addr(net: &Internet, addr: u32) -> Option<Asn> {
 /// Fig. 17 excludes links that only appear as the last hop.
 pub fn visible_pairs(
     net: &Internet,
-    traces: &[Trace],
+    traces: &Corpus,
     asn: Asn,
     include_last_hop: bool,
 ) -> BTreeSet<AsPair> {
@@ -64,7 +64,7 @@ pub fn visible_pairs(
 /// Internet-wide ablations).
 pub fn visible_pairs_all(
     net: &Internet,
-    traces: &[Trace],
+    traces: &Corpus,
     include_last_hop: bool,
 ) -> BTreeSet<AsPair> {
     visible_pairs_in(net, traces, true_pairs(net), include_last_hop)
@@ -72,7 +72,7 @@ pub fn visible_pairs_all(
 
 fn visible_pairs_in(
     net: &Internet,
-    traces: &[Trace],
+    traces: &Corpus,
     truth: BTreeSet<AsPair>,
     include_last_hop: bool,
 ) -> BTreeSet<AsPair> {
@@ -82,10 +82,8 @@ fn visible_pairs_in(
     // port address is shared by many peerings, so observing it is not
     // evidence of any particular pairing; IXP pairs become visible through
     // rule 2's boundary crossings instead.
-    let observed: BTreeSet<u32> = traces
-        .iter()
-        .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
-        .collect();
+    let observed = alias::observed_addresses(traces);
+    let observed = |addr: &u32| observed.binary_search(addr).is_ok();
     for l in net.true_links() {
         let p = pair(l.as_a, l.as_b);
         if !truth.contains(&p) {
@@ -99,7 +97,7 @@ fn visible_pairs_in(
         if on_ixp_lan {
             continue;
         }
-        if observed.contains(&l.addr_a) || observed.contains(&l.addr_b) {
+        if observed(&l.addr_a) || observed(&l.addr_b) {
             visible.insert(p);
         }
     }

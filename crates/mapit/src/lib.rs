@@ -21,7 +21,7 @@ use bgp::{IpToAs, OriginKind};
 use net_types::{Asn, Counter};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use traceroute::Trace;
+use traceroute::Corpus;
 
 /// Tunables for the inference.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -73,7 +73,7 @@ pub struct Mapit {
 
 impl Mapit {
     /// Builds the interface graph from a corpus.
-    pub fn build(traces: &[Trace], ip2as: &IpToAs) -> Mapit {
+    pub fn build(traces: &Corpus, ip2as: &IpToAs) -> Mapit {
         let mut index: BTreeMap<u32, usize> = BTreeMap::new();
         let mut addrs = Vec::new();
         for t in traces {
@@ -223,6 +223,11 @@ impl Mapit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use traceroute::Trace;
+
+    fn corpus(traces: &[Trace]) -> Corpus {
+        traces.iter().cloned().collect()
+    }
     use net_types::Prefix;
     use traceroute::{Hop, ReplyType, StopReason};
 
@@ -269,7 +274,7 @@ mod tests {
                 &[a("10.1.0.2"), a("10.1.0.9"), a("10.2.0.2")],
             ),
         ];
-        let mut m = Mapit::build(&traces, &oracle());
+        let mut m = Mapit::build(&corpus(&traces), &oracle());
         m.run(&MapitConfig::default());
         let links = m.links();
         assert_eq!(links.len(), 1);
@@ -286,7 +291,7 @@ mod tests {
             a("10.1.0.99"),
             &[a("10.1.0.1"), a("10.1.0.2"), a("10.1.0.3")],
         )];
-        let mut m = Mapit::build(&traces, &oracle());
+        let mut m = Mapit::build(&corpus(&traces), &oracle());
         m.run(&MapitConfig::default());
         assert!(m.links().is_empty());
     }
@@ -303,7 +308,7 @@ mod tests {
             tr(a("10.1.0.99"), &[a("10.1.0.9"), a("10.1.0.1")]),
             tr(a("10.1.0.98"), &[a("10.1.0.9"), a("10.1.0.2")]),
         ];
-        let mut m = Mapit::build(&traces, &oracle());
+        let mut m = Mapit::build(&corpus(&traces), &oracle());
         m.run(&MapitConfig::default());
         assert!(m.links().is_empty());
     }
@@ -340,7 +345,7 @@ mod tests {
                 &[a("10.1.0.6"), a("10.1.0.10"), a("10.1.0.12")],
             ),
         ];
-        let mut m = Mapit::build(&traces, &oracle());
+        let mut m = Mapit::build(&corpus(&traces), &oracle());
         m.run(&MapitConfig::default());
         assert_eq!(m.operator_of(a("10.1.0.9")), Some(Asn(2)));
         assert_eq!(m.operator_of(a("10.1.0.12")), Some(Asn(2)));
@@ -352,7 +357,7 @@ mod tests {
     #[test]
     fn single_neighbor_is_not_a_plurality() {
         let traces = [tr(a("10.2.0.99"), &[a("10.1.0.1"), a("10.2.0.1")])];
-        let mut m = Mapit::build(&traces, &oracle());
+        let mut m = Mapit::build(&corpus(&traces), &oracle());
         m.run(&MapitConfig::default());
         assert!(m.links().is_empty());
     }
@@ -363,7 +368,7 @@ mod tests {
             a("10.2.0.99"),
             &[a("10.1.0.1"), a("192.168.0.1"), a("10.2.0.1")],
         )];
-        let mut m = Mapit::build(&traces, &oracle());
+        let mut m = Mapit::build(&corpus(&traces), &oracle());
         m.run(&MapitConfig::default());
         assert_eq!(m.operator_of(a("192.168.0.1")), None);
         assert_eq!(m.interface_count(), 3);
@@ -371,7 +376,7 @@ mod tests {
 
     #[test]
     fn empty_corpus() {
-        let mut m = Mapit::build(&[], &oracle());
+        let mut m = Mapit::build(&Corpus::new(), &oracle());
         m.run(&MapitConfig::default());
         assert!(m.links().is_empty());
         assert_eq!(m.interface_count(), 0);

@@ -24,6 +24,9 @@ pub const PHASE_LASTHOP: &str = "phase2.lasthop";
 pub const PHASE_REFINE: &str = "phase3.refine";
 /// Reading a dataset bundle from disk (`bdrmapit infer`).
 pub const PHASE_READ_BUNDLE: &str = "io.read_bundle";
+/// Customer-cone computation from the AS relationships, ahead of phase 1
+/// and after every churn RIB rebuild.
+pub const PHASE_ASREL_CONES: &str = "asrel.cones";
 
 /// The five pipeline phases every complete synthetic run must traverse.
 /// [`crate::RunReport::validate`] fails when any is missing.
@@ -109,6 +112,9 @@ pub const CHURN_RIB_REBUILDS: &str = "churn.rib_rebuilds";
 
 /// Span: one churn epoch end to end (events through snapshot).
 pub const PHASE_CHURN_EPOCH: &str = "churn.epoch";
+/// Churn's pair-cache work per epoch: the dirty-pair test, the cache
+/// update, and the splice of fresh and cached rows into the corpus.
+pub const PHASE_CHURN_SPLICE: &str = "churn.splice";
 /// Instant: a shard dirtied for incremental re-convergence (arg: shard
 /// index).
 pub const EV_REFINE_DIRTY_SHARD: &str = "refine.dirty_shard";

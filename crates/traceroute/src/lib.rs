@@ -15,8 +15,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod corpus;
 pub mod io;
 pub mod sim;
+
+pub use corpus::{Corpus, CorpusError, Rows, MAX_HOPS, MAX_MONITORS};
 
 use net_types::format_ipv4;
 use serde::{Deserialize, Serialize};
@@ -60,7 +63,9 @@ pub enum StopReason {
     NoRoute,
 }
 
-/// One traceroute measurement.
+/// One traceroute measurement, owned: the JSON-lines record shape and the
+/// fixture builder. A corpus stores rows column-wise in a [`Corpus`] and
+/// hands them out as borrowed [`TraceRef`] views.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     /// Monitor (VP) name, e.g. `"vp-2001"`.
@@ -77,8 +82,65 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// The borrowed row view of this trace.
+    pub fn view(&self) -> TraceRef<'_> {
+        TraceRef {
+            monitor: &self.monitor,
+            src: self.src,
+            dst: self.dst,
+            hops: &self.hops,
+            stop: self.stop,
+        }
+    }
+
     /// The responsive hops with their TTL (1-based), in order.
     pub fn responsive(&self) -> impl Iterator<Item = (u8, Hop)> + '_ {
+        self.view().responsive()
+    }
+
+    /// The final responsive hop, if any.
+    pub fn last_hop(&self) -> Option<(u8, Hop)> {
+        self.view().last_hop()
+    }
+
+    /// Did the destination itself answer (the measurement completed)?
+    pub fn reached_dst(&self) -> bool {
+        self.view().reached_dst()
+    }
+
+    /// Total responsive hop count.
+    pub fn responsive_count(&self) -> usize {
+        self.view().responsive_count()
+    }
+}
+
+impl fmt::Display for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// One row of a [`Corpus`], borrowed: the same fields as [`Trace`], with
+/// the monitor name and the hop slots pointing into the corpus's monitor
+/// table and hop column.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceRef<'a> {
+    /// Monitor (VP) name.
+    pub monitor: &'a str,
+    /// Source address of the probes.
+    pub src: u32,
+    /// Probed destination address.
+    pub dst: u32,
+    /// Per-TTL responses; `hops[t]` is the reply to the TTL `t+1` probe,
+    /// `None` for an unresponsive hop (`*`).
+    pub hops: &'a [Option<Hop>],
+    /// Why the measurement stopped.
+    pub stop: StopReason,
+}
+
+impl<'a> TraceRef<'a> {
+    /// The responsive hops with their TTL (1-based), in order.
+    pub fn responsive(self) -> impl DoubleEndedIterator<Item = (u8, Hop)> + 'a {
         self.hops
             .iter()
             .enumerate()
@@ -86,23 +148,33 @@ impl Trace {
     }
 
     /// The final responsive hop, if any.
-    pub fn last_hop(&self) -> Option<(u8, Hop)> {
-        self.responsive().last()
+    pub fn last_hop(self) -> Option<(u8, Hop)> {
+        self.responsive().next_back()
     }
 
-    /// Did the destination itself answer (last hop is an Echo Reply from the
-    /// probed address, or marked completed)?
-    pub fn reached_dst(&self) -> bool {
+    /// Did the destination itself answer (the measurement completed)?
+    pub fn reached_dst(self) -> bool {
         self.stop == StopReason::Completed
     }
 
     /// Total responsive hop count.
-    pub fn responsive_count(&self) -> usize {
+    pub fn responsive_count(self) -> usize {
         self.hops.iter().flatten().count()
+    }
+
+    /// An owned copy of the row.
+    pub fn to_owned(self) -> Trace {
+        Trace {
+            monitor: self.monitor.to_owned(),
+            src: self.src,
+            dst: self.dst,
+            hops: self.hops.to_vec(),
+            stop: self.stop,
+        }
     }
 }
 
-impl fmt::Display for Trace {
+impl fmt::Display for TraceRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,

@@ -13,7 +13,7 @@ use as_rel::CustomerCones;
 use bdrmapit_core::{Config, IrGraph, LinkLabel};
 use eval::Scenario;
 use topo_gen::GeneratorConfig;
-use traceroute::{ReplyType, StopReason, Trace};
+use traceroute::{Corpus, ReplyType, StopReason};
 
 /// Pre-change serial campaign hash for `tiny(2018)`, 8 VPs, vp_seed 2018.
 const GOLDEN_CAMPAIGN: u64 = 0x931cf8a11e64b5e3;
@@ -79,7 +79,7 @@ fn label_code(l: LinkLabel) -> u8 {
     }
 }
 
-fn hash_traces(traces: &[Trace]) -> u64 {
+fn hash_traces(traces: &Corpus) -> u64 {
     let mut h = Fnv::new();
     h.u64(traces.len() as u64);
     for t in traces {
@@ -88,7 +88,7 @@ fn hash_traces(traces: &[Trace]) -> u64 {
         h.u32(t.dst);
         h.byte(stop_code(t.stop));
         h.u64(t.hops.len() as u64);
-        for hop in &t.hops {
+        for hop in t.hops {
             match hop {
                 Some(hop) => {
                     h.byte(1);
