@@ -22,7 +22,8 @@
 //! 2. **Extract** (pass 1): workers re-walk their trace shards emitting
 //!    packed, IR-major link keys (`u128`) and interface-major destination
 //!    keys (`u64`), entirely in interned-id space, sorted and deduplicated
-//!    per task.
+//!    per task. Both passes skip exact repeats of a key the task just
+//!    emitted at the source (`RecentKeys`).
 //! 3. **Reduce**: tasks over disjoint IR ranges cut their range out of every
 //!    shard by binary search, sort and deduplicate it, and derive the
 //!    predecessor records it carries; a second pass over interface ranges
@@ -210,6 +211,43 @@ fn task_range(n: usize, t: usize, batch: usize) -> (usize, usize) {
     (t * batch, ((t + 1) * batch).min(n))
 }
 
+/// Log2 of the slot count of a [`RecentKeys`] filter.
+const FILTER_SLOTS_LOG2: u32 = 12;
+
+/// A pool task's direct-mapped table of the keys it emitted last, one per
+/// slot. Most hops re-observe a key seen a few traces earlier (traces from
+/// one VP share their first hops, and toward one destination their last),
+/// so checking the slot drops most repeats before they are pushed, sorted
+/// and deduplicated. Only a key equal to its slot's occupant, an exact
+/// repeat of a key the task already emitted, is dropped: the task's sort
+/// and dedup would drop it anyway, so the filter cannot reach the output.
+///
+/// Keys are addresses, destination keys and link keys, widened to `u128`.
+/// None of them is `u128::MAX`, the empty-slot marker: addresses and
+/// destination keys fit 64 bits, and a link key's label field is never 3.
+struct RecentKeys {
+    slots: Vec<u128>,
+}
+
+impl RecentKeys {
+    fn new() -> Self {
+        RecentKeys {
+            slots: vec![u128::MAX; 1 << FILTER_SLOTS_LOG2],
+        }
+    }
+
+    /// Records `key` in its slot; false when the slot already held it.
+    #[inline]
+    fn admit(&mut self, key: u128) -> bool {
+        let folded = key as u64 ^ (key >> 64) as u64;
+        let slot =
+            (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_SLOTS_LOG2)) as usize;
+        let fresh = self.slots[slot] != key;
+        self.slots[slot] = key;
+        fresh
+    }
+}
+
 impl IrGraph {
     /// Builds the graph from a corpus (§4) on an ad-hoc worker pool sized
     /// from `cfg.threads`, without telemetry.
@@ -263,10 +301,16 @@ impl IrGraph {
                 let (lo, hi) = task_range(traces.len(), t, trace_batch);
                 let mut addrs: Vec<u32> = Vec::new();
                 let mut dsts: Vec<u32> = Vec::new();
+                let mut recent = RecentKeys::new();
                 for t in traces.rows(lo..hi) {
-                    let before = addrs.len();
-                    addrs.extend(t.hops.iter().flatten().map(|h| h.addr));
-                    if addrs.len() > before {
+                    let mut responsive = false;
+                    for h in t.hops.iter().flatten() {
+                        responsive = true;
+                        if recent.admit(h.addr.into()) {
+                            addrs.push(h.addr);
+                        }
+                    }
+                    if responsive {
                         dsts.push(t.dst);
                     }
                 }
@@ -386,7 +430,10 @@ impl IrGraph {
                 let bound = traces.hops(lo..hi).len();
                 let mut links: Vec<u128> = Vec::with_capacity(bound);
                 let mut dest_keys: Vec<u64> = Vec::with_capacity(bound);
+                let mut recent_links = RecentKeys::new();
+                let mut recent_dests = RecentKeys::new();
                 let mut hops: Vec<(u8, u32, ReplyType)> = Vec::new();
+                let mut walked = 0;
                 for t in traces.rows(lo..hi) {
                     hops.clear();
                     hops.extend(t.responsive().map(|(ttl, h)| {
@@ -396,6 +443,7 @@ impl IrGraph {
                     let Some(&(_, _, last_reply)) = hops.last() else {
                         continue;
                     };
+                    walked += hops.len();
                     let d = dst_addrs
                         .binary_search(&t.dst)
                         .expect("trace destination interned");
@@ -406,7 +454,12 @@ impl IrGraph {
                     // last hop, whose "destination" is just the probed address.
                     if dest_asns[rank as usize].is_some() {
                         let n = hops.len() - usize::from(last_reply == ReplyType::EchoReply);
-                        dest_keys.extend(hops[..n].iter().map(|&(_, i, _)| pack_dest(i, rank)));
+                        dest_keys.extend(
+                            hops[..n]
+                                .iter()
+                                .map(|&(_, i, _)| pack_dest(i, rank))
+                                .filter(|&k| recent_dests.admit(k.into())),
+                        );
                     }
 
                     // Links between adjacent responsive hops.
@@ -422,24 +475,40 @@ impl IrGraph {
                         let ox = graph.iface_origin[xi as usize];
                         let oy = graph.iface_origin[yi as usize];
                         let label = link_label(ttl_y - ttl_x, ox, oy, reply_y);
-                        links.push(pack_link(ir_x.0, yi, xi, rank, label));
+                        let key = pack_link(ir_x.0, yi, xi, rank, label);
+                        if recent_links.admit(key) {
+                            links.push(key);
+                        }
                     }
                 }
                 // Sorted shards are what the reduction's binary searches
-                // cut; dedup drops repeats, which only re-feed idempotent
-                // accumulators. Shards live until the reduction ends, so
-                // each gives back the unused tail of its bound (in place).
+                // cut; dedup drops the repeats the filter missed, which only
+                // re-feed idempotent accumulators. Shards live until the
+                // reduction ends, so each gives back the unused tail of its
+                // bound (in place).
+                let emitted = links.len();
                 links.sort_unstable();
                 links.dedup();
                 links.shrink_to_fit();
                 dest_keys.sort_unstable();
                 dest_keys.dedup();
                 dest_keys.shrink_to_fit();
-                (links, dest_keys)
+                (links, dest_keys, walked, emitted)
             },
         );
-        let (link_shards, dest_shards): (Vec<Vec<u128>>, Vec<Vec<u64>>) =
-            obs_shards.into_iter().unzip();
+        let (mut hops_walked, mut link_obs, mut link_keys) = (0, 0, 0);
+        let mut link_shards: Vec<Vec<u128>> = Vec::with_capacity(obs_shards.len());
+        let mut dest_shards: Vec<Vec<u64>> = Vec::with_capacity(obs_shards.len());
+        for (links, dest_keys, walked, emitted) in obs_shards {
+            hops_walked += walked;
+            link_obs += emitted;
+            link_keys += links.len();
+            link_shards.push(links);
+            dest_shards.push(dest_keys);
+        }
+        rec.add_exec(obs::names::EXEC_PHASE1_HOPS, hops_walked as u64);
+        rec.add_exec(obs::names::EXEC_PHASE1_LINK_OBS, link_obs as u64);
+        rec.add_exec(obs::names::EXEC_PHASE1_LINK_KEYS, link_keys as u64);
         drop(span);
 
         // ---- reduction, by IR range: each task cuts its IRs' keys out of
@@ -493,30 +562,45 @@ impl IrGraph {
         // built on pool threads land in those threads' allocator arenas,
         // above the shards' freed memory, which then stays resident; that
         // measured as a 15% higher peak RSS (DESIGN.md §12).
+        //
+        // Each link's sets are bulk-built from sorted, deduplicated scratch
+        // vectors rather than inserted key by key: `pred` ascends within a
+        // run, so its origins need one lookup per distinct interface, and
+        // ranks ascend with the ASN, so sorted ranks map to sorted ASes.
+        let mut origins: Vec<Asn> = Vec::new();
+        let mut ranks: Vec<u32> = Vec::new();
         for keys in link_keys {
             for run in keys.chunk_by(|a, b| a >> 64 == b >> 64) {
                 let (ir, dst, ..) = unpack_link(run[0]);
-                let mut link = Link {
-                    dst: IfIdx(dst),
-                    label: LinkLabel::Multihop,
-                    origins: BTreeSet::new(),
-                    dests: BTreeSet::new(),
-                };
+                let mut label = LinkLabel::Multihop;
+                origins.clear();
+                ranks.clear();
+                let mut last_pred = None;
                 for &key in run {
-                    let (_, _, pred, rank, label) = unpack_link(key);
-                    link.label = link.label.min(label); // keep the highest confidence
-                    let origin = g.iface_origin[pred as usize].asn;
-                    if origin.is_some() {
-                        link.origins.insert(origin);
+                    let (_, _, pred, rank, l) = unpack_link(key);
+                    label = label.min(l); // keep the highest confidence
+                    if last_pred != Some(pred) {
+                        last_pred = Some(pred);
+                        origins.push(g.iface_origin[pred as usize].asn);
                     }
-                    let dest = dest_asns[rank as usize];
-                    if dest.is_some() {
-                        link.dests.insert(dest);
-                    }
+                    ranks.push(rank);
                 }
+                origins.sort_unstable();
+                origins.dedup();
+                ranks.sort_unstable();
+                ranks.dedup();
                 // Runs arrive in ascending (ir, dst) order, so each IR's
                 // link vector comes out sorted by destination interface.
-                g.irs[ir as usize].links.push(link);
+                g.irs[ir as usize].links.push(Link {
+                    dst: IfIdx(dst),
+                    label,
+                    origins: origins.iter().copied().filter(|a| a.is_some()).collect(),
+                    dests: ranks
+                        .iter()
+                        .map(|&r| dest_asns[r as usize])
+                        .filter(|a| a.is_some())
+                        .collect(),
+                });
             }
         }
         g.iface_dests = vec![BTreeSet::new(); n_ifaces];
@@ -1218,6 +1302,100 @@ mod tests {
             preds,
             interner,
             shards,
+        }
+    }
+
+    #[test]
+    fn source_filters_evict_and_refill_without_reaching_the_output() {
+        // More distinct link and destination keys than a filter has slots:
+        // `base` traces of distinct addresses, every trace repeated once
+        // per round in a different order, so slots are overwritten and
+        // re-filled between a key's repeats. At one thread each of the 8
+        // extract tasks walks two whole rounds.
+        let slots = 1usize << FILTER_SLOTS_LOG2;
+        let ttl_span = 20u32;
+        // TTL gaps make Multihop labels; the last TTL always answers.
+        let ttls: Vec<u32> = (0..ttl_span).filter(|h| h % 5 != 2).collect();
+        let base = (2 * slots).div_ceil(ttls.len() - 1) as u32;
+        let trace_of = |t: u32| {
+            let hop_list: Vec<(u8, u32, ReplyType)> = ttls
+                .iter()
+                .map(|&h| {
+                    let addr = a("10.1.0.0") + ((h % 3) << 16) + t * ttl_span + h;
+                    let last = h == ttl_span - 1;
+                    let reply = if last && t.is_multiple_of(4) { ER } else { TE };
+                    (h as u8 + 1, addr, reply)
+                })
+                .collect();
+            tr(a("10.1.0.0") + ((t % 3) << 16) + 0xF000 + t % 61, &hop_list)
+        };
+        let rounds = 16u32;
+        let mut traces = Vec::new();
+        for r in 0..rounds {
+            let mut order: Vec<u32> = (0..base).collect();
+            order.sort_by_key(|&i| (i ^ r.wrapping_mul(0x9E37_79B9)).wrapping_mul(0x85EB_CA6B));
+            traces.extend(order.into_iter().map(trace_of));
+        }
+        let aliases = AliasSets::from_groups((0..6).map(|t| {
+            BTreeSet::from([
+                a("10.1.0.0") + t * ttl_span,
+                a("10.1.0.0") + (t + 1) * ttl_span + 3,
+            ])
+        }));
+        let mut rels = AsRelationships::new();
+        rels.add_p2c(Asn(1), Asn(2));
+        let cones = CustomerCones::compute(&rels);
+        let want = oracle_build(&traces, &aliases, &oracle(), &rels, &cones);
+        let corpus: Corpus = traces.iter().cloned().collect();
+        for threads in [1usize, 2, 8] {
+            let cfg = Config {
+                threads,
+                ..Config::default()
+            };
+            let rec = obs::Recorder::new(false);
+            let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
+            let g = IrGraph::build_in_pool(
+                &corpus,
+                &aliases,
+                &oracle(),
+                &cfg,
+                &rels,
+                &cones,
+                &wp,
+                &rec,
+            );
+            assert_eq!(g.interner, want.interner, "threads={threads}");
+            assert_eq!(g.iface_ir, want.iface_ir, "threads={threads}");
+            assert_eq!(g.iface_dests, want.iface_dests, "threads={threads}");
+            assert_eq!(g.preds, want.preds, "threads={threads}");
+            assert_eq!(
+                serde_json::to_string(&g.irs).unwrap(),
+                serde_json::to_string(&want.irs).unwrap(),
+                "threads={threads}"
+            );
+            if threads == 1 {
+                // The filter dropped repeats, and evicted keys came back:
+                // between every link observation and the kept keys.
+                let unfiltered: usize = traces
+                    .iter()
+                    .map(|t| {
+                        let irs: Vec<_> =
+                            t.responsive().map(|(_, h)| g.ir_of_addr(h.addr)).collect();
+                        irs.windows(2).filter(|w| w[0] != w[1]).count()
+                    })
+                    .sum();
+                let exec = rec.report().exec;
+                let (obs, keys) = (
+                    exec[obs::names::EXEC_PHASE1_LINK_OBS],
+                    exec[obs::names::EXEC_PHASE1_LINK_KEYS],
+                );
+                assert!(keys < obs, "no evicted key was re-emitted: {keys} vs {obs}");
+                assert!(
+                    obs < unfiltered as u64,
+                    "no repeat was filtered: {obs} vs {unfiltered}"
+                );
+                assert!(keys as usize > slots, "fewer kept keys than slots: {keys}");
+            }
         }
     }
 

@@ -168,6 +168,17 @@ pub const EXEC_POOL_BUSY_REFINE: &str = "pool.busy_us.refine";
 /// Aggregate pool worker busy time in detlint's phase-A file scan,
 /// microseconds.
 pub const EXEC_POOL_BUSY_DETLINT: &str = "pool.busy_us.detlint";
+/// Responsive hops the phase-1 extract pass walked. The same at every
+/// thread count, but reported beside the two filter counters below rather
+/// than among the deterministic counters that run-report hashes cover.
+pub const EXEC_PHASE1_HOPS: &str = "phase1.hops";
+/// Link keys the phase-1 extract pass emitted past its per-task filter of
+/// recent keys. Execution-dependent: what the filter drops depends on how
+/// the corpus is split into tasks.
+pub const EXEC_PHASE1_LINK_OBS: &str = "phase1.link_obs";
+/// Link keys the phase-1 extract tasks kept after their per-task sort and
+/// dedup (a key seen by two tasks counts twice).
+pub const EXEC_PHASE1_LINK_KEYS: &str = "phase1.link_keys";
 /// Connections accepted by the query server. Traffic-driven, so every
 /// serve counter is execution-dependent by construction.
 pub const EXEC_SERVE_CONNECTIONS: &str = "serve.connections";
