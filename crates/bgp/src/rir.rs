@@ -141,7 +141,8 @@ impl DelegationTable {
     /// [`Self::to_extended_format`] (and by the real RIR files, for the
     /// record types we consume). Unknown record types, summary lines, and
     /// comments are skipped. Non-CIDR-aligned ipv4 blocks are split into
-    /// maximal CIDR blocks, as CAIDA's tooling does.
+    /// maximal CIDR blocks, as CAIDA's tooling does; a block running past
+    /// `255.255.255.255` is an error.
     pub fn parse_extended_format(text: &str) -> Result<Self, String> {
         let mut table = DelegationTable::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -183,6 +184,12 @@ impl DelegationTable {
                     let count: u64 = fields[4]
                         .parse()
                         .map_err(|_| format!("line {}: bad count", lineno + 1))?;
+                    if count > IPV4_SPACE - u64::from(start) {
+                        return Err(format!(
+                            "line {}: ipv4 range past 255.255.255.255",
+                            lineno + 1
+                        ));
+                    }
                     for prefix in cidr_cover(start, count) {
                         table.add_ipv4(Ipv4Record {
                             registry,
@@ -198,9 +205,22 @@ impl DelegationTable {
     }
 }
 
+/// Size of the IPv4 address space.
+const IPV4_SPACE: u64 = 1 << 32;
+
 /// Decomposes an arbitrary `[start, start+count)` address range into maximal
 /// CIDR blocks.
+///
+/// # Panics
+///
+/// If the range runs past `255.255.255.255` (`start + count > 2³²`): it
+/// has no CIDR cover. Callers with untrusted input check the bound first,
+/// as [`DelegationTable::parse_extended_format`] does.
 pub fn cidr_cover(start: u32, count: u64) -> Vec<Prefix> {
+    assert!(
+        count <= IPV4_SPACE - u64::from(start),
+        "range of {count} addresses from {start:#010x} runs past 255.255.255.255"
+    );
     let mut out = Vec::new();
     let mut cur = start as u64;
     let end = start as u64 + count;
@@ -334,6 +354,45 @@ arin||ipv4|*|summary
         let t = DelegationTable::parse_extended_format(text).unwrap();
         assert_eq!(t.ipv4_count(), 1);
         assert_eq!(t.asns.len(), 1);
+    }
+
+    #[test]
+    fn cidr_cover_reaches_the_top_of_the_space() {
+        assert_eq!(cidr_cover(0, 1 << 32), vec![Prefix::DEFAULT]);
+        assert_eq!(cidr_cover(0xffff_ff00, 256), vec![p("255.255.255.0/24")]);
+        assert!(cidr_cover(0xffff_ffff, 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past 255.255.255.255")]
+    fn cidr_cover_rejects_a_range_past_the_space() {
+        cidr_cover(0xffff_ff00, 512);
+    }
+
+    #[test]
+    fn parse_rejects_ranges_past_the_space() {
+        for record in [
+            "arin|US|ipv4|0.0.0.0|17179869184|20200101|allocated|org1",
+            "arin|US|ipv4|0.0.0.0|18446744073709551615|20200101|allocated|org1",
+            "arin|US|ipv4|255.255.255.0|512|20200101|allocated|org1",
+        ] {
+            let text = format!("# header\n{record}\n");
+            assert_eq!(
+                DelegationTable::parse_extended_format(&text).unwrap_err(),
+                "line 2: ipv4 range past 255.255.255.255",
+                "{record}"
+            );
+        }
+        let whole = "arin|US|ipv4|0.0.0.0|4294967296|20200101|allocated|org1\n";
+        let t = DelegationTable::parse_extended_format(whole).unwrap();
+        assert_eq!(
+            t.ipv4,
+            vec![Ipv4Record {
+                registry: Registry::Arin,
+                prefix: Prefix::DEFAULT,
+                org: "org1".into(),
+            }]
+        );
     }
 
     #[test]

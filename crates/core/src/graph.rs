@@ -3,9 +3,10 @@
 //! Inferred routers (IRs) come from alias sets; addresses without alias
 //! information become singleton IRs. Links run from an IR to the interface
 //! seen next in a traceroute, labelled with the N/E/M confidence of Table 3,
-//! and carry the origin-AS set `L(IRᵢ, j)` (§4.3) and the per-link
-//! destination ASes the third-party test needs (§6.1.1). Per-IR destination
-//! AS sets apply the reallocated-prefix filter of §4.4.
+//! and carry the origin-AS set `L(IRᵢ, j)` (§4.3) and the one bit the
+//! third-party test needs (§6.1.1): whether any trace crossing the link was
+//! destined to the far interface's origin AS. Per-IR destination AS sets
+//! apply the reallocated-prefix filter of §4.4.
 //!
 //! # Parallel two-pass build (DESIGN.md §12, pool scheduling §13)
 //!
@@ -17,8 +18,7 @@
 //!    [`AddrInterner`], whose ids are *canonical* (ascending address order)
 //!    regardless of which shard saw an address first, and a sorted table of
 //!    distinct destinations. `IfIdx(i)` and interner id `i` are the same
-//!    number. Each destination's AS is looked up once and ranked among the
-//!    distinct destination ASes.
+//!    number. Each destination's AS is looked up once.
 //! 2. **Extract** (pass 1): workers re-walk their trace shards emitting
 //!    packed, IR-major link keys (`u128`) and interface-major destination
 //!    keys (`u64`), entirely in interned-id space, sorted and deduplicated
@@ -31,9 +31,9 @@
 //!    The calling thread then folds the sorted ranges, in range order, into
 //!    links, destination sets and predecessor maps. Each range's sorted keys
 //!    depend only on the set of keys in it, and every accumulator is
-//!    order-insensitive — link label by `min`, origin/destination/
-//!    predecessor collections are sets — so neither the shard nor the range
-//!    split can reach the output.
+//!    order-insensitive — link label by `min`, the probed bit by `or`,
+//!    origin/destination/predecessor collections are sets — so neither the
+//!    shard nor the range split can reach the output.
 //! 4. **Annotate** (per-IR metadata): workers process disjoint IR ranges
 //!    with private [`RelQueryCache`]s (hit/miss tallies merged in worker
 //!    order), and results are written back in IR order.
@@ -80,9 +80,10 @@ pub struct Link {
     /// `L(IRᵢ, j)`: origin ASes of the IR's interfaces seen immediately
     /// prior to `dst` in a traceroute (§4.3).
     pub origins: BTreeSet<Asn>,
-    /// Destination ASes of the traces whose `IR → dst` segment created this
-    /// link (the third-party test consults these, §6.1.1).
-    pub dests: BTreeSet<Asn>,
+    /// Some trace whose `IR → dst` segment created this link was destined
+    /// to `dst`'s (announced) origin AS. The third-party test (§6.1.1) asks
+    /// nothing else of the link's destination ASes.
+    pub dst_origin_probed: bool,
 }
 
 /// One inferred router.
@@ -126,28 +127,26 @@ pub struct IrGraph {
     pub shards: ShardPlan,
 }
 
-/// Width of the destination-AS rank field of a packed link key.
-const DEST_RANK_BITS: u32 = 30;
-
 /// One link observation from a single adjacent-hop pair, packed IR-major
-/// into a `u128`: `ir:32 | dst:32 | pred:32 | dest_rank:30 | label:2`.
+/// into a `u128`: `ir:32 | dst:32 | pred:32 | 0:29 | probed:1 | label:2`.
 /// `ir` is the prior hop's IR, `dst` the next hop's interface, `pred` the
 /// prior interface (its origin is `iface_origin[pred]`, so the origin needs
-/// no field), `dest_rank` the rank of the trace's destination AS, and
-/// `label` the Table 3 label of this one observation. Sorting keys groups
-/// them by `(ir, dst)`, the grouping key of the reduction; the other fields
-/// only feed order-insensitive accumulators.
-fn pack_link(ir: u32, dst: u32, pred: u32, dest_rank: u32, label: LinkLabel) -> u128 {
-    debug_assert!(dest_rank < 1 << DEST_RANK_BITS);
+/// no field), `probed` whether the trace was destined to `dst`'s announced
+/// origin AS, and `label` the Table 3 label of this one observation.
+/// Sorting keys groups them by `(ir, dst)`, the grouping key of the
+/// reduction; the other fields only feed order-insensitive accumulators.
+/// A `(ir, dst, pred)` triple has at most six keys, whatever the number of
+/// destination ASes behind it.
+fn pack_link(ir: u32, dst: u32, pred: u32, probed: bool, label: LinkLabel) -> u128 {
     (ir as u128) << 96
         | (dst as u128) << 64
         | (pred as u128) << 32
-        | (dest_rank as u128) << 2
+        | (probed as u128) << 2
         | label as u128
 }
 
-/// Inverse of [`pack_link`]: `(ir, dst, pred, dest_rank, label)`.
-fn unpack_link(key: u128) -> (u32, u32, u32, u32, LinkLabel) {
+/// Inverse of [`pack_link`]: `(ir, dst, pred, probed, label)`.
+fn unpack_link(key: u128) -> (u32, u32, u32, bool, LinkLabel) {
     let label = match key & 3 {
         0 => LinkLabel::Nexthop,
         1 => LinkLabel::Echo,
@@ -157,15 +156,15 @@ fn unpack_link(key: u128) -> (u32, u32, u32, u32, LinkLabel) {
         (key >> 96) as u32,
         (key >> 64) as u32,
         (key >> 32) as u32,
-        (key as u32) >> 2,
+        key & 4 != 0,
         label,
     )
 }
 
-/// One destination observation, `iface:32 | dest_rank:32`: the interface
-/// saw a trace toward the ranked destination AS.
-fn pack_dest(iface: u32, dest_rank: u32) -> u64 {
-    (iface as u64) << 32 | dest_rank as u64
+/// One destination observation, `iface:32 | dest_as:32`: the interface saw
+/// a trace toward the destination AS.
+fn pack_dest(iface: u32, dest_as: Asn) -> u64 {
+    (iface as u64) << 32 | dest_as.0 as u64
 }
 
 /// One predecessor record from the link reduction, interface-major:
@@ -336,9 +335,7 @@ impl IrGraph {
 
         // Origin resolution per interface and per destination: independent
         // longest-prefix lookups, sharded over each id space and rejoined in
-        // id order. Destination ASes are then ranked (ascending ASN, so
-        // `Asn::NONE` ranks first when present): a rank fits the 30-bit
-        // field of a link key, since there are no more ranks than traces.
+        // id order.
         let span = rec.span(obs::names::PHASE1_ORIGINS);
         let iface_addrs = &g.iface_addrs;
         let iface_batch = wp.batch_size(n_ifaces);
@@ -367,17 +364,6 @@ impl IrGraph {
             },
         );
         let dst_as: Vec<Asn> = dst_shards.into_iter().flatten().collect();
-        let mut dest_asns = dst_as.clone();
-        dest_asns.sort_unstable();
-        dest_asns.dedup();
-        assert!(
-            dest_asns.len() < 1 << DEST_RANK_BITS,
-            "destination AS ranks overflow the link key"
-        );
-        let dst_rank: Vec<u32> = dst_as
-            .iter()
-            .map(|a| dest_asns.binary_search(a).expect("ranked AS") as u32)
-            .collect();
         g.iface_ir = vec![IrId(u32::MAX); n_ifaces];
         drop(span);
 
@@ -447,17 +433,17 @@ impl IrGraph {
                     let d = dst_addrs
                         .binary_search(&t.dst)
                         .expect("trace destination interned");
-                    let rank = dst_rank[d];
+                    let dest_as = dst_as[d];
 
                     // Destination AS sets (§4.4): every responding interface
                     // records the trace's destination AS — except an Echo Reply
                     // last hop, whose "destination" is just the probed address.
-                    if dest_asns[rank as usize].is_some() {
+                    if dest_as.is_some() {
                         let n = hops.len() - usize::from(last_reply == ReplyType::EchoReply);
                         dest_keys.extend(
                             hops[..n]
                                 .iter()
-                                .map(|&(_, i, _)| pack_dest(i, rank))
+                                .map(|&(_, i, _)| pack_dest(i, dest_as))
                                 .filter(|&k| recent_dests.admit(k.into())),
                         );
                     }
@@ -475,7 +461,8 @@ impl IrGraph {
                         let ox = graph.iface_origin[xi as usize];
                         let oy = graph.iface_origin[yi as usize];
                         let label = link_label(ttl_y - ttl_x, ox, oy, reply_y);
-                        let key = pack_link(ir_x.0, yi, xi, rank, label);
+                        let probed = dest_as.is_some() && dest_as == oy.asn;
+                        let key = pack_link(ir_x.0, yi, xi, probed, label);
                         if recent_links.admit(key) {
                             links.push(key);
                         }
@@ -563,43 +550,36 @@ impl IrGraph {
         // above the shards' freed memory, which then stays resident; that
         // measured as a 15% higher peak RSS (DESIGN.md §12).
         //
-        // Each link's sets are bulk-built from sorted, deduplicated scratch
-        // vectors rather than inserted key by key: `pred` ascends within a
-        // run, so its origins need one lookup per distinct interface, and
-        // ranks ascend with the ASN, so sorted ranks map to sorted ASes.
+        // Each link's origin set is bulk-built from a sorted, deduplicated
+        // scratch vector rather than inserted key by key: `pred` ascends
+        // within a run, so its origins need one lookup per distinct
+        // interface.
         let mut origins: Vec<Asn> = Vec::new();
-        let mut ranks: Vec<u32> = Vec::new();
         for keys in link_keys {
             for run in keys.chunk_by(|a, b| a >> 64 == b >> 64) {
                 let (ir, dst, ..) = unpack_link(run[0]);
                 let mut label = LinkLabel::Multihop;
+                let mut dst_origin_probed = false;
                 origins.clear();
-                ranks.clear();
                 let mut last_pred = None;
                 for &key in run {
-                    let (_, _, pred, rank, l) = unpack_link(key);
+                    let (_, _, pred, probed, l) = unpack_link(key);
                     label = label.min(l); // keep the highest confidence
+                    dst_origin_probed |= probed;
                     if last_pred != Some(pred) {
                         last_pred = Some(pred);
                         origins.push(g.iface_origin[pred as usize].asn);
                     }
-                    ranks.push(rank);
                 }
                 origins.sort_unstable();
                 origins.dedup();
-                ranks.sort_unstable();
-                ranks.dedup();
                 // Runs arrive in ascending (ir, dst) order, so each IR's
                 // link vector comes out sorted by destination interface.
                 g.irs[ir as usize].links.push(Link {
                     dst: IfIdx(dst),
                     label,
                     origins: origins.iter().copied().filter(|a| a.is_some()).collect(),
-                    dests: ranks
-                        .iter()
-                        .map(|&r| dest_asns[r as usize])
-                        .filter(|a| a.is_some())
-                        .collect(),
+                    dst_origin_probed,
                 });
             }
         }
@@ -608,7 +588,7 @@ impl IrGraph {
         for (dest_keys, pred_keys) in per_iface {
             for run in dest_keys.chunk_by(|a, b| a >> 32 == b >> 32) {
                 g.iface_dests[(run[0] >> 32) as usize] =
-                    run.iter().map(|&k| dest_asns[k as u32 as usize]).collect();
+                    run.iter().map(|&k| Asn(k as u32)).collect();
             }
             // Predecessor maps for §6.2 interface voting.
             for run in pred_keys.chunk_by(|a, b| a >> 64 == b >> 64) {
@@ -1111,27 +1091,28 @@ mod tests {
 
     #[test]
     fn keys_pack_and_unpack_at_the_extremes() {
-        let max_rank = (1u32 << DEST_RANK_BITS) - 1;
         let ids = [0, 1, u32::MAX - 1, u32::MAX];
         for label in [LinkLabel::Nexthop, LinkLabel::Echo, LinkLabel::Multihop] {
             for (ir, dst, pred) in [(0, 0, 0), (u32::MAX, u32::MAX, u32::MAX), (u32::MAX, 0, 1)] {
-                for rank in [0, 1, max_rank] {
-                    let key = pack_link(ir, dst, pred, rank, label);
-                    assert_eq!(unpack_link(key), (ir, dst, pred, rank, label));
+                for probed in [false, true] {
+                    let key = pack_link(ir, dst, pred, probed, label);
+                    assert_eq!(unpack_link(key), (ir, dst, pred, probed, label));
+                    assert_ne!(key, u128::MAX, "the filter's empty-slot marker");
                 }
             }
         }
         // IR-major, then destination interface; within one observation the
         // label's numeric order is its confidence order.
-        let top = pack_link(0, u32::MAX, u32::MAX, max_rank, LinkLabel::Multihop);
-        assert!(top < pack_link(1, 0, 0, 0, LinkLabel::Nexthop));
-        assert!(pack_link(7, 7, 7, 7, LinkLabel::Nexthop) < pack_link(7, 7, 7, 7, LinkLabel::Echo));
-        assert!(
-            pack_link(7, 7, 7, 7, LinkLabel::Echo) < pack_link(7, 7, 7, 7, LinkLabel::Multihop)
-        );
+        let top = pack_link(0, u32::MAX, u32::MAX, true, LinkLabel::Multihop);
+        assert!(top < pack_link(1, 0, 0, false, LinkLabel::Nexthop));
+        for probed in [false, true] {
+            let key = |l| pack_link(7, 7, 7, probed, l);
+            assert!(key(LinkLabel::Nexthop) < key(LinkLabel::Echo));
+            assert!(key(LinkLabel::Echo) < key(LinkLabel::Multihop));
+        }
         for &i in &ids {
             for &r in &ids {
-                let key = pack_dest(i, r);
+                let key = pack_dest(i, Asn(r));
                 assert_eq!(((key >> 32) as u32, key as u32), (i, r));
             }
             let key = pack_pred(i, u32::MAX, i);
@@ -1143,7 +1124,7 @@ mod tests {
         // The range cut reaches the largest id, whose upper bound is 2³²,
         // and a key held by two shards is gathered once.
         let last_ir = top | (u128::from(u32::MAX) << 96);
-        let first = pack_link(3, 0, 0, 0, LinkLabel::Echo);
+        let first = pack_link(3, 0, 0, false, LinkLabel::Echo);
         let shards = vec![vec![first, last_ir], vec![last_ir]];
         let ir_major = |k: u128| (k >> 96) as usize;
         assert_eq!(
@@ -1168,7 +1149,9 @@ mod tests {
 
     /// Serial oracle for the whole build: interner, origins and IR
     /// numbering written out directly, then every [`LinkObs`] of the corpus
-    /// in one vector, sorted, and folded in runs of equal `(ir, dst)`.
+    /// in one vector, sorted, and folded in runs of equal `(ir, dst)`. Each
+    /// link's destination-AS set is built whole, as the build kept it before
+    /// the third-party bit replaced it, and the bit is derived from it.
     fn oracle_build(
         traces: &[Trace],
         aliases: &AliasSets,
@@ -1262,21 +1245,23 @@ mod tests {
                 dst: IfIdx(dst),
                 label: run[0].label,
                 origins: BTreeSet::new(),
-                dests: BTreeSet::new(),
+                dst_origin_probed: false,
             };
+            let mut dests: BTreeSet<Asn> = BTreeSet::new();
             for o in run {
                 link.label = link.label.min(o.label);
                 if o.origin.is_some() {
                     link.origins.insert(o.origin);
                 }
                 if o.dest.is_some() {
-                    link.dests.insert(o.dest);
+                    dests.insert(o.dest);
                 }
                 preds[dst as usize]
                     .entry(IrId(ir))
                     .or_default()
                     .insert(IfIdx(o.pred));
             }
+            link.dst_origin_probed = dests.contains(&iface_origin[dst as usize].asn);
             irs[ir as usize].links.push(link);
         }
 

@@ -19,6 +19,7 @@ use crate::refine::shard::Shard;
 use crate::refine::{interface, router};
 use crate::{AnnotationState, Config};
 use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
+use net_types::Asn;
 use std::collections::HashSet;
 
 /// Seed of the convergence hash. Fixed (rather than `DefaultHasher`'s
@@ -64,13 +65,43 @@ impl ShardHasher {
     }
 }
 
+/// The buffers one election works in, owned by the sweep and reused by
+/// every router and interface election of it, so an election allocates
+/// only while a buffer grows past its longest use so far. Each election
+/// clears what it uses first: nothing carries over between elections.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// Per link of the IR: its vote, `None` for no vote (Alg. 2 lines 3–8).
+    pub link_votes: Vec<Option<Asn>>,
+    /// Every vote cast, link votes and interface origins, sorted.
+    pub votes: Vec<Asn>,
+    /// `votes` run-length counted: `(ASN, count)`, ascending by ASN.
+    pub tally: Vec<(Asn, u64)>,
+    /// `(vote, link index)` per link that voted, sorted by vote.
+    pub by_vote: Vec<(Asn, u32)>,
+    /// The distinct link votes, ascending.
+    pub link_vote_ases: Vec<Asn>,
+    /// Link-vote ASes outside the IR's origins that the restricted
+    /// election admits (Alg. 2 line 11), ascending.
+    pub admitted: Vec<Asn>,
+    /// The origins behind the winning link votes (hidden-AS check).
+    pub vote_origins: Vec<Asn>,
+    /// Link indices of the reallocated-prefix candidates (§6.1.2).
+    pub realloc_cand: Vec<u32>,
+    /// Interface election (§6.2): `(annotation, prior interfaces)` pairs,
+    /// merged to one per annotation.
+    pub iface_votes: Vec<(Asn, u64)>,
+}
+
 /// Read-only context threaded through the annotation routines: the graph,
-/// the configuration, the memoized relationship/cone cache, and the
-/// write-only telemetry (nothing here reads the sheet or the tracer).
+/// the configuration, the memoized relationship/cone cache, the elections'
+/// scratch buffers, and the write-only telemetry (nothing here reads the
+/// sheet or the tracer).
 pub(crate) struct SweepCtx<'a> {
     pub graph: &'a IrGraph,
     pub cfg: &'a Config,
     pub cache: RelQueryCache<'a>,
+    pub scratch: Scratch,
     pub sheet: obs::MetricSheet,
     pub tracer: obs::WorkerTracer,
 }
@@ -89,6 +120,7 @@ impl<'a> SweepCtx<'a> {
             graph,
             cfg,
             cache: RelQueryCache::new(rels, cones),
+            scratch: Scratch::default(),
             sheet: obs::MetricSheet::new(),
             tracer: rec.tracer().worker(obs::names::TRACK_REFINE_WORKER, 0),
         }
@@ -139,11 +171,7 @@ pub fn refine(
         .add(names::REFINE_SHARDS, plan.shards.len() as u64);
     ctx.sheet.add(
         names::REFINE_ROUTERS_ANNOTATED,
-        state
-            .router
-            .iter()
-            .filter(|a| **a != net_types::Asn::NONE)
-            .count() as u64,
+        state.router.iter().filter(|a| **a != Asn::NONE).count() as u64,
     );
     ctx.finish(rec);
 }

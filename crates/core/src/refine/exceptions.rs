@@ -14,29 +14,31 @@
 
 use crate::graph::Ir;
 use as_rel::{AsRelationships, Relationship};
-use net_types::{Asn, Counter};
-use std::collections::BTreeSet;
+use net_types::Asn;
 
-/// Checks the exceptions given the post-correction link votes and the full
-/// vote counter (links + interface votes). Returns the exceptional
-/// annotation if one applies.
+/// Checks the exceptions given the distinct post-correction link votes
+/// (ascending) and the full vote tally (links + interface votes, `(ASN,
+/// count)` ascending by ASN). Returns the exceptional annotation if one
+/// applies.
 pub fn check_exceptions(
     ir: &Ir,
-    link_vote_ases: &BTreeSet<Asn>,
-    all_votes: &Counter<Asn>,
+    link_vote_ases: &[Asn],
+    all_votes: &[(Asn, u64)],
     rels: &AsRelationships,
 ) -> Option<Asn> {
     // ---- multihomed customer ----
-    if link_vote_ases.len() == 1 {
-        let s = *link_vote_ases.iter().next().expect("one element");
+    if let [s] = *link_vote_ases {
         if ir.origins.iter().any(|&o| rels.is_customer(s, o)) {
             return Some(s);
         }
     }
 
     let vote_guard = |candidate: Asn| -> bool {
-        let max = all_votes.max_count();
-        max == 0 || all_votes.get(&candidate) * 2 >= max
+        let max = all_votes.iter().map(|&(_, n)| n).max().unwrap_or(0);
+        let votes = all_votes
+            .binary_search_by_key(&candidate, |&(a, _)| a)
+            .map_or(0, |k| all_votes[k].1);
+        max == 0 || votes * 2 >= max
     };
 
     // ---- multiple peers/providers, single-origin form ----
@@ -55,8 +57,8 @@ pub fn check_exceptions(
     }
 
     // ---- mirror image: many origins, one subsequent AS above them all ----
-    if ir.origins.len() >= 2 && link_vote_ases.len() == 1 {
-        let s = *link_vote_ases.iter().next().expect("one element");
+    if let ([s], 2..) = (link_vote_ases, ir.origins.len()) {
+        let s = *s;
         let above_all = ir.origins.iter().all(|&o| {
             s != o
                 && matches!(
@@ -76,6 +78,7 @@ pub fn check_exceptions(
 mod tests {
     use super::*;
     use crate::graph::IrId;
+    use std::collections::BTreeSet;
 
     fn ir(origins: &[u32]) -> Ir {
         Ir {
@@ -87,17 +90,20 @@ mod tests {
         }
     }
 
-    fn set(v: &[u32]) -> BTreeSet<Asn> {
+    fn set(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|&a| Asn(a)).collect()
+    }
+
+    /// A vote tally from `(ASN, count)` pairs in ascending ASN order.
+    fn tally(v: &[(u32, u64)]) -> Vec<(Asn, u64)> {
+        v.iter().map(|&(a, n)| (Asn(a), n)).collect()
     }
 
     #[test]
     fn multihomed_customer_selected() {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(10), Asn(20)); // 20 is a customer of origin 10
-        let mut votes = Counter::new();
-        votes.add_n(Asn(10), 3); // provider out-votes...
-        votes.add_n(Asn(20), 1);
+        let votes = tally(&[(10, 3), (20, 1)]); // provider out-votes...
         let got = check_exceptions(&ir(&[10]), &set(&[20]), &votes, &rels);
         assert_eq!(got, Some(Asn(20)));
     }
@@ -105,7 +111,7 @@ mod tests {
     #[test]
     fn multihomed_requires_relationship() {
         let rels = AsRelationships::new();
-        let votes = Counter::new();
+        let votes = tally(&[]);
         assert_eq!(
             check_exceptions(&ir(&[10]), &set(&[20]), &votes, &rels),
             None
@@ -117,10 +123,8 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(20), Asn(10));
         rels.add_p2p(Asn(30), Asn(10));
-        let mut votes = Counter::new();
-        votes.add_n(Asn(20), 2);
-        votes.add_n(Asn(30), 2);
-        votes.add_n(Asn(10), 2); // origin has exactly half the max
+        // The origin has exactly half the max.
+        let votes = tally(&[(10, 2), (20, 2), (30, 2)]);
         let got = check_exceptions(&ir(&[10]), &set(&[20, 30]), &votes, &rels);
         assert_eq!(got, Some(Asn(10)));
     }
@@ -130,10 +134,7 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(20), Asn(10));
         rels.add_p2p(Asn(30), Asn(10));
-        let mut votes = Counter::new();
-        votes.add_n(Asn(20), 5);
-        votes.add_n(Asn(30), 1);
-        votes.add_n(Asn(10), 1); // less than half of 5
+        let votes = tally(&[(10, 1), (20, 5), (30, 1)]); // 10: under half of 5
         assert_eq!(
             check_exceptions(&ir(&[10]), &set(&[20, 30]), &votes, &rels),
             None
@@ -145,9 +146,7 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(30), Asn(10));
         rels.add_p2p(Asn(30), Asn(11));
-        let mut votes = Counter::new();
-        votes.add_n(Asn(30), 2);
-        votes.add_n(Asn(10), 2);
+        let votes = tally(&[(10, 2), (30, 2)]);
         let got = check_exceptions(&ir(&[10, 11]), &set(&[30]), &votes, &rels);
         assert_eq!(got, Some(Asn(30)));
     }
@@ -157,7 +156,7 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(20), Asn(10));
         rels.add_p2c(Asn(10), Asn(30)); // 30 is a CUSTOMER of the origin
-        let votes = Counter::new();
+        let votes = tally(&[]);
         assert_eq!(
             check_exceptions(&ir(&[10]), &set(&[20, 30]), &votes, &rels),
             None

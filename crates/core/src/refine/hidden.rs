@@ -11,16 +11,16 @@
 use crate::graph::Ir;
 use as_rel::AsRelationships;
 use net_types::Asn;
-use std::collections::BTreeSet;
 
 /// If `selected` has a relationship with an IR origin AS, keeps it.
 /// Otherwise searches for a unique bridging AS between the origin side
-/// (`ir.origins` ∪ the link origin sets behind the winning votes) and
-/// `selected`; a unique bridge replaces the selection.
+/// (`ir.origins` ∪ `vote_origins`, the link origins behind the winning
+/// votes, in any order and with repeats) and `selected`; a unique bridge
+/// replaces the selection.
 pub fn check_hidden_as(
     ir: &Ir,
     selected: Asn,
-    vote_origins: &BTreeSet<Asn>,
+    vote_origins: &[Asn],
     rels: &AsRelationships,
 ) -> Asn {
     if ir
@@ -30,21 +30,15 @@ pub fn check_hidden_as(
     {
         return selected;
     }
-    let origin_side: BTreeSet<Asn> = ir
-        .origins
-        .iter()
-        .chain(vote_origins.iter())
-        .copied()
-        .filter(|&o| o != selected)
-        .collect();
-    let mut bridges: BTreeSet<Asn> = BTreeSet::new();
-    for p in rels.providers_of(selected) {
-        if origin_side.iter().any(|&o| rels.is_customer(p, o)) {
-            bridges.insert(p);
-        }
-    }
-    let mut it = bridges.into_iter();
-    match (it.next(), it.next()) {
+    let origin_side = || {
+        let side = ir.origins.iter().chain(vote_origins).copied();
+        side.filter(|&o| o != selected)
+    };
+    // `providers_of` yields each provider once, so the bridges are distinct.
+    let mut bridges = rels
+        .providers_of(selected)
+        .filter(|&p| origin_side().any(|o| rels.is_customer(p, o)));
+    match (bridges.next(), bridges.next()) {
         (Some(bridge), None) => bridge,
         _ => selected,
     }
@@ -54,6 +48,7 @@ pub fn check_hidden_as(
 mod tests {
     use super::*;
     use crate::graph::IrId;
+    use std::collections::BTreeSet;
 
     fn ir(origins: &[u32]) -> Ir {
         Ir {
@@ -65,7 +60,7 @@ mod tests {
         }
     }
 
-    fn set(v: &[u32]) -> BTreeSet<Asn> {
+    fn set(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|&a| Asn(a)).collect()
     }
 

@@ -9,12 +9,13 @@
 //! The unit of reuse is the shard, and the key is a **shard fingerprint**:
 //! a stable FNV-1a hash over *everything the refinement loop reads* for
 //! that shard — per-IR link structure, labels, origin/destination sets,
-//! per-interface origin resolution, addresses, predecessor votes, the
-//! post-last-hop initial annotations, and the frozen bits. Indices are
-//! relativized to the shard (an IR is hashed as its position in
-//! `shard.irs`, an interface as its position in `shard.ifaces`, and
-//! predecessor interfaces by their addresses), so a shard keeps its
-//! fingerprint when unrelated graph growth shifts the global index space.
+//! third-party bits, per-interface origin resolution, addresses,
+//! predecessor votes, the post-last-hop initial annotations, and the frozen
+//! bits. Indices are relativized to the shard (an IR is hashed as its
+//! position in `shard.irs`, an interface as its position in
+//! `shard.ifaces`, and predecessor interfaces by their addresses), so a
+//! shard keeps its fingerprint when unrelated graph growth shifts the
+//! global index space.
 //!
 //! Because the per-shard convergence loop is a pure function of exactly
 //! those inputs (plus the relationship table and the heuristic
@@ -165,10 +166,7 @@ fn shard_fingerprint(graph: &IrGraph, state: &AnnotationState, shard: &Shard) ->
             for a in &link.origins {
                 h.write_u32(a.0);
             }
-            h.write_u64(link.dests.len() as u64);
-            for a in &link.dests {
-                h.write_u32(a.0);
-            }
+            h.write_u32(u32::from(link.dst_origin_probed));
         }
     }
     for &j in &shard.ifaces {

@@ -11,7 +11,7 @@
 use crate::refine::engine::SweepCtx;
 use crate::AnnotationState;
 use bgp::OriginKind;
-use net_types::{Asn, Counter};
+use net_types::Asn;
 
 /// Computes the new annotation of one interface from the router
 /// annotations, or `None` to keep the current value. Reads no interface
@@ -39,32 +39,39 @@ pub(crate) fn annotate_iface_one(
         return Some(origin.asn);
     }
     // Fig. 13b/13c: vote among connected IRs, one vote per interface of
-    // theirs seen immediately prior to this one.
-    let mut v: Counter<Asn> = Counter::new();
+    // theirs seen immediately prior to this one. The pairs are merged to
+    // one per annotation in the sweep's scratch buffer.
+    let v = &mut ctx.scratch.iface_votes;
+    v.clear();
     for (pred_ir, prior_ifaces) in &graph.preds[idx] {
         let ann = state.router[pred_ir.0 as usize];
-        if ann.is_some() {
-            v.add_n(ann, prior_ifaces.len() as u64);
+        if ann.is_some() && !prior_ifaces.is_empty() {
+            v.push((ann, prior_ifaces.len() as u64));
         }
     }
     if v.is_empty() {
         return origin.asn.is_some().then_some(origin.asn);
     }
-    let tied = v.max_keys();
-    let winner = if tied.len() == 1 {
-        tied[0]
+    v.sort_unstable();
+    v.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    let max = v.iter().map(|&(_, n)| n).max().unwrap_or(0);
+    v.retain(|&(_, n)| n == max);
+    let winner = if let [(w, _)] = v[..] {
+        w
     } else {
         // Tie: largest cone among tied ASes with a BGP-observed
         // relationship to the interface origin; none → origin AS.
-        let related: Vec<Asn> = tied
-            .iter()
-            .copied()
-            .filter(|&w| {
-                origin.asn.is_some()
-                    && (w == origin.asn || ctx.cache.has_relationship(w, origin.asn))
-            })
-            .collect();
-        match ctx.cache.largest_cone(related) {
+        let cache = &mut ctx.cache;
+        v.retain(|&(w, _)| {
+            origin.asn.is_some() && (w == origin.asn || cache.has_relationship(w, origin.asn))
+        });
+        match cache.largest_cone(v.iter().map(|&(w, _)| w)) {
             Some(w) => w,
             None => origin.asn,
         }

@@ -12,6 +12,8 @@ pub mod exceptions;
 pub mod hidden;
 pub mod incremental;
 pub mod interface;
+#[cfg(test)]
+mod oracle;
 pub mod realloc;
 pub mod router;
 pub mod shard;

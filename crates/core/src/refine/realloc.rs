@@ -7,55 +7,49 @@
 //! routers are unanimously annotated with one AS that is a customer of an IR
 //! origin AS, the votes flip from the provider to that customer (Fig. 10).
 
-use crate::graph::Ir;
+use crate::graph::{Ir, LinkLabel};
 use crate::refine::engine::SweepCtx;
 use crate::AnnotationState;
 use net_types::{Asn, Prefix};
-use std::collections::BTreeSet;
 
 /// Applies the correction in place on the per-link votes (parallel to
-/// `ir.links`).
+/// `ir.links`; only links labelled `best_label` vote). `cand` is scratch
+/// space for the candidate link indices.
 pub(crate) fn correct_reallocated(
     ir: &Ir,
     state: &AnnotationState,
     ctx: &mut SweepCtx<'_>,
     votes: &mut [Option<Asn>],
-    usable: &[bool],
+    best_label: LinkLabel,
+    cand: &mut Vec<u32>,
 ) {
     let graph = ctx.graph;
     // Candidates: usable links whose subsequent interface origin is in the
     // IR's own origin set.
-    let mut cand: Vec<usize> = Vec::new();
+    cand.clear();
     for (i, link) in ir.links.iter().enumerate() {
-        if !usable[i] {
+        if link.label != best_label {
             continue;
         }
         let origin = graph.iface_origin[link.dst.0 as usize].asn;
         if origin.is_some() && ir.origins.contains(&origin) {
-            cand.push(i);
+            cand.push(i as u32);
         }
     }
     // "Multiple links" required — a single link is not enough evidence.
     if cand.len() < 2 {
         return;
     }
+    let dst = |i: u32| ir.links[i as usize].dst.0 as usize;
     // All candidate addresses must share one /24.
-    let prefixes: BTreeSet<Prefix> = cand
-        .iter()
-        .map(|&i| Prefix::slash24_of(graph.iface_addrs[ir.links[i].dst.0 as usize]))
-        .collect();
-    if prefixes.len() != 1 {
+    let slash24 = |i: u32| Prefix::slash24_of(graph.iface_addrs[dst(i)]);
+    if cand.iter().any(|&i| slash24(i) != slash24(cand[0])) {
         return;
     }
     // All their routers must carry the same annotation X...
-    let annotations: BTreeSet<Asn> = cand
-        .iter()
-        .map(|&i| state.router[graph.iface_ir[ir.links[i].dst.0 as usize].0 as usize])
-        .collect();
-    let [x] = annotations.into_iter().collect::<Vec<_>>()[..] else {
-        return;
-    };
-    if x.is_none() {
+    let router = |i: u32| state.router[graph.iface_ir[dst(i)].0 as usize];
+    let x = router(cand[0]);
+    if x.is_none() || cand.iter().any(|&i| router(i) != x) {
         return;
     }
     // ...and X must be a customer of an IR origin AS (and differ from the
@@ -68,9 +62,10 @@ pub(crate) fn correct_reallocated(
         return;
     }
     let mut flipped = false;
-    for &i in &cand {
-        if votes[i].is_some_and(|v| v != x) {
-            votes[i] = Some(x);
+    for &i in cand.iter() {
+        let vote = &mut votes[i as usize];
+        if vote.is_some_and(|v| v != x) {
+            *vote = Some(x);
             flipped = true;
         }
     }

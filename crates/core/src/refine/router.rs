@@ -1,18 +1,36 @@
 //! Router annotation (§6.1, Algorithm 2).
+//!
+//! The election runs in the sweep's [`Scratch`] buffers: votes are tallied
+//! by sorting them and counting runs, and the origin-set map `M` of
+//! Alg. 2 is the list of `(vote, link)` pairs sorted by vote, whose run for
+//! an AS names the links behind its votes.
 
 use crate::graph::{Ir, LinkLabel};
-use crate::refine::engine::SweepCtx;
+use crate::refine::engine::{Scratch, SweepCtx};
 use crate::refine::{exceptions, hidden, realloc, votes};
 use crate::AnnotationState;
 use as_rel::RelQueryCache;
 use bgp::OriginKind;
-use net_types::{Asn, Counter};
-use std::collections::{BTreeMap, BTreeSet};
+use net_types::Asn;
 
 /// Annotates one IR (Algorithm 2), returning its new annotation
 /// ([`Asn::NONE`] when no evidence exists at all) from the annotation state
 /// as the in-place sweep leaves it at this IR's turn.
 pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn {
+    // The buffers leave the context for the election, which also hands the
+    // context to the per-link vote; moving a `Vec` allocates nothing.
+    let mut s = std::mem::take(&mut ctx.scratch);
+    let a = annotate_ir_in(ir, state, ctx, &mut s);
+    ctx.scratch = s;
+    a
+}
+
+fn annotate_ir_in(
+    ir: &Ir,
+    state: &AnnotationState,
+    ctx: &mut SweepCtx<'_>,
+    s: &mut Scratch,
+) -> Asn {
     // §4.2: use only the highest-confidence label class present — Nexthop
     // links when any exist, otherwise Echo, otherwise Multihop.
     let best_label = ir
@@ -21,34 +39,37 @@ pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'
         .map(|l| l.label)
         .min()
         .unwrap_or(LinkLabel::Multihop);
-    let usable: Vec<bool> = ir.links.iter().map(|l| l.label == best_label).collect();
 
     // ---- Alg. 2 lines 3–7: per-link votes (Algorithm 3) ----
-    let mut link_votes: Vec<Option<Asn>> = Vec::with_capacity(ir.links.len());
-    for (i, l) in ir.links.iter().enumerate() {
-        link_votes.push(if usable[i] {
+    s.link_votes.clear();
+    for l in &ir.links {
+        let vote = if l.label == best_label {
             votes::link_vote(l, state, ctx)
         } else {
             None
-        });
+        };
+        s.link_votes.push(vote);
     }
 
     // ---- Alg. 2 line 8: reallocated-prefix correction (§6.1.2) ----
     if ctx.cfg.enable_realloc {
-        realloc::correct_reallocated(ir, state, ctx, &mut link_votes, &usable);
+        realloc::correct_reallocated(
+            ir,
+            state,
+            ctx,
+            &mut s.link_votes,
+            best_label,
+            &mut s.realloc_cand,
+        );
     }
 
     // Tally V and the origin-set map M (Alg. 2 lines 5–7).
-    let mut v: Counter<Asn> = Counter::new();
-    let mut m: BTreeMap<Asn, BTreeSet<Asn>> = BTreeMap::new();
-    let mut link_vote_ases: BTreeSet<Asn> = BTreeSet::new();
-    for (i, vote) in link_votes.iter().enumerate() {
-        if let Some(a) = vote {
-            v.add(*a);
-            link_vote_ases.insert(*a);
-            m.entry(*a)
-                .or_default()
-                .extend(ir.links[i].origins.iter().copied());
+    s.votes.clear();
+    s.by_vote.clear();
+    for (i, vote) in s.link_votes.iter().enumerate() {
+        if let Some(a) = *vote {
+            s.votes.push(a);
+            s.by_vote.push((a, i as u32));
         }
     }
 
@@ -56,17 +77,30 @@ pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'
     for &ifidx in &ir.ifaces {
         let o = ctx.graph.iface_origin[ifidx.0 as usize];
         if o.asn.is_some() && o.kind != OriginKind::Ixp {
-            v.add(o.asn);
+            s.votes.push(o.asn);
         }
     }
 
-    if v.is_empty() {
+    if s.votes.is_empty() {
         return Asn::NONE;
     }
+    s.votes.sort_unstable();
+    s.tally.clear();
+    s.tally.extend(
+        s.votes
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u64)),
+    );
+    s.by_vote.sort_unstable();
+    s.link_vote_ases.clear();
+    s.link_vote_ases.extend(s.by_vote.iter().map(|&(a, _)| a));
+    s.link_vote_ases.dedup();
 
     // ---- Alg. 2 line 10: exceptions (§6.1.3) ----
     if ctx.cfg.enable_exceptions {
-        if let Some(a) = exceptions::check_exceptions(ir, &link_vote_ases, &v, ctx.cache.rels()) {
+        if let Some(a) =
+            exceptions::check_exceptions(ir, &s.link_vote_ases, &s.tally, ctx.cache.rels())
+        {
             ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
             return a;
         }
@@ -74,26 +108,40 @@ pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'
 
     // ---- Alg. 2 lines 11–12: restricted election ----
     // R = origins ∪ subsequent ASes backed by a relationship with a prior
-    // origin on their links.
-    let mut r: BTreeSet<Asn> = ir.origins.clone();
-    for (&cand, origins) in &m {
-        if origins
-            .iter()
-            .any(|&o| o != cand && ctx.cache.has_relationship(o, cand))
-        {
-            r.insert(cand);
+    // origin on their links. R differs from the origins exactly when it
+    // admits a link vote from outside them.
+    s.admitted.clear();
+    for run in s.by_vote.chunk_by(|a, b| a.0 == b.0) {
+        let cand = run[0].0;
+        if ir.origins.contains(&cand) {
+            continue;
+        }
+        let backed = run.iter().any(|&(_, i)| {
+            ir.links[i as usize]
+                .origins
+                .iter()
+                .any(|&o| o != cand && ctx.cache.has_relationship(o, cand))
+        });
+        if backed {
+            s.admitted.push(cand);
         }
     }
-    if r != ir.origins {
-        return elect(&v, &r, &mut ctx.cache);
+    if !s.admitted.is_empty() {
+        let admitted = &s.admitted;
+        let allowed = |a: Asn| ir.origins.contains(&a) || admitted.binary_search(&a).is_ok();
+        return elect(&s.tally, allowed, &mut ctx.cache);
     }
 
     // ---- Alg. 2 lines 13–14: open election + hidden-AS check ----
-    let all: BTreeSet<Asn> = v.keys().copied().collect();
-    let a = elect(&v, &all, &mut ctx.cache);
+    let a = elect(&s.tally, |_| true, &mut ctx.cache);
     if ctx.cfg.enable_hidden_as {
-        let vote_origins = m.get(&a).cloned().unwrap_or_default();
-        let replaced = hidden::check_hidden_as(ir, a, &vote_origins, ctx.cache.rels());
+        s.vote_origins.clear();
+        let first = s.by_vote.partition_point(|&(v, _)| v < a);
+        for &(_, i) in s.by_vote[first..].iter().take_while(|&&(v, _)| v == a) {
+            s.vote_origins
+                .extend(ir.links[i as usize].origins.iter().copied());
+        }
+        let replaced = hidden::check_hidden_as(ir, a, &s.vote_origins, ctx.cache.rels());
         if replaced != a {
             ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
         }
@@ -102,14 +150,19 @@ pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'
     a
 }
 
-/// The election: most votes among `allowed`, ties to the smallest customer
-/// cone then the lowest ASN (§6.1.4). Cone sizes go through the memo cache —
+/// The election over the `(ASN, count)` tally: most votes among the
+/// `allowed` ASes, ties to the smallest customer cone then the lowest ASN
+/// (§6.1.4). That order is total, so the winner does not depend on the
+/// order candidates are visited in. Cone sizes go through the memo cache —
 /// the same candidates recur every sweep.
-fn elect(v: &Counter<Asn>, allowed: &BTreeSet<Asn>, cache: &mut RelQueryCache<'_>) -> Asn {
+fn elect(
+    tally: &[(Asn, u64)],
+    allowed: impl Fn(Asn) -> bool,
+    cache: &mut RelQueryCache<'_>,
+) -> Asn {
     let mut best: Option<(u64, Asn)> = None;
-    for &cand in allowed {
-        let count = v.get(&cand);
-        if count == 0 {
+    for &(cand, count) in tally {
+        if count == 0 || !allowed(cand) {
             continue;
         }
         let better = match best {
@@ -132,24 +185,24 @@ mod tests {
     use as_rel::{AsRelationships, CustomerCones};
 
     fn elect_with(
-        v: &Counter<Asn>,
-        allowed: &BTreeSet<Asn>,
+        tally: &[(u32, u64)],
+        allowed: &[u32],
         rels: &AsRelationships,
         cones: &CustomerCones,
     ) -> Asn {
         let mut cache = RelQueryCache::new(rels, cones);
-        elect(v, allowed, &mut cache)
+        let tally: Vec<(Asn, u64)> = tally.iter().map(|&(a, n)| (Asn(a), n)).collect();
+        elect(&tally, |a| allowed.contains(&a.0), &mut cache)
     }
 
     #[test]
     fn elect_majority() {
-        let mut v = Counter::new();
-        v.add_n(Asn(1), 3);
-        v.add_n(Asn(2), 5);
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        let allowed: BTreeSet<Asn> = [Asn(1), Asn(2)].into_iter().collect();
-        assert_eq!(elect_with(&v, &allowed, &rels, &cones), Asn(2));
+        assert_eq!(
+            elect_with(&[(1, 3), (2, 5)], &[1, 2], &rels, &cones),
+            Asn(2)
+        );
     }
 
     #[test]
@@ -157,30 +210,34 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(1), Asn(9));
         let cones = CustomerCones::compute(&rels);
-        let mut v = Counter::new();
-        v.add_n(Asn(1), 4);
-        v.add_n(Asn(2), 4);
-        let allowed: BTreeSet<Asn> = [Asn(1), Asn(2)].into_iter().collect();
         // AS1 has cone 2; AS2 is a stub (cone 1) → the presumed customer.
-        assert_eq!(elect_with(&v, &allowed, &rels, &cones), Asn(2));
+        assert_eq!(
+            elect_with(&[(1, 4), (2, 4)], &[1, 2], &rels, &cones),
+            Asn(2)
+        );
+    }
+
+    #[test]
+    fn elect_tie_equal_cones_lowest_asn() {
+        let rels = AsRelationships::new();
+        let cones = CustomerCones::compute(&rels);
+        assert_eq!(
+            elect_with(&[(3, 2), (5, 2)], &[3, 5], &rels, &cones),
+            Asn(3)
+        );
     }
 
     #[test]
     fn elect_respects_allowed_set() {
-        let mut v = Counter::new();
-        v.add_n(Asn(1), 10);
-        v.add_n(Asn(2), 1);
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        let allowed: BTreeSet<Asn> = [Asn(2)].into_iter().collect();
-        assert_eq!(elect_with(&v, &allowed, &rels, &cones), Asn(2));
+        assert_eq!(elect_with(&[(1, 10), (2, 1)], &[2], &rels, &cones), Asn(2));
     }
 
     #[test]
     fn elect_empty() {
-        let v = Counter::new();
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        assert_eq!(elect_with(&v, &BTreeSet::new(), &rels, &cones), Asn::NONE);
+        assert_eq!(elect_with(&[], &[], &rels, &cones), Asn::NONE);
     }
 }

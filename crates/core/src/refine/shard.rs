@@ -117,7 +117,7 @@ mod tests {
                 dst: IfIdx(dst),
                 label: LinkLabel::Nexthop,
                 origins: BTreeSet::new(),
-                dests: BTreeSet::new(),
+                dst_origin_probed: false,
             });
         }
         let iface_ir: Vec<IrId> = (0..n).map(IrId).collect();

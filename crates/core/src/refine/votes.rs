@@ -69,7 +69,7 @@ pub(crate) fn link_vote(
             .origins
             .iter()
             .any(|&o| ctx.cache.has_relationship(o, as_j))
-        && !link.dests.contains(&j_origin.asn)
+        && !link.dst_origin_probed
     {
         ctx.sheet.inc(obs::names::REFINE_THIRD_PARTY_VOTES);
         return Some(as_j);

@@ -8,12 +8,23 @@
 //! the pipeline can observe: whole traces (hop presence, addresses, reply
 //! types, stop reasons) and the whole graph (interface arrays, IR
 //! membership, links with labels/origin/dest sets, predecessor maps).
+//!
+//! The graph no longer keeps a link's destination-AS set, only the one bit
+//! of it the third-party test reads. The golden predates that, so the test
+//! rebuilds each set from the corpus with the serial definition, hashes it
+//! where the graph kept it, and checks the graph's bit against it.
 
 use as_rel::CustomerCones;
 use bdrmapit_core::{Config, IrGraph, LinkLabel};
+use bgp::IpToAs;
 use eval::Scenario;
+use net_types::Asn;
+use std::collections::{BTreeMap, BTreeSet};
 use topo_gen::GeneratorConfig;
 use traceroute::{Corpus, ReplyType, StopReason};
+
+/// Destination-AS set per link, keyed by `(IR, destination interface)`.
+type LinkDests = BTreeMap<(u32, u32), BTreeSet<Asn>>;
 
 /// Pre-change serial campaign hash for `tiny(2018)`, 8 VPs, vp_seed 2018.
 const GOLDEN_CAMPAIGN: u64 = 0x931cf8a11e64b5e3;
@@ -102,7 +113,33 @@ fn hash_traces(traces: &Corpus) -> u64 {
     h.0
 }
 
-fn hash_graph(g: &IrGraph) -> u64 {
+/// Every link's destination-AS set, by the serial definition: each pair of
+/// adjacent responsive hops on two different IRs records the trace's
+/// destination AS when it is announced.
+fn link_dests(traces: &Corpus, g: &IrGraph, ip2as: &IpToAs) -> LinkDests {
+    let mut out = LinkDests::new();
+    for t in traces {
+        let dest_as = ip2as.lookup(t.dst).asn;
+        let ids: Vec<u32> = t
+            .responsive()
+            .map(|(_, h)| g.iface_of_addr(h.addr).expect("hop interned").0)
+            .collect();
+        for pair in ids.windows(2) {
+            let (x, y) = (pair[0], pair[1]);
+            let ir_x = g.iface_ir[x as usize].0;
+            if x == y || ir_x == g.iface_ir[y as usize].0 {
+                continue;
+            }
+            let set = out.entry((ir_x, y)).or_default();
+            if dest_as.is_some() {
+                set.insert(dest_as);
+            }
+        }
+    }
+    out
+}
+
+fn hash_graph(g: &IrGraph, dests: &LinkDests) -> u64 {
     let mut h = Fnv::new();
     h.u64(g.iface_addrs.len() as u64);
     for (i, &addr) in g.iface_addrs.iter().enumerate() {
@@ -138,8 +175,17 @@ fn hash_graph(g: &IrGraph) -> u64 {
             for a in &l.origins {
                 h.u32(a.0);
             }
-            h.u64(l.dests.len() as u64);
-            for a in &l.dests {
+            let set = &dests[&(ir.id.0, l.dst.0)];
+            let origin = g.iface_origin[l.dst.0 as usize].asn;
+            assert_eq!(
+                l.dst_origin_probed,
+                origin.is_some() && set.contains(&origin),
+                "third-party bit of link {:?} -> {:?}",
+                ir.id,
+                l.dst
+            );
+            h.u64(set.len() as u64);
+            for a in set {
                 h.u32(a.0);
             }
         }
@@ -185,7 +231,7 @@ fn front_end(threads: usize, with_obs: bool) -> (u64, u64, usize, usize) {
     );
     (
         hash_traces(&bundle.traces),
-        hash_graph(&g),
+        hash_graph(&g, &link_dests(&bundle.traces, &g, &s.ip2as)),
         bundle.traces.len(),
         g.irs.len(),
     )
