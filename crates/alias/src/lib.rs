@@ -144,13 +144,22 @@ struct UnionFind {
 }
 
 impl UnionFind {
+    /// The root of `x`'s set, pointing every node on the way at it. A loop,
+    /// not recursion: a nodes file can chain one union per line, and the
+    /// path is then as long as the file.
     fn find(&mut self, x: u32) -> u32 {
-        let p = *self.parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
+        let mut root = *self.parent.entry(x).or_insert(x);
+        loop {
+            let p = self.parent[&root];
+            if p == root {
+                break;
+            }
+            root = p;
         }
-        let root = self.find(p);
-        self.parent.insert(x, root);
+        let mut cur = x;
+        while cur != root {
+            cur = std::mem::replace(self.parent.get_mut(&cur).expect("on the path"), root);
+        }
         root
     }
 
@@ -477,6 +486,19 @@ mod tests {
         assert_eq!(sets.group_of(1).unwrap().len(), 3);
         assert!(sets.group_of(9).is_none());
         assert!(sets.group_of(10).is_some());
+    }
+
+    /// Each group joins the root of everything after it, so one final
+    /// group walks a parent chain as long as the input.
+    #[test]
+    fn a_chain_as_long_as_the_input_does_not_overflow_the_stack() {
+        const N: u32 = 300_000;
+        let mut groups: Vec<BTreeSet<u32>> =
+            (1..=N).rev().map(|i| BTreeSet::from([i, i + 1])).collect();
+        groups.push(BTreeSet::from([0, N + 1]));
+        let sets = AliasSets::from_groups(groups);
+        assert_eq!(sets.len(), 1);
+        assert_eq!(sets.group_of(0).map(BTreeSet::len), Some(N as usize + 2));
     }
 
     #[test]

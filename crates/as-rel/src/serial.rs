@@ -60,16 +60,10 @@ impl AsRelationships {
                 message: message.to_string(),
             };
             let mut fields = line.split('|');
-            let a: u32 = fields
-                .next()
-                .ok_or_else(|| err("missing first AS"))?
-                .parse()
-                .map_err(|_| err("bad first AS"))?;
-            let b: u32 = fields
-                .next()
-                .ok_or_else(|| err("missing second AS"))?
-                .parse()
-                .map_err(|_| err("bad second AS"))?;
+            let a = fields.next().ok_or_else(|| err("missing first AS"))?;
+            let a = parse_asn(a).ok_or_else(|| err("bad first AS"))?;
+            let b = fields.next().ok_or_else(|| err("missing second AS"))?;
+            let b = parse_asn(b).ok_or_else(|| err("bad second AS"))?;
             let rel = fields.next().ok_or_else(|| err("missing relationship"))?;
             match rel {
                 "-1" => rels.add_p2c(Asn(a), Asn(b)),
@@ -79,6 +73,15 @@ impl AsRelationships {
         }
         Ok(rels)
     }
+}
+
+/// A 32-bit ASN written in ASCII digits only: `str::parse` would also take
+/// a leading `+`.
+fn parse_asn(field: &str) -> Option<u32> {
+    if field.is_empty() || !field.bytes().all(|c| c.is_ascii_digit()) {
+        return None;
+    }
+    field.parse().ok()
 }
 
 #[cfg(test)]
@@ -121,5 +124,30 @@ mod tests {
         assert!(e.message.contains("bad first AS"));
         let e = AsRelationships::from_serial1("1\n").unwrap_err();
         assert!(e.message.contains("missing second AS"));
+    }
+
+    #[test]
+    fn rejects_signs_whitespace_and_non_ascii_digits() {
+        for (line, reason) in [
+            ("+65000|+3|-1", "bad first AS"),
+            ("65000|+3|-1", "bad second AS"),
+            ("-1|3|-1", "bad first AS"),
+            ("65000|-3|0", "bad second AS"),
+            ("65000 |3|-1", "bad first AS"),
+            ("65000| 3|-1", "bad second AS"),
+            ("65000|3\t|-1", "bad second AS"),
+            ("\u{0661}|3|-1", "bad first AS"),
+            ("65000|\u{FF13}|0", "bad second AS"),
+            ("4294967296|3|-1", "bad first AS"),
+            ("|3|-1", "bad first AS"),
+            ("65000|3|+0", "unknown relationship"),
+            ("65000|3| -1", "unknown relationship"),
+        ] {
+            let text = format!("1|2|-1\n{line}\n");
+            let e = AsRelationships::from_serial1(&text).unwrap_err();
+            assert_eq!(e.line, 2, "{line:?}");
+            assert!(e.message.contains(reason), "{line:?}: {}", e.message);
+        }
+        assert!(AsRelationships::from_serial1("4294967295|3|-1\n").is_ok());
     }
 }

@@ -10,9 +10,12 @@
 //! * the **pair cache** ([`PairCache`]) holds the previous epoch's probe
 //!   matrix: its sorted destinations, one unfiltered [`Corpus`] row per
 //!   `(vp, dst)` pair in vp-major order, and per pair the sorted set of
-//!   ASes that measurement depends on ([`traversed_ases`]), as a slice of
-//!   one flat column. After an epoch's events, a pair is *dirty* —
-//!   re-probed — iff interdomain routing changed, the pair is new to the
+//!   ASes that measurement depends on
+//!   ([`traversed_ases`](traceroute::sim::traversed_ases)), in one flat
+//!   [`AsSets`] column. A re-probed pair's set comes back from the pool
+//!   with its row, computed from the walk that synthesized it. After an
+//!   epoch's events, a pair is *dirty* — re-probed — iff interdomain
+//!   routing changed, the pair is new to the
 //!   probe matrix (its destination is not among the cached ones), or its
 //!   AS set intersects the events' touched set; everything else replays
 //!   its cached row verbatim (the traceroute crate's untouched-pairs
@@ -47,8 +50,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use topo_gen::{GeneratorConfig, Internet, RouterId};
 use traceroute::sim::{
-    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, traversed_ases,
-    ProbeConfig,
+    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, AsSets, ProbeConfig,
 };
 use traceroute::Corpus;
 
@@ -134,10 +136,8 @@ struct PairCache {
     dests: Vec<u32>,
     /// One row per pair, unresponsive ones included, in pair order.
     rows: Corpus,
-    /// Pair `p`'s traversed-AS set is `ases[ases_off[p]..ases_off[p + 1]]`,
-    /// sorted.
-    ases: Vec<Asn>,
-    ases_off: Vec<u32>,
+    /// Per pair, its traversed-AS set.
+    ases: AsSets,
 }
 
 impl PairCache {
@@ -145,8 +145,7 @@ impl PairCache {
         PairCache {
             dests: Vec::new(),
             rows: Corpus::new(),
-            ases: Vec::new(),
-            ases_off: vec![0],
+            ases: AsSets::new(),
         }
     }
 
@@ -157,18 +156,12 @@ impl PairCache {
         self.dests.clear();
         self.rows.clear();
         self.ases.clear();
-        self.ases_off.truncate(1);
     }
 
     /// The pair index of `(v, dst)`, if it was in the cached matrix.
     fn find(&self, v: usize, dst: u32) -> Option<usize> {
         let j = self.dests.binary_search(&dst).ok()?;
         Some(v * self.dests.len() + j)
-    }
-
-    /// Pair `p`'s traversed-AS set.
-    fn ases(&self, p: usize) -> &[Asn] {
-        &self.ases[self.ases_off[p] as usize..self.ases_off[p + 1] as usize]
     }
 }
 
@@ -288,7 +281,7 @@ fn run_schedule(
                 let (v, dst) = pair(p);
                 cache
                     .find(v, dst)
-                    .filter(|&o| !rib_changed && disjoint(cache.ases(o), &touched))
+                    .filter(|&o| !rib_changed && disjoint(cache.ases.get(o), &touched))
             })
             .collect();
         let dirty: Vec<(RouterId, u32)> = (0..n_pairs)
@@ -315,22 +308,18 @@ fn run_schedule(
         next.clear();
         next.rows
             .reserve(n_pairs, cache.rows.hops(0..cache.rows.len()).len());
-        next.ases_off.reserve(n_pairs);
+        next.ases.reserve(n_pairs);
         corpus.clear();
-        let mut fresh_rows = fresh.iter();
-        for (p, src) in source.iter().enumerate() {
-            let row = match *src {
-                Some(o) => {
-                    next.ases.extend_from_slice(cache.ases(o));
-                    cache.rows.row(o)
-                }
+        let mut fresh_rows = 0..fresh.rows.len();
+        for src in &source {
+            let (row, ases) = match *src {
+                Some(o) => (cache.rows.row(o), cache.ases.get(o)),
                 None => {
-                    let (v, dst) = pair(p);
-                    traversed_ases(&net, vps[v], dst, &mut next.ases);
-                    fresh_rows.next().expect("one fresh row per dirty pair")
+                    let f = fresh_rows.next().expect("one fresh row per dirty pair");
+                    (fresh.rows.row(f), fresh.ases.get(f))
                 }
             };
-            next.ases_off.push(next.ases.len() as u32);
+            next.ases.push(ases);
             next.rows.push(row).expect("a cached row fits a corpus");
             if row.responsive_count() > 0 {
                 corpus.push(row).expect("a cached row fits a corpus");

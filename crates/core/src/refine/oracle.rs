@@ -444,7 +444,8 @@ mod props {
             .collect();
         // (rule, IR interface origins, link destinations, origins added to
         // every link's own, expected annotation).
-        let rules: [(&str, &[u32], &[usize], &[u32], u32); 9] = [
+        type Rule<'a> = (&'a str, &'a [u32], &'a [usize], &'a [u32], u32);
+        let rules: [Rule<'_>; 9] = [
             // 2–2 tie: AS8's cone (1) beats AS2's (2), the lower ASN.
             ("tie broken by cone", &[0], &[0, 1, 2, 3], &[], 8),
             // 1–1 tie between equal cones: the lower ASN.

@@ -35,7 +35,7 @@ pub use trie::PrefixTrie;
 /// Convert a dotted-quad string to a `u32` host-order address.
 ///
 /// Returns `None` for anything that is not exactly four dot-separated
-/// decimal octets.
+/// decimal octets of ASCII digits (no sign, whitespace or leading zero).
 ///
 /// ```
 /// assert_eq!(net_types::parse_ipv4("10.0.0.1"), Some(0x0a000001));
@@ -52,7 +52,14 @@ pub fn parse_ipv4(s: &str) -> Option<u32> {
             // Reject ambiguous leading-zero octets ("010" is octal in inet_aton).
             return None;
         }
-        let octet: u32 = part.parse().ok()?;
+        // ASCII digits only, so no sign (which `str::parse` would take).
+        let mut octet: u32 = 0;
+        for c in part.bytes() {
+            if !c.is_ascii_digit() {
+                return None;
+            }
+            octet = octet * 10 + u32::from(c - b'0');
+        }
         if octet > 255 {
             return None;
         }
@@ -106,5 +113,27 @@ mod tests {
         ] {
             assert_eq!(parse_ipv4(bad), None, "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_signs_whitespace_and_non_ascii_digits() {
+        for bad in [
+            "+1.+2.+3.+4",
+            "10.+0.0.1",
+            "+10.0.0.1",
+            "1.2.3.+4",
+            "-1.2.3.4",
+            "1.2.-0.4",
+            " 1.2.3.4",
+            "1. 2.3.4",
+            "1.2.3.\t4",
+            "1.2.3.4\n",
+            "\u{0661}.2.3.4",
+            "1.\u{FF12}.3.4",
+            "1.2.3.\u{0664}",
+        ] {
+            assert_eq!(parse_ipv4(bad), None, "{bad:?} should not parse");
+        }
+        assert_eq!(parse_ipv4("10.0.0.1"), Some(0x0a00_0001));
     }
 }

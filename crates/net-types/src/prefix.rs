@@ -189,6 +189,10 @@ impl FromStr for Prefix {
             .split_once('/')
             .ok_or_else(|| PrefixParseError(s.to_string()))?;
         let addr = parse_ipv4(ip).ok_or_else(|| PrefixParseError(s.to_string()))?;
+        if len.is_empty() || !len.bytes().all(|c| c.is_ascii_digit()) {
+            // `str::parse` would take a leading `+`.
+            return Err(PrefixParseError(s.to_string()));
+        }
         let len: u8 = len.parse().map_err(|_| PrefixParseError(s.to_string()))?;
         if len > 32 {
             return Err(PrefixParseError(s.to_string()));
@@ -233,7 +237,19 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        for bad in ["10.0.0.0", "10.0.0.0/33", "10.0.0/8", "/8", "10.0.0.0/x"] {
+        for bad in [
+            "10.0.0.0",
+            "10.0.0.0/33",
+            "10.0.0/8",
+            "/8",
+            "10.0.0.0/x",
+            "10.0.0.0/",
+            "10.0.0.0/+8",
+            "10.0.0.0/-8",
+            "10.0.0.0/ 8",
+            "10.0.0.0/\u{0668}",
+            "+10.0.0.0/8",
+        ] {
             assert!(bad.parse::<Prefix>().is_err(), "{bad} should fail");
         }
     }

@@ -65,6 +65,9 @@ pub struct Addressing {
     pub announce_via: BTreeMap<Asn, Vec<Asn>>,
     /// Reallocated /24s.
     pub reallocs: Vec<Realloc>,
+    /// `(/24 number, index into reallocs)`, ascending, for
+    /// [`Addressing::realloc_covering`]'s binary search.
+    realloc_index: Vec<(u32, u32)>,
     /// Dark space.
     pub dark: Vec<DarkBlock>,
     /// RIR delegation table (with staleness).
@@ -283,11 +286,28 @@ impl Addressing {
             announced.push((blocks[&node.asn], node.asn));
         }
 
+        // Every realloc is a distinct /24, so the first one covering an
+        // address is the only one and a binary search finds it.
+        let mut realloc_index: Vec<(u32, u32)> = reallocs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                assert_eq!(r.prefix.len(), 24, "reallocs are /24s");
+                (r.prefix.addr() >> 8, i as u32)
+            })
+            .collect();
+        realloc_index.sort_unstable();
+        assert!(
+            realloc_index.windows(2).all(|w| w[0].0 != w[1].0),
+            "reallocs are distinct /24s"
+        );
+
         Addressing {
             blocks,
             announced,
             announce_via,
             reallocs,
+            realloc_index,
             dark,
             delegations,
             ixps: ixp_dir,
@@ -330,7 +350,11 @@ impl Addressing {
 
     /// The reallocated /24 covering `addr`, if any.
     pub fn realloc_covering(&self, addr: u32) -> Option<&Realloc> {
-        self.reallocs.iter().find(|r| r.prefix.contains(addr))
+        let i = self
+            .realloc_index
+            .binary_search_by_key(&(addr >> 8), |&(slash24, _)| slash24)
+            .ok()?;
+        Some(&self.reallocs[self.realloc_index[i].1 as usize])
     }
 
     /// Ground truth: which AS actually holds `addr` (reallocations and dark

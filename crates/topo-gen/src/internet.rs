@@ -2,7 +2,7 @@
 
 use crate::addressing::Addressing;
 use crate::asgraph::AsGraph;
-use crate::routers::RouterTopology;
+use crate::routers::{Firewall, RouterProbe, RouterTopology};
 use crate::routing::Routing;
 use crate::{GeneratorConfig, IfaceId, RouterId, Tier, TrueLink};
 use bgp::{Announcement, Rib};
@@ -36,6 +36,32 @@ pub enum ForwardOutcome {
     },
     /// No BGP route toward the address.
     NoRoute,
+}
+
+/// The destination-only facts of a probe, shared by every source: made
+/// only by [`Internet::plan`], read only by [`Internet::forward`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DestPlan {
+    /// The probed address.
+    dst: u32,
+    /// The AS whose route the probe follows.
+    route_to: Asn,
+    /// A reallocated /24's customer, which the provider `route_to` hands
+    /// the probe off to.
+    hand_off: Option<Asn>,
+    /// The router the probe terminates at.
+    target: RouterId,
+    /// Why the probe stops there (never [`ForwardOutcome::NoRoute`]).
+    outcome: ForwardOutcome,
+}
+
+/// Caller-owned buffers of a forward walk, reused from probe to probe.
+#[derive(Clone, Debug, Default)]
+pub struct ForwardBuf {
+    /// The last walk's routers, in order, starting at the source router.
+    pub hops: Vec<ForwardHop>,
+    /// The last walk's AS path.
+    as_path: Vec<Asn>,
 }
 
 /// A fully forwarded probe path.
@@ -104,89 +130,98 @@ impl Internet {
         self.announced.longest_match(addr).map(|(_, &a)| a)
     }
 
-    /// Forwards a probe from `src_router` toward `dst_addr`, expanding the
-    /// AS-level route into the router-level path with per-hop ingress
-    /// interfaces.
-    pub fn forward_path(&self, src_router: RouterId, dst_addr: u32) -> ForwardPath {
-        let src_as = self.topology.owner(src_router);
-
-        // Work out the AS-level path and the target router.
-        let target_iface = self.topology.iface_by_addr(dst_addr).map(|i| i.id);
-        let (as_path, target_router, outcome) =
+    /// The destination-only facts of a probe toward `dst_addr`: the AS to
+    /// route to, the target router and the outcome. `None` when no BGP
+    /// route covers the address. A plan reads the router topology, so it
+    /// holds only until the next topology event.
+    pub fn plan(&self, dst_addr: u32) -> Option<DestPlan> {
+        let topo = &self.topology;
+        let target_iface = topo.iface_by_addr(dst_addr);
+        let (route_to, hand_off, target, outcome) =
             if let Some(r) = self.addressing.realloc_covering(dst_addr) {
                 // Reallocated /24: global routing follows the provider's
                 // covering prefix; the provider hands off to the customer.
-                let Some(mut path) = self.routing.as_path(src_as, r.provider) else {
-                    return ForwardPath {
-                        hops: vec![],
-                        outcome: ForwardOutcome::NoRoute,
-                    };
-                };
-                if *path.last().expect("non-empty") != r.customer {
-                    path.push(r.customer);
-                }
-                let (router, outcome) = match target_iface {
-                    Some(ifid)
-                        if self.topology.iface(ifid).router_owner(&self.topology) == r.customer =>
-                    {
-                        (
-                            self.topology.iface(ifid).router,
-                            ForwardOutcome::ReachedIface(ifid),
-                        )
+                let (target, outcome) = match target_iface {
+                    Some(i) if topo.owner(i.router) == r.customer => {
+                        (i.router, ForwardOutcome::ReachedIface(i.id))
                     }
                     _ => (
                         self.router_for_addr(r.customer, dst_addr),
                         ForwardOutcome::ReachedHostSpace { asn: r.customer },
                     ),
                 };
-                (path, router, outcome)
-            } else if let Some(ifid) = target_iface {
+                (r.provider, Some(r.customer), target, outcome)
+            } else if let Some(i) = target_iface {
                 // A real interface address: terminate at its router.
-                let router = self.topology.iface(ifid).router;
-                let owner = self.topology.owner(router);
-                let Some(path) = self.routing.as_path(src_as, owner) else {
-                    return ForwardPath {
-                        hops: vec![],
-                        outcome: ForwardOutcome::NoRoute,
-                    };
-                };
-                (path, router, ForwardOutcome::ReachedIface(ifid))
+                let owner = topo.owner(i.router);
+                (owner, None, i.router, ForwardOutcome::ReachedIface(i.id))
             } else {
-                match self.bgp_origin(dst_addr) {
-                    Some(origin) => {
-                        let Some(path) = self.routing.as_path(src_as, origin) else {
-                            return ForwardPath {
-                                hops: vec![],
-                                outcome: ForwardOutcome::NoRoute,
-                            };
-                        };
-                        (
-                            path,
-                            self.router_for_addr(origin, dst_addr),
-                            ForwardOutcome::ReachedHostSpace { asn: origin },
-                        )
-                    }
-                    None => {
-                        return ForwardPath {
-                            hops: vec![],
-                            outcome: ForwardOutcome::NoRoute,
-                        }
-                    }
-                }
+                let origin = self.bgp_origin(dst_addr)?;
+                let target = self.router_for_addr(origin, dst_addr);
+                (
+                    origin,
+                    None,
+                    target,
+                    ForwardOutcome::ReachedHostSpace { asn: origin },
+                )
             };
+        Some(DestPlan {
+            dst: dst_addr,
+            route_to,
+            hand_off,
+            target,
+            outcome,
+        })
+    }
+
+    /// Forwards a probe from `src_router` toward `dst_addr`, expanding the
+    /// AS-level route into the router-level path with per-hop ingress
+    /// interfaces. An owned wrapper over [`Internet::forward`].
+    pub fn forward_path(&self, src_router: RouterId, dst_addr: u32) -> ForwardPath {
+        let mut buf = ForwardBuf::default();
+        let outcome = self.forward(src_router, self.plan(dst_addr).as_ref(), &mut buf);
+        ForwardPath {
+            hops: buf.hops,
+            outcome,
+        }
+    }
+
+    /// Forwards a probe from `src_router` along `plan` (`None`: no route),
+    /// filling `buf.hops` with the router-level path, and returns the
+    /// outcome. `buf.hops` is empty when the outcome is
+    /// [`ForwardOutcome::NoRoute`].
+    pub fn forward(
+        &self,
+        src_router: RouterId,
+        plan: Option<&DestPlan>,
+        buf: &mut ForwardBuf,
+    ) -> ForwardOutcome {
+        let ForwardBuf { hops, as_path } = buf;
+        hops.clear();
+        let Some(plan) = plan else {
+            return ForwardOutcome::NoRoute;
+        };
+        let src_as = self.topology.owner(src_router);
+        if !self.routing.as_path_into(src_as, plan.route_to, as_path) {
+            return ForwardOutcome::NoRoute;
+        }
+        if let Some(customer) = plan.hand_off {
+            if as_path.last() != Some(&customer) {
+                as_path.push(customer);
+            }
+        }
 
         // Expand the AS path to routers.
-        let mut hops: Vec<ForwardHop> = vec![ForwardHop {
+        hops.push(ForwardHop {
             router: src_router,
             ingress: None,
-        }];
+        });
         let mut cur = src_router;
         for win in as_path.windows(2) {
-            let (here, next) = (win[0], win[1]);
             let (egress_router, ingress_router, ingress_iface) =
-                self.cross_boundary(here, next, dst_addr);
+                self.cross_boundary(win[0], win[1], plan.dst);
             // Internal walk to the egress border router.
-            self.extend_internal(&mut hops, cur, egress_router);
+            self.extend_internal(hops, cur, egress_router);
             hops.push(ForwardHop {
                 router: ingress_router,
                 ingress: Some(ingress_iface),
@@ -194,36 +229,20 @@ impl Internet {
             cur = ingress_router;
         }
         // Internal walk to the target router inside the final AS.
-        self.extend_internal(&mut hops, cur, target_router);
-
-        ForwardPath { hops, outcome }
+        self.extend_internal(hops, cur, plan.target);
+        plan.outcome
     }
 
     /// Chooses the router-level crossing for an AS adjacency, load-balanced
     /// deterministically by destination address. Returns
     /// `(egress router in here, ingress router in next, ingress interface)`.
     fn cross_boundary(&self, here: Asn, next: Asn, dst_addr: u32) -> (RouterId, RouterId, IfaceId) {
-        if let Some(ixp) = self.graph.ixp_for_pair(here, next) {
-            let &(r_e, _) = self
-                .topology
-                .ixp_ports
-                .get(&(ixp, here))
-                .expect("member has a port");
-            let &(r_i, if_i) = self
-                .topology
-                .ixp_ports
-                .get(&(ixp, next))
-                .expect("member has a port");
-            return (r_e, r_i, if_i);
-        }
-        let key = (here.min(next), here.max(next));
         let links = self
             .topology
-            .ext_links
-            .get(&key)
+            .crossing(here, next)
             .unwrap_or_else(|| panic!("no link between {here} and {next}"));
         let link = &links[dst_addr as usize % links.len()];
-        if key.0 == here {
+        if here < next {
             (link.router_a, link.router_b, link.iface_b)
         } else {
             (link.router_b, link.router_a, link.iface_a)
@@ -255,52 +274,37 @@ impl Internet {
     /// `egress_reply` routers reply with the interface facing the return
     /// route (which can expose a third-party address).
     pub fn reply_source(&self, router: RouterId, ingress: Option<IfaceId>, vp_as: Asn) -> u32 {
-        let info = self.topology.router(router);
-        let router_id_iface = info.ifaces[0];
-        if info.egress_reply {
-            if let Some(addr) = self.egress_iface_addr(router, vp_as) {
+        let view = self.topology.probe_view(router);
+        if view.egress_reply {
+            if let Some(addr) = self.egress_iface_addr(router, view, vp_as) {
                 return addr;
             }
         }
-        match ingress {
-            Some(i) => self.topology.iface(i).addr,
-            None => self.topology.iface(router_id_iface).addr,
-        }
+        ingress.map_or(view.rid_addr, |i| self.topology.iface_addr(i))
     }
 
     /// The address of the interface `router` would use toward `vp_as`
     /// (reply direction), if one is identifiable.
-    fn egress_iface_addr(&self, router: RouterId, vp_as: Asn) -> Option<u32> {
-        let owner = self.topology.owner(router);
+    fn egress_iface_addr(&self, router: RouterId, view: RouterProbe, vp_as: Asn) -> Option<u32> {
+        let owner = view.owner;
         if owner == vp_as {
             // Replying within the same AS: use the router-id interface.
-            let info = self.topology.router(router);
-            return Some(self.topology.iface(info.ifaces[0]).addr);
+            return Some(view.rid_addr);
         }
         let next = self.routing.next_hop(owner, vp_as)?;
-        // A direct link from this router to the next AS?
-        if let Some(ixp) = self.graph.ixp_for_pair(owner, next) {
-            if let Some(&(r, i)) = self.topology.ixp_ports.get(&(ixp, owner)) {
-                if r == router {
-                    return Some(self.topology.iface(i).addr);
-                }
-            }
-        }
-        let key = (owner.min(next), owner.max(next));
-        if let Some(links) = self.topology.ext_links.get(&key) {
-            for l in links {
+        // A direct link (or fabric port) from this router to the next AS?
+        let port = self.topology.crossing(owner, next).and_then(|links| {
+            links.iter().find_map(|l| {
                 if l.router_a == router {
-                    return Some(self.topology.iface(l.iface_a).addr);
+                    Some(l.iface_a)
+                } else {
+                    (l.router_b == router).then_some(l.iface_b)
                 }
-                if l.router_b == router {
-                    return Some(self.topology.iface(l.iface_b).addr);
-                }
-            }
-        }
+            })
+        });
         // Not a border router for the return direction: fall back to the
         // router-id interface ("some other interface", §1).
-        let info = self.topology.router(router);
-        Some(self.topology.iface(info.ifaces[0]).addr)
+        Some(port.map_or(view.rid_addr, |i| self.topology.iface_addr(i)))
     }
 
     /// Synthesizes the route-collector RIB: every announced prefix as seen
@@ -348,14 +352,7 @@ impl Internet {
 
     /// Ground truth: is this AS firewalled (drops external probes)?
     pub fn is_firewalled(&self, asn: Asn) -> bool {
-        self.graph.node(asn).is_some_and(|n| n.firewalled)
-    }
-}
-
-// Small helper so the realloc branch above reads cleanly.
-impl crate::routers::InterfaceInfo {
-    fn router_owner(&self, topo: &RouterTopology) -> Asn {
-        topo.owner(self.router)
+        self.topology.firewall(asn) != Firewall::Open
     }
 }
 

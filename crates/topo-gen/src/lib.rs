@@ -35,11 +35,13 @@ pub mod dynamics;
 pub mod routers;
 pub mod routing;
 
+#[cfg(test)]
+mod forward_oracle;
 mod internet;
 
 pub use config::GeneratorConfig;
 pub use dynamics::{EventOutcome, TopologyEvent};
-pub use internet::{ForwardHop, ForwardOutcome, ForwardPath, Internet};
+pub use internet::{DestPlan, ForwardBuf, ForwardHop, ForwardOutcome, ForwardPath, Internet};
 
 use net_types::Asn;
 use serde::{Deserialize, Serialize};

@@ -78,6 +78,36 @@ pub struct ExtLink {
     pub iface_b: IfaceId,
 }
 
+/// How an AS treats externally sourced traceroute probes (§5's two
+/// firewall shapes, a generated per-AS attribute).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Firewall {
+    /// No filter.
+    Open,
+    /// The border router answers and filters what is behind it.
+    BorderResponds,
+    /// The filter drops at the border: the provider's router becomes the
+    /// last visible hop.
+    BorderDrops,
+}
+
+/// The facts a probe reads about one router, in one dense entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RouterProbe {
+    /// Owning AS.
+    pub owner: Asn,
+    /// The owner's position among the topology's ASes (ASN order).
+    as_rank: u32,
+    /// Address of the router-id interface (`ifaces[0]`).
+    pub rid_addr: u32,
+    /// [`RouterInfo::silent`].
+    pub silent: bool,
+    /// [`RouterInfo::egress_reply`].
+    pub egress_reply: bool,
+    /// [`RouterInfo::echo_offpath`].
+    pub echo_offpath: bool,
+}
+
 /// One router's entry in a cached internal shortest-path tree: its BFS
 /// parent and the interface it is entered on from that parent.
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +124,9 @@ type PathRow = Vec<Option<Step>>;
 ///
 /// Internal shortest paths are cached per source router; mutate
 /// `internal_adj` and `as_routers` only through the methods below, which
-/// reset the cached paths of the AS they touch.
+/// reset the cached paths of the AS they touch. Routers and interfaces are
+/// added only through `push_router` and `add_iface`, which keep the dense
+/// probe view and address column beside `routers` and `ifaces` in step.
 #[derive(Clone, Debug)]
 pub struct RouterTopology {
     /// All routers, indexed by `RouterId`.
@@ -117,6 +149,20 @@ pub struct RouterTopology {
     as_index: Vec<u32>,
     /// Per source router: its internal BFS tree, built on first use.
     path_rows: Vec<OnceLock<PathRow>>,
+    /// Every AS of the graph, ascending: [`RouterProbe`]'s rank indexes it.
+    asns: Vec<Asn>,
+    /// Firewall class per AS rank.
+    firewall: Vec<Firewall>,
+    /// Per router: what a probe reads of it.
+    probe: Vec<RouterProbe>,
+    /// Per interface: its address.
+    iface_addr: Vec<u32>,
+    /// The crossing table: canonical AS pairs with a crossing, packed
+    /// `low << 32 | high`, ascending. Pair `i` crosses over
+    /// `crossing_links[crossing_off[i]..crossing_off[i + 1]]`.
+    crossing_keys: Vec<u64>,
+    crossing_off: Vec<u32>,
+    crossing_links: Vec<ExtLink>,
 }
 
 impl RouterTopology {
@@ -133,6 +179,21 @@ impl RouterTopology {
             addr_to_iface: BTreeMap::new(),
             as_index: Vec::new(),
             path_rows: Vec::new(),
+            asns: graph.nodes.keys().copied().collect(),
+            firewall: graph
+                .nodes
+                .values()
+                .map(|n| match (n.firewalled, n.firewall_border_responds) {
+                    (false, _) => Firewall::Open,
+                    (true, true) => Firewall::BorderResponds,
+                    (true, false) => Firewall::BorderDrops,
+                })
+                .collect(),
+            probe: Vec::new(),
+            iface_addr: Vec::new(),
+            crossing_keys: Vec::new(),
+            crossing_off: vec![0],
+            crossing_links: Vec::new(),
         };
         let mut pools: BTreeMap<Asn, crate::addressing::AddrPool> = BTreeMap::new();
         let mut dark_pools: BTreeMap<Asn, crate::addressing::AddrPool> = BTreeMap::new();
@@ -277,7 +338,46 @@ impl RouterTopology {
             }
         }
 
+        topo.build_crossings(graph);
         topo
+    }
+
+    /// Builds the crossing table from `ext_links`, `ixp_ports` and the
+    /// graph's fabric peerings. A fabric peering crosses over its one
+    /// port-to-port link. A fabric pair never also has private links (the
+    /// interdomain loop above skips it), so each pair has one kind of
+    /// crossing and the table keeps the fabric's precedence.
+    fn build_crossings(&mut self, graph: &AsGraph) {
+        let mut pairs: Vec<(u64, Vec<ExtLink>)> = Vec::new();
+        for (&(a, b), links) in &self.ext_links {
+            assert!(
+                graph.ixp_for_pair(a, b).is_none(),
+                "fabric pair {a}-{b} also has private links"
+            );
+            pairs.push((pair_key(a, b), links.clone()));
+        }
+        for &(a, b, ixp) in &graph.ixp_peerings {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let port = |m: Asn| *self.ixp_ports.get(&(ixp, m)).expect("member has a port");
+            let ((router_a, iface_a), (router_b, iface_b)) = (port(lo), port(hi));
+            let link = ExtLink {
+                router_a,
+                iface_a,
+                router_b,
+                iface_b,
+            };
+            pairs.push((pair_key(lo, hi), vec![link]));
+        }
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        for (key, links) in pairs {
+            assert!(
+                self.crossing_keys.last() < Some(&key),
+                "one crossing per AS pair"
+            );
+            self.crossing_keys.push(key);
+            self.crossing_links.extend(links);
+            self.crossing_off.push(self.crossing_links.len() as u32);
+        }
     }
 
     /// Appends a router (`info.id` must be its index) to the topology and to
@@ -288,6 +388,18 @@ impl RouterTopology {
         let members = self.as_routers.entry(info.owner).or_default();
         self.as_index.push(members.len() as u32);
         members.push(id);
+        let as_rank = self
+            .asns
+            .binary_search(&info.owner)
+            .expect("owner is an AS of the graph");
+        self.probe.push(RouterProbe {
+            owner: info.owner,
+            as_rank: as_rank as u32,
+            rid_addr: 0, // set by the router's first `add_iface`
+            silent: info.silent,
+            egress_reply: info.egress_reply,
+            echo_offpath: info.echo_offpath,
+        });
         self.routers.push(info);
         self.internal_adj.push(Vec::new());
         self.path_rows.push(OnceLock::new());
@@ -309,7 +421,12 @@ impl RouterTopology {
             neighbor,
             kind,
         });
-        self.routers[router.0 as usize].ifaces.push(id);
+        let ifaces = &mut self.routers[router.0 as usize].ifaces;
+        if ifaces.is_empty() {
+            self.probe[router.0 as usize].rid_addr = addr;
+        }
+        ifaces.push(id);
+        self.iface_addr.push(addr);
         self.addr_to_iface.insert(addr, id);
         id
     }
@@ -369,6 +486,41 @@ impl RouterTopology {
     /// The interface carrying `addr`, if any.
     pub fn iface_by_addr(&self, addr: u32) -> Option<&InterfaceInfo> {
         self.addr_to_iface.get(&addr).map(|&i| self.iface(i))
+    }
+
+    /// What a probe reads of router `r`.
+    pub fn probe_view(&self, r: RouterId) -> RouterProbe {
+        self.probe[r.0 as usize]
+    }
+
+    /// The address of interface `i`.
+    pub fn iface_addr(&self, i: IfaceId) -> u32 {
+        self.iface_addr[i.0 as usize]
+    }
+
+    /// The firewall class of `asn` (`Open` for an AS outside the graph).
+    pub fn firewall(&self, asn: Asn) -> Firewall {
+        self.asns
+            .binary_search(&asn)
+            .map_or(Firewall::Open, |i| self.firewall[i])
+    }
+
+    /// The firewall class of a probed router's owner.
+    pub fn owner_firewall(&self, view: RouterProbe) -> Firewall {
+        self.firewall[view.as_rank as usize]
+    }
+
+    /// The links `a` and `b` cross over, in canonical pair order (side a
+    /// is the lower ASN): their private links, or the one link between
+    /// their ports on a shared IXP fabric. `None` when they are not
+    /// adjacent.
+    pub fn crossing(&self, a: Asn, b: Asn) -> Option<&[ExtLink]> {
+        let i = self
+            .crossing_keys
+            .binary_search(&pair_key(a.min(b), a.max(b)))
+            .ok()?;
+        let (start, end) = (self.crossing_off[i], self.crossing_off[i + 1]);
+        Some(&self.crossing_links[start as usize..end as usize])
     }
 
     /// The first interface on `router` whose link peer sits on `peer`.
@@ -609,6 +761,11 @@ impl RouterTopology {
     pub fn iface_count(&self) -> usize {
         self.ifaces.len()
     }
+}
+
+/// A canonical AS pair `(lo, hi)` packed for the crossing table.
+fn pair_key(lo: Asn, hi: Asn) -> u64 {
+    u64::from(lo.0) << 32 | u64::from(hi.0)
 }
 
 #[cfg(test)]

@@ -263,28 +263,39 @@ impl Routing {
     /// The AS path from `src` to `dst` (inclusive), or `None` if `src` has
     /// no route.
     pub fn as_path(&self, src: Asn, dst: Asn) -> Option<Vec<Asn>> {
+        let mut path = Vec::new();
+        self.as_path_into(src, dst, &mut path).then_some(path)
+    }
+
+    /// [`Routing::as_path`] into a caller-owned buffer: replaces `path`'s
+    /// contents with the path and returns `true`, or returns `false` (with
+    /// `path` unspecified) if `src` has no route.
+    pub fn as_path_into(&self, src: Asn, dst: Asn, path: &mut Vec<Asn>) -> bool {
+        path.clear();
         let Some(d) = self.rank(dst) else {
-            return (src == dst).then(|| vec![src]);
+            path.push(src);
+            return src == dst;
         };
         let table = self.table(d);
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let mut cur = self.rank(src)?;
-        let mut path = Vec::with_capacity(usize::from(table[cur].dist) + 1);
         path.push(src);
+        if src == dst {
+            return true;
+        }
+        let Some(mut cur) = self.rank(src) else {
+            return false;
+        };
         for _ in 0..64 {
             if cur == d {
-                return Some(path);
+                return true;
             }
             let slot = table[cur];
             if !slot.routed() {
-                return None;
+                return false;
             }
             cur = slot.next as usize;
             path.push(self.asns[cur]);
         }
-        None // routing loop guard; unreachable by construction
+        false // routing loop guard; unreachable by construction
     }
 
     /// Number of route tables computed so far (for tests / diagnostics).

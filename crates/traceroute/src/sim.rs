@@ -23,7 +23,8 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use topo_gen::{ForwardOutcome, Internet, RouterId, Tier};
+use topo_gen::routers::Firewall;
+use topo_gen::{DestPlan, ForwardBuf, ForwardHop, ForwardOutcome, Internet, RouterId, Tier};
 
 /// Probing campaign parameters.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -132,8 +133,10 @@ fn monitor_name(net: &Internet, vp: RouterId) -> String {
 
 /// Probes one destination from one VP.
 pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> Trace {
+    let mut walk = ForwardBuf::default();
+    let outcome = net.forward(vp, net.plan(dst).as_ref(), &mut walk);
     let mut hops = Vec::new();
-    let (src, stop) = synthesize(net, vp, dst, cfg, &mut hops);
+    let (src, stop) = synthesize(net, vp, dst, outcome, &walk.hops, cfg, &mut hops);
     Trace {
         monitor: monitor_name(net, vp),
         src,
@@ -143,37 +146,63 @@ pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> T
     }
 }
 
-/// Probes one destination from one VP into `out` as a row of monitor
-/// `monitor`. With `keep_unresponsive` unset, a measurement without a
-/// responsive hop adds no row, as a campaign drops it.
-fn probe_into(
-    out: &mut Corpus,
-    net: &Internet,
-    vp: RouterId,
-    monitor: &str,
-    dst: u32,
-    cfg: &ProbeConfig,
-    keep_unresponsive: bool,
-) {
-    let start = out.pending_start();
-    let (src, stop) = synthesize(net, vp, dst, cfg, &mut out.hops);
-    if keep_unresponsive || out.hops[start..].iter().any(Option::is_some) {
-        let monitor = out.intern(monitor).unwrap_or_else(|e| panic!("{e}"));
-        out.commit_row(monitor, src, dst, stop)
-            .unwrap_or_else(|e| panic!("{e}"));
-    } else {
-        out.hops.truncate(start);
+/// One pool task of a campaign: the rows it probed, and the walk buffers
+/// its probes reuse.
+struct Task {
+    /// Starts as a copy of the campaign's (empty) monitor table.
+    rows: Corpus,
+    /// Pair campaigns only: each row's traversed-AS set.
+    ases: AsSets,
+    walk: ForwardBuf,
+}
+
+impl Task {
+    fn new(table: &Corpus) -> Task {
+        Task {
+            rows: table.clone(),
+            ases: AsSets::new(),
+            walk: ForwardBuf::default(),
+        }
+    }
+
+    /// Walks `vp → dst` along `plan` into the task's buffers and appends
+    /// the measurement as a row of `monitor`, returning the walk's
+    /// outcome. With `keep_unresponsive` unset, a measurement without a
+    /// responsive hop adds no row, as a campaign drops it.
+    fn probe(
+        &mut self,
+        net: &Internet,
+        (vp, monitor): (RouterId, &str),
+        (dst, plan): (u32, Option<&DestPlan>),
+        cfg: &ProbeConfig,
+        keep_unresponsive: bool,
+    ) -> ForwardOutcome {
+        let outcome = net.forward(vp, plan, &mut self.walk);
+        let out = &mut self.rows;
+        let start = out.pending_start();
+        let (src, stop) = synthesize(net, vp, dst, outcome, &self.walk.hops, cfg, &mut out.hops);
+        if keep_unresponsive || out.hops[start..].iter().any(Option::is_some) {
+            let monitor = out.intern(monitor).unwrap_or_else(|e| panic!("{e}"));
+            out.commit_row(monitor, src, dst, stop)
+                .unwrap_or_else(|e| panic!("{e}"));
+        } else {
+            out.hops.truncate(start);
+        }
+        outcome
     }
 }
 
-/// Synthesizes the `(vp, dst)` measurement: appends its hop slots to
-/// `hops` and returns the probe source address and the stop reason. The
-/// one body behind [`trace_one`] and every campaign, which write into a
-/// corpus's hop column.
+/// Synthesizes the `(vp, dst)` measurement from its forward walk (`walk`,
+/// ending in `outcome`): appends its hop slots to `hops` and returns the
+/// probe source address and the stop reason. The one body behind
+/// [`trace_one`] and every campaign, which write into a corpus's hop
+/// column.
 fn synthesize(
     net: &Internet,
     vp: RouterId,
     dst: u32,
+    outcome: ForwardOutcome,
+    walk: &[ForwardHop],
     cfg: &ProbeConfig,
     hops: &mut Vec<Option<Hop>>,
 ) -> (u32, StopReason) {
@@ -181,50 +210,52 @@ fn synthesize(
     let mut rng = ChaCha8Rng::seed_from_u64(
         cfg.seed ^ (vp.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (dst as u64),
     );
-    let vp_as = net.topology.owner(vp);
-    let vp_info = net.topology.router(vp);
-    let src = net.topology.iface(vp_info.ifaces[0]).addr;
-
-    let fwd = net.forward_path(vp, dst);
-    if fwd.outcome == ForwardOutcome::NoRoute {
+    let topo = &net.topology;
+    let vp_view = topo.probe_view(vp);
+    let vp_as = vp_view.owner;
+    let src = vp_view.rid_addr;
+    if outcome == ForwardOutcome::NoRoute {
         return (src, StopReason::NoRoute);
     }
 
     // This row's slots are `hops[base..]`.
     let base = hops.len();
-    hops.reserve(fwd.hops.len() + cfg.gap_limit);
+    hops.reserve(walk.len() + cfg.gap_limit);
     let mut firewalled_from: Option<usize> = None;
-    let n = fwd.hops.len();
-    for (i, h) in fwd.hops.iter().enumerate() {
-        let owner = net.topology.owner(h.router);
-        if owner != vp_as && net.is_firewalled(owner) {
+    let n = walk.len();
+    for (i, h) in walk.iter().enumerate() {
+        let view = topo.probe_view(h.router);
+        if view.owner != vp_as {
             // §5's two firewall shapes, a generated per-AS attribute:
             // either the border router is the visible last hop (it filters
             // what is behind it), or the filter drops at the border and the
             // provider's router becomes the last hop.
-            let border_responds = net
-                .graph
-                .node(owner)
-                .is_some_and(|n| n.firewall_border_responds);
-            firewalled_from.get_or_insert(if border_responds { i + 1 } else { i });
+            match topo.owner_firewall(view) {
+                Firewall::Open => {}
+                Firewall::BorderResponds => {
+                    firewalled_from.get_or_insert(i + 1);
+                }
+                Firewall::BorderDrops => {
+                    firewalled_from.get_or_insert(i);
+                }
+            }
         }
-        let info = net.topology.router(h.router);
         let is_last = i + 1 == n;
         let blocked = firewalled_from.is_some_and(|f| i >= f);
-        let silent = blocked || info.silent || rng.gen_bool(net.cfg.rate_limit_prob);
+        let silent = blocked || view.silent || rng.gen_bool(net.cfg.rate_limit_prob);
         if silent {
             hops.push(None);
             continue;
         }
         if is_last {
-            if let ForwardOutcome::ReachedIface(ifid) = fwd.outcome {
+            if let ForwardOutcome::ReachedIface(ifid) = outcome {
                 // The destination is this router's own interface: Echo Reply
                 // sourced from the probed address, or from the router-id
                 // interface for echo-offpath routers.
-                let addr = if info.echo_offpath {
-                    net.topology.iface(info.ifaces[0]).addr
+                let addr = if view.echo_offpath {
+                    view.rid_addr
                 } else {
-                    net.topology.iface(ifid).addr
+                    topo.iface_addr(ifid)
                 };
                 hops.push(Some(Hop {
                     addr,
@@ -242,9 +273,9 @@ fn synthesize(
 
     let mut completed = false;
     let mut unreachable = false;
-    if let ForwardOutcome::ReachedIface(_) = fwd.outcome {
+    if let ForwardOutcome::ReachedIface(_) = outcome {
         completed = hops[base..].last().is_some_and(Option::is_some);
-    } else if let ForwardOutcome::ReachedHostSpace { asn } = fwd.outcome {
+    } else if let ForwardOutcome::ReachedHostSpace { asn } = outcome {
         // A host past the final router may answer; failing that, the last
         // router may report the dead host with Destination Unreachable.
         let behind_firewall = net.is_firewalled(asn) || firewalled_from.is_some();
@@ -353,14 +384,16 @@ pub fn reactive_campaign(
 /// Destination enumeration runs *before* the `traceroute.campaign` span
 /// opens: it is input preparation, identical at every thread count.
 ///
-/// The `(vp, dst)` probe matrix is flattened vp-major and split into
-/// pool-sized task chunks; each task synthesizes its contiguous index range
-/// into a private chunk [`Corpus`], keeping responsive traces only, and the
-/// chunks are appended in range order. Because every trace depends only on
-/// `(campaign seed, vp, dst)` and the ranges partition the matrix in its
-/// canonical order, the corpus is byte-identical for every pool size —
-/// stealing can move a chunk between workers, never reorder the chunks.
-/// Monitor names are formatted once per VP.
+/// Each destination is planned once ([`Internet::plan`]), inside the span,
+/// and every VP's probe toward it walks that plan. The `(vp, dst)` probe
+/// matrix is flattened vp-major and split into pool-sized task chunks;
+/// each task synthesizes its contiguous index range into a private chunk
+/// [`Corpus`], keeping responsive traces only, and the chunks are appended
+/// in range order. Because every trace depends only on `(campaign seed,
+/// vp, dst)` and the ranges partition the matrix in its canonical order,
+/// the corpus is byte-identical for every pool size — stealing can move a
+/// chunk between workers, never reorder the chunks. Monitor names are
+/// formatted once per VP.
 pub fn probe_campaign_in_pool(
     net: &Internet,
     vps: &[RouterId],
@@ -372,22 +405,23 @@ pub fn probe_campaign_in_pool(
     let _span = rec.span(obs::names::PHASE_TRACEROUTE);
     rec.tracer()
         .instant_main(obs::names::EV_CAMPAIGN_DESTS, dests.len() as u64);
+    let plans: Vec<Option<DestPlan>> = dests.iter().map(|&d| net.plan(d)).collect();
     let names: Vec<String> = vps.iter().map(|&vp| monitor_name(net, vp)).collect();
     let table =
         Corpus::with_monitors(names.iter().map(String::as_str)).unwrap_or_else(|e| panic!("{e}"));
     let jobs = vps.len() * dests.len();
-    let traces = probe_in_pool(jobs, wp, &table, |k, chunk| {
-        let v = k / dests.len();
-        probe_into(
-            chunk,
+    let tasks = probe_in_pool(jobs, wp, &table, |k, task| {
+        let (v, j) = (k / dests.len(), k % dests.len());
+        task.probe(
             net,
-            vps[v],
-            &names[v],
-            dests[k % dests.len()],
+            (vps[v], &names[v]),
+            (dests[j], plans[j].as_ref()),
             cfg,
             false,
         );
     });
+    let traces = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect())
+        .unwrap_or_else(|e| panic!("{e}"));
     let hops = traces.hops(0..traces.len());
     rec.add(obs::names::TRACEROUTE_TRACES, traces.len() as u64);
     rec.add(obs::names::TRACEROUTE_HOPS, hops.len() as u64);
@@ -402,65 +436,156 @@ pub fn probe_campaign_in_pool(
     traces
 }
 
+/// Sorted AS sets in one flat column: set `i` is
+/// `ases[off[i]..off[i + 1]]`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AsSets {
+    ases: Vec<Asn>,
+    off: Vec<u32>,
+}
+
+impl Default for AsSets {
+    fn default() -> Self {
+        AsSets::new()
+    }
+}
+
+impl AsSets {
+    /// No sets.
+    pub fn new() -> AsSets {
+        AsSets {
+            ases: Vec::new(),
+            off: vec![0],
+        }
+    }
+
+    /// Number of sets.
+    pub fn len(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Whether there are no sets.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Set `i`.
+    pub fn get(&self, i: usize) -> &[Asn] {
+        &self.ases[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
+    /// Appends a set.
+    pub fn push(&mut self, set: &[Asn]) {
+        self.ases.extend_from_slice(set);
+        self.close();
+    }
+
+    /// Closes the ASes appended to the column since the last set as a new
+    /// set.
+    fn close(&mut self) {
+        self.off.push(self.ases.len() as u32);
+    }
+
+    /// Removes every set, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.ases.clear();
+        self.off.truncate(1);
+    }
+
+    /// Reserves room for `sets` more sets.
+    pub fn reserve(&mut self, sets: usize) {
+        self.off.reserve(sets);
+    }
+
+    fn append(&mut self, other: &AsSets) {
+        for i in 0..other.len() {
+            self.push(other.get(i));
+        }
+    }
+}
+
+/// The result of [`probe_pairs_in_pool`], index-aligned with its pairs.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProbedPairs {
+    /// One row per pair, unresponsive ones included.
+    pub rows: Corpus,
+    /// Per pair, its [`traversed_ases`] set.
+    pub ases: AsSets,
+}
+
 /// Probes an explicit list of `(vp, dst)` pairs on the given pool, returning
 /// one row per pair **in pair order, unfiltered** (unresponsive traces
-/// included so the result stays index-aligned with `pairs`).
+/// included so the result stays index-aligned with `pairs`), and each
+/// pair's [`traversed_ases`] set, taken from the same forward walk.
 ///
 /// This is the churn workload's delta campaign: after a topology event, only
-/// the pairs whose paths traverse a touched AS (see [`traversed_ases`]) are
-/// re-probed, and the caller splices the fresh rows over its cached corpus.
-/// Determinism matches the full campaign's: every trace is a pure function
-/// of `(campaign seed, vp, dst)`, and chunks append in index order.
+/// the pairs whose paths traverse a touched AS are re-probed, and the
+/// caller splices the fresh rows over its cached corpus. Every pair is
+/// planned against the topology as it is now: plans never outlive a
+/// topology event. Determinism matches the full campaign's: every trace is
+/// a pure function of `(campaign seed, vp, dst)`, and chunks append in
+/// index order.
 pub fn probe_pairs_in_pool(
     net: &Internet,
     pairs: &[(RouterId, u32)],
     cfg: &ProbeConfig,
     wp: &pool::WorkerPool,
-) -> Corpus {
+) -> ProbedPairs {
     let names: BTreeMap<RouterId, String> = pairs
         .iter()
         .map(|&(vp, _)| (vp, monitor_name(net, vp)))
         .collect();
     let table =
         Corpus::with_monitors(names.values().map(String::as_str)).unwrap_or_else(|e| panic!("{e}"));
-    probe_in_pool(pairs.len(), wp, &table, |k, chunk| {
+    let tasks = probe_in_pool(pairs.len(), wp, &table, |k, task| {
         let (vp, dst) = pairs[k];
-        probe_into(chunk, net, vp, &names[&vp], dst, cfg, true);
-    })
+        let plan = net.plan(dst);
+        let outcome = task.probe(net, (vp, &names[&vp]), (dst, plan.as_ref()), cfg, true);
+        traversed_ases(net, vp, dst, &task.walk.hops, outcome, &mut task.ases.ases);
+        task.ases.close();
+    });
+    let mut ases = AsSets::new();
+    ases.reserve(pairs.len());
+    for t in &tasks {
+        ases.append(&t.ases);
+    }
+    let rows = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect())
+        .unwrap_or_else(|e| panic!("{e}"));
+    ProbedPairs { rows, ases }
 }
 
-/// Runs `probe(k, chunk)` for every job `k` in `0..jobs`, split into
-/// pool-sized contiguous chunks that each start as a copy of `table` (an
-/// empty corpus holding the campaign's monitor table), and appends the
-/// chunks in job order.
+/// Runs `probe(k, task)` for every job `k` in `0..jobs`, split into
+/// pool-sized contiguous chunks, each a [`Task`] starting from `table` (an
+/// empty corpus holding the campaign's monitor table), and returns the
+/// tasks in job order (one empty task when there are no jobs).
 fn probe_in_pool(
     jobs: usize,
     wp: &pool::WorkerPool,
     table: &Corpus,
-    probe: impl Fn(usize, &mut Corpus) + Sync,
-) -> Corpus {
+    probe: impl Fn(usize, &mut Task) + Sync,
+) -> Vec<Task> {
     if jobs == 0 {
-        return table.clone();
+        return vec![Task::new(table)];
     }
     let batch = wp.batch_size(jobs);
-    let chunks = wp.run(
+    wp.run(
         obs::names::EXEC_POOL_BUSY_CAMPAIGN,
         jobs.div_ceil(batch),
         |t| {
-            let mut chunk = table.clone();
+            let mut task = Task::new(table);
             for k in t * batch..((t + 1) * batch).min(jobs) {
-                probe(k, &mut chunk);
+                probe(k, &mut task);
             }
-            chunk
+            task
         },
-    );
-    Corpus::concat(chunks).unwrap_or_else(|e| panic!("{e}"))
+    )
 }
 
 /// Every AS whose state can influence the `(vp, dst)` measurement, appended
 /// to `out` sorted and deduplicated: the VP's AS, the destination's BGP
 /// origin, every AS the forwarding path traverses, and the AS the path
-/// terminates in.
+/// terminates in. `walk` and `outcome` are the measurement's forward walk
+/// ([`Internet::forward`] or [`Internet::forward_path`]).
 ///
 /// Computed from the *ground-truth* forward path, not the observed trace —
 /// silent routers hide traversed ASes from the trace, and the dirty-pair
@@ -470,13 +595,19 @@ fn probe_in_pool(
 /// needs to cover intra-AS events: internal link failures/recoveries change
 /// forwarding inside one traversed AS, and router additions shift the
 /// host-to-router mapping of the terminal AS — both covered here.
-pub fn traversed_ases(net: &Internet, vp: RouterId, dst: u32, out: &mut Vec<Asn>) {
+pub fn traversed_ases(
+    net: &Internet,
+    vp: RouterId,
+    dst: u32,
+    walk: &[ForwardHop],
+    outcome: ForwardOutcome,
+    out: &mut Vec<Asn>,
+) {
     let start = out.len();
     out.push(net.topology.owner(vp));
     out.extend(net.bgp_origin(dst));
-    let fwd = net.forward_path(vp, dst);
-    out.extend(fwd.hops.iter().map(|h| net.topology.owner(h.router)));
-    match fwd.outcome {
+    out.extend(walk.iter().map(|h| net.topology.owner(h.router)));
+    match outcome {
         ForwardOutcome::ReachedHostSpace { asn } => out.push(asn),
         ForwardOutcome::ReachedIface(i) => {
             out.push(net.topology.owner(net.topology.iface(i).router));
@@ -743,9 +874,14 @@ mod tests {
             .flat_map(|&vp| dests.iter().map(move |&d| (vp, d)))
             .collect();
         let wp = pool::WorkerPool::new(2);
-        let traces = probe_pairs_in_pool(&net, &pairs, &cfg, &wp);
-        assert_eq!(traces.len(), pairs.len(), "unfiltered: one trace per pair");
-        for (&(vp, dst), t) in pairs.iter().zip(&traces) {
+        let probed = probe_pairs_in_pool(&net, &pairs, &cfg, &wp);
+        assert_eq!(
+            probed.rows.len(),
+            pairs.len(),
+            "unfiltered: one trace per pair"
+        );
+        assert_eq!(probed.ases.len(), pairs.len());
+        for (&(vp, dst), t) in pairs.iter().zip(&probed.rows) {
             assert_eq!(t.to_owned(), trace_one(&net, vp, dst, &cfg));
             assert_eq!(t.dst, dst);
         }
@@ -792,7 +928,8 @@ mod tests {
                 .iter()
                 .map(|&(vp, d)| {
                     let mut ases = Vec::new();
-                    traversed_ases(&net, vp, d, &mut ases);
+                    let fwd = net.forward_path(vp, d);
+                    traversed_ases(&net, vp, d, &fwd.hops, fwd.outcome, &mut ases);
                     (trace_one(&net, vp, d, &cfg), ases)
                 })
                 .collect();
@@ -811,6 +948,76 @@ mod tests {
             }
         }
         assert!(checked > 0, "no untouched pairs exercised");
+    }
+
+    /// The pool's traversed-AS sets, taken from the walks that synthesized
+    /// the rows, must equal `traversed_ases` over a fresh `forward_path`,
+    /// before and after random topology events.
+    mod pool_sets {
+        use super::*;
+        use proptest::prelude::*;
+        use topo_gen::TopologyEvent;
+
+        fn check(
+            net: &Internet,
+            pairs: &[(RouterId, u32)],
+            cfg: &ProbeConfig,
+        ) -> Result<(), TestCaseError> {
+            let wp = pool::WorkerPool::new(2);
+            let probed = probe_pairs_in_pool(net, pairs, cfg, &wp);
+            prop_assert_eq!(probed.ases.len(), pairs.len());
+            for (k, &(vp, dst)) in pairs.iter().enumerate() {
+                let fwd = net.forward_path(vp, dst);
+                let mut want = Vec::new();
+                traversed_ases(net, vp, dst, &fwd.hops, fwd.outcome, &mut want);
+                prop_assert_eq!(probed.ases.get(k), &want[..], "pair {}", k);
+                prop_assert_eq!(probed.rows.row(k).to_owned(), trace_one(net, vp, dst, cfg));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            #[test]
+            fn pool_sets_match_traversed_ases_under_events(
+                seed in 0u64..500,
+                picks in proptest::collection::vec((0usize..10_000, 0usize..10_000), 1..64),
+                events in proptest::collection::vec((0u8..3, 0usize..10_000), 1..6),
+            ) {
+                let mut net = Internet::generate(GeneratorConfig::tiny(seed));
+                let cfg = ProbeConfig { per_prefix_cap: 2, ..ProbeConfig::default() };
+                let dests = destinations(&net, &cfg);
+                let pairs = |net: &Internet| -> Vec<(RouterId, u32)> {
+                    let topo = &net.topology;
+                    picks
+                        .iter()
+                        .map(|&(v, d)| {
+                            // Half campaign destinations, half interface
+                            // addresses (the routers an event adds included).
+                            let dst = if d % 2 == 0 {
+                                dests[d % dests.len()]
+                            } else {
+                                topo.ifaces[d % topo.ifaces.len()].addr
+                            };
+                            (topo.routers[v % topo.router_count()].id, dst)
+                        })
+                        .collect()
+                };
+                check(&net, &pairs(&net), &cfg)?;
+                for (kind, k) in events {
+                    let links = net.internal_links();
+                    let (asn, a, b) = links[k % links.len()];
+                    let ev = match kind {
+                        0 => TopologyEvent::LinkDown { asn, a, b },
+                        1 => TopologyEvent::LinkUp { asn, a, b },
+                        _ => TopologyEvent::RouterAdd { asn, attach: a },
+                    };
+                    net.apply_event(&ev);
+                    check(&net, &pairs(&net), &cfg)?;
+                }
+            }
+        }
     }
 
     #[test]
