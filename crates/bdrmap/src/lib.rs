@@ -184,8 +184,8 @@ fn classify_boundary(
     cones: &CustomerCones,
     vp_as: Asn,
 ) -> Asn {
-    let foreign_origins: BTreeSet<Asn> =
-        ir.origins.iter().copied().filter(|&o| o != vp_as).collect();
+    let origins = &graph.ir_origins[ir.id.0 as usize];
+    let foreign_origins: BTreeSet<Asn> = origins.iter().copied().filter(|&o| o != vp_as).collect();
     let subsequent: BTreeSet<Asn> = ir
         .links
         .iter()
@@ -193,7 +193,7 @@ fn classify_boundary(
         .filter(|a| a.is_some() && *a != vp_as)
         .collect();
 
-    if ir.origins.contains(&vp_as) && foreign_origins.is_empty() {
+    if origins.contains(&vp_as) && foreign_origins.is_empty() {
         // All interfaces in VP space. Past the border, the industry
         // convention (provider addresses the link) means a customer border
         // router; the single subsequent AS with a relationship to the VP
@@ -208,8 +208,7 @@ fn classify_boundary(
         }
         if subsequent.is_empty() {
             // Silent edge: attribute through the probed destinations.
-            let related_dests: Vec<Asn> = ir
-                .dests
+            let related_dests: Vec<Asn> = graph.ir_dests[ir.id.0 as usize]
                 .iter()
                 .copied()
                 .filter(|&d| d != vp_as && rels.has_relationship(d, vp_as))

@@ -41,7 +41,7 @@ use bdrmapit_core::refine::{refine_incremental, ShardCache};
 use bdrmapit_core::Bdrmapit;
 use bdrmapit_core::{lasthop, Annotated, AnnotationState, Config, IrGraph};
 use bgp::IpToAs;
-use net_types::Asn;
+use net_types::{AsSets, Asn};
 use obs::names;
 use obs::Clock as _;
 use obs::RunReport;
@@ -50,7 +50,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use topo_gen::{GeneratorConfig, Internet, RouterId};
 use traceroute::sim::{
-    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, AsSets, ProbeConfig,
+    destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, ProbeConfig,
 };
 use traceroute::Corpus;
 

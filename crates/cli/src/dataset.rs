@@ -23,7 +23,7 @@ use net_types::Asn;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fs;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use topo_gen::GeneratorConfig;
 use traceroute::io::{read_jsonl, write_jsonl};
@@ -189,10 +189,12 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
         .with_obs(rec.clone())
         .run(&traces, &aliases, &ip2as, &rels);
 
-    let mut ann = fs::File::create(dir.join(files::ANNOTATIONS))?;
-    bdrmapit_core::output::write_annotations(&mut ann, &result)?;
-    let mut links = fs::File::create(dir.join(files::LINKS))?;
-    bdrmapit_core::output::write_links(&mut links, &result)?;
+    write_buffered(fs::File::create(dir.join(files::ANNOTATIONS))?, |w| {
+        bdrmapit_core::output::write_annotations(w, &result)
+    })?;
+    write_buffered(fs::File::create(dir.join(files::LINKS))?, |w| {
+        bdrmapit_core::output::write_links(w, &result)
+    })?;
 
     let mut report = format!(
         "ran bdrmapIT on {} traces: {} IRs, {} iterations, {} interdomain links\n\
@@ -245,9 +247,48 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
     Ok(report)
 }
 
+/// Runs `body` over `out` through one buffer, then flushes it: the CSV
+/// writers emit many small fragments, and a `BufWriter` dropped unflushed
+/// would discard the error of its last write.
+fn write_buffered<W: Write>(
+    out: W,
+    body: impl FnOnce(&mut BufWriter<W>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut w = BufWriter::new(out);
+    body(&mut w)?;
+    w.flush()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accepts nothing: every write and flush fails.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "device full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "device full"))
+        }
+    }
+
+    #[test]
+    fn buffered_write_errors_reach_the_caller() {
+        // Small enough to sit in the buffer until the final flush.
+        let err = write_buffered(Full, |w| w.write_all(b"addr,asn\n")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        // Larger than the buffer: the error surfaces inside the body.
+        let err = write_buffered(Full, |w| w.write_all(&[b'x'; 1 << 16])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        // Buffered bytes arrive whole.
+        let mut out = Vec::new();
+        write_buffered(&mut out, |w| w.write_all(b"a,b\n")).unwrap();
+        assert_eq!(out, b"a,b\n");
+    }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("bdrmapit-test-{tag}-{}", std::process::id()));

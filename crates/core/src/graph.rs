@@ -29,23 +29,25 @@
 //!    predecessor records it carries; a second pass over interface ranges
 //!    cuts and sorts destination keys and predecessor records the same way.
 //!    The calling thread then folds the sorted ranges, in range order, into
-//!    links, destination sets and predecessor maps. Each range's sorted keys
-//!    depend only on the set of keys in it, and every accumulator is
-//!    order-insensitive — link label by `min`, the probed bit by `or`,
-//!    origin/destination/predecessor collections are sets — so neither the
-//!    shard nor the range split can reach the output.
+//!    links and the sorted set columns ([`SetColumn`]): the keys arrive in
+//!    set order, so each set is appended, never inserted into. Each range's
+//!    sorted keys depend only on the set of keys in it, and every
+//!    accumulator is order-insensitive — link label by `min`, the probed bit
+//!    by `or`, origin/destination/predecessor collections are sets — so
+//!    neither the shard nor the range split can reach the output.
 //! 4. **Annotate** (per-IR metadata): workers process disjoint IR ranges
 //!    with private [`RelQueryCache`]s (hit/miss tallies merged in worker
-//!    order), and results are written back in IR order.
+//!    order), each writing its IRs' origin and filtered destination unions
+//!    into a column of its own; the columns append in IR order.
 
 use crate::refine::shard::ShardPlan;
 use crate::Config;
 use alias::AliasSets;
 use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
 use bgp::{IpToAs, OriginInfo, OriginKind};
-use net_types::{AddrInterner, Asn};
+use net_types::{AddrInterner, AsSets, Asn, SetColumn};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use traceroute::{Corpus, ReplyType};
 
 /// Index of an inferred router.
@@ -77,9 +79,9 @@ pub struct Link {
     pub dst: IfIdx,
     /// Best (highest-confidence) label observed for this link.
     pub label: LinkLabel,
-    /// `L(IRᵢ, j)`: origin ASes of the IR's interfaces seen immediately
-    /// prior to `dst` in a traceroute (§4.3).
-    pub origins: BTreeSet<Asn>,
+    /// The link's set in [`IrGraph::link_origins`]: links are numbered in
+    /// IR order, then by destination interface.
+    pub row: u32,
     /// Some trace whose `IR → dst` segment created this link was destined
     /// to `dst`'s (announced) origin AS. The third-party test (§6.1.1) asks
     /// nothing else of the link's destination ASes.
@@ -95,11 +97,6 @@ pub struct Ir {
     pub ifaces: Vec<IfIdx>,
     /// Outgoing links, ordered by destination interface.
     pub links: Vec<Link>,
-    /// Union of the interfaces' origin ASes (IXP and unannounced addresses
-    /// contribute nothing, §4.1).
-    pub origins: BTreeSet<Asn>,
-    /// Destination AS set after §4.4's reallocation filtering.
-    pub dests: BTreeSet<Asn>,
 }
 
 /// The annotated IR graph.
@@ -113,11 +110,20 @@ pub struct IrGraph {
     pub iface_origin: Vec<OriginInfo>,
     /// Owning IR per interface.
     pub iface_ir: Vec<IrId>,
-    /// Raw (unfiltered) destination AS set per interface.
-    pub iface_dests: Vec<BTreeSet<Asn>>,
-    /// Per interface: predecessor IR → that IR's interfaces seen immediately
-    /// prior (drives interface-annotation voting, §6.2).
-    pub preds: Vec<BTreeMap<IrId, BTreeSet<IfIdx>>>,
+    /// Per IR: union of its interfaces' origin ASes (IXP and unannounced
+    /// addresses contribute nothing, §4.1).
+    pub ir_origins: AsSets,
+    /// Per IR: destination AS set after §4.4's reallocation filtering.
+    pub ir_dests: AsSets,
+    /// Per link, by [`Link::row`]: `L(IRᵢ, j)`, the origin ASes of the IR's
+    /// interfaces seen immediately prior to the link's destination in a
+    /// traceroute (§4.3).
+    pub link_origins: AsSets,
+    /// Per interface: raw (unfiltered) destination AS set.
+    pub iface_dests: AsSets,
+    /// Per interface: `(predecessor IR, its interface seen immediately
+    /// prior)` pairs, ascending (drives interface-annotation voting, §6.2).
+    pub preds: SetColumn<(IrId, IfIdx)>,
     /// Address ↔ interface-index mapping: interface `i`'s address is the
     /// `i`-th smallest observed address, so the interner's dense ids *are*
     /// the `IfIdx` values.
@@ -395,8 +401,6 @@ impl IrGraph {
                 id,
                 ifaces: members,
                 links: Vec::new(),
-                origins: BTreeSet::new(),
-                dests: BTreeSet::new(),
             });
         }
 
@@ -545,15 +549,13 @@ impl IrGraph {
         drop(dest_shards);
         drop(pred_parts);
 
-        // The folds build the graph's sets here, on the calling thread. Sets
-        // built on pool threads land in those threads' allocator arenas,
-        // above the shards' freed memory, which then stays resident; that
-        // measured as a 15% higher peak RSS (DESIGN.md §12).
+        // The folds append to the graph's columns here, on the calling
+        // thread, in range order: each range's keys arrive sorted by set,
+        // then by value, so every set is appended whole.
         //
-        // Each link's origin set is bulk-built from a sorted, deduplicated
-        // scratch vector rather than inserted key by key: `pred` ascends
-        // within a run, so its origins need one lookup per distinct
-        // interface.
+        // A link's origin set comes from a sorted, deduplicated scratch
+        // vector: `pred` ascends within a run, so its origins need one lookup
+        // per distinct interface.
         let mut origins: Vec<Asn> = Vec::new();
         for keys in link_keys {
             for run in keys.chunk_by(|a, b| a >> 64 == b >> 64) {
@@ -568,47 +570,47 @@ impl IrGraph {
                     dst_origin_probed |= probed;
                     if last_pred != Some(pred) {
                         last_pred = Some(pred);
-                        origins.push(g.iface_origin[pred as usize].asn);
+                        let o = g.iface_origin[pred as usize].asn;
+                        if o.is_some() {
+                            origins.push(o);
+                        }
                     }
                 }
                 origins.sort_unstable();
                 origins.dedup();
                 // Runs arrive in ascending (ir, dst) order, so each IR's
-                // link vector comes out sorted by destination interface.
+                // link vector comes out sorted by destination interface, and
+                // link rows ascend with (ir, dst).
                 g.irs[ir as usize].links.push(Link {
                     dst: IfIdx(dst),
                     label,
-                    origins: origins.iter().copied().filter(|a| a.is_some()).collect(),
+                    row: g.link_origins.len() as u32,
                     dst_origin_probed,
                 });
+                g.link_origins.push(&origins);
             }
         }
-        g.iface_dests = vec![BTreeSet::new(); n_ifaces];
-        g.preds = vec![BTreeMap::new(); n_ifaces];
         for (dest_keys, pred_keys) in per_iface {
-            for run in dest_keys.chunk_by(|a, b| a >> 32 == b >> 32) {
-                g.iface_dests[(run[0] >> 32) as usize] =
-                    run.iter().map(|&k| Asn(k as u32)).collect();
+            for &k in &dest_keys {
+                g.iface_dests.push_to((k >> 32) as usize, Asn(k as u32));
             }
-            // Predecessor maps for §6.2 interface voting.
-            for run in pred_keys.chunk_by(|a, b| a >> 64 == b >> 64) {
-                g.preds[(run[0] >> 64) as usize] = run
-                    .chunk_by(|a, b| a >> 32 == b >> 32)
-                    .map(|ir_run| {
-                        let ir = IrId((ir_run[0] >> 32) as u32);
-                        (ir, ir_run.iter().map(|&k| IfIdx(k as u32)).collect())
-                    })
-                    .collect();
+            // Predecessor pairs for §6.2 interface voting.
+            for &k in &pred_keys {
+                let pair = (IrId((k >> 32) as u32), IfIdx(k as u32));
+                g.preds.push_to((k >> 64) as usize, pair);
             }
         }
+        g.iface_dests.close_to(n_ifaces);
+        g.preds.close_to(n_ifaces);
 
         drop(span);
 
         // ---- per-IR metadata: origin-AS unions and §4.4-filtered
-        // destination sets, chunked over the IR space. Each task owns a
-        // private relationship cache; hit/miss tallies are
-        // execution-dependent (the split varies with the thread count), so
-        // they merge into the exec class in task order.
+        // destination sets, chunked over the IR space into task-local
+        // columns that append in IR order. Each task owns a private
+        // relationship cache; hit/miss tallies are execution-dependent (the
+        // split varies with the thread count), so they merge into the exec
+        // class in task order.
         let span = rec.span(obs::names::PHASE1_METADATA);
         let graph = &g;
         let meta_shards = wp.run(
@@ -617,38 +619,24 @@ impl IrGraph {
             |t| {
                 let (lo, hi) = task_range(n_irs, t, ir_batch);
                 let mut cache = RelQueryCache::new(rels, cones);
-                let mut out: Vec<(BTreeSet<Asn>, BTreeSet<Asn>)> = Vec::with_capacity(hi - lo);
+                let (mut origins, mut dests) = (AsSets::new(), AsSets::new());
                 for ir in &graph.irs[lo..hi] {
-                    let mut origins: BTreeSet<Asn> = BTreeSet::new();
-                    let mut dests: BTreeSet<Asn> = BTreeSet::new();
-                    for &ifidx in &ir.ifaces {
-                        let o = graph.iface_origin[ifidx.0 as usize];
-                        if o.asn.is_some() && o.kind != OriginKind::Ixp {
-                            origins.insert(o.asn);
-                        }
-                        let raw = &graph.iface_dests[ifidx.0 as usize];
-                        dests.extend(filtered_iface_dests(raw, o.asn, cfg, &mut cache));
-                    }
-                    out.push((origins, dests));
+                    graph.push_metadata(ir, cfg, &mut cache, &mut origins, &mut dests);
                 }
                 let mut sheet = obs::MetricSheet::new();
                 let stats = cache.stats();
                 sheet.add_exec(obs::names::EXEC_CACHE_HITS, stats.hits);
                 sheet.add_exec(obs::names::EXEC_CACHE_MISSES, stats.misses);
-                (out, sheet)
+                (origins, dests, sheet)
             },
         );
         let mut merged = obs::MetricSheet::new();
-        let mut meta: Vec<(BTreeSet<Asn>, BTreeSet<Asn>)> = Vec::with_capacity(n_irs);
-        for (out, sheet) in meta_shards {
-            meta.extend(out);
+        for (origins, dests, sheet) in meta_shards {
+            g.ir_origins.append(&origins);
+            g.ir_dests.append(&dests);
             merged.merge(&sheet);
         }
         rec.absorb(&merged);
-        for (ir, (origins, dests)) in g.irs.iter_mut().zip(meta) {
-            ir.origins = origins;
-            ir.dests = dests;
-        }
         drop(span);
 
         // ---- refinement shard plan (link-connected components, §6.3) ----
@@ -657,6 +645,34 @@ impl IrGraph {
         drop(span);
 
         g
+    }
+
+    /// Appends `ir`'s origin-AS union to `origins` and the union of its
+    /// interfaces' §4.4-filtered destination sets to `dests`. Only an IR
+    /// with several interfaces has sets to merge; a single interface's
+    /// filtered set is already sorted.
+    fn push_metadata(
+        &self,
+        ir: &Ir,
+        cfg: &Config,
+        cache: &mut RelQueryCache<'_>,
+        origins: &mut AsSets,
+        dests: &mut AsSets,
+    ) {
+        let announced = |j: &IfIdx| {
+            let o = self.iface_origin[j.0 as usize];
+            (o.asn.is_some() && o.kind != OriginKind::Ixp).then_some(o.asn)
+        };
+        origins.push_union(|out| out.extend(ir.ifaces.iter().filter_map(announced)));
+        let mut filtered = |j: IfIdx, out: &mut Vec<Asn>| {
+            let raw = &self.iface_dests[j.0 as usize];
+            let drop = realloc_drop(raw, self.iface_origin[j.0 as usize].asn, cfg, cache);
+            out.extend(raw.iter().copied().filter(|&a| Some(a) != drop));
+        };
+        match ir.ifaces[..] {
+            [j] => dests.push_with(|out| filtered(j, out)),
+            _ => dests.push_union(|out| ir.ifaces.iter().for_each(|&j| filtered(j, out))),
+        }
     }
 
     /// IRs with no outgoing links (phase 2 targets).
@@ -716,34 +732,38 @@ fn link_label(dist: u8, ox: OriginInfo, oy: OriginInfo, reply: ReplyType) -> Lin
 /// §4.4's per-interface destination filter: a set of exactly two ASes, one
 /// matching the interface origin and the other a small-cone AS with no
 /// BGP-observable relationship to it, indicates a reallocated prefix; the
-/// larger-cone AS (the reallocating provider) is removed. Cone sizes and
-/// relationship probes go through the worker's memoized cache.
-fn filtered_iface_dests(
-    raw: &BTreeSet<Asn>,
+/// larger-cone AS (the reallocating provider) is removed. Returns the AS to
+/// remove from the interface's raw set, if any. Cone sizes and relationship
+/// probes go through the worker's memoized cache.
+fn realloc_drop(
+    raw: &[Asn],
     origin: Asn,
     cfg: &Config,
     cache: &mut RelQueryCache<'_>,
-) -> BTreeSet<Asn> {
-    if !cfg.enable_realloc || raw.len() != 2 || origin.is_none() || !raw.contains(&origin) {
-        return raw.clone();
+) -> Option<Asn> {
+    let &[a, b] = raw else {
+        return None;
+    };
+    if !cfg.enable_realloc || origin.is_none() || (a != origin && b != origin) {
+        return None;
     }
-    let other = *raw.iter().find(|&&a| a != origin).expect("two elements");
+    let other = if a == origin { b } else { a };
     if cache.cone_size(other) > cfg.realloc_cone_max || cache.has_relationship(origin, other) {
-        return raw.clone();
+        return None;
     }
     // Remove the AS with the larger cone (the provider).
-    let drop = if cache.cone_size(origin) >= cache.cone_size(other) {
+    Some(if cache.cone_size(origin) >= cache.cone_size(other) {
         origin
     } else {
         other
-    };
-    raw.iter().copied().filter(|&a| a != drop).collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use net_types::Prefix;
+    use std::collections::BTreeSet;
     use traceroute::{Hop, StopReason, Trace};
 
     fn cfg() -> Config {
@@ -821,8 +841,9 @@ mod tests {
         // The merged IR has ONE link to 10.2.0.1 with both origins = {AS1}.
         let ir = &g.irs[ir.0 as usize];
         assert_eq!(ir.links.len(), 1);
-        assert_eq!(ir.links[0].origins, BTreeSet::from([Asn(1)]));
-        assert_eq!(ir.origins, BTreeSet::from([Asn(1)]));
+        assert_eq!(ir.links[0].row, 0);
+        assert_eq!(&g.link_origins[0], &[Asn(1)]);
+        assert_eq!(&g.ir_origins[ir.id.0 as usize], &[Asn(1)]);
     }
 
     #[test]
@@ -904,7 +925,7 @@ mod tests {
         let g = build(&traces, &aliases);
         let ir = &g.irs[g.ir_of_addr(a("10.1.0.1")).unwrap().0 as usize];
         assert_eq!(ir.links.len(), 1);
-        assert_eq!(ir.links[0].origins, BTreeSet::from([Asn(1), Asn(3)]));
+        assert_eq!(&g.link_origins[ir.links[0].row as usize], &[Asn(1), Asn(3)]);
     }
 
     #[test]
@@ -917,7 +938,7 @@ mod tests {
         // 10.1.0.1 records dest AS2; the echo responder records nothing.
         let i1 = g.iface_of_addr(a("10.1.0.1")).unwrap();
         let i2 = g.iface_of_addr(a("10.2.0.1")).unwrap();
-        assert_eq!(g.iface_dests[i1.0 as usize], BTreeSet::from([Asn(2)]));
+        assert_eq!(&g.iface_dests[i1.0 as usize], &[Asn(2)]);
         assert!(g.iface_dests[i2.0 as usize].is_empty());
     }
 
@@ -929,16 +950,22 @@ mod tests {
         rels.add_p2c(Asn(1), Asn(2)); // gives AS1 a cone of 2
         let cones = CustomerCones::compute(&rels);
         let mut cache = RelQueryCache::new(&rels, &cones);
-        let raw = BTreeSet::from([Asn(1), Asn(3)]);
-        let out = filtered_iface_dests(&raw, Asn(1), &cfg(), &mut cache);
-        assert_eq!(out, BTreeSet::from([Asn(3)]));
+        let raw = [Asn(1), Asn(3)];
+        assert_eq!(realloc_drop(&raw, Asn(1), &cfg(), &mut cache), Some(Asn(1)));
+        // Not a two-AS set holding the origin: nothing is filtered.
+        for (raw, origin) in [
+            (&raw[..1], Asn(1)),
+            (&raw[..], Asn(2)),
+            (&raw[..], Asn::NONE),
+        ] {
+            assert_eq!(realloc_drop(raw, origin, &cfg(), &mut cache), None);
+        }
         // With a known relationship, nothing is filtered.
         let mut rels2 = AsRelationships::new();
         rels2.add_p2c(Asn(1), Asn(3));
         let cones2 = CustomerCones::compute(&rels2);
         let mut cache2 = RelQueryCache::new(&rels2, &cones2);
-        let out2 = filtered_iface_dests(&raw, Asn(1), &cfg(), &mut cache2);
-        assert_eq!(out2, raw);
+        assert_eq!(realloc_drop(&raw, Asn(1), &cfg(), &mut cache2), None);
     }
 
     #[test]
@@ -957,9 +984,11 @@ mod tests {
         let g = build(&traces, &aliases);
         let yi = g.iface_of_addr(a("10.2.0.5")).unwrap();
         let ir = g.ir_of_addr(a("10.1.0.1")).unwrap();
-        let preds = &g.preds[yi.0 as usize];
-        assert_eq!(preds.len(), 1);
-        assert_eq!(preds[&ir].len(), 2, "both prior interfaces recorded");
+        let prior = [a("10.1.0.1"), a("10.1.0.2")].map(|p| (ir, g.iface_of_addr(p).unwrap()));
+        assert_eq!(
+            &g.preds[yi.0 as usize], &prior,
+            "both prior interfaces recorded"
+        );
     }
 
     #[test]
@@ -1009,6 +1038,9 @@ mod tests {
             assert_eq!(g.iface_addrs, base.iface_addrs, "threads={threads}");
             assert_eq!(g.iface_origin, base.iface_origin, "threads={threads}");
             assert_eq!(g.iface_ir, base.iface_ir, "threads={threads}");
+            assert_eq!(g.ir_origins, base.ir_origins, "threads={threads}");
+            assert_eq!(g.ir_dests, base.ir_dests, "threads={threads}");
+            assert_eq!(g.link_origins, base.link_origins, "threads={threads}");
             assert_eq!(g.iface_dests, base.iface_dests, "threads={threads}");
             assert_eq!(g.preds, base.preds, "threads={threads}");
             assert_eq!(
@@ -1147,18 +1179,110 @@ mod tests {
         pred: u32,
     }
 
+    /// The graph's sets in the tree form the build kept them in before its
+    /// columns: one `BTreeSet` per set, one `BTreeMap` per interface's
+    /// predecessors.
+    #[derive(Debug, PartialEq)]
+    struct Trees {
+        ir_origins: Vec<BTreeSet<Asn>>,
+        ir_dests: Vec<BTreeSet<Asn>>,
+        link_origins: Vec<BTreeSet<Asn>>,
+        iface_dests: Vec<BTreeSet<Asn>>,
+        preds: Vec<BTreeMap<IrId, BTreeSet<IfIdx>>>,
+    }
+
+    /// A column's sets as trees, after checking that each set strictly
+    /// ascends (a tree would hide a repeat or a misordering).
+    fn trees_of<T: Copy + Ord + std::fmt::Debug>(col: &SetColumn<T>) -> Vec<BTreeSet<T>> {
+        (0..col.len())
+            .map(|i| {
+                let set = &col[i];
+                assert!(set.windows(2).all(|w| w[0] < w[1]), "{set:?}");
+                set.iter().copied().collect()
+            })
+            .collect()
+    }
+
+    impl Trees {
+        /// Reads a graph's columns back as trees.
+        fn of(g: &IrGraph) -> Trees {
+            let mut preds = vec![BTreeMap::new(); g.preds.len()];
+            for (j, pairs) in trees_of(&g.preds).into_iter().enumerate() {
+                for (ir, pred) in pairs {
+                    let prior: &mut BTreeSet<IfIdx> = preds[j].entry(ir).or_default();
+                    prior.insert(pred);
+                }
+            }
+            Trees {
+                ir_origins: trees_of(&g.ir_origins),
+                ir_dests: trees_of(&g.ir_dests),
+                link_origins: trees_of(&g.link_origins),
+                iface_dests: trees_of(&g.iface_dests),
+                preds,
+            }
+        }
+    }
+
+    /// Whether a build matches the oracle's graph and tree-form sets:
+    /// interner, interface arrays, IRs and links (rows included), and every
+    /// column set for set.
+    fn compare(g: &IrGraph, want: &IrGraph, trees: &Trees) -> Result<(), String> {
+        let check = |what: &str, same: bool| match same {
+            true => Ok(()),
+            false => Err(format!("{what} differ")),
+        };
+        check("interners", g.interner == want.interner)?;
+        check("interface origins", g.iface_origin == want.iface_origin)?;
+        check("interface IRs", g.iface_ir == want.iface_ir)?;
+        let json = |g: &IrGraph| serde_json::to_string(&g.irs).unwrap();
+        check("IRs", json(g) == json(want))?;
+        let got = Trees::of(g);
+        check("IR origin sets", got.ir_origins == trees.ir_origins)?;
+        check("IR destination sets", got.ir_dests == trees.ir_dests)?;
+        check("link origin sets", got.link_origins == trees.link_origins)?;
+        check(
+            "interface destination sets",
+            got.iface_dests == trees.iface_dests,
+        )?;
+        check("predecessor maps", got.preds == trees.preds)
+    }
+
+    /// §4.4's filter in the set form the build used before its columns.
+    fn filtered_iface_dests(
+        raw: &BTreeSet<Asn>,
+        origin: Asn,
+        cfg: &Config,
+        cache: &mut RelQueryCache<'_>,
+    ) -> BTreeSet<Asn> {
+        if !cfg.enable_realloc || raw.len() != 2 || origin.is_none() || !raw.contains(&origin) {
+            return raw.clone();
+        }
+        let other = *raw.iter().find(|&&a| a != origin).expect("two elements");
+        if cache.cone_size(other) > cfg.realloc_cone_max || cache.has_relationship(origin, other) {
+            return raw.clone();
+        }
+        let drop = if cache.cone_size(origin) >= cache.cone_size(other) {
+            origin
+        } else {
+            other
+        };
+        raw.iter().copied().filter(|&a| a != drop).collect()
+    }
+
     /// Serial oracle for the whole build: interner, origins and IR
     /// numbering written out directly, then every [`LinkObs`] of the corpus
-    /// in one vector, sorted, and folded in runs of equal `(ir, dst)`. Each
-    /// link's destination-AS set is built whole, as the build kept it before
-    /// the third-party bit replaced it, and the bit is derived from it.
+    /// in one vector, sorted, and folded in runs of equal `(ir, dst)` into
+    /// trees. Each link's destination-AS set is built whole, as the build
+    /// kept it before the third-party bit replaced it, and the bit is
+    /// derived from it. Returns the graph without its columns, and its sets
+    /// as trees.
     fn oracle_build(
         traces: &[Trace],
         aliases: &AliasSets,
         ip2as: &IpToAs,
         rels: &AsRelationships,
         cones: &CustomerCones,
-    ) -> IrGraph {
+    ) -> (IrGraph, Trees) {
         let interner = AddrInterner::from_addrs(
             traces
                 .iter()
@@ -1192,8 +1316,6 @@ mod tests {
                 id,
                 ifaces,
                 links: Vec::new(),
-                origins: BTreeSet::new(),
-                dests: BTreeSet::new(),
             });
         }
 
@@ -1239,19 +1361,21 @@ mod tests {
         let mut preds: Vec<BTreeMap<IrId, BTreeSet<IfIdx>>> = vec![BTreeMap::new(); n];
         link_obs.sort_unstable();
         link_obs.dedup();
+        let mut link_origins: Vec<BTreeSet<Asn>> = Vec::new();
         for run in link_obs.chunk_by(|a, b| (a.ir, a.dst) == (b.ir, b.dst)) {
             let (ir, dst) = (run[0].ir, run[0].dst);
             let mut link = Link {
                 dst: IfIdx(dst),
                 label: run[0].label,
-                origins: BTreeSet::new(),
+                row: link_origins.len() as u32,
                 dst_origin_probed: false,
             };
+            let mut origins: BTreeSet<Asn> = BTreeSet::new();
             let mut dests: BTreeSet<Asn> = BTreeSet::new();
             for o in run {
                 link.label = link.label.min(o.label);
                 if o.origin.is_some() {
-                    link.origins.insert(o.origin);
+                    origins.insert(o.origin);
                 }
                 if o.dest.is_some() {
                     dests.insert(o.dest);
@@ -1263,31 +1387,41 @@ mod tests {
             }
             link.dst_origin_probed = dests.contains(&iface_origin[dst as usize].asn);
             irs[ir as usize].links.push(link);
+            link_origins.push(origins);
         }
 
         let mut cache = RelQueryCache::new(rels, cones);
-        for ir in &mut irs {
+        let mut ir_origins = vec![BTreeSet::new(); irs.len()];
+        let mut ir_dests = vec![BTreeSet::new(); irs.len()];
+        for ir in &irs {
+            let k = ir.id.0 as usize;
             for &ifidx in &ir.ifaces {
                 let o = iface_origin[ifidx.0 as usize];
                 if o.asn.is_some() && o.kind != OriginKind::Ixp {
-                    ir.origins.insert(o.asn);
+                    ir_origins[k].insert(o.asn);
                 }
                 let raw = &iface_dests[ifidx.0 as usize];
-                ir.dests
-                    .extend(filtered_iface_dests(raw, o.asn, &cfg(), &mut cache));
+                ir_dests[k].extend(filtered_iface_dests(raw, o.asn, &cfg(), &mut cache));
             }
         }
         let shards = ShardPlan::compute(&irs, &iface_ir);
-        IrGraph {
+        let graph = IrGraph {
             irs,
             iface_addrs: interner.addrs().to_vec(),
             iface_origin,
             iface_ir,
-            iface_dests,
-            preds,
             interner,
             shards,
-        }
+            ..IrGraph::default()
+        };
+        let trees = Trees {
+            ir_origins,
+            ir_dests,
+            link_origins,
+            iface_dests,
+            preds,
+        };
+        (graph, trees)
     }
 
     #[test]
@@ -1330,7 +1464,7 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(1), Asn(2));
         let cones = CustomerCones::compute(&rels);
-        let want = oracle_build(&traces, &aliases, &oracle(), &rels, &cones);
+        let (want, trees) = oracle_build(&traces, &aliases, &oracle(), &rels, &cones);
         let corpus: Corpus = traces.iter().cloned().collect();
         for threads in [1usize, 2, 8] {
             let cfg = Config {
@@ -1349,15 +1483,9 @@ mod tests {
                 &wp,
                 &rec,
             );
-            assert_eq!(g.interner, want.interner, "threads={threads}");
-            assert_eq!(g.iface_ir, want.iface_ir, "threads={threads}");
-            assert_eq!(g.iface_dests, want.iface_dests, "threads={threads}");
-            assert_eq!(g.preds, want.preds, "threads={threads}");
-            assert_eq!(
-                serde_json::to_string(&g.irs).unwrap(),
-                serde_json::to_string(&want.irs).unwrap(),
-                "threads={threads}"
-            );
+            if let Err(e) = compare(&g, &want, &trees) {
+                panic!("threads={threads}: {e}");
+            }
             if threads == 1 {
                 // The filter dropped repeats, and evicted keys came back:
                 // between every link observation and the kept keys.
@@ -1482,21 +1610,13 @@ mod tests {
             ) {
                 let (ip2as, rels) = (ip2as(), rels());
                 let cones = CustomerCones::compute(&rels);
-                let want = oracle_build(&traces, &aliases, &ip2as, &rels, &cones);
+                let (want, trees) = oracle_build(&traces, &aliases, &ip2as, &rels, &cones);
                 let corpus: Corpus = traces.iter().cloned().collect();
                 for threads in [1usize, 2, 8] {
                     let cfg = Config { threads, ..Config::default() };
                     let g = IrGraph::build(&corpus, &aliases, &ip2as, &cfg, &rels, &cones);
-                    prop_assert_eq!(&g.interner, &want.interner, "threads={}", threads);
-                    prop_assert_eq!(&g.iface_origin, &want.iface_origin, "threads={}", threads);
-                    prop_assert_eq!(&g.iface_ir, &want.iface_ir, "threads={}", threads);
-                    prop_assert_eq!(&g.iface_dests, &want.iface_dests, "threads={}", threads);
-                    prop_assert_eq!(&g.preds, &want.preds, "threads={}", threads);
-                    prop_assert_eq!(
-                        serde_json::to_string(&g.irs).unwrap(),
-                        serde_json::to_string(&want.irs).unwrap(),
-                        "threads={}", threads
-                    );
+                    let same = compare(&g, &want, &trees);
+                    prop_assert!(same.is_ok(), "threads={}: {:?}", threads, same);
                 }
             }
         }

@@ -20,10 +20,12 @@ pub fn annotate_last_hops(
     state: &mut AnnotationState,
 ) {
     for ir in graph.last_hop_irs() {
-        let asn = if ir.dests.is_empty() {
-            annotate_empty_dest(ir, graph, rels, cones)
+        let origins = &graph.ir_origins[ir.id.0 as usize];
+        let dests = &graph.ir_dests[ir.id.0 as usize];
+        let asn = if dests.is_empty() {
+            annotate_empty_dest(ir, origins, graph, rels, cones)
         } else {
-            annotate_with_dests(ir, rels, cones)
+            annotate_with_dests(origins, dests, rels, cones)
         };
         if let Some(asn) = asn {
             state.router[ir.id.0 as usize] = asn;
@@ -32,20 +34,21 @@ pub fn annotate_last_hops(
     }
 }
 
-/// §5.1: only the origin AS set is available (all interfaces appeared solely
-/// in Echo Replies, so no destination ASes were recorded).
+/// §5.1: only the origin AS set (`origins`, ascending) is available (all
+/// interfaces appeared solely in Echo Replies, so no destination ASes were
+/// recorded).
 fn annotate_empty_dest(
     ir: &Ir,
+    origins: &[Asn],
     graph: &IrGraph,
     rels: &AsRelationships,
     cones: &CustomerCones,
 ) -> Option<Asn> {
-    let origins = &ir.origins;
     if origins.is_empty() {
         return None;
     }
     if origins.len() == 1 {
-        return origins.iter().next().copied();
+        return origins.first().copied();
     }
     // 1. An origin AS with a relationship to every other origin AS; ties go
     //    to the smallest customer cone (the presumed customer).
@@ -96,13 +99,20 @@ fn annotate_empty_dest(
     cones.smallest_cone(weighted.max_keys())
 }
 
-/// §5.2, Algorithm 1: destination ASes constrain the inference.
-fn annotate_with_dests(ir: &Ir, rels: &AsRelationships, cones: &CustomerCones) -> Option<Asn> {
-    let dests = &ir.dests;
-    let origins = &ir.origins;
-
+/// §5.2, Algorithm 1: destination ASes constrain the inference. Both sets
+/// are ascending.
+fn annotate_with_dests(
+    origins: &[Asn],
+    dests: &[Asn],
+    rels: &AsRelationships,
+    cones: &CustomerCones,
+) -> Option<Asn> {
     // Line 3: overlap between origins and destinations.
-    let overlap: Vec<Asn> = origins.intersection(dests).copied().collect();
+    let overlap: Vec<Asn> = origins
+        .iter()
+        .copied()
+        .filter(|a| dests.binary_search(a).is_ok())
+        .collect();
     if overlap.len() == 1 {
         return Some(overlap[0]);
     }
@@ -151,14 +161,18 @@ mod tests {
     use super::*;
     use crate::graph::IrId;
 
-    fn ir(origins: &[u32], dests: &[u32]) -> Ir {
-        Ir {
+    /// §5.1 on an IR without interfaces and the given origin set.
+    fn empty_dest(origins: &[u32], r: &AsRelationships, cones: &CustomerCones) -> Option<Asn> {
+        let ir = Ir {
             id: IrId(0),
             ifaces: vec![],
             links: vec![],
-            origins: origins.iter().map(|&a| Asn(a)).collect(),
-            dests: dests.iter().map(|&a| Asn(a)).collect(),
-        }
+        };
+        annotate_empty_dest(&ir, &asns(origins), &IrGraph::default(), r, cones)
+    }
+
+    fn asns(v: &[u32]) -> Vec<Asn> {
+        v.iter().map(|&a| Asn(a)).collect()
     }
 
     fn rels() -> AsRelationships {
@@ -174,10 +188,7 @@ mod tests {
     fn empty_dest_single_origin() {
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        assert_eq!(
-            annotate_empty_dest(&ir(&[7], &[]), &IrGraph::default(), &r, &cones),
-            Some(Asn(7))
-        );
+        assert_eq!(empty_dest(&[7], &r, &cones), Some(Asn(7)));
     }
 
     #[test]
@@ -185,10 +196,7 @@ mod tests {
         let r = rels();
         let cones = CustomerCones::compute(&r);
         // Origins {1, 2}: both related; 2 has the smaller cone.
-        assert_eq!(
-            annotate_empty_dest(&ir(&[1, 2], &[]), &IrGraph::default(), &r, &cones),
-            Some(Asn(2))
-        );
+        assert_eq!(empty_dest(&[1, 2], &r, &cones), Some(Asn(2)));
     }
 
     #[test]
@@ -196,10 +204,7 @@ mod tests {
         let r = rels();
         let cones = CustomerCones::compute(&r);
         // Origins {1, 3}: unrelated to each other, but AS2 relates to both.
-        assert_eq!(
-            annotate_empty_dest(&ir(&[1, 3], &[]), &IrGraph::default(), &r, &cones),
-            Some(Asn(2))
-        );
+        assert_eq!(empty_dest(&[1, 3], &r, &cones), Some(Asn(2)));
     }
 
     #[test]
@@ -208,20 +213,14 @@ mod tests {
         let cones = CustomerCones::compute(&r);
         // Origins {3, 9}: no relationships at all; pick smallest cone
         // (both stubs, tie → lowest ASN).
-        assert_eq!(
-            annotate_empty_dest(&ir(&[3, 9], &[]), &IrGraph::default(), &r, &cones),
-            Some(Asn(3))
-        );
+        assert_eq!(empty_dest(&[3, 9], &r, &cones), Some(Asn(3)));
     }
 
     #[test]
     fn empty_both_sets() {
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        assert_eq!(
-            annotate_empty_dest(&ir(&[], &[]), &IrGraph::default(), &r, &cones),
-            None
-        );
+        assert_eq!(empty_dest(&[], &r, &cones), None);
     }
 
     #[test]
@@ -230,7 +229,7 @@ mod tests {
         let cones = CustomerCones::compute(&r);
         // Alg. 1 line 3: O ∩ D = {2}.
         assert_eq!(
-            annotate_with_dests(&ir(&[1, 2], &[2, 9]), &r, &cones),
+            annotate_with_dests(&asns(&[1, 2]), &asns(&[2, 9]), &r, &cones),
             Some(Asn(2))
         );
     }
@@ -241,7 +240,7 @@ mod tests {
         let cones = CustomerCones::compute(&r);
         // O ∩ D = {1, 3}: 3 is the stub (smallest cone).
         assert_eq!(
-            annotate_with_dests(&ir(&[1, 3], &[1, 3]), &r, &cones),
+            annotate_with_dests(&asns(&[1, 3]), &asns(&[1, 3]), &r, &cones),
             Some(Asn(3))
         );
     }
@@ -253,7 +252,7 @@ mod tests {
         // Fig. 7's IR3 analogue: origins {2}, dests {4, 9}; 4 has a
         // relationship (peer) with 2, 9 has none → 4.
         assert_eq!(
-            annotate_with_dests(&ir(&[2], &[4, 9]), &r, &cones),
+            annotate_with_dests(&asns(&[2]), &asns(&[4, 9]), &r, &cones),
             Some(Asn(4))
         );
     }
@@ -266,7 +265,7 @@ mod tests {
         // Both 2 and 4 relate to origin 1; 4's cone covers {4,9} of D.
         let cones = CustomerCones::compute(&r);
         assert_eq!(
-            annotate_with_dests(&ir(&[1], &[2, 4, 9]), &r, &cones),
+            annotate_with_dests(&asns(&[1]), &asns(&[2, 4, 9]), &r, &cones),
             Some(Asn(4))
         );
     }
@@ -279,7 +278,7 @@ mod tests {
         r.add_p2c(Asn(20), Asn(30));
         let cones = CustomerCones::compute(&r);
         assert_eq!(
-            annotate_with_dests(&ir(&[10], &[30]), &r, &cones),
+            annotate_with_dests(&asns(&[10]), &asns(&[30]), &r, &cones),
             Some(Asn(20))
         );
     }
@@ -289,7 +288,7 @@ mod tests {
         let r = AsRelationships::new();
         let cones = CustomerCones::compute(&r);
         assert_eq!(
-            annotate_with_dests(&ir(&[10], &[30, 40]), &r, &cones),
+            annotate_with_dests(&asns(&[10]), &asns(&[30, 40]), &r, &cones),
             Some(Asn(30))
         );
     }

@@ -277,8 +277,9 @@ impl Annotated {
                 // the interface annotation is not a single far side. Instead
                 // every distinctly-annotated router observed sending into
                 // this port peers with the port's operator (§3.1's exception
-                // to the point-to-point assumption).
-                for pred_ir in self.graph.preds[idx].keys() {
+                // to the point-to-point assumption). An IR with several
+                // prior interfaces repeats a link the final dedup drops.
+                for &(pred_ir, _) in &self.graph.preds[idx] {
                     let pred_as = self.state.router[pred_ir.0 as usize];
                     if pred_as.is_some() && pred_as != ir_as {
                         out.push(InferredLink {

@@ -12,23 +12,22 @@
 //!   making the common denominator the operator — provided it retains at
 //!   least half the leading vote count.
 
-use crate::graph::Ir;
 use as_rel::{AsRelationships, Relationship};
 use net_types::Asn;
 
-/// Checks the exceptions given the distinct post-correction link votes
-/// (ascending) and the full vote tally (links + interface votes, `(ASN,
-/// count)` ascending by ASN). Returns the exceptional annotation if one
-/// applies.
+/// Checks the exceptions given the IR's origin ASes, the distinct
+/// post-correction link votes (ascending) and the full vote tally (links +
+/// interface votes, `(ASN, count)` ascending by ASN). Returns the
+/// exceptional annotation if one applies.
 pub fn check_exceptions(
-    ir: &Ir,
+    origins: &[Asn],
     link_vote_ases: &[Asn],
     all_votes: &[(Asn, u64)],
     rels: &AsRelationships,
 ) -> Option<Asn> {
     // ---- multihomed customer ----
     if let [s] = *link_vote_ases {
-        if ir.origins.iter().any(|&o| rels.is_customer(s, o)) {
+        if origins.iter().any(|&o| rels.is_customer(s, o)) {
             return Some(s);
         }
     }
@@ -42,8 +41,8 @@ pub fn check_exceptions(
     };
 
     // ---- multiple peers/providers, single-origin form ----
-    if ir.origins.len() == 1 && link_vote_ases.len() >= 2 {
-        let o = *ir.origins.iter().next().expect("one origin");
+    if let ([o], 2..) = (origins, link_vote_ases.len()) {
+        let o = *o;
         let all_up = link_vote_ases.iter().all(|&s| {
             s != o
                 && matches!(
@@ -57,9 +56,9 @@ pub fn check_exceptions(
     }
 
     // ---- mirror image: many origins, one subsequent AS above them all ----
-    if let ([s], 2..) = (link_vote_ases, ir.origins.len()) {
+    if let ([s], 2..) = (link_vote_ases, origins.len()) {
         let s = *s;
-        let above_all = ir.origins.iter().all(|&o| {
+        let above_all = origins.iter().all(|&o| {
             s != o
                 && matches!(
                     rels.relationship(s, o),
@@ -77,18 +76,6 @@ pub fn check_exceptions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::IrId;
-    use std::collections::BTreeSet;
-
-    fn ir(origins: &[u32]) -> Ir {
-        Ir {
-            id: IrId(0),
-            ifaces: vec![],
-            links: vec![],
-            origins: origins.iter().map(|&a| Asn(a)).collect(),
-            dests: BTreeSet::new(),
-        }
-    }
 
     fn set(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|&a| Asn(a)).collect()
@@ -104,7 +91,7 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(10), Asn(20)); // 20 is a customer of origin 10
         let votes = tally(&[(10, 3), (20, 1)]); // provider out-votes...
-        let got = check_exceptions(&ir(&[10]), &set(&[20]), &votes, &rels);
+        let got = check_exceptions(&set(&[10]), &set(&[20]), &votes, &rels);
         assert_eq!(got, Some(Asn(20)));
     }
 
@@ -113,7 +100,7 @@ mod tests {
         let rels = AsRelationships::new();
         let votes = tally(&[]);
         assert_eq!(
-            check_exceptions(&ir(&[10]), &set(&[20]), &votes, &rels),
+            check_exceptions(&set(&[10]), &set(&[20]), &votes, &rels),
             None
         );
     }
@@ -125,7 +112,7 @@ mod tests {
         rels.add_p2p(Asn(30), Asn(10));
         // The origin has exactly half the max.
         let votes = tally(&[(10, 2), (20, 2), (30, 2)]);
-        let got = check_exceptions(&ir(&[10]), &set(&[20, 30]), &votes, &rels);
+        let got = check_exceptions(&set(&[10]), &set(&[20, 30]), &votes, &rels);
         assert_eq!(got, Some(Asn(10)));
     }
 
@@ -136,7 +123,7 @@ mod tests {
         rels.add_p2p(Asn(30), Asn(10));
         let votes = tally(&[(10, 1), (20, 5), (30, 1)]); // 10: under half of 5
         assert_eq!(
-            check_exceptions(&ir(&[10]), &set(&[20, 30]), &votes, &rels),
+            check_exceptions(&set(&[10]), &set(&[20, 30]), &votes, &rels),
             None
         );
     }
@@ -147,7 +134,7 @@ mod tests {
         rels.add_p2c(Asn(30), Asn(10));
         rels.add_p2p(Asn(30), Asn(11));
         let votes = tally(&[(10, 2), (30, 2)]);
-        let got = check_exceptions(&ir(&[10, 11]), &set(&[30]), &votes, &rels);
+        let got = check_exceptions(&set(&[10, 11]), &set(&[30]), &votes, &rels);
         assert_eq!(got, Some(Asn(30)));
     }
 
@@ -158,7 +145,7 @@ mod tests {
         rels.add_p2c(Asn(10), Asn(30)); // 30 is a CUSTOMER of the origin
         let votes = tally(&[]);
         assert_eq!(
-            check_exceptions(&ir(&[10]), &set(&[20, 30]), &votes, &rels),
+            check_exceptions(&set(&[10]), &set(&[20, 30]), &votes, &rels),
             None
         );
     }

@@ -8,30 +8,28 @@
 //! of an origin-side AS and provider of the elected AS — is the likelier
 //! operator.
 
-use crate::graph::Ir;
 use as_rel::AsRelationships;
 use net_types::Asn;
 
-/// If `selected` has a relationship with an IR origin AS, keeps it.
-/// Otherwise searches for a unique bridging AS between the origin side
-/// (`ir.origins` ∪ `vote_origins`, the link origins behind the winning
-/// votes, in any order and with repeats) and `selected`; a unique bridge
-/// replaces the selection.
+/// If `selected` has a relationship with an IR origin AS (`origins`), keeps
+/// it. Otherwise searches for a unique bridging AS between the origin side
+/// (`origins` ∪ `vote_origins`, the link origins behind the winning votes,
+/// in any order and with repeats) and `selected`; a unique bridge replaces
+/// the selection.
 pub fn check_hidden_as(
-    ir: &Ir,
+    origins: &[Asn],
     selected: Asn,
     vote_origins: &[Asn],
     rels: &AsRelationships,
 ) -> Asn {
-    if ir
-        .origins
+    if origins
         .iter()
         .any(|&o| o == selected || rels.has_relationship(o, selected))
     {
         return selected;
     }
     let origin_side = || {
-        let side = ir.origins.iter().chain(vote_origins).copied();
+        let side = origins.iter().chain(vote_origins).copied();
         side.filter(|&o| o != selected)
     };
     // `providers_of` yields each provider once, so the bridges are distinct.
@@ -47,18 +45,6 @@ pub fn check_hidden_as(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::IrId;
-    use std::collections::BTreeSet;
-
-    fn ir(origins: &[u32]) -> Ir {
-        Ir {
-            id: IrId(0),
-            ifaces: vec![],
-            links: vec![],
-            origins: origins.iter().map(|&a| Asn(a)).collect(),
-            dests: BTreeSet::new(),
-        }
-    }
 
     fn set(v: &[u32]) -> Vec<Asn> {
         v.iter().map(|&a| Asn(a)).collect()
@@ -69,7 +55,7 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(1), Asn(3));
         assert_eq!(
-            check_hidden_as(&ir(&[1]), Asn(3), &set(&[1]), &rels),
+            check_hidden_as(&set(&[1]), Asn(3), &set(&[1]), &rels),
             Asn(3)
         );
     }
@@ -82,7 +68,7 @@ mod tests {
         rels.add_p2c(Asn(1), Asn(2));
         rels.add_p2c(Asn(2), Asn(3));
         assert_eq!(
-            check_hidden_as(&ir(&[1]), Asn(3), &set(&[1]), &rels),
+            check_hidden_as(&set(&[1]), Asn(3), &set(&[1]), &rels),
             Asn(2)
         );
     }
@@ -95,7 +81,7 @@ mod tests {
             rels.add_p2c(Asn(b), Asn(3));
         }
         assert_eq!(
-            check_hidden_as(&ir(&[1]), Asn(3), &set(&[1]), &rels),
+            check_hidden_as(&set(&[1]), Asn(3), &set(&[1]), &rels),
             Asn(3)
         );
     }
@@ -104,7 +90,7 @@ mod tests {
     fn no_bridge_keeps_selection() {
         let rels = AsRelationships::new();
         assert_eq!(
-            check_hidden_as(&ir(&[1]), Asn(3), &set(&[1]), &rels),
+            check_hidden_as(&set(&[1]), Asn(3), &set(&[1]), &rels),
             Asn(3)
         );
     }
@@ -112,6 +98,9 @@ mod tests {
     #[test]
     fn selection_in_origins_kept() {
         let rels = AsRelationships::new();
-        assert_eq!(check_hidden_as(&ir(&[3]), Asn(3), &set(&[]), &rels), Asn(3));
+        assert_eq!(
+            check_hidden_as(&set(&[3]), Asn(3), &set(&[]), &rels),
+            Asn(3)
+        );
     }
 }

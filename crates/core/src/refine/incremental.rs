@@ -150,20 +150,22 @@ fn shard_fingerprint(graph: &IrGraph, state: &AnnotationState, shard: &Shard) ->
         for &j in &ir.ifaces {
             h.write_u32(rel_pos(&shard.ifaces, j.0));
         }
-        h.write_u64(ir.origins.len() as u64);
-        for a in &ir.origins {
-            h.write_u32(a.0);
-        }
-        h.write_u64(ir.dests.len() as u64);
-        for a in &ir.dests {
-            h.write_u32(a.0);
+        for set in [
+            &graph.ir_origins[iri as usize],
+            &graph.ir_dests[iri as usize],
+        ] {
+            h.write_u64(set.len() as u64);
+            for a in set {
+                h.write_u32(a.0);
+            }
         }
         h.write_u64(ir.links.len() as u64);
         for link in &ir.links {
             h.write_u32(rel_pos(&shard.ifaces, link.dst.0));
             h.write_u32(link.label as u32);
-            h.write_u64(link.origins.len() as u64);
-            for a in &link.origins {
+            let origins = &graph.link_origins[link.row as usize];
+            h.write_u64(origins.len() as u64);
+            for a in origins {
                 h.write_u32(a.0);
             }
             h.write_u32(u32::from(link.dst_origin_probed));
@@ -184,12 +186,15 @@ fn shard_fingerprint(graph: &IrGraph, state: &AnnotationState, shard: &Shard) ->
         }
         h.write_u32(state.iface[ji].0);
         h.write_u32(rel_pos(&shard.irs, graph.iface_ir[ji].0));
+        // Grouped by predecessor IR: the count of IRs, then each IR with
+        // its interfaces.
         let preds = &graph.preds[ji];
-        h.write_u64(preds.len() as u64);
-        for (pred, prior) in preds {
-            h.write_u32(rel_pos(&shard.irs, pred.0));
-            h.write_u64(prior.len() as u64);
-            for &pi in prior {
+        let by_ir = || preds.chunk_by(|a, b| a.0 == b.0);
+        h.write_u64(by_ir().count() as u64);
+        for run in by_ir() {
+            h.write_u32(rel_pos(&shard.irs, run[0].0 .0));
+            h.write_u64(run.len() as u64);
+            for &(_, pi) in run {
                 // Predecessor interfaces by address, not index: addresses
                 // are what the voting heuristics compare, and they survive
                 // global index shifts.

@@ -39,14 +39,14 @@ pub(crate) fn annotate_iface_one(
         return Some(origin.asn);
     }
     // Fig. 13b/13c: vote among connected IRs, one vote per interface of
-    // theirs seen immediately prior to this one. The pairs are merged to
-    // one per annotation in the sweep's scratch buffer.
+    // theirs seen immediately prior to this one. The votes are merged to
+    // one count per annotation in the sweep's scratch buffer.
     let v = &mut ctx.scratch.iface_votes;
     v.clear();
-    for (pred_ir, prior_ifaces) in &graph.preds[idx] {
+    for &(pred_ir, _) in &graph.preds[idx] {
         let ann = state.router[pred_ir.0 as usize];
-        if ann.is_some() && !prior_ifaces.is_empty() {
-            v.push((ann, prior_ifaces.len() as u64));
+        if ann.is_some() {
+            v.push((ann, 1));
         }
     }
     if v.is_empty() {

@@ -6,7 +6,7 @@
 //! proptests below hold it to this one on random IRs, returned ASN and
 //! firing counters alike.
 
-use crate::graph::{Ir, LinkLabel};
+use crate::graph::{IfIdx, Ir, IrId, LinkLabel};
 use crate::refine::engine::SweepCtx;
 use crate::refine::votes;
 use crate::AnnotationState;
@@ -17,6 +17,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Algorithm 2 over a `Counter` and a `BTreeMap<Asn, BTreeSet<Asn>>`.
 fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn {
+    let graph = ctx.graph;
+    let ir_origins: BTreeSet<Asn> = graph.ir_origins[ir.id.0 as usize].iter().copied().collect();
     let best_label = ir
         .links
         .iter()
@@ -33,7 +35,7 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
         });
     }
     if ctx.cfg.enable_realloc {
-        correct_reallocated(ir, state, ctx, &mut link_votes, &usable);
+        correct_reallocated(ir, &ir_origins, state, ctx, &mut link_votes, &usable);
     }
     let mut v: Counter<Asn> = Counter::new();
     let mut m: BTreeMap<Asn, BTreeSet<Asn>> = BTreeMap::new();
@@ -44,7 +46,7 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
             link_vote_ases.insert(*a);
             m.entry(*a)
                 .or_default()
-                .extend(ir.links[i].origins.iter().copied());
+                .extend(graph.link_origins[ir.links[i].row as usize].iter().copied());
         }
     }
     for &ifidx in &ir.ifaces {
@@ -57,12 +59,12 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
         return Asn::NONE;
     }
     if ctx.cfg.enable_exceptions {
-        if let Some(a) = check_exceptions(ir, &link_vote_ases, &v, ctx.cache.rels()) {
+        if let Some(a) = check_exceptions(&ir_origins, &link_vote_ases, &v, ctx.cache.rels()) {
             ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
             return a;
         }
     }
-    let mut r: BTreeSet<Asn> = ir.origins.clone();
+    let mut r: BTreeSet<Asn> = ir_origins.clone();
     for (&cand, origins) in &m {
         if origins
             .iter()
@@ -71,14 +73,14 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
             r.insert(cand);
         }
     }
-    if r != ir.origins {
+    if r != ir_origins {
         return elect(&v, &r, &mut ctx.cache);
     }
     let all: BTreeSet<Asn> = v.keys().copied().collect();
     let a = elect(&v, &all, &mut ctx.cache);
     if ctx.cfg.enable_hidden_as {
         let vote_origins = m.get(&a).cloned().unwrap_or_default();
-        let replaced = check_hidden_as(ir, a, &vote_origins, ctx.cache.rels());
+        let replaced = check_hidden_as(&ir_origins, a, &vote_origins, ctx.cache.rels());
         if replaced != a {
             ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
         }
@@ -124,8 +126,12 @@ fn annotate_iface_one(idx: usize, state: &AnnotationState, ctx: &mut SweepCtx<'_
     if origin.asn.is_some() && origin.asn != r_ann {
         return Some(origin.asn);
     }
+    let mut preds: BTreeMap<IrId, BTreeSet<IfIdx>> = BTreeMap::new();
+    for &(pred_ir, prior) in &graph.preds[idx] {
+        preds.entry(pred_ir).or_default().insert(prior);
+    }
     let mut v: Counter<Asn> = Counter::new();
-    for (pred_ir, prior_ifaces) in &graph.preds[idx] {
+    for (pred_ir, prior_ifaces) in &preds {
         let ann = state.router[pred_ir.0 as usize];
         if ann.is_some() {
             v.add_n(ann, prior_ifaces.len() as u64);
@@ -157,6 +163,7 @@ fn annotate_iface_one(idx: usize, state: &AnnotationState, ctx: &mut SweepCtx<'_
 /// §6.1.2 with its candidate /24s and router annotations as sets.
 fn correct_reallocated(
     ir: &Ir,
+    ir_origins: &BTreeSet<Asn>,
     state: &AnnotationState,
     ctx: &mut SweepCtx<'_>,
     votes: &mut [Option<Asn>],
@@ -166,7 +173,7 @@ fn correct_reallocated(
     let mut cand: Vec<usize> = Vec::new();
     for (i, link) in ir.links.iter().enumerate() {
         let origin = graph.iface_origin[link.dst.0 as usize].asn;
-        if usable[i] && origin.is_some() && ir.origins.contains(&origin) {
+        if usable[i] && origin.is_some() && ir_origins.contains(&origin) {
             cand.push(i);
         }
     }
@@ -187,8 +194,7 @@ fn correct_reallocated(
         return;
     };
     if x.is_none()
-        || !ir
-            .origins
+        || !ir_origins
             .iter()
             .any(|&o| ctx.cache.rels().is_customer(x, o))
     {
@@ -208,7 +214,7 @@ fn correct_reallocated(
 
 /// §6.1.3 over a set of link votes and a `Counter`.
 fn check_exceptions(
-    ir: &Ir,
+    ir_origins: &BTreeSet<Asn>,
     link_vote_ases: &BTreeSet<Asn>,
     all_votes: &Counter<Asn>,
     rels: &AsRelationships,
@@ -226,19 +232,19 @@ fn check_exceptions(
     };
     if link_vote_ases.len() == 1 {
         let s = *link_vote_ases.iter().next().expect("one element");
-        if ir.origins.iter().any(|&o| rels.is_customer(s, o)) {
+        if ir_origins.iter().any(|&o| rels.is_customer(s, o)) {
             return Some(s);
         }
     }
-    if ir.origins.len() == 1 && link_vote_ases.len() >= 2 {
-        let o = *ir.origins.iter().next().expect("one origin");
+    if ir_origins.len() == 1 && link_vote_ases.len() >= 2 {
+        let o = *ir_origins.iter().next().expect("one origin");
         if link_vote_ases.iter().all(|&s| uphill(s, o)) && vote_guard(o) {
             return Some(o);
         }
     }
-    if ir.origins.len() >= 2 && link_vote_ases.len() == 1 {
+    if ir_origins.len() >= 2 && link_vote_ases.len() == 1 {
         let s = *link_vote_ases.iter().next().expect("one element");
-        if ir.origins.iter().all(|&o| uphill(s, o)) && vote_guard(s) {
+        if ir_origins.iter().all(|&o| uphill(s, o)) && vote_guard(s) {
             return Some(s);
         }
     }
@@ -247,19 +253,18 @@ fn check_exceptions(
 
 /// §6.1.5 with the origin side and the bridges as sets.
 fn check_hidden_as(
-    ir: &Ir,
+    ir_origins: &BTreeSet<Asn>,
     selected: Asn,
     vote_origins: &BTreeSet<Asn>,
     rels: &AsRelationships,
 ) -> Asn {
-    if ir
-        .origins
+    if ir_origins
         .iter()
         .any(|&o| o == selected || rels.has_relationship(o, selected))
     {
         return selected;
     }
-    let origin_side: BTreeSet<Asn> = (ir.origins.iter().chain(vote_origins.iter()))
+    let origin_side: BTreeSet<Asn> = (ir_origins.iter().chain(vote_origins.iter()))
         .copied()
         .filter(|&o| o != selected)
         .collect();
@@ -278,7 +283,7 @@ fn check_hidden_as(
 
 mod props {
     use super::*;
-    use crate::graph::{IfIdx, IrGraph, IrId, Link};
+    use crate::graph::{IrGraph, Link};
     use crate::refine::{interface, router};
     use crate::Config;
     use as_rel::CustomerCones;
@@ -348,13 +353,13 @@ mod props {
         let mut iface_ann = Vec::new();
         for (k, (ifaces, _, _)) in irs.iter().enumerate() {
             let mut members = Vec::new();
-            let mut origins = BTreeSet::new();
+            let mut origins = Vec::new();
             for &(code, slash24, ann) in ifaces {
                 let i = g.iface_addrs.len() as u32;
                 let addr = 0x0A00_0000 | slash24 << 8 | i;
                 let o = origin_info(code, addr);
                 if o.asn.is_some() && o.kind != OriginKind::Ixp {
-                    origins.insert(o.asn);
+                    origins.push(o.asn);
                 }
                 g.iface_addrs.push(addr);
                 g.iface_origin.push(o);
@@ -366,34 +371,38 @@ mod props {
                 id: IrId(k as u32),
                 ifaces: members,
                 links: Vec::new(),
-                origins,
-                dests: BTreeSet::new(),
             });
+            g.ir_origins.push_union(|out| out.extend(origins));
         }
+        g.ir_dests.close_to(g.irs.len());
         let n = g.iface_addrs.len().max(1);
         for (ir, (_, links, _)) in g.irs.iter_mut().zip(irs) {
-            ir.links = links
-                .iter()
-                .map(|(dst, label, origins, probed)| Link {
-                    dst: IfIdx((dst % n) as u32),
+            let mut specs: Vec<_> = links.iter().map(|l| (l.0 % n, l)).collect();
+            specs.sort_by_key(|&(dst, _)| dst);
+            specs.dedup_by_key(|&mut (dst, _)| dst);
+            for (dst, (_, label, origins, probed)) in specs {
+                ir.links.push(Link {
+                    dst: IfIdx(dst as u32),
                     label: [LinkLabel::Nexthop, LinkLabel::Echo, LinkLabel::Multihop]
                         [*label as usize % 3],
-                    origins: origins.iter().map(|&a| Asn(a)).collect(),
+                    row: g.link_origins.len() as u32,
                     dst_origin_probed: *probed,
-                })
-                .collect();
-            ir.links.sort_by_key(|l| l.dst);
-            ir.links.dedup_by_key(|l| l.dst);
-        }
-        g.preds = vec![BTreeMap::new(); g.iface_addrs.len()];
-        if !g.irs.is_empty() && !g.preds.is_empty() {
-            for (j, pred, prior) in preds {
-                let set: &mut BTreeSet<IfIdx> = g.preds[j % n]
-                    .entry(IrId((pred % g.irs.len()) as u32))
-                    .or_default();
-                set.extend(prior.iter().map(|&p| IfIdx((p % n) as u32)));
+                });
+                g.link_origins
+                    .push_union(|out| out.extend(origins.iter().map(|&a| Asn(a))));
             }
         }
+        let mut by_iface: Vec<BTreeSet<(IrId, IfIdx)>> = vec![BTreeSet::new(); g.iface_addrs.len()];
+        if !g.irs.is_empty() {
+            for (j, pred, prior) in preds {
+                let pred = IrId((pred % g.irs.len()) as u32);
+                by_iface[j % n].extend(prior.iter().map(|&p| (pred, IfIdx((p % n) as u32))));
+            }
+        }
+        for pairs in by_iface {
+            g.preds.push(&pairs.into_iter().collect::<Vec<_>>());
+        }
+        g.iface_dests.close_to(g.iface_addrs.len());
         let mut state = AnnotationState::new(&g);
         state.router = irs.iter().map(|&(_, _, r)| asn(r)).collect();
         state.iface = iface_ann;

@@ -24,6 +24,7 @@ pub(crate) fn correct_reallocated(
     cand: &mut Vec<u32>,
 ) {
     let graph = ctx.graph;
+    let origins = &graph.ir_origins[ir.id.0 as usize];
     // Candidates: usable links whose subsequent interface origin is in the
     // IR's own origin set.
     cand.clear();
@@ -32,7 +33,7 @@ pub(crate) fn correct_reallocated(
             continue;
         }
         let origin = graph.iface_origin[link.dst.0 as usize].asn;
-        if origin.is_some() && ir.origins.contains(&origin) {
+        if origin.is_some() && origins.contains(&origin) {
             cand.push(i as u32);
         }
     }
@@ -54,10 +55,7 @@ pub(crate) fn correct_reallocated(
     }
     // ...and X must be a customer of an IR origin AS (and differ from the
     // provider origin the votes currently carry).
-    let is_customer_of_origin = ir
-        .origins
-        .iter()
-        .any(|&o| ctx.cache.rels().is_customer(x, o));
+    let is_customer_of_origin = origins.iter().any(|&o| ctx.cache.rels().is_customer(x, o));
     if !is_customer_of_origin {
         return;
     }

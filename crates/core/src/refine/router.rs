@@ -97,9 +97,11 @@ fn annotate_ir_in(
     s.link_vote_ases.dedup();
 
     // ---- Alg. 2 line 10: exceptions (§6.1.3) ----
+    let graph = ctx.graph;
+    let origins = &graph.ir_origins[ir.id.0 as usize];
     if ctx.cfg.enable_exceptions {
         if let Some(a) =
-            exceptions::check_exceptions(ir, &s.link_vote_ases, &s.tally, ctx.cache.rels())
+            exceptions::check_exceptions(origins, &s.link_vote_ases, &s.tally, ctx.cache.rels())
         {
             ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
             return a;
@@ -113,12 +115,11 @@ fn annotate_ir_in(
     s.admitted.clear();
     for run in s.by_vote.chunk_by(|a, b| a.0 == b.0) {
         let cand = run[0].0;
-        if ir.origins.contains(&cand) {
+        if origins.contains(&cand) {
             continue;
         }
         let backed = run.iter().any(|&(_, i)| {
-            ir.links[i as usize]
-                .origins
+            graph.link_origins[ir.links[i as usize].row as usize]
                 .iter()
                 .any(|&o| o != cand && ctx.cache.has_relationship(o, cand))
         });
@@ -128,7 +129,7 @@ fn annotate_ir_in(
     }
     if !s.admitted.is_empty() {
         let admitted = &s.admitted;
-        let allowed = |a: Asn| ir.origins.contains(&a) || admitted.binary_search(&a).is_ok();
+        let allowed = |a: Asn| origins.contains(&a) || admitted.binary_search(&a).is_ok();
         return elect(&s.tally, allowed, &mut ctx.cache);
     }
 
@@ -138,10 +139,10 @@ fn annotate_ir_in(
         s.vote_origins.clear();
         let first = s.by_vote.partition_point(|&(v, _)| v < a);
         for &(_, i) in s.by_vote[first..].iter().take_while(|&&(v, _)| v == a) {
-            s.vote_origins
-                .extend(ir.links[i as usize].origins.iter().copied());
+            let row = ir.links[i as usize].row as usize;
+            s.vote_origins.extend_from_slice(&graph.link_origins[row]);
         }
-        let replaced = hidden::check_hidden_as(ir, a, &s.vote_origins, ctx.cache.rels());
+        let replaced = hidden::check_hidden_as(origins, a, &s.vote_origins, ctx.cache.rels());
         if replaced != a {
             ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
         }

@@ -98,7 +98,6 @@ impl ShardPlan {
 mod tests {
     use super::*;
     use crate::graph::{IfIdx, Link, LinkLabel};
-    use std::collections::BTreeSet;
 
     /// Builds `n` IRs each owning one interface, wired by `edges`
     /// (src IR → dst IR, through the dst IR's interface).
@@ -108,15 +107,13 @@ mod tests {
                 id: IrId(i),
                 ifaces: vec![IfIdx(i)],
                 links: Vec::new(),
-                origins: BTreeSet::new(),
-                dests: BTreeSet::new(),
             })
             .collect();
-        for &(src, dst) in edges {
+        for (row, &(src, dst)) in edges.iter().enumerate() {
             irs[src as usize].links.push(Link {
                 dst: IfIdx(dst),
                 label: LinkLabel::Nexthop,
-                origins: BTreeSet::new(),
+                row: row as u32,
                 dst_origin_probed: false,
             });
         }

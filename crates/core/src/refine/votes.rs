@@ -21,10 +21,11 @@ pub(crate) fn link_vote(
 ) -> Option<Asn> {
     let j = link.dst.0 as usize;
     let j_origin = ctx.graph.iface_origin[j];
+    let origins = &ctx.graph.link_origins[link.row as usize];
 
     // Line 1: the subsequent origin already appears among the origins seen
     // prior to it — the link stays inside (or returns into) that AS.
-    if j_origin.asn.is_some() && link.origins.contains(&j_origin.asn) {
+    if j_origin.asn.is_some() && origins.contains(&j_origin.asn) {
         return Some(j_origin.asn);
     }
 
@@ -34,7 +35,7 @@ pub(crate) fn link_vote(
         if !ctx.cfg.enable_ixp_heuristic {
             return None;
         }
-        return ctx.cache.largest_cone(link.origins.iter().copied());
+        return ctx.cache.largest_cone(origins.iter().copied());
     }
 
     // Line 3: the annotation of j's router.
@@ -65,10 +66,7 @@ pub(crate) fn link_vote(
     // and no probe crossing this link was ever destined to j's origin AS.
     if ctx.cfg.enable_third_party
         && j_origin.asn != as_j
-        && link
-            .origins
-            .iter()
-            .any(|&o| ctx.cache.has_relationship(o, as_j))
+        && origins.iter().any(|&o| ctx.cache.has_relationship(o, as_j))
         && !link.dst_origin_probed
     {
         ctx.sheet.inc(obs::names::REFINE_THIRD_PARTY_VOTES);

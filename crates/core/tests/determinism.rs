@@ -190,6 +190,9 @@ proptest! {
             prop_assert_eq!(&serial.iface_addrs, &parallel.iface_addrs, "threads={}", threads);
             prop_assert_eq!(&serial.iface_origin, &parallel.iface_origin, "threads={}", threads);
             prop_assert_eq!(&serial.iface_ir, &parallel.iface_ir, "threads={}", threads);
+            prop_assert_eq!(&serial.ir_origins, &parallel.ir_origins, "threads={}", threads);
+            prop_assert_eq!(&serial.ir_dests, &parallel.ir_dests, "threads={}", threads);
+            prop_assert_eq!(&serial.link_origins, &parallel.link_origins, "threads={}", threads);
             prop_assert_eq!(&serial.iface_dests, &parallel.iface_dests, "threads={}", threads);
             prop_assert_eq!(&serial.preds, &parallel.preds, "threads={}", threads);
             prop_assert_eq!(

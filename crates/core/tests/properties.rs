@@ -107,7 +107,7 @@ proptest! {
                     .map(|&i| g.iface_origin[i.0 as usize].asn)
                     .filter(|a| a.is_some())
                     .collect();
-                for o in &link.origins {
+                for o in &g.link_origins[link.row as usize] {
                     prop_assert!(own_origins.contains(o), "foreign origin in L");
                 }
             }

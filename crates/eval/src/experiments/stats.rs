@@ -128,7 +128,10 @@ pub fn corpus_stats(s: &Scenario, bundle: &CorpusBundle) -> CorpusStats {
         })
         .count();
     let last_hop: Vec<&bdrmapit_core::Ir> = graph.last_hop_irs().collect();
-    let empty_dest = last_hop.iter().filter(|ir| ir.dests.is_empty()).count();
+    let empty_dest = last_hop
+        .iter()
+        .filter(|ir| graph.ir_dests[ir.id.0 as usize].is_empty())
+        .count();
     let resolved = graph
         .iface_origin
         .iter()

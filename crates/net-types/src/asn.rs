@@ -70,17 +70,37 @@ impl From<u32> for Asn {
     }
 }
 
-impl FromStr for Asn {
-    type Err = std::num::ParseIntError;
+/// Error parsing an [`Asn`]; holds the rejected input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AsnParseError(pub String);
 
-    /// Parses `"64500"` or `"AS64500"` (case-insensitive prefix).
+impl fmt::Display for AsnParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid AS number: {}", self.0)
+    }
+}
+
+impl std::error::Error for AsnParseError {}
+
+impl FromStr for Asn {
+    type Err = AsnParseError;
+
+    /// Parses `"64500"` or `"AS64500"` (case-insensitive prefix): ASCII
+    /// digits only, so no sign or whitespace, within `u32` range.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let digits = s
             .strip_prefix("AS")
             .or_else(|| s.strip_prefix("as"))
             .or_else(|| s.strip_prefix("As"))
             .unwrap_or(s);
-        digits.parse::<u32>().map(Asn)
+        if digits.is_empty() || !digits.bytes().all(|c| c.is_ascii_digit()) {
+            // `str::parse` would take a leading `+`.
+            return Err(AsnParseError(s.to_string()));
+        }
+        digits
+            .parse::<u32>()
+            .map(Asn)
+            .map_err(|_| AsnParseError(s.to_string()))
     }
 }
 
@@ -96,6 +116,30 @@ mod tests {
         assert_eq!("64500".parse::<Asn>().unwrap(), a);
         assert_eq!("as64500".parse::<Asn>().unwrap(), a);
         assert!("ASX".parse::<Asn>().is_err());
+        assert_eq!("4294967295".parse::<Asn>().unwrap(), Asn(u32::MAX));
+        assert!("4294967296".parse::<Asn>().is_err());
+    }
+
+    #[test]
+    fn parse_takes_ascii_digits_only() {
+        for bad in [
+            "",
+            "AS",
+            "+64500",
+            "AS+64500",
+            "-64500",
+            "AS-0",
+            " 64500",
+            "64500 ",
+            "AS 64500",
+            "64\u{a0}500",
+            "\u{0664}\u{0665}",
+            "AS\u{ff16}\u{ff14}",
+            "6\u{0665}",
+        ] {
+            let err = bad.parse::<Asn>().unwrap_err();
+            assert_eq!(err, AsnParseError(bad.to_string()), "{bad:?}");
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   prefixes, supporting exact and longest-prefix-match lookups. This is the
 //!   hot path of the whole pipeline: every traceroute hop address is resolved
 //!   to its origin AS through one of these tries.
+//! * [`SetColumn`] — many small sorted sets in one flat column, read as
+//!   slices (the IR graph's per-link, per-IR and per-interface sets).
 //! * [`Counter`] — a small multiset used to tally AS "votes" the way the
 //!   bdrmapIT election heuristics require, with deterministic tie handling.
 //!
@@ -21,12 +23,14 @@
 #![warn(missing_docs)]
 
 mod asn;
+mod column;
 mod counter;
 mod intern;
 mod prefix;
 mod trie;
 
-pub use asn::Asn;
+pub use asn::{Asn, AsnParseError};
+pub use column::{AsSets, SetColumn};
 pub use counter::Counter;
 pub use intern::AddrInterner;
 pub use prefix::{Prefix, PrefixParseError};

@@ -18,7 +18,7 @@
 //! produces the same trace, regardless of thread scheduling.
 
 use crate::{Corpus, Hop, ReplyType, StopReason, Trace};
-use net_types::Asn;
+use net_types::{AsSets, Asn};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -436,74 +436,6 @@ pub fn probe_campaign_in_pool(
     traces
 }
 
-/// Sorted AS sets in one flat column: set `i` is
-/// `ases[off[i]..off[i + 1]]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AsSets {
-    ases: Vec<Asn>,
-    off: Vec<u32>,
-}
-
-impl Default for AsSets {
-    fn default() -> Self {
-        AsSets::new()
-    }
-}
-
-impl AsSets {
-    /// No sets.
-    pub fn new() -> AsSets {
-        AsSets {
-            ases: Vec::new(),
-            off: vec![0],
-        }
-    }
-
-    /// Number of sets.
-    pub fn len(&self) -> usize {
-        self.off.len() - 1
-    }
-
-    /// Whether there are no sets.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Set `i`.
-    pub fn get(&self, i: usize) -> &[Asn] {
-        &self.ases[self.off[i] as usize..self.off[i + 1] as usize]
-    }
-
-    /// Appends a set.
-    pub fn push(&mut self, set: &[Asn]) {
-        self.ases.extend_from_slice(set);
-        self.close();
-    }
-
-    /// Closes the ASes appended to the column since the last set as a new
-    /// set.
-    fn close(&mut self) {
-        self.off.push(self.ases.len() as u32);
-    }
-
-    /// Removes every set, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.ases.clear();
-        self.off.truncate(1);
-    }
-
-    /// Reserves room for `sets` more sets.
-    pub fn reserve(&mut self, sets: usize) {
-        self.off.reserve(sets);
-    }
-
-    fn append(&mut self, other: &AsSets) {
-        for i in 0..other.len() {
-            self.push(other.get(i));
-        }
-    }
-}
-
 /// The result of [`probe_pairs_in_pool`], index-aligned with its pairs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProbedPairs {
@@ -541,8 +473,7 @@ pub fn probe_pairs_in_pool(
         let (vp, dst) = pairs[k];
         let plan = net.plan(dst);
         let outcome = task.probe(net, (vp, &names[&vp]), (dst, plan.as_ref()), cfg, true);
-        traversed_ases(net, vp, dst, &task.walk.hops, outcome, &mut task.ases.ases);
-        task.ases.close();
+        traversed_ases(net, vp, dst, &task.walk.hops, outcome, &mut task.ases);
     });
     let mut ases = AsSets::new();
     ases.reserve(pairs.len());
@@ -582,7 +513,7 @@ fn probe_in_pool(
 }
 
 /// Every AS whose state can influence the `(vp, dst)` measurement, appended
-/// to `out` sorted and deduplicated: the VP's AS, the destination's BGP
+/// to `out` as one set: the VP's AS, the destination's BGP
 /// origin, every AS the forwarding path traverses, and the AS the path
 /// terminates in. `walk` and `outcome` are the measurement's forward walk
 /// ([`Internet::forward`] or [`Internet::forward_path`]).
@@ -601,34 +532,20 @@ pub fn traversed_ases(
     dst: u32,
     walk: &[ForwardHop],
     outcome: ForwardOutcome,
-    out: &mut Vec<Asn>,
+    out: &mut AsSets,
 ) {
-    let start = out.len();
-    out.push(net.topology.owner(vp));
-    out.extend(net.bgp_origin(dst));
-    out.extend(walk.iter().map(|h| net.topology.owner(h.router)));
-    match outcome {
-        ForwardOutcome::ReachedHostSpace { asn } => out.push(asn),
-        ForwardOutcome::ReachedIface(i) => {
-            out.push(net.topology.owner(net.topology.iface(i).router));
+    out.push_union(|out| {
+        out.push(net.topology.owner(vp));
+        out.extend(net.bgp_origin(dst));
+        out.extend(walk.iter().map(|h| net.topology.owner(h.router)));
+        match outcome {
+            ForwardOutcome::ReachedHostSpace { asn } => out.push(asn),
+            ForwardOutcome::ReachedIface(i) => {
+                out.push(net.topology.owner(net.topology.iface(i).router));
+            }
+            ForwardOutcome::NoRoute => {}
         }
-        ForwardOutcome::NoRoute => {}
-    }
-    out[start..].sort_unstable();
-    let unique = dedup_tail(out, start);
-    out.truncate(unique);
-}
-
-/// Deduplicates the sorted `v[start..]` in place; returns the new length.
-fn dedup_tail(v: &mut [Asn], start: usize) -> usize {
-    let mut end = start;
-    for i in start..v.len() {
-        if end == start || v[end - 1] != v[i] {
-            v[end] = v[i];
-            end += 1;
-        }
-    }
-    end
+    });
 }
 
 #[cfg(test)]
@@ -924,19 +841,19 @@ mod tests {
         ];
         let mut checked = 0usize;
         for ev in &events {
-            let before: Vec<(Trace, Vec<Asn>)> = pairs
+            let mut ases = AsSets::new();
+            let traces: Vec<Trace> = pairs
                 .iter()
                 .map(|&(vp, d)| {
-                    let mut ases = Vec::new();
                     let fwd = net.forward_path(vp, d);
                     traversed_ases(&net, vp, d, &fwd.hops, fwd.outcome, &mut ases);
-                    (trace_one(&net, vp, d, &cfg), ases)
+                    trace_one(&net, vp, d, &cfg)
                 })
                 .collect();
             let out = net.apply_event(ev);
             assert!(out.applied && !out.rib_changed, "{}", ev.describe());
-            for (&(vp, d), (trace, ases)) in pairs.iter().zip(&before) {
-                if !ases.iter().any(|a| out.touched.contains(a)) {
+            for (k, (&(vp, d), trace)) in pairs.iter().zip(&traces).enumerate() {
+                if !ases[k].iter().any(|a| out.touched.contains(a)) {
                     assert_eq!(
                         trace_one(&net, vp, d, &cfg),
                         *trace,
@@ -968,9 +885,9 @@ mod tests {
             prop_assert_eq!(probed.ases.len(), pairs.len());
             for (k, &(vp, dst)) in pairs.iter().enumerate() {
                 let fwd = net.forward_path(vp, dst);
-                let mut want = Vec::new();
+                let mut want = AsSets::new();
                 traversed_ases(net, vp, dst, &fwd.hops, fwd.outcome, &mut want);
-                prop_assert_eq!(probed.ases.get(k), &want[..], "pair {}", k);
+                prop_assert_eq!(probed.ases.get(k), want.get(0), "pair {}", k);
                 prop_assert_eq!(probed.rows.row(k).to_owned(), trace_one(net, vp, dst, cfg));
             }
             Ok(())

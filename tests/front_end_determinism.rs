@@ -151,11 +151,13 @@ fn hash_graph(g: &IrGraph, dests: &LinkDests) -> u64 {
         for a in &g.iface_dests[i] {
             h.u32(a.0);
         }
-        h.u64(g.preds[i].len() as u64);
-        for (ir, ifs) in &g.preds[i] {
-            h.u32(ir.0);
-            h.u64(ifs.len() as u64);
-            for j in ifs {
+        // Predecessors grouped by IR, as the golden's per-IR maps were.
+        let by_ir = || g.preds[i].chunk_by(|a, b| a.0 == b.0);
+        h.u64(by_ir().count() as u64);
+        for run in by_ir() {
+            h.u32(run[0].0 .0);
+            h.u64(run.len() as u64);
+            for (_, j) in run {
                 h.u32(j.0);
             }
         }
@@ -171,8 +173,9 @@ fn hash_graph(g: &IrGraph, dests: &LinkDests) -> u64 {
         for l in &ir.links {
             h.u32(l.dst.0);
             h.byte(label_code(l.label));
-            h.u64(l.origins.len() as u64);
-            for a in &l.origins {
+            let origins = &g.link_origins[l.row as usize];
+            h.u64(origins.len() as u64);
+            for a in origins {
                 h.u32(a.0);
             }
             let set = &dests[&(ir.id.0, l.dst.0)];
@@ -189,13 +192,14 @@ fn hash_graph(g: &IrGraph, dests: &LinkDests) -> u64 {
                 h.u32(a.0);
             }
         }
-        h.u64(ir.origins.len() as u64);
-        for a in &ir.origins {
-            h.u32(a.0);
-        }
-        h.u64(ir.dests.len() as u64);
-        for a in &ir.dests {
-            h.u32(a.0);
+        for set in [
+            &g.ir_origins[ir.id.0 as usize],
+            &g.ir_dests[ir.id.0 as usize],
+        ] {
+            h.u64(set.len() as u64);
+            for a in set {
+                h.u32(a.0);
+            }
         }
     }
     h.0
