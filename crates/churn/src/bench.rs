@@ -15,12 +15,13 @@ pub const REPORT_SCHEMA: &str = "bdrmapit.churn-report/v1";
 
 /// What one epoch cost on one path (incremental or full recompute). The
 /// deterministic `work` unit is `probes + shards`: probes executed plus
-/// refinement shards converged — the two quantities churn actually scales.
+/// refinement shards converged. Both paths converge every shard, so only
+/// `probes` tells them apart.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EpochCost {
     /// Traceroute probes executed (`(vp, dst)` pairs measured).
     pub probes: u64,
-    /// Refinement shards converged from scratch.
+    /// Refinement shards converged (every shard of the epoch's plan).
     pub shards: u64,
     /// Deterministic cost: `probes + shards`.
     pub work: u64,
@@ -58,7 +59,7 @@ pub struct BenchEpoch {
     pub dirty_pairs: usize,
     /// Total pairs in the epoch's probe matrix.
     pub total_pairs: usize,
-    /// Refinement shards re-converged.
+    /// Refinement shards converged; equals `total_shards`.
     pub dirty_shards: usize,
     /// Total shards in the epoch's plan.
     pub total_shards: usize,
@@ -361,7 +362,7 @@ mod tests {
             rib_changed: rib,
             dirty_pairs: 1,
             total_pairs: 100,
-            dirty_shards: 1,
+            dirty_shards: 20,
             total_shards: 20,
             incremental: inc,
             full: dear,

@@ -1,29 +1,26 @@
 //! The churn driver: steps a schedule epoch by epoch, re-probing only the
-//! dirty `(vp, dst)` pairs and re-converging only the dirty refinement
-//! shards, and proves every epoch's output byte-identical to a full
-//! recompute.
+//! dirty `(vp, dst)` pairs, annotating the spliced corpus with
+//! [`Bdrmapit::run`], and proving every epoch's output byte-identical to a
+//! full recompute.
 //!
 //! # Incremental machinery
 //!
-//! Two caches persist across epochs:
+//! One cache persists across epochs: the **pair cache** ([`PairCache`])
+//! holds the previous epoch's probe matrix: its sorted destinations, one
+//! unfiltered [`Corpus`] row per `(vp, dst)` pair in vp-major order, and
+//! per pair the sorted set of ASes that measurement depends on
+//! ([`traversed_ases`](traceroute::sim::traversed_ases)), in one flat
+//! [`AsSets`] column. A re-probed pair's set comes back from the pool with
+//! its row, computed from the walk that synthesized it. After an epoch's
+//! events, a pair is *dirty* — re-probed — iff interdomain routing
+//! changed, the pair is new to the probe matrix (its destination is not
+//! among the cached ones), or its AS set intersects the events' touched
+//! set; everything else replays its cached row verbatim (the traceroute
+//! crate's untouched-pairs contract test backs this). The epoch's corpus
+//! is spliced by copying rows, fresh or cached, in pair order.
 //!
-//! * the **pair cache** ([`PairCache`]) holds the previous epoch's probe
-//!   matrix: its sorted destinations, one unfiltered [`Corpus`] row per
-//!   `(vp, dst)` pair in vp-major order, and per pair the sorted set of
-//!   ASes that measurement depends on
-//!   ([`traversed_ases`](traceroute::sim::traversed_ases)), in one flat
-//!   [`AsSets`] column. A re-probed pair's set comes back from the pool
-//!   with its row, computed from the walk that synthesized it. After an
-//!   epoch's events, a pair is *dirty* — re-probed — iff interdomain
-//!   routing changed, the pair is new to the
-//!   probe matrix (its destination is not among the cached ones), or its
-//!   AS set intersects the events' touched set; everything else replays
-//!   its cached row verbatim (the traceroute crate's untouched-pairs
-//!   contract test backs this). The epoch's corpus is spliced by copying
-//!   rows, fresh or cached, in pair order.
-//! * the **shard cache** ([`ShardCache`]) replays converged refinement
-//!   outcomes for shards whose fingerprint is unchanged; see
-//!   [`refine_incremental`].
+//! Phases 1–3 run from scratch every epoch, through the same entry point
+//! as the full path: refinement converges every shard.
 //!
 //! # Verification
 //!
@@ -36,10 +33,7 @@ use crate::bench::{report_delta, EpochCost};
 use crate::schedule::ChurnSchedule;
 use alias::{observed_addresses, resolve_corpus, resolve_midar};
 use as_rel::infer::{infer_relationships, InferenceConfig};
-use as_rel::CustomerCones;
-use bdrmapit_core::refine::{refine_incremental, ShardCache};
-use bdrmapit_core::Bdrmapit;
-use bdrmapit_core::{lasthop, Annotated, AnnotationState, Config, IrGraph};
+use bdrmapit_core::{Bdrmapit, Config};
 use bgp::IpToAs;
 use net_types::{AsSets, Asn};
 use obs::names;
@@ -105,7 +99,8 @@ pub struct EpochOutcome {
     pub dirty_pairs: usize,
     /// Pairs in the epoch's probe matrix.
     pub total_pairs: usize,
-    /// Shards re-converged.
+    /// Shards converged: every shard of the plan, since each epoch runs
+    /// phases 1–3 from scratch. Always equal to `total_shards`.
     pub dirty_shards: usize,
     /// Shards in the epoch's plan.
     pub total_shards: usize,
@@ -221,14 +216,9 @@ fn run_schedule(
     let mut rib = net.build_rib();
     let mut ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let mut rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-    let mut cones = {
-        let _span = rec.span(names::PHASE_ASREL_CONES);
-        CustomerCones::compute(&rels)
-    };
 
     let (mut cache, mut next) = (PairCache::new(), PairCache::new());
     let mut corpus = Corpus::new();
-    let mut shard_cache = ShardCache::new();
     let mut epochs_out = Vec::with_capacity(schedule.epochs.len() + 1);
     let mut report_mark = rec.report();
 
@@ -262,8 +252,6 @@ fn run_schedule(
             rib = net.build_rib();
             ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
             rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
-            let _span = rec.span(names::PHASE_ASREL_CONES);
-            cones = CustomerCones::compute(&rels);
         }
 
         // 2. The epoch's probe matrix and its dirty subset. Destinations are
@@ -334,38 +322,19 @@ fn run_schedule(
         // resolver is cheap next to probing.
         let aliases = resolve_corpus(&net, &corpus, 0.9, opts.seed, rec);
 
-        // 6. Incremental inference: rebuild the graph, freeze last hops,
-        // then re-converge only the dirty shards.
-        let graph = {
-            let _span = rec.span(names::PHASE_GRAPH);
-            IrGraph::build_in_pool(&corpus, &aliases, &ip2as, &cfg, &rels, &cones, &wp, rec)
-        };
-        let mut state = AnnotationState::new(&graph);
-        if cfg.enable_last_hop {
-            let _span = rec.span(names::PHASE_LASTHOP);
-            lasthop::annotate_last_hops(&graph, &rels, &cones, &mut state);
-        }
-        let stats = {
-            let _span = rec.span(names::PHASE_REFINE);
-            refine_incremental(
-                &graph,
-                &rels,
-                &cones,
-                &cfg,
-                &mut state,
-                rec,
-                &mut shard_cache,
-            )
-        };
-        let total_shards = graph.shards.shards.len();
-        let annotated = Annotated { graph, state };
+        // 6. Phases 1–3 on the spliced corpus.
+        let annotated = Bdrmapit::new(cfg.clone())
+            .with_obs(rec.clone())
+            .with_pool(wp.clone())
+            .run(&corpus, &aliases, &ip2as, &rels);
+        let shards = annotated.graph.shards.shards.len();
         let snap_inc = snapshot::to_bytes(&SnapshotData::from_annotated(
             &annotated,
             &rib.origin_table(),
         ));
         let incremental = EpochCost::new(
             dirty.len() as u64,
-            stats.dirty_shards as u64,
+            shards as u64,
             elapsed_ms(&clock, inc_start),
         );
         drop(epoch_span);
@@ -418,8 +387,8 @@ fn run_schedule(
             rib_changed,
             dirty_pairs: dirty.len(),
             total_pairs: n_pairs,
-            dirty_shards: stats.dirty_shards,
-            total_shards,
+            dirty_shards: shards,
+            total_shards: shards,
             incremental,
             full,
             snapshot: snap_inc,
@@ -525,6 +494,10 @@ mod tests {
         assert_eq!(
             run.epochs[2].dirty_pairs, 0,
             "a quiet epoch replays every pair"
+        );
+        assert_eq!(
+            run.epochs[2].snapshot, e.snapshot,
+            "a quiet epoch reproduces the previous epoch's snapshot"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! **churn**: streaming topology dynamics with incremental re-convergence.
+//! **churn**: streaming topology dynamics with incremental re-probing.
 //!
 //! The paper maps a static snapshot; real topologies move. This crate
 //! models that movement and makes re-mapping cheap without ever trading
@@ -9,8 +9,8 @@
 //!    seed (see [`schedule`]);
 //! 2. the [`driver`] steps the schedule epoch by epoch, re-probing only
 //!    the `(vp, dst)` pairs whose measurements depend on a touched AS and
-//!    re-converging only the refinement shards whose fingerprints changed
-//!    ([`bdrmapit_core::refine::refine_incremental`]);
+//!    annotating the spliced corpus with one
+//!    [`bdrmapit_core::Bdrmapit::run`];
 //! 3. every epoch is *proved* byte-identical to a from-scratch recompute —
 //!    the driver runs both paths and compares their
 //!    `bdrmapit.snapshot/v1` bytes — and the per-epoch cost gap lands in a

@@ -53,7 +53,7 @@ pub fn churn_pipeline(
         } else {
             let _ = writeln!(
                 out,
-                "  epoch {}: {} events ({} applied{}), pairs {}/{}, shards {}/{}, \
+                "  epoch {}: {} events ({} applied{}), pairs {}/{}, {} shards converged, \
                  work {} vs full {}, identical",
                 e.epoch,
                 e.events.len(),
@@ -61,7 +61,6 @@ pub fn churn_pipeline(
                 if e.rib_changed { ", rib rebuilt" } else { "" },
                 e.dirty_pairs,
                 e.total_pairs,
-                e.dirty_shards,
                 e.total_shards,
                 e.incremental.work,
                 e.full.work

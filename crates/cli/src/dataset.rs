@@ -164,6 +164,7 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
     // wants a Rib for BGP; reconstruct the BGP layer from prefix2as and
     // apply the same staleness filtering by building from pairs + ixps and
     // layering RIR prefixes not covered by BGP.)
+    let ip2as_span = rec.span(obs::names::PHASE_IP2AS_BUILD);
     let bgp_pairs: Vec<_> = entries.iter().map(|e| (e.prefix, e.primary())).collect();
     let mut ip2as = IpToAs::from_pairs(bgp_pairs.clone()).with_ixps(&ixps);
     let joined = delegations.join();
@@ -180,6 +181,7 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
         .map(|(p, &a)| (p, a))
         .collect();
     ip2as = ip2as.with_rir(rir_pairs);
+    drop(ip2as_span);
 
     let cfg = Config {
         threads,
@@ -189,33 +191,36 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
         .with_obs(rec.clone())
         .run(&traces, &aliases, &ip2as, &rels);
 
+    let write_span = rec.span(obs::names::PHASE_WRITE_OUTPUTS);
     write_buffered(fs::File::create(dir.join(files::ANNOTATIONS))?, |w| {
         bdrmapit_core::output::write_annotations(w, &result)
     })?;
     write_buffered(fs::File::create(dir.join(files::LINKS))?, |w| {
         bdrmapit_core::output::write_links(w, &result)
     })?;
+    drop(write_span);
 
+    let links = result.interdomain_links();
     let mut report = format!(
         "ran bdrmapIT on {} traces: {} IRs, {} iterations, {} interdomain links\n\
          wrote {} and {}\n",
         traces.len(),
         result.graph.irs.len(),
         result.state.iterations,
-        result.interdomain_links().len(),
+        links.len(),
         dir.join(files::ANNOTATIONS).display(),
         dir.join(files::LINKS).display()
     );
 
     // Score against truth when available.
     if let Ok(text) = fs::read_to_string(dir.join(files::TRUTH)) {
+        let _span = rec.span(obs::names::PHASE_SCORE_TRUTH);
         let truth: GroundTruth = serde_json::from_str(&text).map_err(io::Error::other)?;
         let truth_pairs: BTreeSet<(Asn, Asn)> = truth.pairs.iter().copied().collect();
         // BTreeMap rather than HashMap: the scoring path is not hot, and a
         // sorted map keeps every traversal of truth data deterministic.
         let owner_of: std::collections::BTreeMap<u32, Asn> = truth.owners.iter().copied().collect();
-        let inferred: BTreeSet<(Asn, Asn)> = result
-            .interdomain_links()
+        let inferred: BTreeSet<(Asn, Asn)> = links
             .iter()
             .map(|l| (l.ir_as.min(l.conn_as), l.ir_as.max(l.conn_as)))
             .collect();

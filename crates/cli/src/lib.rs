@@ -262,7 +262,7 @@ COMMANDS:
                 topology, probe, resolve aliases, build the IR graph, refine
     pipeline --churn --churn-dir DIR [--epochs N] [--bench-out FILE] [--churn-gate]
                 step a seed-derived churn schedule epoch by epoch: re-probe
-                only dirtied (vp,dst) pairs, re-converge only dirtied shards,
+                only dirtied (vp,dst) pairs, re-annotate the spliced corpus,
                 prove each epoch byte-identical to a full recompute; writes
                 epoch-NNN.snap + churn-report.json to DIR and (with
                 --bench-out) a bdrmapit.bench-churn/v1 cost artifact.
@@ -1052,6 +1052,36 @@ mod tests {
             assert!(report.phases.contains_key(*phase), "missing {phase}");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn infer_report_spans_ip2as_outputs_and_scoring() {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("bdrmapit-test-infer-spans-{pid}"));
+        let path = std::env::temp_dir().join(format!("bdrmapit-test-infer-report-{pid}.json"));
+        let dir_arg = dir.to_str().unwrap();
+        let probe = parse(&args(&[
+            "probe", "--out", dir_arg, "--scale", "tiny", "--vps", "3",
+        ]));
+        run(&probe.unwrap()).unwrap();
+        let infer = parse(&args(&[
+            "infer",
+            "--in",
+            dir_arg,
+            "--report",
+            path.to_str().unwrap(),
+        ]));
+        run(&infer.unwrap()).unwrap();
+        let report = obs::RunReport::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        for phase in [
+            obs::names::PHASE_IP2AS_BUILD,
+            obs::names::PHASE_WRITE_OUTPUTS,
+            obs::names::PHASE_SCORE_TRUTH,
+        ] {
+            assert!(report.phases.contains_key(phase), "missing {phase}");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -125,18 +125,6 @@ impl<'a> SweepCtx<'a> {
             tracer: rec.tracer().worker(obs::names::TRACK_REFINE_WORKER, 0),
         }
     }
-
-    /// Moves the cache hit/miss tallies into the sheet, submits the event
-    /// track, and hands the sheet to `rec`. Cache statistics are
-    /// execution-dependent: they depend on the order shards are visited.
-    pub fn finish(mut self, rec: &obs::Recorder) {
-        let stats = self.cache.stats();
-        self.sheet.add_exec(obs::names::EXEC_CACHE_HITS, stats.hits);
-        self.sheet
-            .add_exec(obs::names::EXEC_CACHE_MISSES, stats.misses);
-        rec.tracer().submit(self.tracer);
-        rec.absorb(&self.sheet);
-    }
 }
 
 /// Runs phase 3 to completion, reporting convergence telemetry through
@@ -173,7 +161,13 @@ pub fn refine(
         names::REFINE_ROUTERS_ANNOTATED,
         state.router.iter().filter(|a| **a != Asn::NONE).count() as u64,
     );
-    ctx.finish(rec);
+    // Cache statistics are execution-dependent: they depend on the order
+    // shards are visited.
+    let stats = ctx.cache.stats();
+    ctx.sheet.add_exec(names::EXEC_CACHE_HITS, stats.hits);
+    ctx.sheet.add_exec(names::EXEC_CACHE_MISSES, stats.misses);
+    rec.tracer().submit(ctx.tracer);
+    rec.absorb(&ctx.sheet);
 }
 
 /// Stable hash of one shard's annotation state (routers then interfaces,
@@ -201,7 +195,7 @@ fn shard_hash(shard: &Shard, state: &AnnotationState) -> u64 {
 /// is part of the determinism contract: runs must produce identical
 /// traces, not merely identical fixpoints, so an ordering bug that happens
 /// to converge to the right answer still shows up.
-pub(crate) fn converge_shard(
+fn converge_shard(
     idx: usize,
     shard: &Shard,
     state: &mut AnnotationState,

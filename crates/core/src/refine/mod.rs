@@ -10,7 +10,6 @@
 pub mod engine;
 pub mod exceptions;
 pub mod hidden;
-pub mod incremental;
 pub mod interface;
 #[cfg(test)]
 mod oracle;
@@ -20,5 +19,4 @@ pub mod shard;
 pub mod votes;
 
 pub use engine::{refine, CONVERGENCE_HASH_SEED};
-pub use incremental::{refine_incremental, IncrementalStats, ShardCache};
 pub use shard::{Shard, ShardPlan};

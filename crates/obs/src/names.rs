@@ -24,8 +24,16 @@ pub const PHASE_LASTHOP: &str = "phase2.lasthop";
 pub const PHASE_REFINE: &str = "phase3.refine";
 /// Reading a dataset bundle from disk (`bdrmapit infer`).
 pub const PHASE_READ_BUNDLE: &str = "io.read_bundle";
+/// Assembling the IP→AS oracle from a bundle's prefix2as, delegations and
+/// IXPs (`bdrmapit infer`).
+pub const PHASE_IP2AS_BUILD: &str = "ip2as.build";
+/// Writing the annotation and link CSVs (`bdrmapit infer`).
+pub const PHASE_WRITE_OUTPUTS: &str = "io.write_outputs";
+/// Scoring the inferred links and annotations against a bundle's ground
+/// truth (`bdrmapit infer`).
+pub const PHASE_SCORE_TRUTH: &str = "eval.score_truth";
 /// Customer-cone computation from the AS relationships, ahead of phase 1
-/// and after every churn RIB rebuild.
+/// (once per `Bdrmapit::run`, so once per churn epoch).
 pub const PHASE_ASREL_CONES: &str = "asrel.cones";
 
 /// The five pipeline phases every complete synthetic run must traverse.
@@ -87,8 +95,8 @@ pub const REFINE_THIRD_PARTY_VOTES: &str = "refine.third_party_votes";
 
 // ---- churn counters ----------------------------------------------------------
 // The streaming topology-dynamics workload (crates/churn): per-run totals
-// over all epochs. Deterministic: the schedule, dirty sets, and shard reuse
-// are pure functions of the seeds.
+// over all epochs. Deterministic: the schedule and the dirty sets are pure
+// functions of the seeds.
 
 /// Epochs stepped by a churn run.
 pub const CHURN_EPOCHS: &str = "churn.epochs";
@@ -101,11 +109,6 @@ pub const CHURN_EVENTS_SKIPPED: &str = "churn.events_skipped";
 pub const CHURN_DIRTY_PAIRS: &str = "churn.dirty_pairs";
 /// `(vp, dst)` pairs served from the cached corpus.
 pub const CHURN_CLEAN_PAIRS: &str = "churn.clean_pairs";
-/// Refinement shards re-converged by the incremental engine.
-pub const CHURN_DIRTY_SHARDS: &str = "churn.dirty_shards";
-/// Refinement shards whose converged annotations were replayed from the
-/// fingerprint cache.
-pub const CHURN_REUSED_SHARDS: &str = "churn.reused_shards";
 /// Epochs that forced a full RIB/IP→AS/relationship rebuild (interdomain
 /// routing changed).
 pub const CHURN_RIB_REBUILDS: &str = "churn.rib_rebuilds";
@@ -115,9 +118,6 @@ pub const PHASE_CHURN_EPOCH: &str = "churn.epoch";
 /// Churn's pair-cache work per epoch: the dirty-pair test, the cache
 /// update, and the splice of fresh and cached rows into the corpus.
 pub const PHASE_CHURN_SPLICE: &str = "churn.splice";
-/// Instant: a shard dirtied for incremental re-convergence (arg: shard
-/// index).
-pub const EV_REFINE_DIRTY_SHARD: &str = "refine.dirty_shard";
 
 // ---- deterministic histograms ----------------------------------------------
 

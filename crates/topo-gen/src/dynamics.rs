@@ -5,8 +5,8 @@
 //! [`TopologyEvent`]s. Every event is deterministic — applying the same
 //! event sequence to the same topology always yields the same mutated
 //! topology — and each application reports which ASes it *touched* so the
-//! incremental pipeline can limit re-probing and re-convergence to the
-//! affected slice (see DESIGN.md §16).
+//! incremental pipeline can limit re-probing to the affected slice (see
+//! DESIGN.md §16).
 //!
 //! Event semantics:
 //!
