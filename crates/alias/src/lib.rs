@@ -186,26 +186,18 @@ impl UnionFind {
 }
 
 /// Every address observed as a responding hop in the corpus, sorted and
-/// deduplicated: one pass over the corpus's flat hop column.
-///
-/// Most hops repeat an address seen shortly before (every trace from a VP
-/// starts on the same routers), so a direct-mapped table of recently seen
-/// addresses drops most repeats before the sort. It only ever drops exact
-/// repeats, so the result is the same set.
+/// deduplicated: the addresses of the corpus's address index
+/// ([`Corpus::addr_index`]). A corpus nobody indexed yet is indexed here,
+/// on one thread.
 pub fn observed_addresses(traces: &Corpus) -> Vec<u32> {
-    const SLOTS_LOG2: u32 = 16;
-    let mut recent = vec![u64::MAX; 1 << SLOTS_LOG2];
-    let mut addrs = Vec::new();
-    for h in traces.hops(0..traces.len()).iter().flatten() {
-        let slot = (h.addr.wrapping_mul(0x9E37_79B1) >> (32 - SLOTS_LOG2)) as usize;
-        if recent[slot] != u64::from(h.addr) {
-            recent[slot] = u64::from(h.addr);
-            addrs.push(h.addr);
-        }
-    }
-    addrs.sort_unstable();
-    addrs.dedup();
-    addrs
+    index_addresses(traces, &obs::Recorder::disabled())
+}
+
+/// [`observed_addresses`], with the `corpus.index` span of a corpus indexed
+/// here recorded on `rec`.
+fn index_addresses(traces: &Corpus, rec: &obs::Recorder) -> Vec<u32> {
+    let wp = traceroute::WorkerPool::with_recorder(1, rec.clone());
+    traces.addr_index(&wp).addrs().to_vec()
 }
 
 /// Synthetic MIDAR + iffinder: per router, with probability `coverage`,
@@ -252,7 +244,7 @@ pub fn resolve_corpus(
     rec: &obs::Recorder,
 ) -> AliasSets {
     let _span = rec.span(obs::names::PHASE_ALIAS);
-    let observed = observed_addresses(traces);
+    let observed = index_addresses(traces, rec);
     record(resolve_midar(net, &observed, coverage, seed), rec)
 }
 
@@ -541,6 +533,26 @@ mod tests {
         }
     }
 
+    /// The walk `observed_addresses` made before corpora carried an
+    /// address index: one pass over the flat hop column, a direct-mapped
+    /// table of recent addresses dropping most exact repeats, then a sort
+    /// and dedup.
+    fn observed_walk(traces: &Corpus) -> Vec<u32> {
+        const SLOTS_LOG2: u32 = 16;
+        let mut recent = vec![u64::MAX; 1 << SLOTS_LOG2];
+        let mut addrs = Vec::new();
+        for h in traces.hops(0..traces.len()).iter().flatten() {
+            let slot = (h.addr.wrapping_mul(0x9E37_79B1) >> (32 - SLOTS_LOG2)) as usize;
+            if recent[slot] != u64::from(h.addr) {
+                recent[slot] = u64::from(h.addr);
+                addrs.push(h.addr);
+            }
+        }
+        addrs.sort_unstable();
+        addrs.dedup();
+        addrs
+    }
+
     #[test]
     fn observed_addresses_are_the_sorted_responsive_set() {
         let (_, traces) = corpus();
@@ -550,6 +562,55 @@ mod tests {
             .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
             .collect();
         assert!(observed.iter().eq(oracle.iter()));
+        assert_eq!(observed, observed_walk(&traces));
+    }
+
+    mod walk_props {
+        use super::*;
+        use proptest::prelude::*;
+        use traceroute::{Hop, ReplyType, StopReason, Trace};
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The index's addresses are the walk's, whether a corpus was
+            /// indexed by its first reader or beforehand at any pool size,
+            /// and after a JSONL round trip.
+            #[test]
+            fn observed_addresses_match_the_walk(
+                rows in proptest::collection::vec(
+                    proptest::collection::vec(proptest::option::weighted(0.7, 0u32..300), 0..12),
+                    0..40,
+                ),
+            ) {
+                let corpus = || -> Corpus {
+                    rows.iter()
+                        .map(|hops| Trace {
+                            monitor: "vp".into(),
+                            src: 1,
+                            dst: 7,
+                            hops: hops
+                                .iter()
+                                .map(|h| h.map(|addr| Hop { addr, reply: ReplyType::TimeExceeded }))
+                                .collect(),
+                            stop: StopReason::GapLimit,
+                        })
+                        .collect()
+                };
+                let want = observed_walk(&corpus());
+                prop_assert_eq!(&observed_addresses(&corpus()), &want);
+                let mut jsonl = Vec::new();
+                traceroute::io::write_jsonl(&mut jsonl, &corpus()).unwrap();
+                for threads in [1usize, 2, 8] {
+                    let wp = pool::WorkerPool::new(threads);
+                    let read = traceroute::io::read_jsonl(&jsonl[..]).unwrap();
+                    for c in [corpus(), read] {
+                        c.addr_index(&wp);
+                        prop_assert_eq!(&observed_addresses(&c), &want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! crate's untouched-pairs contract test backs this). The epoch's corpus
 //! is spliced by copying rows, fresh or cached, in pair order.
 //!
+//! The spliced corpus is indexed once per epoch on the driver's pool
+//! ([`Corpus::addr_index`]); alias resolution and phase 1 both read that index.
 //! Phases 1–3 run from scratch every epoch, through the same entry point
 //! as the full path: refinement converges every shard.
 //!
@@ -317,9 +319,11 @@ fn run_schedule(
         std::mem::swap(&mut cache, &mut next);
         drop(splice_span);
 
-        // 5. Aliases are re-resolved from scratch: alias sets are global
-        // (any changed trace can re-cluster distant interfaces), and the
-        // resolver is cheap next to probing.
+        // 5. The spliced corpus is indexed once, on the pool, for both of
+        // its readers below. Aliases are re-resolved from scratch: alias
+        // sets are global (any changed trace can re-cluster distant
+        // interfaces), and the resolver is cheap next to probing.
+        corpus.addr_index(&wp);
         let aliases = resolve_corpus(&net, &corpus, 0.9, opts.seed, rec);
 
         // 6. Phases 1–3 on the spliced corpus.

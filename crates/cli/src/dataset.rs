@@ -191,16 +191,16 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
         .with_obs(rec.clone())
         .run(&traces, &aliases, &ip2as, &rels);
 
+    let links = result.interdomain_links();
     let write_span = rec.span(obs::names::PHASE_WRITE_OUTPUTS);
     write_buffered(fs::File::create(dir.join(files::ANNOTATIONS))?, |w| {
         bdrmapit_core::output::write_annotations(w, &result)
     })?;
     write_buffered(fs::File::create(dir.join(files::LINKS))?, |w| {
-        bdrmapit_core::output::write_links(w, &result)
+        bdrmapit_core::output::write_links(w, &links)
     })?;
     drop(write_span);
 
-    let links = result.interdomain_links();
     let mut report = format!(
         "ran bdrmapIT on {} traces: {} IRs, {} iterations, {} interdomain links\n\
          wrote {} and {}\n",

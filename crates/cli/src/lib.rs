@@ -1051,6 +1051,9 @@ mod tests {
         for phase in obs::names::MANDATORY_PHASES {
             assert!(report.phases.contains_key(*phase), "missing {phase}");
         }
+        // The campaign indexes the corpus once; alias resolution and phase
+        // 1 read that index instead of building their own.
+        assert_eq!(report.phases[obs::names::CORPUS_INDEX].count, 1);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -8,22 +8,27 @@
 //! destined to the far interface's origin AS. Per-IR destination AS sets
 //! apply the reallocated-prefix filter of §4.4.
 //!
-//! # Parallel two-pass build (DESIGN.md §12, pool scheduling §13)
+//! # Parallel build over the corpus's address index (DESIGN.md §12, pool scheduling §13)
 //!
 //! The build is chunked into tasks on the shared [`pool::WorkerPool`] and
-//! is bit-identical to a serial walk for every thread count:
+//! is bit-identical to a serial walk for every thread count. It starts
+//! from the corpus's address index ([`Corpus::addr_index`], built on first use
+//! and usually by the campaign), so it never walks the hop column to find
+//! addresses:
 //!
-//! 1. **Intern** (pass 0): workers scan disjoint trace shards for responding
-//!    addresses and trace destinations; the unions become an
-//!    [`AddrInterner`], whose ids are *canonical* (ascending address order)
-//!    regardless of which shard saw an address first, and a sorted table of
-//!    distinct destinations. `IfIdx(i)` and interner id `i` are the same
-//!    number. Each destination's AS is looked up once.
-//! 2. **Extract** (pass 1): workers re-walk their trace shards emitting
-//!    packed, IR-major link keys (`u128`) and interface-major destination
-//!    keys (`u64`), entirely in interned-id space, sorted and deduplicated
-//!    per task. Both passes skip exact repeats of a key the task just
-//!    emitted at the source (`RecentKeys`).
+//! 1. **Interfaces**: the index's sorted responding addresses become the
+//!    [`AddrInterner`] and the interface table, so interner id `i`,
+//!    `IfIdx(i)` and a hop slot's rank are the same number (ranks are
+//!    *canonical*: ascending address order, whatever the split that built
+//!    the index). The index's sorted destinations are the destination
+//!    table; each destination's AS is looked up once.
+//! 2. **Extract**: workers walk their trace shards emitting packed,
+//!    IR-major link keys (`u128`) and interface-major destination keys
+//!    (`u64`), entirely in interned-id space: a hop's id is its slot's rank
+//!    and a trace's destination has its rank too, so nothing is searched
+//!    per hop. Keys are sorted and deduplicated per task, after exact
+//!    repeats of a key the task just emitted were skipped at the source
+//!    (`RecentKeys`).
 //! 3. **Reduce**: tasks over disjoint IR ranges cut their range out of every
 //!    shard by binary search, sort and deduplicate it, and derive the
 //!    predecessor records it carries; a second pass over interface ranges
@@ -227,9 +232,10 @@ const FILTER_SLOTS_LOG2: u32 = 12;
 /// repeat of a key the task already emitted, is dropped: the task's sort
 /// and dedup would drop it anyway, so the filter cannot reach the output.
 ///
-/// Keys are addresses, destination keys and link keys, widened to `u128`.
-/// None of them is `u128::MAX`, the empty-slot marker: addresses and
-/// destination keys fit 64 bits, and a link key's label field is never 3.
+/// Keys are destination keys and link keys (and addresses, in the tests'
+/// oracle of the former intern pass), widened to `u128`. None of them is
+/// `u128::MAX`, the empty-slot marker: addresses and destination keys fit
+/// 64 bits, and a link key's label field is never 3.
 struct RecentKeys {
     slots: Vec<u128>,
 }
@@ -293,50 +299,16 @@ impl IrGraph {
         );
         let mut g = IrGraph::default();
 
-        // ---- pass 0: intern every address observed as a responding hop,
-        // and collect the destinations of traces with one. Shard-local
-        // sort+dedup keeps the merge small; the interner and the destination
-        // table re-sort the unions, so both depend only on observed *sets*.
+        // The corpus's address index (built here on first use): its sorted
+        // addresses are the interface table, so a hop slot's rank is its
+        // interface's `IfIdx`, and its sorted destinations are the
+        // destination table.
+        let index = traces.addr_index(wp);
         let span = rec.span(obs::names::PHASE1_INTERN);
-        let trace_batch = wp.batch_size(traces.len());
-        let addr_shards = wp.run(
-            obs::names::EXEC_POOL_BUSY_GRAPH,
-            task_count(traces.len(), trace_batch),
-            |t| {
-                let (lo, hi) = task_range(traces.len(), t, trace_batch);
-                let mut addrs: Vec<u32> = Vec::new();
-                let mut dsts: Vec<u32> = Vec::new();
-                let mut recent = RecentKeys::new();
-                for t in traces.rows(lo..hi) {
-                    let mut responsive = false;
-                    for h in t.hops.iter().flatten() {
-                        responsive = true;
-                        if recent.admit(h.addr.into()) {
-                            addrs.push(h.addr);
-                        }
-                    }
-                    if responsive {
-                        dsts.push(t.dst);
-                    }
-                }
-                addrs.sort_unstable();
-                addrs.dedup();
-                dsts.sort_unstable();
-                dsts.dedup();
-                (addrs, dsts)
-            },
-        );
-        let mut dst_addrs: Vec<u32> = Vec::new();
-        let mut addrs: Vec<u32> = Vec::new();
-        for (a, d) in addr_shards {
-            addrs.extend(a);
-            dst_addrs.extend(d);
-        }
-        g.interner = AddrInterner::from_addrs(addrs);
-        g.iface_addrs = g.interner.addrs().to_vec();
+        g.interner = AddrInterner::from_sorted(index.addrs().to_vec());
+        g.iface_addrs = index.addrs().to_vec();
         let n_ifaces = g.iface_addrs.len();
-        dst_addrs.sort_unstable();
-        dst_addrs.dedup();
+        let dst_addrs = index.dsts();
         drop(span);
 
         // Origin resolution per interface and per destination: independent
@@ -406,11 +378,14 @@ impl IrGraph {
 
         drop(span);
 
-        // ---- pass 1: extract packed link/destination keys per trace
-        // shard, entirely in interned-id space. Each hop is interned once,
-        // into a buffer the task reuses across its traces.
+        // ---- extract packed link/destination keys per trace shard,
+        // entirely in interface-id space: each responsive hop's id is its
+        // rank in the index, gathered into a buffer the task reuses across
+        // its traces, and each trace's destination has its rank too.
         let span = rec.span(obs::names::PHASE1_LINKS);
         let graph = &g;
+        let trace_batch = wp.batch_size(traces.len());
+        let (ranks, dst_ranks) = (index.ranks(), index.dst_ranks());
         let obs_shards = wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
             task_count(traces.len(), trace_batch),
@@ -424,20 +399,20 @@ impl IrGraph {
                 let mut recent_dests = RecentKeys::new();
                 let mut hops: Vec<(u8, u32, ReplyType)> = Vec::new();
                 let mut walked = 0;
-                for t in traces.rows(lo..hi) {
+                for row in lo..hi {
                     hops.clear();
-                    hops.extend(t.responsive().map(|(ttl, h)| {
-                        let id = graph.interner.id(h.addr).expect("hop addr interned");
-                        (ttl, id, h.reply)
-                    }));
+                    let ids = &ranks[traces.slots(row..row + 1)];
+                    let slots = traces.hops(row..row + 1).iter().zip(ids);
+                    hops.extend(
+                        slots
+                            .enumerate()
+                            .filter_map(|(i, (h, &id))| h.map(|h| ((i + 1) as u8, id, h.reply))),
+                    );
                     let Some(&(_, _, last_reply)) = hops.last() else {
                         continue;
                     };
                     walked += hops.len();
-                    let d = dst_addrs
-                        .binary_search(&t.dst)
-                        .expect("trace destination interned");
-                    let dest_as = dst_as[d];
+                    let dest_as = dst_as[dst_ranks[row] as usize];
 
                     // Destination AS sets (§4.4): every responding interface
                     // records the trace's destination AS — except an Echo Reply
@@ -1023,17 +998,22 @@ mod tests {
         }
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        let traces: Corpus = traces.into_iter().collect();
-        let build_at = |threads: usize| {
+        // One corpus indexed once, by the first build, and a fresh one per
+        // build, which that build indexes at its own thread count.
+        let indexed: Corpus = traces.iter().cloned().collect();
+        let build_at = |threads: usize, traces: &Corpus| {
             let cfg = Config {
                 threads,
                 ..Config::default()
             };
-            IrGraph::build(&traces, &aliases, &oracle(), &cfg, &rels, &cones)
+            IrGraph::build(traces, &aliases, &oracle(), &cfg, &rels, &cones)
         };
-        let base = build_at(1);
-        for threads in [2, 3, 8] {
-            let g = build_at(threads);
+        let base = build_at(1, &traces.iter().cloned().collect());
+        let builds = [2, 3, 8].into_iter().flat_map(|threads| {
+            let fresh: Corpus = traces.iter().cloned().collect();
+            [build_at(threads, &indexed), build_at(threads, &fresh)].map(|g| (threads, g))
+        });
+        for (threads, g) in builds {
             assert_eq!(g.interner, base.interner, "threads={threads}");
             assert_eq!(g.iface_addrs, base.iface_addrs, "threads={threads}");
             assert_eq!(g.iface_origin, base.iface_origin, "threads={threads}");
@@ -1512,6 +1492,88 @@ mod tests {
         }
     }
 
+    /// The build's pass 0 before corpora carried an address index: workers
+    /// scan trace shards for responding addresses and for the destinations
+    /// of traces with one, and the unions become the interner and the
+    /// sorted destination table.
+    fn intern_pass(traces: &Corpus, wp: &pool::WorkerPool) -> (AddrInterner, Vec<u32>) {
+        let trace_batch = wp.batch_size(traces.len());
+        let addr_shards = wp.run(
+            obs::names::EXEC_POOL_BUSY_GRAPH,
+            task_count(traces.len(), trace_batch),
+            |t| {
+                let (lo, hi) = task_range(traces.len(), t, trace_batch);
+                let mut addrs: Vec<u32> = Vec::new();
+                let mut dsts: Vec<u32> = Vec::new();
+                let mut recent = RecentKeys::new();
+                for t in traces.rows(lo..hi) {
+                    let mut responsive = false;
+                    for h in t.hops.iter().flatten() {
+                        responsive = true;
+                        if recent.admit(h.addr.into()) {
+                            addrs.push(h.addr);
+                        }
+                    }
+                    if responsive {
+                        dsts.push(t.dst);
+                    }
+                }
+                addrs.sort_unstable();
+                addrs.dedup();
+                dsts.sort_unstable();
+                dsts.dedup();
+                (addrs, dsts)
+            },
+        );
+        let mut dst_addrs: Vec<u32> = Vec::new();
+        let mut addrs: Vec<u32> = Vec::new();
+        for (a, d) in addr_shards {
+            addrs.extend(a);
+            dst_addrs.extend(d);
+        }
+        dst_addrs.sort_unstable();
+        dst_addrs.dedup();
+        (AddrInterner::from_addrs(addrs), dst_addrs)
+    }
+
+    /// Whether `index` is what the intern pass and the extract pass's
+    /// searches found in `traces`: the addresses and destinations, every
+    /// slot's rank (`interner.id` of its address), every row's destination
+    /// rank, and the responsive-slot count.
+    fn check_index(traces: &Corpus, index: &traceroute::AddrIndex) -> Result<(), String> {
+        let (interner, dsts) = intern_pass(traces, &pool::WorkerPool::new(1));
+        if index.addrs() != interner.addrs() || index.dsts() != dsts {
+            return Err("address or destination tables differ".into());
+        }
+        let mut responsive = 0;
+        for (row, t) in traces.iter().enumerate() {
+            let ranks = &index.ranks()[traces.slots(row..row + 1)];
+            let want = t.hops.iter().map(|h| match h {
+                Some(h) => interner.id(h.addr).expect("interned"),
+                None => traceroute::NO_RANK,
+            });
+            if !want.eq(ranks.iter().copied()) {
+                return Err(format!("row {row}: hop ranks differ"));
+            }
+            let answered = t.responsive_count();
+            responsive += answered;
+            let dst = match answered {
+                0 => traceroute::NO_RANK,
+                _ => dsts.binary_search(&t.dst).expect("destination listed") as u32,
+            };
+            if index.dst_ranks()[row] != dst {
+                return Err(format!("row {row}: destination rank differs"));
+            }
+        }
+        if index.ranks().len() != traces.slots(0..traces.len()).len()
+            || index.dst_ranks().len() != traces.len()
+            || index.responsive_hops() != responsive
+        {
+            return Err("column lengths or responsive count differ".into());
+        }
+        Ok(())
+    }
+
     mod oracle_props {
         use super::*;
         use bgp::ixp::{Ixp, IxpDirectory};
@@ -1611,12 +1673,70 @@ mod tests {
                 let (ip2as, rels) = (ip2as(), rels());
                 let cones = CustomerCones::compute(&rels);
                 let (want, trees) = oracle_build(&traces, &aliases, &ip2as, &rels, &cones);
-                let corpus: Corpus = traces.iter().cloned().collect();
+                // Indexed at 8 threads before any build, and fresh corpora
+                // that each build indexes itself.
+                let indexed: Corpus = traces.iter().cloned().collect();
+                indexed.addr_index(&pool::WorkerPool::new(8));
                 for threads in [1usize, 2, 8] {
                     let cfg = Config { threads, ..Config::default() };
-                    let g = IrGraph::build(&corpus, &aliases, &ip2as, &cfg, &rels, &cones);
-                    let same = compare(&g, &want, &trees);
+                    let fresh: Corpus = traces.iter().cloned().collect();
+                    for (kind, corpus) in [("indexed", &indexed), ("fresh", &fresh)] {
+                        let g = IrGraph::build(corpus, &aliases, &ip2as, &cfg, &rels, &cones);
+                        let same = compare(&g, &want, &trees);
+                        prop_assert!(same.is_ok(), "{} threads={}: {:?}", kind, threads, same);
+                    }
+                }
+            }
+
+            #[test]
+            fn index_matches_the_intern_pass_at_every_thread_count(
+                traces in proptest::collection::vec(trace_strategy(), 0..40),
+            ) {
+                let built: Corpus = traces.iter().cloned().collect();
+                let mut jsonl = Vec::new();
+                traceroute::io::write_jsonl(&mut jsonl, &built).unwrap();
+                for threads in [1usize, 2, 8] {
+                    let wp = pool::WorkerPool::new(threads);
+                    let read = traceroute::io::read_jsonl(&jsonl[..]).unwrap();
+                    let fresh: Corpus = traces.iter().cloned().collect();
+                    for (kind, corpus) in [("hand-built", &fresh), ("jsonl", &read)] {
+                        let same = check_index(corpus, corpus.addr_index(&wp));
+                        prop_assert!(same.is_ok(), "{} threads={}: {:?}", kind, threads, same);
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            // Each case generates a topology and runs three campaigns.
+            #![proptest_config(ProptestConfig::with_cases(8))]
+
+            #[test]
+            fn campaign_index_matches_the_intern_pass_at_every_thread_count(
+                seed in 0u64..1_000,
+                vps in 1usize..4,
+            ) {
+                use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
+                let net = topo_gen::Internet::generate(topo_gen::GeneratorConfig::tiny(seed));
+                let probe = ProbeConfig { per_prefix_cap: 2, seed, ..ProbeConfig::default() };
+                let vps = select_vps(&net, vps, &[], seed);
+                let rels = AsRelationships::new();
+                let cones = CustomerCones::compute(&rels);
+                for threads in [1usize, 2, 8] {
+                    let rec = obs::Recorder::new(false);
+                    let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
+                    let traces = probe_campaign_in_pool(&net, &vps, &probe, &wp, &rec);
+                    // The campaign indexed its corpus, and phase 1 reads that
+                    // index rather than building another.
+                    let index = traces.addr_index(&pool::WorkerPool::new(1));
+                    let same = check_index(&traces, index);
                     prop_assert!(same.is_ok(), "threads={}: {:?}", threads, same);
+                    let cfg = Config { threads, ..Config::default() };
+                    let g = IrGraph::build_in_pool(
+                        &traces, &AliasSets::empty(), &ip2as(), &cfg, &rels, &cones, &wp, &rec,
+                    );
+                    prop_assert_eq!(&g.iface_addrs[..], index.addrs());
+                    prop_assert_eq!(rec.report().phases[obs::names::CORPUS_INDEX].count, 1);
                 }
             }
         }

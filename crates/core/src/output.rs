@@ -2,7 +2,7 @@
 //! tool's output: one CSV of per-address router annotations, one CSV of
 //! inferred interdomain links.
 
-use crate::Annotated;
+use crate::{Annotated, InferredLink};
 use net_types::{format_ipv4, parse_ipv4, Asn};
 use std::io::{self, BufRead, BufReader, Read, Write};
 
@@ -33,11 +33,11 @@ pub fn write_annotations<W: Write>(mut w: W, result: &Annotated) -> io::Result<(
     Ok(())
 }
 
-/// Writes inferred interdomain links as CSV:
-/// `ir_asn,conn_asn,iface_addr,last_hop`.
-pub fn write_links<W: Write>(mut w: W, result: &Annotated) -> io::Result<()> {
+/// Writes inferred interdomain links (as [`Annotated::interdomain_links`]
+/// lists them) as CSV: `ir_asn,conn_asn,iface_addr,last_hop`.
+pub fn write_links<W: Write>(mut w: W, links: &[InferredLink]) -> io::Result<()> {
     writeln!(w, "ir_asn,conn_asn,iface_addr,last_hop")?;
-    for link in result.interdomain_links() {
+    for link in links {
         writeln!(
             w,
             "{},{},{},{}",
@@ -287,7 +287,7 @@ mod tests {
     fn links_csv_has_header_and_rows() {
         let r = result();
         let mut buf = Vec::new();
-        write_links(&mut buf, &r).unwrap();
+        write_links(&mut buf, &r.interdomain_links()).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("ir_asn,conn_asn,iface_addr,last_hop\n"));
         assert_eq!(text.lines().count(), 1 + r.interdomain_links().len());
@@ -301,7 +301,7 @@ mod tests {
         let links = r.interdomain_links();
         assert!(!links.is_empty(), "fixture must produce links");
         let mut buf = Vec::new();
-        write_links(&mut buf, &r).unwrap();
+        write_links(&mut buf, &r.interdomain_links()).unwrap();
         let rows = read_links(&buf[..]).unwrap();
         assert_eq!(rows.len(), links.len());
         for (row, link) in rows.iter().zip(&links) {

@@ -32,6 +32,10 @@ pub const PHASE_WRITE_OUTPUTS: &str = "io.write_outputs";
 /// Scoring the inferred links and annotations against a bundle's ground
 /// truth (`bdrmapit infer`).
 pub const PHASE_SCORE_TRUTH: &str = "eval.score_truth";
+/// Building a corpus's address index (`traceroute::Corpus::addr_index`):
+/// nested in whichever phase reads the corpus first, the campaign for a
+/// probed corpus and `phase1.graph` for one read from disk.
+pub const CORPUS_INDEX: &str = "corpus.index";
 /// Customer-cone computation from the AS relationships, ahead of phase 1
 /// (once per `Bdrmapit::run`, so once per churn epoch).
 pub const PHASE_ASREL_CONES: &str = "asrel.cones";
@@ -161,6 +165,9 @@ pub const EXEC_POOL_STEALS: &str = "pool.steals";
 pub const EXEC_POOL_BUSY_CAMPAIGN: &str = "pool.busy_us.campaign";
 /// Aggregate pool worker busy time in the phase-1 graph build, microseconds.
 pub const EXEC_POOL_BUSY_GRAPH: &str = "pool.busy_us.graph";
+/// Aggregate pool worker busy time building corpus address indexes,
+/// microseconds.
+pub const EXEC_POOL_BUSY_INDEX: &str = "pool.busy_us.index";
 /// Aggregate pool worker busy time in phase-3 refinement, microseconds. No
 /// longer recorded (refinement runs on the calling thread); kept because
 /// the benchmark's per-layer report reads it.
@@ -191,7 +198,8 @@ pub const EXEC_SERVE_ERRORS: &str = "serve.errors";
 // Passes of the graph build, visible as nested spans under `phase1.graph`
 // in the run report and on the trace's `main` track.
 
-/// Pass 0: address interning over trace shards.
+/// The interner and destination table, copied from the corpus's address
+/// index.
 pub const PHASE1_INTERN: &str = "phase1.intern";
 /// Origin-AS resolution over the interned interface space.
 pub const PHASE1_ORIGINS: &str = "phase1.origins";

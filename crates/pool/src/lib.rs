@@ -161,6 +161,12 @@ impl WorkerPool {
         (items / (self.workers * TASKS_PER_WORKER).max(1)).max(1)
     }
 
+    /// The recorder the pool reports to: a caller that only holds the pool
+    /// records its own spans here.
+    pub fn recorder(&self) -> &Recorder {
+        &self.rec
+    }
+
     /// Cumulative statistics since the pool was created.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -270,6 +276,42 @@ impl WorkerPool {
         out.into_iter()
             .map(|s| s.expect("worker pool lost a task"))
             .collect()
+    }
+
+    /// [`WorkerPool::run`] over disjoint pieces of one buffer: task `t`
+    /// also gets `out[bounds[t]..bounds[t + 1]]` to write, so tasks fill
+    /// one caller-owned column in place instead of returning pieces to be
+    /// copied together. `bounds` ascends from 0 to `out.len()` and is one
+    /// longer than the task count. Each piece belongs to exactly one task,
+    /// so what a piece holds afterwards depends on its task alone.
+    ///
+    /// # Panics
+    ///
+    /// If `bounds` does not ascend from 0 to `out.len()`.
+    pub fn run_split<D: Send, T: Send>(
+        &self,
+        busy: &'static str,
+        out: &mut [D],
+        bounds: &[usize],
+        job: impl Fn(usize, &mut [D]) -> T + Sync,
+    ) -> Vec<T> {
+        assert_eq!(bounds.first().copied().unwrap_or(0), 0, "bounds start at 0");
+        assert_eq!(
+            bounds.last().copied().unwrap_or(0),
+            out.len(),
+            "bounds end at the buffer's end"
+        );
+        let mut pieces = Vec::with_capacity(bounds.len().saturating_sub(1));
+        let mut rest = out;
+        for w in bounds.windows(2) {
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            pieces.push(Mutex::new(Some(piece)));
+            rest = tail;
+        }
+        self.run(busy, pieces.len(), |t| {
+            let piece = pieces[t].lock().take().expect("each piece is taken once");
+            job(t, piece)
+        })
     }
 
     /// Folds one batch's scheduling tallies into the cumulative stats and
@@ -463,6 +505,23 @@ mod tests {
         }
         assert_eq!(steal_take(1), 1, "a 1-task interval is still stealable");
         assert_eq!(steal_take(7), 4, "thieves take the back half, rounded up");
+    }
+
+    #[test]
+    fn run_split_hands_each_task_its_own_piece() {
+        for workers in [1, 2, 8] {
+            let pool = WorkerPool::new(workers);
+            let mut out = vec![0usize; 10];
+            let bounds = [0, 3, 3, 7, 10];
+            let lens = pool.run_split("t", &mut out, &bounds, |t, piece| {
+                piece.iter_mut().for_each(|x| *x = t + 1);
+                piece.len()
+            });
+            assert_eq!(lens, [3, 0, 4, 3]);
+            assert_eq!(out, [1, 1, 1, 3, 3, 3, 3, 4, 4, 4]);
+        }
+        let none = WorkerPool::new(2).run_split("t", &mut [0u8; 0], &[0], |_, _| ());
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! reply-type niche. Rows are read through the borrowed [`TraceRef`] view,
 //! so a corpus of a million traces is a handful of allocations, not two
 //! per trace.
+//!
+//! Beside the rows a corpus keeps its [`AddrIndex`], derived from them and
+//! built on first use ([`Corpus::addr_index`]).
 
-use crate::{Hop, StopReason, Trace, TraceRef};
+use crate::{AddrIndex, Hop, StopReason, Trace, TraceRef};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// The most hop slots a row may carry: [`TraceRef::responsive`] numbers
 /// hops with a `u8` TTL, so a longer trace would wrap it.
@@ -49,7 +53,8 @@ impl std::error::Error for CorpusError {}
 ///
 /// Equality compares row by row, exactly as `Vec<Trace>` equality would:
 /// two corpora whose monitor tables list the same names in a different
-/// order are equal when their rows are.
+/// order are equal when their rows are. The address index takes no part in
+/// equality, `Debug` or the JSONL format.
 #[derive(Clone)]
 pub struct Corpus {
     /// Interned monitor names; a row's monitor id indexes this.
@@ -58,14 +63,18 @@ pub struct Corpus {
     ids: BTreeMap<String, u16>,
     monitor: Vec<u16>,
     src: Vec<u32>,
-    dst: Vec<u32>,
+    pub(crate) dst: Vec<u32>,
     stop: Vec<StopReason>,
     /// Row `i`'s hops are `hops[offsets[i]..offsets[i + 1]]`; one longer
     /// than the row columns.
-    offsets: Vec<u32>,
+    pub(crate) offsets: Vec<u32>,
     /// The flat hop column. Slots past the last offset belong to a row
     /// still being written (see [`Corpus::commit_row`]).
     pub(crate) hops: Vec<Option<Hop>>,
+    /// The address index of the rows, once built. Every `&mut self` method
+    /// takes it, so it never outlives the rows it was built from; slots of
+    /// a row still being written belong to no row and leave it valid.
+    index: OnceLock<AddrIndex>,
 }
 
 impl Corpus {
@@ -80,6 +89,7 @@ impl Corpus {
             stop: Vec::new(),
             offsets: vec![0],
             hops: Vec::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -110,8 +120,16 @@ impl Corpus {
         Ok(out)
     }
 
+    /// The address index of the corpus, built on `wp` by the first caller
+    /// (under a `corpus.index` span on the pool's recorder) and shared by
+    /// every later one until the rows change.
+    pub fn addr_index(&self, wp: &pool::WorkerPool) -> &AddrIndex {
+        self.index.get_or_init(|| AddrIndex::build(self, wp))
+    }
+
     /// Removes every row and monitor, keeping the allocations for reuse.
     pub fn clear(&mut self) {
+        self.index.take();
         self.names.clear();
         self.ids.clear();
         self.monitor.clear();
@@ -124,6 +142,7 @@ impl Corpus {
 
     /// Reserves room for `rows` more rows holding `hops` more hop slots.
     pub fn reserve(&mut self, rows: usize, hops: usize) {
+        self.index.take();
         self.monitor.reserve(rows);
         self.src.reserve(rows);
         self.dst.reserve(rows);
@@ -174,11 +193,18 @@ impl Corpus {
     /// The hop slots of the rows in `range`: one contiguous slice of the
     /// hop column, row after row.
     pub fn hops(&self, range: Range<usize>) -> &[Option<Hop>] {
-        &self.hops[self.offsets[range.start] as usize..self.offsets[range.end] as usize]
+        &self.hops[self.slots(range)]
+    }
+
+    /// Where the hop slots of the rows in `range` lie in the hop column,
+    /// and so in [`AddrIndex::ranks`].
+    pub fn slots(&self, range: Range<usize>) -> Range<usize> {
+        self.offsets[range.start] as usize..self.offsets[range.end] as usize
     }
 
     /// Appends a row.
     pub fn push(&mut self, row: TraceRef<'_>) -> Result<(), CorpusError> {
+        self.index.take();
         if row.hops.len() > MAX_HOPS {
             return Err(CorpusError::TooManyHops);
         }
@@ -190,6 +216,7 @@ impl Corpus {
     /// Appends every row of `other`, mapping its monitor ids into this
     /// corpus's table.
     fn append(&mut self, other: &Corpus) -> Result<(), CorpusError> {
+        self.index.take();
         let base = self.hops.len();
         offset(base + other.hops.len())?;
         let remap = other
@@ -211,6 +238,7 @@ impl Corpus {
     /// The id of monitor `name`, interning it on first sight. Rows arrive
     /// grouped by monitor, so the previous row's name is checked first.
     pub(crate) fn intern(&mut self, name: &str) -> Result<u16, CorpusError> {
+        self.index.take();
         if let Some(&last) = self.monitor.last() {
             if self.names[last as usize] == name {
                 return Ok(last);
@@ -237,6 +265,7 @@ impl Corpus {
         dst: u32,
         stop: StopReason,
     ) -> Result<(), CorpusError> {
+        self.index.take();
         let start = self.pending_start();
         let checked = if self.hops.len() - start > MAX_HOPS {
             Err(CorpusError::TooManyHops)
@@ -410,6 +439,43 @@ mod tests {
             CorpusError::TooManyMonitors.to_string(),
             "more than 65535 monitors"
         );
+    }
+
+    #[test]
+    fn every_mut_method_drops_the_index() {
+        let t = trace("a", 10, &[Some(1), None, Some(2)]);
+        let wp = pool::WorkerPool::new(1);
+        let fresh = || {
+            let c: Corpus = [t.clone()].into_iter().collect();
+            c.addr_index(&wp);
+            assert!(c.index.get().is_some());
+            c
+        };
+        type Mutation = fn(&mut Corpus, &Trace);
+        let mutations: [(&str, Mutation); 7] = [
+            ("clear", |c, _| c.clear()),
+            ("reserve", |c, _| c.reserve(1, 1)),
+            ("push", |c, t| c.push(t.view()).unwrap()),
+            ("extend", |c, t| c.extend([t.clone()])),
+            ("append", |c, _| c.append(&Corpus::new()).unwrap()),
+            ("intern", |c, _| {
+                c.intern("b").unwrap();
+            }),
+            ("commit_row", |c, _| {
+                c.hops.push(None);
+                c.commit_row(0, 1, 2, StopReason::GapLimit).unwrap();
+            }),
+        ];
+        for (name, mutate) in mutations {
+            let mut c = fresh();
+            mutate(&mut c, &t);
+            assert!(c.index.get().is_none(), "{name} kept the index");
+        }
+        // A clone carries the index along; equality ignores it.
+        let c = fresh();
+        let copy = c.clone();
+        assert_eq!(copy.index.get(), c.index.get());
+        assert_eq!(copy, [t].into_iter().collect::<Corpus>());
     }
 
     #[test]

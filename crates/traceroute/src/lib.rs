@@ -5,6 +5,9 @@
 //! destination, and per-TTL the responding address and ICMP reply type (the
 //! paper's §4.2 link-confidence labels depend on reply types and hop gaps).
 //! Traces serialize to JSON-lines ([`io`]), the shape CAIDA publishes.
+//! A [`Corpus`] stores them column-wise and carries its [`AddrIndex`]: the
+//! distinct responding addresses and destinations, and their rank in every
+//! hop slot and row, built once and read by alias resolution and phase 1.
 //!
 //! The simulator ([`sim`]) replaces the Ark measurement infrastructure: it
 //! probes a synthetic [`topo_gen::Internet`] from a set of vantage points,
@@ -16,10 +19,14 @@
 #![warn(missing_docs)]
 
 mod corpus;
+mod index;
 pub mod io;
 pub mod sim;
 
 pub use corpus::{Corpus, CorpusError, Rows, MAX_HOPS, MAX_MONITORS};
+pub use index::{AddrIndex, NO_RANK};
+/// The pool [`Corpus::addr_index`] builds on, for readers that hold none.
+pub use pool::WorkerPool;
 
 use net_types::format_ipv4;
 use serde::{Deserialize, Serialize};

@@ -393,7 +393,9 @@ pub fn reactive_campaign(
 /// vp, dst)` and the ranges partition the matrix in its canonical order,
 /// the corpus is byte-identical for every pool size — stealing can move a
 /// chunk between workers, never reorder the chunks. Monitor names are
-/// formatted once per VP.
+/// formatted once per VP. The corpus comes back indexed
+/// ([`Corpus::addr_index`]), the index built on `wp` inside the span, so its
+/// readers (alias resolution, phase 1) find it ready.
 pub fn probe_campaign_in_pool(
     net: &Internet,
     vps: &[RouterId],
@@ -422,12 +424,15 @@ pub fn probe_campaign_in_pool(
     });
     let traces = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect())
         .unwrap_or_else(|e| panic!("{e}"));
-    let hops = traces.hops(0..traces.len());
+    let index = traces.addr_index(wp);
     rec.add(obs::names::TRACEROUTE_TRACES, traces.len() as u64);
-    rec.add(obs::names::TRACEROUTE_HOPS, hops.len() as u64);
+    rec.add(
+        obs::names::TRACEROUTE_HOPS,
+        traces.slots(0..traces.len()).len() as u64,
+    );
     rec.add(
         obs::names::TRACEROUTE_RESPONSIVE_HOPS,
-        hops.iter().flatten().count() as u64,
+        index.responsive_hops() as u64,
     );
     rec.add_exec(
         obs::names::EXEC_CAMPAIGN_WORKERS,

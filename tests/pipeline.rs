@@ -47,7 +47,7 @@ fn snapshot_service_answers_match_csv_outputs() {
     output::write_annotations(&mut ann_csv, &result).expect("write annotations");
     let ann_rows = output::read_annotations(&ann_csv[..]).expect("read annotations");
     let mut link_csv = Vec::new();
-    output::write_links(&mut link_csv, &result).expect("write links");
+    output::write_links(&mut link_csv, &result.interdomain_links()).expect("write links");
     let link_rows = output::read_links(&link_csv[..]).expect("read links");
     assert!(
         !ann_rows.is_empty(),
