@@ -1,9 +1,7 @@
 //! Customer cones.
 
 use crate::AsRelationships;
-use net_types::Asn;
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use net_types::{AsSets, Asn, SetColumn};
 
 /// Per-AS customer cones: the set of ASes reachable from an AS by following
 /// only provider→customer edges, *including the AS itself* (Luckie et al.
@@ -12,101 +10,109 @@ use std::collections::{BTreeMap, BTreeSet};
 /// bdrmapIT consults cones constantly: "select the AS with the smallest
 /// customer cone" (§5.1, §6.1.4), "customer cone of at most five ASes"
 /// (§4.4), "the AS in L with the largest customer cone" (§6.1.1), so both
-/// the sets and the sizes are precomputed here.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// the sets and the sizes are precomputed here: `cones[i]` is the cone of
+/// `ases[i]`, ascending.
+#[derive(Clone, Debug, Default)]
 pub struct CustomerCones {
-    cones: BTreeMap<Asn, BTreeSet<Asn>>,
+    /// Every AS of the relationship database, ascending.
+    ases: Vec<Asn>,
+    cones: AsSets,
 }
 
 impl CustomerCones {
     /// Computes every cone from a relationship database.
     ///
-    /// A cone is the set of ASes reachable over provider→customer edges,
-    /// so it is computed as reachability over dense AS ranks with one
-    /// bitset per strongly connected component, customers before
-    /// providers. Provider→customer edges should form a DAG; if inference
-    /// produced a cycle, its members share one component and each other's
-    /// cones — the conservative outcome, and the least fixpoint of "a cone
-    /// is its AS plus its customers' cones", which is unique, so it equals
-    /// the pass-until-stable computation this replaces.
+    /// A cone is the set of ASes reachable over provider→customer edges, so
+    /// each is found by one walk from its AS over dense AS ranks. The walk
+    /// marks the ranks it reaches in one bitset of `ASes / 8` bytes, reused
+    /// by every walk; its set bits, read lowest first, are the cone in
+    /// ascending order, so no cone is sorted, and reading them clears the
+    /// marks for the next walk. A stub's cone is itself: no walk starts or
+    /// continues at one.
+    ///
+    /// Memory is the column, 4 bytes per cone member plus 4 per AS, and
+    /// scratch linear in the ASes and edges. There is no bitset per AS or
+    /// per component: at the Internet's ~60k ASes those would take hundreds
+    /// of megabytes.
+    ///
+    /// Provider→customer edges should form a DAG; if inference produced a
+    /// cycle, its members reach each other and share each other's cones —
+    /// the conservative outcome. Reachability is the least fixpoint of "a
+    /// cone is its AS plus its customers' cones": the reachable sets satisfy
+    /// that equation, and any family that satisfies it contains every AS a
+    /// path reaches, by induction on the path's length. The least fixpoint
+    /// is unique, so this equals the pass-until-stable computation.
     pub fn compute(rels: &AsRelationships) -> Self {
         let ases: Vec<Asn> = rels.ases().into_iter().collect();
         let rank = |a: Asn| ases.binary_search(&a).expect("customer is a known AS");
-        let customers: Vec<Vec<usize>> = ases
-            .iter()
-            .map(|&a| rels.customers_of(a).map(rank).collect())
-            .collect();
-        let comps = components(&customers);
-        let mut comp_of = vec![0; ases.len()];
-        for (c, members) in comps.iter().enumerate() {
-            for &m in members {
-                comp_of[m] = c;
-            }
+        // Customer ranks per rank; `customers_of` is ascending, so are they.
+        let mut customers = SetColumn::new();
+        for &a in &ases {
+            customers.push_with(|v| v.extend(rels.customers_of(a).map(rank)));
         }
-        // `reach[c]` is component `c`'s cone as a bitset over ranks; every
-        // component a member's customers fall in was finished before it.
-        let words = ases.len().div_ceil(64);
-        let mut reach = vec![0u64; comps.len() * words];
-        for (c, members) in comps.iter().enumerate() {
-            let (done, rest) = reach.split_at_mut(c * words);
-            let row = &mut rest[..words];
-            for &m in members {
-                row[m / 64] |= 1 << (m % 64);
-                for &cust in &customers[m] {
-                    let cc = comp_of[cust];
-                    if cc != c {
-                        for (w, &bits) in row.iter_mut().zip(&done[cc * words..(cc + 1) * words]) {
-                            *w |= bits;
+        let mut seen = vec![0u64; ases.len().div_ceil(64)];
+        let mut stack = Vec::new();
+        let mut cones = AsSets::new();
+        cones.reserve(ases.len());
+        for (i, &asn) in ases.iter().enumerate() {
+            if customers[i].is_empty() {
+                cones.push(&[asn]);
+                continue;
+            }
+            seen[i / 64] |= 1 << (i % 64);
+            stack.push(i);
+            while let Some(r) = stack.pop() {
+                for &c in &customers[r] {
+                    let (word, bit) = (c / 64, 1 << (c % 64));
+                    if seen[word] & bit == 0 {
+                        seen[word] |= bit;
+                        // A stub's own walk would end at once.
+                        if !customers[c].is_empty() {
+                            stack.push(c);
                         }
                     }
                 }
             }
+            cones.push_with(|cone| {
+                for (w, word) in seen.iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    while bits != 0 {
+                        cone.push(ases[w * 64 + bits.trailing_zeros() as usize]);
+                        bits &= bits - 1;
+                    }
+                }
+            });
         }
-        let ases = &ases;
-        let cones = ases
-            .iter()
-            .enumerate()
-            .map(|(i, &asn)| {
-                let row = &reach[comp_of[i] * words..(comp_of[i] + 1) * words];
-                // Set bits, lowest first: ascending ranks are ascending ASNs.
-                let members = row.iter().enumerate().flat_map(|(w, &bits)| {
-                    std::iter::successors((bits != 0).then_some(bits), |&b| {
-                        let rest = b & (b - 1);
-                        (rest != 0).then_some(rest)
-                    })
-                    .map(move |b| ases[w * 64 + b.trailing_zeros() as usize])
-                });
-                (asn, members.collect())
-            })
-            .collect();
-        CustomerCones { cones }
+        CustomerCones { ases, cones }
     }
 
-    /// The cone of `asn`. Unknown ASes get the singleton `{asn}` semantics
-    /// via [`CustomerCones::size`]; this accessor returns `None` for them.
-    pub fn cone(&self, asn: Asn) -> Option<&BTreeSet<Asn>> {
-        self.cones.get(&asn)
+    /// The cone of `asn`, ascending. Unknown ASes get the singleton `{asn}`
+    /// semantics via [`CustomerCones::size`]; this accessor returns `None`
+    /// for them.
+    pub fn cone(&self, asn: Asn) -> Option<&[Asn]> {
+        let i = self.ases.binary_search(&asn).ok()?;
+        Some(&self.cones[i])
     }
 
     /// Cone size of `asn`; ASes absent from the relationship graph count as
     /// stubs of size 1.
     pub fn size(&self, asn: Asn) -> usize {
-        self.cones.get(&asn).map_or(1, BTreeSet::len)
+        self.cone(asn).map_or(1, <[Asn]>::len)
     }
 
     /// Is `member` inside the cone of `asn`? (Every AS is in its own cone.)
     pub fn contains(&self, asn: Asn, member: Asn) -> bool {
-        if asn == member {
-            return true;
-        }
-        self.cones.get(&asn).is_some_and(|c| c.contains(&member))
+        asn == member
+            || self
+                .cone(asn)
+                .is_some_and(|c| c.binary_search(&member).is_ok())
     }
 
     /// `|cone(asn) ∩ others|` for a set `others` without repeats — used by
     /// Alg. 1 line 6 of the paper.
     pub fn intersection_size(&self, asn: Asn, others: &[Asn]) -> usize {
-        match self.cones.get(&asn) {
-            Some(c) => others.iter().filter(|a| c.contains(a)).count(),
+        match self.cone(asn) {
+            Some(c) => others.iter().filter(|a| c.binary_search(a).is_ok()).count(),
             None => usize::from(others.contains(&asn)),
         }
     }
@@ -126,69 +132,15 @@ impl CustomerCones {
     }
 }
 
-/// The strongly connected components of the graph with successor lists
-/// `succ`, by an iterative Tarjan walk. Components are emitted in reverse
-/// topological order: each comes after every component it reaches.
-fn components(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    const UNSEEN: usize = usize::MAX;
-    let n = succ.len();
-    let (mut index, mut low) = (vec![UNSEEN; n], vec![0; n]);
-    let mut on_stack = vec![false; n];
-    let (mut stack, mut comps) = (Vec::new(), Vec::new());
-    // The walk's call stack: a node and the next successor to visit.
-    let mut call: Vec<(usize, usize)> = Vec::new();
-    let mut next = 0;
-    for root in 0..n {
-        if index[root] != UNSEEN {
-            continue;
-        }
-        call.push((root, 0));
-        while let Some(&(v, i)) = call.last() {
-            if index[v] == UNSEEN {
-                index[v] = next;
-                low[v] = next;
-                next += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succ[v].get(i) {
-                call.last_mut().expect("v is on the call stack").1 += 1;
-                if index[w] == UNSEEN {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-                continue;
-            }
-            call.pop();
-            if let Some(&(u, _)) = call.last() {
-                low[u] = low[u].min(low[v]);
-            }
-            if low[v] == index[v] {
-                let mut comp = Vec::new();
-                loop {
-                    let w = stack.pop().expect("component members are stacked");
-                    on_stack[w] = false;
-                    comp.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                comps.push(comp);
-            }
-        }
-    }
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
-    /// The pass-until-stable computation the bitset walk replaced: fold
-    /// customers' cones into providers until nothing changes.
-    fn fixpoint(rels: &AsRelationships) -> CustomerCones {
+    /// The pass-until-stable computation the walk replaced: fold customers'
+    /// cones into providers until nothing changes.
+    fn fixpoint(rels: &AsRelationships) -> BTreeMap<Asn, BTreeSet<Asn>> {
         let mut cones: BTreeMap<Asn, BTreeSet<Asn>> = BTreeMap::new();
         let ases = rels.ases();
         for &asn in &ases {
@@ -214,16 +166,55 @@ mod tests {
                 break;
             }
         }
-        CustomerCones { cones }
+        cones
+    }
+
+    /// The queries over the fixpoint's trees, as they read before the
+    /// column.
+    struct Oracle(BTreeMap<Asn, BTreeSet<Asn>>);
+
+    impl Oracle {
+        fn size(&self, asn: Asn) -> usize {
+            self.0.get(&asn).map_or(1, BTreeSet::len)
+        }
+
+        fn contains(&self, asn: Asn, member: Asn) -> bool {
+            asn == member || self.0.get(&asn).is_some_and(|c| c.contains(&member))
+        }
+
+        fn intersection_size(&self, asn: Asn, others: &[Asn]) -> usize {
+            match self.0.get(&asn) {
+                Some(c) => others.iter().filter(|a| c.contains(a)).count(),
+                None => usize::from(others.contains(&asn)),
+            }
+        }
+
+        fn smallest_cone(&self, candidates: &[Asn]) -> Option<Asn> {
+            candidates
+                .iter()
+                .copied()
+                .min_by_key(|&a| (self.size(a), a))
+        }
+
+        fn largest_cone(&self, candidates: &[Asn]) -> Option<Asn> {
+            candidates
+                .iter()
+                .copied()
+                .max_by_key(|&a| (self.size(a), std::cmp::Reverse(a)))
+        }
     }
 
     proptest! {
         /// Random relationship graphs — p2c cycles, peers, and queries for
         /// ASes outside the graph — answer every query like the fixpoint.
         #[test]
-        fn bitset_cones_match_the_fixpoint(
+        fn walked_cones_match_the_fixpoint(
             edges in proptest::collection::vec((0u32..24, 0u32..24, 0u32..4), 0..60),
             others in proptest::collection::vec(0u32..30, 0..8),
+            candidates in proptest::collection::vec(
+                proptest::collection::vec(0u32..30, 0..8),
+                0..6,
+            ),
         ) {
             let mut rels = AsRelationships::new();
             for (a, b, kind) in edges {
@@ -234,8 +225,7 @@ mod tests {
                     rels.add_p2c(Asn(a), Asn(b));
                 }
             }
-            let (got, want) = (CustomerCones::compute(&rels), fixpoint(&rels));
-            prop_assert_eq!(&got.cones, &want.cones);
+            let (got, want) = (CustomerCones::compute(&rels), Oracle(fixpoint(&rels)));
             let others: Vec<Asn> = others
                 .into_iter()
                 .map(Asn)
@@ -244,12 +234,21 @@ mod tests {
                 .collect();
             // ASes 24..30 are never in the graph.
             for a in (0..30).map(Asn) {
-                prop_assert_eq!(got.cone(a), want.cone(a));
+                let want_cone: Option<Vec<Asn>> =
+                    want.0.get(&a).map(|c| c.iter().copied().collect());
+                prop_assert_eq!(got.cone(a), want_cone.as_deref());
                 prop_assert_eq!(got.size(a), want.size(a));
                 prop_assert_eq!(got.intersection_size(a, &others), want.intersection_size(a, &others));
                 for b in (0..30).map(Asn) {
                     prop_assert_eq!(got.contains(a, b), want.contains(a, b));
                 }
+            }
+            // Candidate lists keep their repeats and unknown ASes, so cone
+            // sizes and ASNs both tie.
+            for list in candidates {
+                let list: Vec<Asn> = list.into_iter().map(Asn).collect();
+                prop_assert_eq!(got.smallest_cone(list.iter().copied()), want.smallest_cone(&list));
+                prop_assert_eq!(got.largest_cone(list.iter().copied()), want.largest_cone(&list));
             }
         }
     }
@@ -272,12 +271,8 @@ mod tests {
     #[test]
     fn cone_contents() {
         let cones = CustomerCones::compute(&fixture());
-        assert_eq!(
-            cones.cone(Asn(1)).unwrap(),
-            &[Asn(1), Asn(3), Asn(5)]
-                .into_iter()
-                .collect::<BTreeSet<_>>()
-        );
+        assert_eq!(cones.cone(Asn(1)), Some(&[Asn(1), Asn(3), Asn(5)][..]));
+        assert_eq!(cones.cone(Asn(99)), None);
         assert_eq!(cones.size(Asn(1)), 3);
         assert_eq!(cones.size(Asn(2)), 3);
         assert_eq!(cones.size(Asn(3)), 2);

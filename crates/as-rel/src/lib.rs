@@ -10,9 +10,8 @@
 //!   interchange format (`provider|customer|-1`, `peer|peer|0`).
 //! * [`CustomerCones`] — per-AS customer cones (the set of ASes reachable by
 //!   following only provider→customer edges) and cone sizes, which the
-//!   bdrmapIT tie-breaks consult constantly.
-//! * [`RelQueryCache`] — a memo table over the two structures
-//!   above for refinement's hot election loops.
+//!   bdrmapIT tie-breaks consult constantly. The cones are one sorted-set
+//!   column over a sorted AS table, built by one walk per AS.
 //! * [`infer`] — relationship *inference* from collapsed BGP AS paths, a
 //!   Gao-style vote algorithm extended with clique detection and transit
 //!   degrees in the spirit of Luckie et al. 2013, so the pipeline can run
@@ -23,13 +22,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod cones;
 pub mod infer;
 mod rel;
 mod serial;
 
-pub use cache::{CacheStats, RelQueryCache};
 pub use cones::CustomerCones;
 pub use rel::{AsRelationships, Relationship};
 pub use serial::SerialParseError;

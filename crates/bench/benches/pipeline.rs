@@ -15,6 +15,9 @@ fn bench_phases(c: &mut Criterion) {
     let cfg = Config::default();
 
     let mut g = c.benchmark_group("phases");
+    g.bench_function("asrel_cones", |b| {
+        b.iter(|| CustomerCones::compute(&s.rels));
+    });
     g.bench_function("phase1_construct_graph", |b| {
         b.iter(|| {
             IrGraph::build(

@@ -293,7 +293,7 @@ mod tests {
             clock.advance(1_000_000);
         }
         rec.add(names::REFINE_ITERATIONS, 3);
-        rec.add_exec(names::EXEC_CACHE_HITS, 5);
+        rec.add_exec(names::EXEC_POOL_STEALS, 5);
         rec.record(names::HIST_SHARD_ITERATIONS, 2);
         rec.record(names::HIST_SHARD_ITERATIONS, 2);
         let before = rec.report();
@@ -310,7 +310,7 @@ mod tests {
         let delta = report_delta(&before, &after);
         assert_eq!(delta.counters[names::REFINE_ITERATIONS], 4);
         assert!(
-            !delta.exec.contains_key(names::EXEC_CACHE_HITS),
+            !delta.exec.contains_key(names::EXEC_POOL_STEALS),
             "unchanged exec counter must drop out"
         );
         let p = &delta.phases[names::PHASE_REFINE];

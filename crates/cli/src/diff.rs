@@ -310,7 +310,7 @@ mod tests {
         path
     }
 
-    fn recorder_with(iterations: u64, cache_hits: u64) -> Recorder {
+    fn recorder_with(iterations: u64, steals: u64) -> Recorder {
         let clock = MockClock::new();
         let rec = Recorder::with_clock(false, Box::new(clock.clone()));
         {
@@ -318,7 +318,7 @@ mod tests {
             clock.advance(2_000_000);
         }
         rec.add(names::REFINE_ITERATIONS, iterations);
-        rec.add_exec(names::EXEC_CACHE_HITS, cache_hits);
+        rec.add_exec(names::EXEC_POOL_STEALS, steals);
         rec
     }
 
@@ -329,7 +329,7 @@ mod tests {
         let out = report_diff(&a, &b, None).unwrap();
         assert!(out.contains("deterministic metrics agree"), "{out}");
         // Exec divergence is reported but not fatal.
-        assert!(out.contains("asrel.cache_hits: 10 -> 99"), "{out}");
+        assert!(out.contains("pool.steals: 10 -> 99"), "{out}");
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
     }

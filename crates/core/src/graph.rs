@@ -40,15 +40,15 @@
 //!    accumulator is order-insensitive — link label by `min`, the probed bit
 //!    by `or`, origin/destination/predecessor collections are sets — so
 //!    neither the shard nor the range split can reach the output.
-//! 4. **Annotate** (per-IR metadata): workers process disjoint IR ranges
-//!    with private [`RelQueryCache`]s (hit/miss tallies merged in worker
-//!    order), each writing its IRs' origin and filtered destination unions
-//!    into a column of its own; the columns append in IR order.
+//! 4. **Annotate** (per-IR metadata): workers process disjoint IR ranges,
+//!    querying the relationship database and customer cones directly for
+//!    §4.4's filter, each writing its IRs' origin and filtered destination
+//!    unions into a column of its own; the columns append in IR order.
 
 use crate::refine::shard::ShardPlan;
 use crate::Config;
 use alias::AliasSets;
-use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
+use as_rel::{AsRelationships, CustomerCones};
 use bgp::{IpToAs, OriginInfo, OriginKind};
 use net_types::{AddrInterner, AsSets, Asn, SetColumn};
 use serde::{Deserialize, Serialize};
@@ -277,7 +277,7 @@ impl IrGraph {
 
     /// Builds the graph from a corpus (§4) on a caller-provided worker pool
     /// — the entry the pipeline uses so all phases share one pool —
-    /// recording worker counts and relationship-cache telemetry on `rec`.
+    /// recording worker counts and phase timings on `rec`.
     /// Each parallel pass is chunked into
     /// [`pool::WorkerPool::batch_size`]-sized tasks (see the module docs for
     /// the sharding scheme); task outputs rejoin in task-index order, so
@@ -582,10 +582,7 @@ impl IrGraph {
 
         // ---- per-IR metadata: origin-AS unions and §4.4-filtered
         // destination sets, chunked over the IR space into task-local
-        // columns that append in IR order. Each task owns a private
-        // relationship cache; hit/miss tallies are execution-dependent (the
-        // split varies with the thread count), so they merge into the exec
-        // class in task order.
+        // columns that append in IR order.
         let span = rec.span(obs::names::PHASE1_METADATA);
         let graph = &g;
         let meta_shards = wp.run(
@@ -593,25 +590,17 @@ impl IrGraph {
             task_count(n_irs, ir_batch),
             |t| {
                 let (lo, hi) = task_range(n_irs, t, ir_batch);
-                let mut cache = RelQueryCache::new(rels, cones);
                 let (mut origins, mut dests) = (AsSets::new(), AsSets::new());
                 for ir in &graph.irs[lo..hi] {
-                    graph.push_metadata(ir, cfg, &mut cache, &mut origins, &mut dests);
+                    graph.push_metadata(ir, cfg, rels, cones, &mut origins, &mut dests);
                 }
-                let mut sheet = obs::MetricSheet::new();
-                let stats = cache.stats();
-                sheet.add_exec(obs::names::EXEC_CACHE_HITS, stats.hits);
-                sheet.add_exec(obs::names::EXEC_CACHE_MISSES, stats.misses);
-                (origins, dests, sheet)
+                (origins, dests)
             },
         );
-        let mut merged = obs::MetricSheet::new();
-        for (origins, dests, sheet) in meta_shards {
+        for (origins, dests) in meta_shards {
             g.ir_origins.append(&origins);
             g.ir_dests.append(&dests);
-            merged.merge(&sheet);
         }
-        rec.absorb(&merged);
         drop(span);
 
         // ---- refinement shard plan (link-connected components, §6.3) ----
@@ -630,7 +619,8 @@ impl IrGraph {
         &self,
         ir: &Ir,
         cfg: &Config,
-        cache: &mut RelQueryCache<'_>,
+        rels: &AsRelationships,
+        cones: &CustomerCones,
         origins: &mut AsSets,
         dests: &mut AsSets,
     ) {
@@ -639,9 +629,9 @@ impl IrGraph {
             (o.asn.is_some() && o.kind != OriginKind::Ixp).then_some(o.asn)
         };
         origins.push_union(|out| out.extend(ir.ifaces.iter().filter_map(announced)));
-        let mut filtered = |j: IfIdx, out: &mut Vec<Asn>| {
+        let filtered = |j: IfIdx, out: &mut Vec<Asn>| {
             let raw = &self.iface_dests[j.0 as usize];
-            let drop = realloc_drop(raw, self.iface_origin[j.0 as usize].asn, cfg, cache);
+            let drop = realloc_drop(raw, self.iface_origin[j.0 as usize].asn, cfg, rels, cones);
             out.extend(raw.iter().copied().filter(|&a| Some(a) != drop));
         };
         match ir.ifaces[..] {
@@ -708,13 +698,14 @@ fn link_label(dist: u8, ox: OriginInfo, oy: OriginInfo, reply: ReplyType) -> Lin
 /// matching the interface origin and the other a small-cone AS with no
 /// BGP-observable relationship to it, indicates a reallocated prefix; the
 /// larger-cone AS (the reallocating provider) is removed. Returns the AS to
-/// remove from the interface's raw set, if any. Cone sizes and relationship
-/// probes go through the worker's memoized cache.
+/// remove from the interface's raw set, if any. Cone sizes come from
+/// `cones` and the relationship test from `rels`.
 fn realloc_drop(
     raw: &[Asn],
     origin: Asn,
     cfg: &Config,
-    cache: &mut RelQueryCache<'_>,
+    rels: &AsRelationships,
+    cones: &CustomerCones,
 ) -> Option<Asn> {
     let &[a, b] = raw else {
         return None;
@@ -723,11 +714,11 @@ fn realloc_drop(
         return None;
     }
     let other = if a == origin { b } else { a };
-    if cache.cone_size(other) > cfg.realloc_cone_max || cache.has_relationship(origin, other) {
+    if cones.size(other) > cfg.realloc_cone_max || rels.has_relationship(origin, other) {
         return None;
     }
     // Remove the AS with the larger cone (the provider).
-    Some(if cache.cone_size(origin) >= cache.cone_size(other) {
+    Some(if cones.size(origin) >= cones.size(other) {
         origin
     } else {
         other
@@ -924,23 +915,24 @@ mod tests {
         let mut rels = AsRelationships::new();
         rels.add_p2c(Asn(1), Asn(2)); // gives AS1 a cone of 2
         let cones = CustomerCones::compute(&rels);
-        let mut cache = RelQueryCache::new(&rels, &cones);
         let raw = [Asn(1), Asn(3)];
-        assert_eq!(realloc_drop(&raw, Asn(1), &cfg(), &mut cache), Some(Asn(1)));
+        assert_eq!(
+            realloc_drop(&raw, Asn(1), &cfg(), &rels, &cones),
+            Some(Asn(1))
+        );
         // Not a two-AS set holding the origin: nothing is filtered.
         for (raw, origin) in [
             (&raw[..1], Asn(1)),
             (&raw[..], Asn(2)),
             (&raw[..], Asn::NONE),
         ] {
-            assert_eq!(realloc_drop(raw, origin, &cfg(), &mut cache), None);
+            assert_eq!(realloc_drop(raw, origin, &cfg(), &rels, &cones), None);
         }
         // With a known relationship, nothing is filtered.
         let mut rels2 = AsRelationships::new();
         rels2.add_p2c(Asn(1), Asn(3));
         let cones2 = CustomerCones::compute(&rels2);
-        let mut cache2 = RelQueryCache::new(&rels2, &cones2);
-        assert_eq!(realloc_drop(&raw, Asn(1), &cfg(), &mut cache2), None);
+        assert_eq!(realloc_drop(&raw, Asn(1), &cfg(), &rels2, &cones2), None);
     }
 
     #[test]
@@ -1083,8 +1075,8 @@ mod tests {
         );
         let report = rec.report();
         assert_eq!(report.exec[obs::names::EXEC_GRAPH_WORKERS], 2);
-        assert!(report.exec.contains_key(obs::names::EXEC_CACHE_HITS));
-        assert!(report.exec.contains_key(obs::names::EXEC_CACHE_MISSES));
+        assert!(!report.exec.contains_key(obs::names::EXEC_CACHE_HITS));
+        assert!(!report.exec.contains_key(obs::names::EXEC_CACHE_MISSES));
     }
 
     #[test]
@@ -1232,16 +1224,17 @@ mod tests {
         raw: &BTreeSet<Asn>,
         origin: Asn,
         cfg: &Config,
-        cache: &mut RelQueryCache<'_>,
+        rels: &AsRelationships,
+        cones: &CustomerCones,
     ) -> BTreeSet<Asn> {
         if !cfg.enable_realloc || raw.len() != 2 || origin.is_none() || !raw.contains(&origin) {
             return raw.clone();
         }
         let other = *raw.iter().find(|&&a| a != origin).expect("two elements");
-        if cache.cone_size(other) > cfg.realloc_cone_max || cache.has_relationship(origin, other) {
+        if cones.size(other) > cfg.realloc_cone_max || rels.has_relationship(origin, other) {
             return raw.clone();
         }
-        let drop = if cache.cone_size(origin) >= cache.cone_size(other) {
+        let drop = if cones.size(origin) >= cones.size(other) {
             origin
         } else {
             other
@@ -1370,7 +1363,6 @@ mod tests {
             link_origins.push(origins);
         }
 
-        let mut cache = RelQueryCache::new(rels, cones);
         let mut ir_origins = vec![BTreeSet::new(); irs.len()];
         let mut ir_dests = vec![BTreeSet::new(); irs.len()];
         for ir in &irs {
@@ -1381,7 +1373,7 @@ mod tests {
                     ir_origins[k].insert(o.asn);
                 }
                 let raw = &iface_dests[ifidx.0 as usize];
-                ir_dests[k].extend(filtered_iface_dests(raw, o.asn, &cfg(), &mut cache));
+                ir_dests[k].extend(filtered_iface_dests(raw, o.asn, &cfg(), rels, cones));
             }
         }
         let shards = ShardPlan::compute(&irs, &iface_ir);

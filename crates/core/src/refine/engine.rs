@@ -18,7 +18,7 @@ use crate::graph::IrGraph;
 use crate::refine::shard::Shard;
 use crate::refine::{interface, router};
 use crate::{AnnotationState, Config};
-use as_rel::{AsRelationships, CustomerCones, RelQueryCache};
+use as_rel::{AsRelationships, CustomerCones};
 use net_types::Asn;
 use std::collections::HashSet;
 
@@ -93,14 +93,16 @@ pub(crate) struct Scratch {
     pub iface_votes: Vec<(Asn, u64)>,
 }
 
-/// Read-only context threaded through the annotation routines: the graph,
-/// the configuration, the memoized relationship/cone cache, the elections'
-/// scratch buffers, and the write-only telemetry (nothing here reads the
-/// sheet or the tracer).
+/// Context threaded through the annotation routines: the graph, the
+/// configuration, the relationship database and customer cones (queried
+/// directly, the same path phases 1 and 2 take), the elections' scratch
+/// buffers, and the write-only telemetry (nothing here reads the sheet or
+/// the tracer).
 pub(crate) struct SweepCtx<'a> {
     pub graph: &'a IrGraph,
     pub cfg: &'a Config,
-    pub cache: RelQueryCache<'a>,
+    pub rels: &'a AsRelationships,
+    pub cones: &'a CustomerCones,
     pub scratch: Scratch,
     pub sheet: obs::MetricSheet,
     pub tracer: obs::WorkerTracer,
@@ -119,7 +121,8 @@ impl<'a> SweepCtx<'a> {
         SweepCtx {
             graph,
             cfg,
-            cache: RelQueryCache::new(rels, cones),
+            rels,
+            cones,
             scratch: Scratch::default(),
             sheet: obs::MetricSheet::new(),
             tracer: rec.tracer().worker(obs::names::TRACK_REFINE_WORKER, 0),
@@ -161,11 +164,6 @@ pub fn refine(
         names::REFINE_ROUTERS_ANNOTATED,
         state.router.iter().filter(|a| **a != Asn::NONE).count() as u64,
     );
-    // Cache statistics are execution-dependent: they depend on the order
-    // shards are visited.
-    let stats = ctx.cache.stats();
-    ctx.sheet.add_exec(names::EXEC_CACHE_HITS, stats.hits);
-    ctx.sheet.add_exec(names::EXEC_CACHE_MISSES, stats.misses);
     rec.tracer().submit(ctx.tracer);
     rec.absorb(&ctx.sheet);
 }

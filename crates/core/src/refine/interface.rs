@@ -67,11 +67,11 @@ pub(crate) fn annotate_iface_one(
     } else {
         // Tie: largest cone among tied ASes with a BGP-observed
         // relationship to the interface origin; none → origin AS.
-        let cache = &mut ctx.cache;
+        let rels = ctx.rels;
         v.retain(|&(w, _)| {
-            origin.asn.is_some() && (w == origin.asn || cache.has_relationship(w, origin.asn))
+            origin.asn.is_some() && (w == origin.asn || rels.has_relationship(w, origin.asn))
         });
-        match cache.largest_cone(v.iter().map(|&(w, _)| w)) {
+        match ctx.cones.largest_cone(v.iter().map(|&(w, _)| w)) {
             Some(w) => w,
             None => origin.asn,
         }

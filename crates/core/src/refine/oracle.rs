@@ -10,7 +10,7 @@ use crate::graph::{IfIdx, Ir, IrId, LinkLabel};
 use crate::refine::engine::SweepCtx;
 use crate::refine::votes;
 use crate::AnnotationState;
-use as_rel::{AsRelationships, RelQueryCache, Relationship};
+use as_rel::{AsRelationships, CustomerCones, Relationship};
 use bgp::OriginKind;
 use net_types::{Asn, Counter, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,7 +59,7 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
         return Asn::NONE;
     }
     if ctx.cfg.enable_exceptions {
-        if let Some(a) = check_exceptions(&ir_origins, &link_vote_ases, &v, ctx.cache.rels()) {
+        if let Some(a) = check_exceptions(&ir_origins, &link_vote_ases, &v, ctx.rels) {
             ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
             return a;
         }
@@ -68,19 +68,19 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
     for (&cand, origins) in &m {
         if origins
             .iter()
-            .any(|&o| o != cand && ctx.cache.has_relationship(o, cand))
+            .any(|&o| o != cand && ctx.rels.has_relationship(o, cand))
         {
             r.insert(cand);
         }
     }
     if r != ir_origins {
-        return elect(&v, &r, &mut ctx.cache);
+        return elect(&v, &r, ctx.cones);
     }
     let all: BTreeSet<Asn> = v.keys().copied().collect();
-    let a = elect(&v, &all, &mut ctx.cache);
+    let a = elect(&v, &all, ctx.cones);
     if ctx.cfg.enable_hidden_as {
         let vote_origins = m.get(&a).cloned().unwrap_or_default();
-        let replaced = check_hidden_as(&ir_origins, a, &vote_origins, ctx.cache.rels());
+        let replaced = check_hidden_as(&ir_origins, a, &vote_origins, ctx.rels);
         if replaced != a {
             ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
         }
@@ -90,7 +90,7 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
 }
 
 /// The election over a `Counter`, candidates from an ordered set.
-fn elect(v: &Counter<Asn>, allowed: &BTreeSet<Asn>, cache: &mut RelQueryCache<'_>) -> Asn {
+fn elect(v: &Counter<Asn>, allowed: &BTreeSet<Asn>, cones: &CustomerCones) -> Asn {
     let mut best: Option<(u64, Asn)> = None;
     for &cand in allowed {
         let count = v.get(&cand);
@@ -100,8 +100,7 @@ fn elect(v: &Counter<Asn>, allowed: &BTreeSet<Asn>, cache: &mut RelQueryCache<'_
         let better = match best {
             None => true,
             Some((bc, ba)) => {
-                count > bc
-                    || (count == bc && (cache.cone_size(cand), cand) < (cache.cone_size(ba), ba))
+                count > bc || (count == bc && (cones.size(cand), cand) < (cones.size(ba), ba))
             }
         };
         if better {
@@ -149,10 +148,10 @@ fn annotate_iface_one(idx: usize, state: &AnnotationState, ctx: &mut SweepCtx<'_
             .copied()
             .filter(|&w| {
                 origin.asn.is_some()
-                    && (w == origin.asn || ctx.cache.has_relationship(w, origin.asn))
+                    && (w == origin.asn || ctx.rels.has_relationship(w, origin.asn))
             })
             .collect();
-        match ctx.cache.largest_cone(related) {
+        match ctx.cones.largest_cone(related) {
             Some(w) => w,
             None => origin.asn,
         }
@@ -193,11 +192,7 @@ fn correct_reallocated(
     let [x] = annotations.into_iter().collect::<Vec<_>>()[..] else {
         return;
     };
-    if x.is_none()
-        || !ir_origins
-            .iter()
-            .any(|&o| ctx.cache.rels().is_customer(x, o))
-    {
+    if x.is_none() || !ir_origins.iter().any(|&o| ctx.rels.is_customer(x, o)) {
         return;
     }
     let mut flipped = false;

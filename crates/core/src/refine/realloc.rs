@@ -55,7 +55,7 @@ pub(crate) fn correct_reallocated(
     }
     // ...and X must be a customer of an IR origin AS (and differ from the
     // provider origin the votes currently carry).
-    let is_customer_of_origin = origins.iter().any(|&o| ctx.cache.rels().is_customer(x, o));
+    let is_customer_of_origin = origins.iter().any(|&o| ctx.rels.is_customer(x, o));
     if !is_customer_of_origin {
         return;
     }

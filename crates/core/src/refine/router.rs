@@ -9,7 +9,7 @@ use crate::graph::{Ir, LinkLabel};
 use crate::refine::engine::{Scratch, SweepCtx};
 use crate::refine::{exceptions, hidden, realloc, votes};
 use crate::AnnotationState;
-use as_rel::RelQueryCache;
+use as_rel::CustomerCones;
 use bgp::OriginKind;
 use net_types::Asn;
 
@@ -101,7 +101,7 @@ fn annotate_ir_in(
     let origins = &graph.ir_origins[ir.id.0 as usize];
     if ctx.cfg.enable_exceptions {
         if let Some(a) =
-            exceptions::check_exceptions(origins, &s.link_vote_ases, &s.tally, ctx.cache.rels())
+            exceptions::check_exceptions(origins, &s.link_vote_ases, &s.tally, ctx.rels)
         {
             ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
             return a;
@@ -121,7 +121,7 @@ fn annotate_ir_in(
         let backed = run.iter().any(|&(_, i)| {
             graph.link_origins[ir.links[i as usize].row as usize]
                 .iter()
-                .any(|&o| o != cand && ctx.cache.has_relationship(o, cand))
+                .any(|&o| o != cand && ctx.rels.has_relationship(o, cand))
         });
         if backed {
             s.admitted.push(cand);
@@ -130,11 +130,11 @@ fn annotate_ir_in(
     if !s.admitted.is_empty() {
         let admitted = &s.admitted;
         let allowed = |a: Asn| origins.contains(&a) || admitted.binary_search(&a).is_ok();
-        return elect(&s.tally, allowed, &mut ctx.cache);
+        return elect(&s.tally, allowed, ctx.cones);
     }
 
     // ---- Alg. 2 lines 13–14: open election + hidden-AS check ----
-    let a = elect(&s.tally, |_| true, &mut ctx.cache);
+    let a = elect(&s.tally, |_| true, ctx.cones);
     if ctx.cfg.enable_hidden_as {
         s.vote_origins.clear();
         let first = s.by_vote.partition_point(|&(v, _)| v < a);
@@ -142,7 +142,7 @@ fn annotate_ir_in(
             let row = ir.links[i as usize].row as usize;
             s.vote_origins.extend_from_slice(&graph.link_origins[row]);
         }
-        let replaced = hidden::check_hidden_as(origins, a, &s.vote_origins, ctx.cache.rels());
+        let replaced = hidden::check_hidden_as(origins, a, &s.vote_origins, ctx.rels);
         if replaced != a {
             ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
         }
@@ -154,13 +154,8 @@ fn annotate_ir_in(
 /// The election over the `(ASN, count)` tally: most votes among the
 /// `allowed` ASes, ties to the smallest customer cone then the lowest ASN
 /// (§6.1.4). That order is total, so the winner does not depend on the
-/// order candidates are visited in. Cone sizes go through the memo cache —
-/// the same candidates recur every sweep.
-fn elect(
-    tally: &[(Asn, u64)],
-    allowed: impl Fn(Asn) -> bool,
-    cache: &mut RelQueryCache<'_>,
-) -> Asn {
+/// order candidates are visited in.
+fn elect(tally: &[(Asn, u64)], allowed: impl Fn(Asn) -> bool, cones: &CustomerCones) -> Asn {
     let mut best: Option<(u64, Asn)> = None;
     for &(cand, count) in tally {
         if count == 0 || !allowed(cand) {
@@ -169,8 +164,7 @@ fn elect(
         let better = match best {
             None => true,
             Some((bc, ba)) => {
-                count > bc
-                    || (count == bc && (cache.cone_size(cand), cand) < (cache.cone_size(ba), ba))
+                count > bc || (count == bc && (cones.size(cand), cand) < (cones.size(ba), ba))
             }
         };
         if better {
@@ -183,27 +177,18 @@ fn elect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use as_rel::{AsRelationships, CustomerCones};
+    use as_rel::AsRelationships;
 
-    fn elect_with(
-        tally: &[(u32, u64)],
-        allowed: &[u32],
-        rels: &AsRelationships,
-        cones: &CustomerCones,
-    ) -> Asn {
-        let mut cache = RelQueryCache::new(rels, cones);
+    fn elect_with(tally: &[(u32, u64)], allowed: &[u32], cones: &CustomerCones) -> Asn {
         let tally: Vec<(Asn, u64)> = tally.iter().map(|&(a, n)| (Asn(a), n)).collect();
-        elect(&tally, |a| allowed.contains(&a.0), &mut cache)
+        elect(&tally, |a| allowed.contains(&a.0), cones)
     }
 
     #[test]
     fn elect_majority() {
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        assert_eq!(
-            elect_with(&[(1, 3), (2, 5)], &[1, 2], &rels, &cones),
-            Asn(2)
-        );
+        assert_eq!(elect_with(&[(1, 3), (2, 5)], &[1, 2], &cones), Asn(2));
     }
 
     #[test]
@@ -212,33 +197,27 @@ mod tests {
         rels.add_p2c(Asn(1), Asn(9));
         let cones = CustomerCones::compute(&rels);
         // AS1 has cone 2; AS2 is a stub (cone 1) → the presumed customer.
-        assert_eq!(
-            elect_with(&[(1, 4), (2, 4)], &[1, 2], &rels, &cones),
-            Asn(2)
-        );
+        assert_eq!(elect_with(&[(1, 4), (2, 4)], &[1, 2], &cones), Asn(2));
     }
 
     #[test]
     fn elect_tie_equal_cones_lowest_asn() {
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        assert_eq!(
-            elect_with(&[(3, 2), (5, 2)], &[3, 5], &rels, &cones),
-            Asn(3)
-        );
+        assert_eq!(elect_with(&[(3, 2), (5, 2)], &[3, 5], &cones), Asn(3));
     }
 
     #[test]
     fn elect_respects_allowed_set() {
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        assert_eq!(elect_with(&[(1, 10), (2, 1)], &[2], &rels, &cones), Asn(2));
+        assert_eq!(elect_with(&[(1, 10), (2, 1)], &[2], &cones), Asn(2));
     }
 
     #[test]
     fn elect_empty() {
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        assert_eq!(elect_with(&[], &[], &rels, &cones), Asn::NONE);
+        assert_eq!(elect_with(&[], &[], &cones), Asn::NONE);
     }
 }

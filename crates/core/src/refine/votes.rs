@@ -35,7 +35,7 @@ pub(crate) fn link_vote(
         if !ctx.cfg.enable_ixp_heuristic {
             return None;
         }
-        return ctx.cache.largest_cone(origins.iter().copied());
+        return ctx.cones.largest_cone(origins.iter().copied());
     }
 
     // Line 3: the annotation of j's router.
@@ -66,7 +66,7 @@ pub(crate) fn link_vote(
     // and no probe crossing this link was ever destined to j's origin AS.
     if ctx.cfg.enable_third_party
         && j_origin.asn != as_j
-        && origins.iter().any(|&o| ctx.cache.has_relationship(o, as_j))
+        && origins.iter().any(|&o| ctx.rels.has_relationship(o, as_j))
         && !link.dst_origin_probed
     {
         ctx.sheet.inc(obs::names::REFINE_THIRD_PARTY_VOTES);

@@ -86,9 +86,9 @@ impl Histogram {
 ///
 /// Counters come in two classes: *deterministic* ([`MetricSheet::add`]) —
 /// per-decision counts that must match across thread counts — and
-/// *execution-dependent* ([`MetricSheet::add_exec`]) — cache hit rates and
-/// similar scheduling artifacts, reported for tuning but excluded from
-/// determinism comparisons.
+/// *execution-dependent* ([`MetricSheet::add_exec`]) — pool steals, worker
+/// slots and similar scheduling artifacts, reported for tuning but excluded
+/// from determinism comparisons.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricSheet {
     pub(crate) counters: BTreeMap<&'static str, u64>,

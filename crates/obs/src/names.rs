@@ -146,12 +146,16 @@ pub const DETLINT_TAINT_SOURCES: &str = "detlint.taint_sources";
 pub const DETLINT_TAINTED_FNS: &str = "detlint.tainted_fns";
 
 // ---- execution-dependent metrics -------------------------------------------
-// Vary with thread count and scheduling (per-worker caches); reported for
-// tuning but excluded from the deterministic view.
+// Vary with thread count and scheduling (pool splits, steals, timings);
+// reported for tuning but excluded from the deterministic view.
 
-/// RelQueryCache memo hits across refinement.
+/// Relationship memo hits. No longer recorded (every phase queries the AS
+/// databases directly); kept because the benchmark's per-layer report reads
+/// it.
 pub const EXEC_CACHE_HITS: &str = "asrel.cache_hits";
-/// RelQueryCache memo misses across refinement.
+/// Relationship memo misses. No longer recorded, like
+/// [`EXEC_CACHE_HITS`]; kept because the benchmark's per-layer report reads
+/// it.
 pub const EXEC_CACHE_MISSES: &str = "asrel.cache_misses";
 /// Worker slots the probe-campaign sharder actually used.
 pub const EXEC_CAMPAIGN_WORKERS: &str = "campaign.workers";

@@ -62,7 +62,7 @@ pub struct RunReport {
     pub phases: BTreeMap<String, PhaseStats>,
     /// Deterministic counters: identical for every thread count.
     pub counters: BTreeMap<String, u64>,
-    /// Execution-dependent counters (cache hit rates, worker slots).
+    /// Execution-dependent counters (pool steals, worker slots).
     pub exec: BTreeMap<String, u64>,
     /// Deterministic histograms.
     pub histograms: BTreeMap<String, HistogramSummary>,
@@ -186,7 +186,7 @@ mod tests {
         }
         rec.add(names::REFINE_ITERATIONS, 3);
         rec.record(names::HIST_SHARD_ITERATIONS, 2);
-        rec.add_exec(names::EXEC_CACHE_HITS, 99);
+        rec.add_exec(names::EXEC_POOL_STEALS, 99);
         rec.report()
     }
 
@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn deterministic_view_excludes_wall_times_and_exec() {
         let a = complete_report();
-        // A second run with different wall times and cache stats...
+        // A second run with different wall times and steal counts...
         let clock = MockClock::new();
         let rec = Recorder::with_clock(false, Box::new(clock.clone()));
         for phase in names::MANDATORY_PHASES {
@@ -233,7 +233,7 @@ mod tests {
         }
         rec.add(names::REFINE_ITERATIONS, 3);
         rec.record(names::HIST_SHARD_ITERATIONS, 2);
-        rec.add_exec(names::EXEC_CACHE_HITS, 1); // very different cache stats
+        rec.add_exec(names::EXEC_POOL_STEALS, 1); // very different steal counts
         let b = rec.report();
         // ...differs as a whole report but not in the deterministic view.
         assert_ne!(a, b);
