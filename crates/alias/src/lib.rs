@@ -85,15 +85,17 @@ impl AliasSets {
         self.groups.iter()
     }
 
-    /// The groups keyed by dense interned ids: each group's members that
-    /// were actually observed (present in `interner`), in ascending id
-    /// order. Groups come back in dataset order; addresses the interner
-    /// never saw are dropped, so a group can shrink below two members (the
-    /// caller decides whether such remnants still merge anything).
-    pub fn interned_groups(&self, interner: &net_types::AddrInterner) -> Vec<Vec<u32>> {
+    /// The groups keyed by rank in `observed`, a sorted and deduplicated
+    /// address table: each group's members that were actually observed, as
+    /// their indices into `observed`, ascending. Groups come back in
+    /// dataset order; addresses `observed` lacks are dropped, so a group can
+    /// shrink below two members (the caller decides whether such remnants
+    /// still merge anything).
+    pub fn interned_groups(&self, observed: &[u32]) -> Vec<Vec<u32>> {
+        let rank = |a: &u32| observed.binary_search(a).ok().map(|i| i as u32);
         self.groups
             .iter()
-            .map(|g| g.iter().filter_map(|&a| interner.id(a)).collect())
+            .map(|g| g.iter().filter_map(rank).collect())
             .collect()
     }
 

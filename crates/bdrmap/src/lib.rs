@@ -64,7 +64,19 @@ pub fn run(
 ) -> BdrmapResult {
     let cones = CustomerCones::compute(rels);
     let vp_as = vp_as.unwrap_or_else(|| infer_vp_as(traces, ip2as));
-    let graph = IrGraph::build(traces, aliases, ip2as, &CoreConfig::default(), rels, &cones);
+    let cfg = CoreConfig::default();
+    let wp = traceroute::WorkerPool::new(cfg.threads);
+    // Telemetry off: the default recorder is the disabled one.
+    let graph = IrGraph::build(
+        traces,
+        aliases,
+        ip2as,
+        &cfg,
+        rels,
+        &cones,
+        &wp,
+        &Default::default(),
+    );
 
     // ---- step 1: internal routers ----
     // A router is internal when, in some trace, it appears strictly before

@@ -13,6 +13,8 @@ fn bench_phases(c: &mut Criterion) {
     let s = &fx.scenario;
     let cones = CustomerCones::compute(&s.rels);
     let cfg = Config::default();
+    let wp = pool::WorkerPool::new(cfg.threads);
+    let rec = obs::Recorder::disabled();
 
     let mut g = c.benchmark_group("phases");
     g.bench_function("asrel_cones", |b| {
@@ -27,6 +29,8 @@ fn bench_phases(c: &mut Criterion) {
                 &cfg,
                 &s.rels,
                 &cones,
+                &wp,
+                &rec,
             )
         });
     });
@@ -38,6 +42,8 @@ fn bench_phases(c: &mut Criterion) {
         &cfg,
         &s.rels,
         &cones,
+        &wp,
+        &rec,
     );
     g.bench_function("phase2_last_hops", |b| {
         b.iter(|| {
@@ -46,7 +52,6 @@ fn bench_phases(c: &mut Criterion) {
             state
         });
     });
-    let rec = obs::Recorder::disabled();
     g.bench_function("phase3_refinement", |b| {
         b.iter(|| {
             let mut state = AnnotationState::new(&graph);
@@ -95,6 +100,8 @@ fn bench_front_end_threads(c: &mut Criterion) {
             BenchmarkId::new("graph_threads", threads),
             &cfg,
             |b, cfg| {
+                let wp = pool::WorkerPool::new(cfg.threads);
+                let rec = obs::Recorder::disabled();
                 b.iter(|| {
                     IrGraph::build(
                         &fx.bundle.traces,
@@ -103,6 +110,8 @@ fn bench_front_end_threads(c: &mut Criterion) {
                         cfg,
                         &s.rels,
                         &cones,
+                        &wp,
+                        &rec,
                     )
                 });
             },
@@ -131,7 +140,7 @@ fn bench_graph_itdk(c: &mut Criterion) {
         let wp = pool::WorkerPool::new(threads);
         g.bench_with_input(BenchmarkId::new("build", threads), &cfg, |b, cfg| {
             b.iter(|| {
-                IrGraph::build_in_pool(
+                IrGraph::build(
                     &bundle.traces,
                     &bundle.aliases,
                     &s.ip2as,

@@ -59,15 +59,23 @@ pub struct IpToAs {
 }
 
 impl IpToAs {
-    /// Builds the oracle from the three paper inputs.
+    /// Builds the oracle from the three paper inputs, reading the BGP
+    /// layer's origins off `rib`.
+    pub fn build(rib: &Rib, delegations: &DelegationTable, ixps: &IxpDirectory) -> Self {
+        IpToAs::from_origins(rib.origin_table(), delegations, ixps)
+    }
+
+    /// Builds the oracle from BGP `(prefix, origin)` pairs (a RIB's origin
+    /// table, or a CAIDA-style `prefix2as` file), RIR delegations and IXPs.
     ///
     /// RIR prefixes already covered by (equal to or contained in) a BGP
     /// prefix are dropped here, implementing the paper's staleness rule.
-    pub fn build(rib: &Rib, delegations: &DelegationTable, ixps: &IxpDirectory) -> Self {
-        let mut bgp = PrefixTrie::new();
-        for (prefix, origin) in rib.origin_table() {
-            bgp.insert(prefix, origin);
-        }
+    pub fn from_origins<I: IntoIterator<Item = (Prefix, Asn)>>(
+        origins: I,
+        delegations: &DelegationTable,
+        ixps: &IxpDirectory,
+    ) -> Self {
+        let bgp: PrefixTrie<Asn> = origins.into_iter().collect();
         let joined = delegations.join();
         let mut rir = PrefixTrie::new();
         for (prefix, &asn) in joined.iter() {
@@ -84,8 +92,8 @@ impl IpToAs {
         IpToAs { bgp, rir, ixp }
     }
 
-    /// Builds an oracle from raw `(prefix, origin)` pairs — useful in tests
-    /// and when replaying CAIDA-style `prefix2as` files.
+    /// Builds a BGP-only oracle from raw `(prefix, origin)` pairs, with no
+    /// RIR or IXP layer — useful in tests.
     pub fn from_pairs<I: IntoIterator<Item = (Prefix, Asn)>>(pairs: I) -> Self {
         IpToAs {
             bgp: pairs.into_iter().collect(),
@@ -97,14 +105,6 @@ impl IpToAs {
     /// Adds IXP prefixes to an oracle built with [`IpToAs::from_pairs`].
     pub fn with_ixps(mut self, ixps: &IxpDirectory) -> Self {
         self.ixp = ixps.iter().map(|i| (i.prefix, i.id)).collect();
-        self
-    }
-
-    /// Adds RIR-fallback prefixes to an oracle built with
-    /// [`IpToAs::from_pairs`]. The caller is responsible for the staleness
-    /// filtering [`IpToAs::build`] would otherwise apply.
-    pub fn with_rir<I: IntoIterator<Item = (Prefix, Asn)>>(mut self, pairs: I) -> Self {
-        self.rir = pairs.into_iter().collect();
         self
     }
 

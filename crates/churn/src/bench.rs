@@ -1,4 +1,4 @@
-//! Churn artifacts: the `bdrmapit.bench-churn/v1` cost benchmark, the
+//! Churn artifacts: the `bdrmapit.bench-churn/v2` cost benchmark, the
 //! `bdrmapit.churn-report/v1` per-epoch report bundle, and the report-delta
 //! arithmetic that carves per-epoch [`RunReport`]s out of one cumulative
 //! recorder.
@@ -9,37 +9,20 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Schema identifier of the churn cost benchmark artifact.
-pub const BENCH_SCHEMA: &str = "bdrmapit.bench-churn/v1";
+pub const BENCH_SCHEMA: &str = "bdrmapit.bench-churn/v2";
 /// Schema identifier of the per-epoch report bundle.
 pub const REPORT_SCHEMA: &str = "bdrmapit.churn-report/v1";
 
-/// What one epoch cost on one path (incremental or full recompute). The
-/// deterministic `work` unit is `probes + shards`: probes executed plus
-/// refinement shards converged. Both paths converge every shard, so only
-/// `probes` tells them apart.
+/// What one epoch cost on one path (incremental or full recompute). Both
+/// paths run phases 1–3 on the same corpus, so the deterministic cost that
+/// tells them apart is `probes`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EpochCost {
     /// Traceroute probes executed (`(vp, dst)` pairs measured).
     pub probes: u64,
-    /// Refinement shards converged (every shard of the epoch's plan).
-    pub shards: u64,
-    /// Deterministic cost: `probes + shards`.
-    pub work: u64,
     /// Wall time of the path, milliseconds (informational; varies by
     /// machine and thread count).
     pub wall_ms: f64,
-}
-
-impl EpochCost {
-    /// Assembles a cost record; `work` is derived.
-    pub fn new(probes: u64, shards: u64, wall_ms: f64) -> EpochCost {
-        EpochCost {
-            probes,
-            shards,
-            work: probes + shards,
-            wall_ms,
-        }
-    }
 }
 
 /// One epoch's row in the benchmark artifact.
@@ -59,10 +42,6 @@ pub struct BenchEpoch {
     pub dirty_pairs: usize,
     /// Total pairs in the epoch's probe matrix.
     pub total_pairs: usize,
-    /// Refinement shards converged; equals `total_shards`.
-    pub dirty_shards: usize,
-    /// Total shards in the epoch's plan.
-    pub total_shards: usize,
     /// Incremental-path cost.
     pub incremental: EpochCost,
     /// Full-recompute cost.
@@ -73,7 +52,7 @@ pub struct BenchEpoch {
     pub identical: bool,
 }
 
-/// The `bdrmapit.bench-churn/v1` artifact: per-epoch incremental-vs-full
+/// The `bdrmapit.bench-churn/v2` artifact: per-epoch incremental-vs-full
 /// cost for one churn run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BenchChurn {
@@ -87,10 +66,10 @@ pub struct BenchChurn {
     pub threads: usize,
     /// Per-epoch rows, baseline first.
     pub epochs: Vec<BenchEpoch>,
-    /// Sum of incremental `work` across epochs.
-    pub incremental_work_total: u64,
-    /// Sum of full-recompute `work` across epochs.
-    pub full_work_total: u64,
+    /// Sum of incremental `probes` across epochs.
+    pub incremental_probes_total: u64,
+    /// Sum of full-recompute `probes` across epochs.
+    pub full_probes_total: u64,
 }
 
 impl BenchChurn {
@@ -107,29 +86,27 @@ impl BenchChurn {
                 rib_changed: e.rib_changed,
                 dirty_pairs: e.dirty_pairs,
                 total_pairs: e.total_pairs,
-                dirty_shards: e.dirty_shards,
-                total_shards: e.total_shards,
                 incremental: e.incremental,
                 full: e.full,
                 identical: true,
             })
             .collect();
-        let incremental_work_total = epochs.iter().map(|e| e.incremental.work).sum();
-        let full_work_total = epochs.iter().map(|e| e.full.work).sum();
+        let incremental_probes_total = epochs.iter().map(|e| e.incremental.probes).sum();
+        let full_probes_total = epochs.iter().map(|e| e.full.probes).sum();
         BenchChurn {
             schema: BENCH_SCHEMA.to_string(),
             scale: scale.to_string(),
             seed,
             threads,
             epochs,
-            incremental_work_total,
-            full_work_total,
+            incremental_probes_total,
+            full_probes_total,
         }
     }
 
     /// The CI cost gate: every epoch's output byte-identical, every
-    /// rib-stable churn epoch strictly cheaper incrementally than the full
-    /// recompute, and the run total strictly cheaper overall.
+    /// rib-stable churn epoch probing strictly less incrementally than the
+    /// full recompute, and the run total strictly less overall.
     pub fn gate(&self) -> Result<(), String> {
         for e in &self.epochs {
             if !e.identical {
@@ -138,17 +115,17 @@ impl BenchChurn {
                     e.epoch
                 ));
             }
-            if e.epoch >= 1 && !e.rib_changed && e.incremental.work >= e.full.work {
+            if e.epoch >= 1 && !e.rib_changed && e.incremental.probes >= e.full.probes {
                 return Err(format!(
-                    "epoch {}: incremental work {} is not below full work {}",
-                    e.epoch, e.incremental.work, e.full.work
+                    "epoch {}: incremental probes {} are not below full probes {}",
+                    e.epoch, e.incremental.probes, e.full.probes
                 ));
             }
         }
-        if self.incremental_work_total >= self.full_work_total {
+        if self.incremental_probes_total >= self.full_probes_total {
             return Err(format!(
-                "total incremental work {} is not below total full work {}",
-                self.incremental_work_total, self.full_work_total
+                "total incremental probes {} are not below total full probes {}",
+                self.incremental_probes_total, self.full_probes_total
             ));
         }
         Ok(())
@@ -284,6 +261,9 @@ mod tests {
     use super::*;
     use obs::{names, MockClock, Recorder};
 
+    /// A histogram fixture: no pipeline phase records one.
+    const HIST: &str = "h";
+
     #[test]
     fn report_delta_subtracts_every_section() {
         let clock = MockClock::new();
@@ -294,8 +274,8 @@ mod tests {
         }
         rec.add(names::REFINE_ITERATIONS, 3);
         rec.add_exec(names::EXEC_POOL_STEALS, 5);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
+        rec.record(HIST, 2);
+        rec.record(HIST, 2);
         let before = rec.report();
 
         {
@@ -303,8 +283,8 @@ mod tests {
             clock.advance(2_000_000);
         }
         rec.add(names::REFINE_ITERATIONS, 4);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
-        rec.record(names::HIST_SHARD_ITERATIONS, 7);
+        rec.record(HIST, 2);
+        rec.record(HIST, 7);
         let after = rec.report();
 
         let delta = report_delta(&before, &after);
@@ -316,7 +296,7 @@ mod tests {
         let p = &delta.phases[names::PHASE_REFINE];
         assert_eq!(p.count, 1);
         assert!((p.wall_ms - 2.0).abs() < 1e-9, "{}", p.wall_ms);
-        let h = &delta.histograms[names::HIST_SHARD_ITERATIONS];
+        let h = &delta.histograms[HIST];
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 9);
         assert_eq!(h.min, 2);
@@ -352,8 +332,14 @@ mod tests {
 
     #[test]
     fn gate_rejects_costlier_incremental_epochs() {
-        let cheap = EpochCost::new(10, 2, 1.0);
-        let dear = EpochCost::new(100, 20, 2.0);
+        let cheap = EpochCost {
+            probes: 10,
+            wall_ms: 1.0,
+        };
+        let dear = EpochCost {
+            probes: 100,
+            wall_ms: 2.0,
+        };
         let row = |epoch: usize, inc: EpochCost, rib: bool| BenchEpoch {
             epoch,
             events: Vec::new(),
@@ -362,8 +348,6 @@ mod tests {
             rib_changed: rib,
             dirty_pairs: 1,
             total_pairs: 100,
-            dirty_shards: 20,
-            total_shards: 20,
             incremental: inc,
             full: dear,
             identical: true,
@@ -374,21 +358,21 @@ mod tests {
             seed: 1,
             threads: 1,
             epochs: vec![row(0, dear, false), row(1, cheap, false)],
-            incremental_work_total: dear.work + cheap.work,
-            full_work_total: dear.work * 2,
+            incremental_probes_total: dear.probes + cheap.probes,
+            full_probes_total: dear.probes * 2,
         };
         assert_eq!(bench.gate(), Ok(()));
 
         // A rib-changed epoch at full cost is exempt from the per-epoch gate.
         bench.epochs.push(row(2, dear, true));
-        bench.incremental_work_total += dear.work;
-        bench.full_work_total += dear.work;
+        bench.incremental_probes_total += dear.probes;
+        bench.full_probes_total += dear.probes;
         assert_eq!(bench.gate(), Ok(()));
 
         // A rib-stable epoch at full cost fails it.
         bench.epochs.push(row(3, dear, false));
-        bench.incremental_work_total += dear.work;
-        bench.full_work_total += dear.work;
+        bench.incremental_probes_total += dear.probes;
+        bench.full_probes_total += dear.probes;
         assert!(bench.gate().unwrap_err().contains("epoch 3"));
     }
 }

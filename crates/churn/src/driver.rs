@@ -22,14 +22,14 @@
 //! The spliced corpus is indexed once per epoch on the driver's pool
 //! ([`Corpus::addr_index`]); alias resolution and phase 1 both read that index.
 //! Phases 1–3 run from scratch every epoch, through the same entry point
-//! as the full path: refinement converges every shard.
+//! as the full path.
 //!
 //! # Verification
 //!
 //! Every epoch the driver *also* runs the naive path — full campaign, full
 //! [`Bdrmapit::run`] — freezes both results into `bdrmapit.snapshot/v1`
 //! bytes, and aborts unless they are identical. The per-epoch cost gap
-//! (probes + shards converged) is what `bdrmapit.bench-churn/v1` reports.
+//! (probes executed) is what `bdrmapit.bench-churn/v2` reports.
 
 use crate::bench::{report_delta, EpochCost};
 use crate::schedule::ChurnSchedule;
@@ -101,10 +101,11 @@ pub struct EpochOutcome {
     pub dirty_pairs: usize,
     /// Pairs in the epoch's probe matrix.
     pub total_pairs: usize,
-    /// Shards converged: every shard of the plan, since each epoch runs
-    /// phases 1–3 from scratch. Always equal to `total_shards`.
+    /// Always 1: refinement converges the whole graph, from scratch, every
+    /// epoch. Kept for readers of the former per-shard ratio (the
+    /// benchmark's `churn.dirty_shard_ratio`).
     pub dirty_shards: usize,
-    /// Shards in the epoch's plan.
+    /// Always 1, as `dirty_shards`.
     pub total_shards: usize,
     /// Incremental-path cost.
     pub incremental: EpochCost,
@@ -331,16 +332,14 @@ fn run_schedule(
             .with_obs(rec.clone())
             .with_pool(wp.clone())
             .run(&corpus, &aliases, &ip2as, &rels);
-        let shards = annotated.graph.shards.shards.len();
         let snap_inc = snapshot::to_bytes(&SnapshotData::from_annotated(
             &annotated,
             &rib.origin_table(),
         ));
-        let incremental = EpochCost::new(
-            dirty.len() as u64,
-            shards as u64,
-            elapsed_ms(&clock, inc_start),
-        );
+        let incremental = EpochCost {
+            probes: dirty.len() as u64,
+            wall_ms: elapsed_ms(&clock, inc_start),
+        };
         drop(epoch_span);
 
         // 7. The naive path, for cost comparison and byte-level proof.
@@ -368,11 +367,10 @@ fn run_schedule(
             &full_result,
             &rib.origin_table(),
         ));
-        let full = EpochCost::new(
-            n_pairs as u64,
-            full_result.graph.shards.shards.len() as u64,
-            elapsed_ms(&clock, full_start),
-        );
+        let full = EpochCost {
+            probes: n_pairs as u64,
+            wall_ms: elapsed_ms(&clock, full_start),
+        };
         if snap_full != snap_inc {
             return Err(format!(
                 "epoch {epoch}: incremental snapshot is not byte-identical to the \
@@ -391,8 +389,8 @@ fn run_schedule(
             rib_changed,
             dirty_pairs: dirty.len(),
             total_pairs: n_pairs,
-            dirty_shards: shards,
-            total_shards: shards,
+            dirty_shards: 1,
+            total_shards: 1,
             incremental,
             full,
             snapshot: snap_inc,
@@ -426,8 +424,7 @@ mod tests {
         assert_eq!(run.epochs.len(), 1);
         let e = &run.epochs[0];
         assert_eq!(e.dirty_pairs, e.total_pairs, "cold start probes everything");
-        assert_eq!(e.dirty_shards, e.total_shards);
-        assert_eq!(e.incremental.work, e.full.work);
+        assert_eq!(e.incremental.probes, e.full.probes);
         assert!(!e.snapshot.is_empty());
     }
 
@@ -440,11 +437,11 @@ mod tests {
             assert!(e.applied + e.skipped >= 1, "every churn epoch has events");
             if !e.rib_changed {
                 assert!(
-                    e.incremental.work < e.full.work,
+                    e.incremental.probes < e.full.probes,
                     "epoch {}: {} !< {}",
                     e.epoch,
-                    e.incremental.work,
-                    e.full.work
+                    e.incremental.probes,
+                    e.full.probes
                 );
             }
         }

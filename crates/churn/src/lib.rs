@@ -14,7 +14,7 @@
 //! 3. every epoch is *proved* byte-identical to a from-scratch recompute —
 //!    the driver runs both paths and compares their
 //!    `bdrmapit.snapshot/v1` bytes — and the per-epoch cost gap lands in a
-//!    `bdrmapit.bench-churn/v1` artifact ([`bench`]).
+//!    `bdrmapit.bench-churn/v2` artifact ([`bench`]).
 //!
 //! The CLI front end is `bdrmapit pipeline --churn`; see DESIGN.md §16 for
 //! the dirty-propagation rules and the determinism argument.

@@ -1,6 +1,6 @@
 //! The `pipeline --churn` front end: runs the churn loop, writes one
 //! snapshot per epoch plus the per-epoch report bundle and (optionally) the
-//! `bdrmapit.bench-churn/v1` cost artifact, and renders a per-epoch summary.
+//! `bdrmapit.bench-churn/v2` cost artifact, and renders a per-epoch summary.
 
 use crate::{Cli, CliError};
 use churn::{BenchChurn, ChurnOptions, ChurnReport};
@@ -10,7 +10,7 @@ use std::path::Path;
 /// Runs `pipeline --churn`. Snapshots land in `dir` as `epoch-NNN.snap`
 /// alongside `churn-report.json`; `bench_out` additionally receives the cost
 /// benchmark. With `gate`, the run fails unless every rib-stable churn epoch
-/// is strictly cheaper incrementally than its full recompute.
+/// probes strictly less incrementally than its full recompute.
 pub fn churn_pipeline(
     cli: &Cli,
     epochs: usize,
@@ -45,25 +45,20 @@ pub fn churn_pipeline(
         std::fs::write(&snap_path, &e.snapshot)
             .map_err(|err| rt(format!("writing {}: {err}", snap_path.display())))?;
         if e.epoch == 0 {
-            let _ = writeln!(
-                out,
-                "  epoch 0 (baseline): {} pairs probed, {} shards converged, work {}",
-                e.total_pairs, e.total_shards, e.incremental.work
-            );
+            let _ = writeln!(out, "  epoch 0 (baseline): {} pairs probed", e.total_pairs);
         } else {
             let _ = writeln!(
                 out,
-                "  epoch {}: {} events ({} applied{}), pairs {}/{}, {} shards converged, \
-                 work {} vs full {}, identical",
+                "  epoch {}: {} events ({} applied{}), pairs {}/{}, \
+                 probes {} vs full {}, identical",
                 e.epoch,
                 e.events.len(),
                 e.applied,
                 if e.rib_changed { ", rib rebuilt" } else { "" },
                 e.dirty_pairs,
                 e.total_pairs,
-                e.total_shards,
-                e.incremental.work,
-                e.full.work
+                e.incremental.probes,
+                e.full.probes
             );
         }
     }
@@ -86,8 +81,8 @@ pub fn churn_pipeline(
     }
     let _ = writeln!(
         out,
-        "total work: incremental {} vs full {}",
-        bench.incremental_work_total, bench.full_work_total
+        "total probes: incremental {} vs full {}",
+        bench.incremental_probes_total, bench.full_probes_total
     );
     if gate {
         bench.gate().map_err(rt)?;

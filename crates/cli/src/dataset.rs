@@ -160,27 +160,10 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
     ixps.rebuild();
     drop(read_span);
 
-    // prefix2as + delegations + IXPs → the combined oracle. (IpToAs::build
-    // wants a Rib for BGP; reconstruct the BGP layer from prefix2as and
-    // apply the same staleness filtering by building from pairs + ixps and
-    // layering RIR prefixes not covered by BGP.)
+    // prefix2as + delegations + IXPs → the combined oracle.
     let ip2as_span = rec.span(obs::names::PHASE_IP2AS_BUILD);
-    let bgp_pairs: Vec<_> = entries.iter().map(|e| (e.prefix, e.primary())).collect();
-    let mut ip2as = IpToAs::from_pairs(bgp_pairs.clone()).with_ixps(&ixps);
-    let joined = delegations.join();
-    let bgp_only = IpToAs::from_pairs(bgp_pairs);
-    let rir_pairs: Vec<_> = joined
-        .iter()
-        .filter(|(p, _)| {
-            // The staleness rule: only delegations not covered by BGP.
-            bgp_only
-                .lookup(p.addr())
-                .prefix
-                .is_none_or(|bp| !bp.covers(*p))
-        })
-        .map(|(p, &a)| (p, a))
-        .collect();
-    ip2as = ip2as.with_rir(rir_pairs);
+    let bgp_pairs = entries.iter().map(|e| (e.prefix, e.primary()));
+    let ip2as = IpToAs::from_origins(bgp_pairs, &delegations, &ixps);
     drop(ip2as_span);
 
     let cfg = Config {

@@ -123,7 +123,7 @@ pub enum Command {
         /// Output directory for `epoch-NNN.snap` files and
         /// `churn-report.json`.
         dir: PathBuf,
-        /// Also write the `bdrmapit.bench-churn/v1` artifact here.
+        /// Also write the `bdrmapit.bench-churn/v2` artifact here.
         bench_out: Option<PathBuf>,
         /// Enforce the incremental-cheaper-than-full cost gate.
         gate: bool,
@@ -265,7 +265,7 @@ COMMANDS:
                 only dirtied (vp,dst) pairs, re-annotate the spliced corpus,
                 prove each epoch byte-identical to a full recompute; writes
                 epoch-NNN.snap + churn-report.json to DIR and (with
-                --bench-out) a bdrmapit.bench-churn/v1 cost artifact.
+                --bench-out) a bdrmapit.bench-churn/v2 cost artifact.
                 --churn-gate fails the run unless incremental work stays
                 below full-recompute work              [default epochs: 5]
     snapshot write --out FILE
@@ -1230,7 +1230,7 @@ mod tests {
         let out = run(&check_cli).unwrap();
         assert!(out.contains("valid bdrmapit.trace/v1"), "{out}");
         let text = std::fs::read_to_string(&trace_path).unwrap();
-        for needle in ["pool.task", "pool.batch", "refine.shard", "phase3.refine"] {
+        for needle in ["pool.task", "pool.batch", "refine.wave", "phase3.refine"] {
             assert!(text.contains(needle), "trace lacks {needle}");
         }
         let _ = std::fs::remove_file(&trace_path);

@@ -17,10 +17,10 @@
 //! addresses:
 //!
 //! 1. **Interfaces**: the index's sorted responding addresses become the
-//!    [`AddrInterner`] and the interface table, so interner id `i`,
-//!    `IfIdx(i)` and a hop slot's rank are the same number (ranks are
-//!    *canonical*: ascending address order, whatever the split that built
-//!    the index). The index's sorted destinations are the destination
+//!    interface table, so `IfIdx(i)` and a hop slot's rank are the same
+//!    number (ranks are *canonical*: ascending address order, whatever the
+//!    split that built the index), and an address finds its interface by
+//!    binary search. The index's sorted destinations are the destination
 //!    table; each destination's AS is looked up once.
 //! 2. **Extract**: workers walk their trace shards emitting packed,
 //!    IR-major link keys (`u128`) and interface-major destination keys
@@ -45,12 +45,11 @@
 //!    §4.4's filter, each writing its IRs' origin and filtered destination
 //!    unions into a column of its own; the columns append in IR order.
 
-use crate::refine::shard::ShardPlan;
 use crate::Config;
 use alias::AliasSets;
 use as_rel::{AsRelationships, CustomerCones};
 use bgp::{IpToAs, OriginInfo, OriginKind};
-use net_types::{AddrInterner, AsSets, Asn, SetColumn};
+use net_types::{AsSets, Asn, SetColumn};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use traceroute::{Corpus, ReplyType};
@@ -109,7 +108,9 @@ pub struct Ir {
 pub struct IrGraph {
     /// All inferred routers; `IrId` indexes this.
     pub irs: Vec<Ir>,
-    /// Interface addresses; `IfIdx` indexes this and the parallel arrays.
+    /// Interface addresses, ascending: `IfIdx` indexes this and the
+    /// parallel arrays, and interface `i`'s address is the `i`-th smallest
+    /// observed address.
     pub iface_addrs: Vec<u32>,
     /// Origin resolution per interface.
     pub iface_origin: Vec<OriginInfo>,
@@ -129,13 +130,6 @@ pub struct IrGraph {
     /// Per interface: `(predecessor IR, its interface seen immediately
     /// prior)` pairs, ascending (drives interface-annotation voting, §6.2).
     pub preds: SetColumn<(IrId, IfIdx)>,
-    /// Address ↔ interface-index mapping: interface `i`'s address is the
-    /// `i`-th smallest observed address, so the interner's dense ids *are*
-    /// the `IfIdx` values.
-    pub interner: AddrInterner,
-    /// Annotation-dependency shards (link-connected components),
-    /// precomputed for the refinement engine.
-    pub shards: ShardPlan,
 }
 
 /// One link observation from a single adjacent-hop pair, packed IR-major
@@ -260,30 +254,15 @@ impl RecentKeys {
 }
 
 impl IrGraph {
-    /// Builds the graph from a corpus (§4) on an ad-hoc worker pool sized
-    /// from `cfg.threads`, without telemetry.
-    pub fn build(
-        traces: &Corpus,
-        aliases: &AliasSets,
-        ip2as: &IpToAs,
-        cfg: &Config,
-        rels: &AsRelationships,
-        cones: &CustomerCones,
-    ) -> IrGraph {
-        let rec = obs::Recorder::disabled();
-        let wp = pool::WorkerPool::with_recorder(cfg.threads, rec.clone());
-        Self::build_in_pool(traces, aliases, ip2as, cfg, rels, cones, &wp, &rec)
-    }
-
-    /// Builds the graph from a corpus (§4) on a caller-provided worker pool
-    /// — the entry the pipeline uses so all phases share one pool —
-    /// recording worker counts and phase timings on `rec`.
+    /// Builds the graph from a corpus (§4) on the caller's worker pool —
+    /// the pipeline passes the one pool all its phases share — recording
+    /// worker counts and phase timings on `rec`.
     /// Each parallel pass is chunked into
     /// [`pool::WorkerPool::batch_size`]-sized tasks (see the module docs for
     /// the sharding scheme); task outputs rejoin in task-index order, so
     /// stealing never reaches the output.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_in_pool(
+    pub fn build(
         traces: &Corpus,
         aliases: &AliasSets,
         ip2as: &IpToAs,
@@ -305,7 +284,6 @@ impl IrGraph {
         // destination table.
         let index = traces.addr_index(wp);
         let span = rec.span(obs::names::PHASE1_INTERN);
-        g.interner = AddrInterner::from_sorted(index.addrs().to_vec());
         g.iface_addrs = index.addrs().to_vec();
         let n_ifaces = g.iface_addrs.len();
         let dst_addrs = index.dsts();
@@ -350,7 +328,7 @@ impl IrGraph {
         let span = rec.span(obs::names::PHASE1_IRS);
         let mut ir_members: Vec<Vec<IfIdx>> = Vec::new();
         let mut grouped = vec![false; n_ifaces];
-        for group in aliases.interned_groups(&g.interner) {
+        for group in aliases.interned_groups(&g.iface_addrs) {
             if group.len() >= 2 {
                 let members: Vec<IfIdx> = group.into_iter().map(IfIdx).collect();
                 for &m in &members {
@@ -603,11 +581,6 @@ impl IrGraph {
         }
         drop(span);
 
-        // ---- refinement shard plan (link-connected components, §6.3) ----
-        let span = rec.span(obs::names::PHASE1_SHARD_PLAN);
-        g.shards = ShardPlan::compute(&g.irs, &g.iface_ir);
-        drop(span);
-
         g
     }
 
@@ -652,7 +625,8 @@ impl IrGraph {
 
     /// The interface for an address.
     pub fn iface_of_addr(&self, addr: u32) -> Option<IfIdx> {
-        self.interner.id(addr).map(IfIdx)
+        let i = self.iface_addrs.binary_search(&addr).ok()?;
+        Some(IfIdx(i as u32))
     }
 
     /// The IR carrying an address.
@@ -771,7 +745,17 @@ mod tests {
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
         let corpus: Corpus = traces.iter().cloned().collect();
-        IrGraph::build(&corpus, aliases, &oracle(), &cfg(), &rels, &cones)
+        let (wp, rec) = (pool::WorkerPool::new(1), obs::Recorder::disabled());
+        IrGraph::build(
+            &corpus,
+            aliases,
+            &oracle(),
+            &cfg(),
+            &rels,
+            &cones,
+            &wp,
+            &rec,
+        )
     }
 
     #[test]
@@ -998,7 +982,8 @@ mod tests {
                 threads,
                 ..Config::default()
             };
-            IrGraph::build(traces, &aliases, &oracle(), &cfg, &rels, &cones)
+            let (wp, rec) = (pool::WorkerPool::new(threads), obs::Recorder::disabled());
+            IrGraph::build(traces, &aliases, &oracle(), &cfg, &rels, &cones, &wp, &rec)
         };
         let base = build_at(1, &traces.iter().cloned().collect());
         let builds = [2, 3, 8].into_iter().flat_map(|threads| {
@@ -1006,7 +991,6 @@ mod tests {
             [build_at(threads, &indexed), build_at(threads, &fresh)].map(|g| (threads, g))
         });
         for (threads, g) in builds {
-            assert_eq!(g.interner, base.interner, "threads={threads}");
             assert_eq!(g.iface_addrs, base.iface_addrs, "threads={threads}");
             assert_eq!(g.iface_origin, base.iface_origin, "threads={threads}");
             assert_eq!(g.iface_ir, base.iface_ir, "threads={threads}");
@@ -1038,13 +1022,15 @@ mod tests {
             &cfg,
             &rels,
             &cones,
+            &pool::WorkerPool::new(cfg.threads),
+            &obs::Recorder::disabled(),
         );
         assert!(g.irs.is_empty());
         assert!(g.iface_addrs.is_empty());
     }
 
     #[test]
-    fn build_in_pool_records_worker_count() {
+    fn build_records_worker_count() {
         let traces = [
             tr(
                 a("10.3.0.99"),
@@ -1063,7 +1049,7 @@ mod tests {
         };
         let rec = obs::Recorder::new(false);
         let wp = pool::WorkerPool::with_recorder(cfg.threads, rec.clone());
-        IrGraph::build_in_pool(
+        IrGraph::build(
             &traces.into_iter().collect(),
             &AliasSets::empty(),
             &oracle(),
@@ -1196,14 +1182,14 @@ mod tests {
     }
 
     /// Whether a build matches the oracle's graph and tree-form sets:
-    /// interner, interface arrays, IRs and links (rows included), and every
+    /// interface arrays, IRs and links (rows included), and every
     /// column set for set.
     fn compare(g: &IrGraph, want: &IrGraph, trees: &Trees) -> Result<(), String> {
         let check = |what: &str, same: bool| match same {
             true => Ok(()),
             false => Err(format!("{what} differ")),
         };
-        check("interners", g.interner == want.interner)?;
+        check("interface addresses", g.iface_addrs == want.iface_addrs)?;
         check("interface origins", g.iface_origin == want.iface_origin)?;
         check("interface IRs", g.iface_ir == want.iface_ir)?;
         let json = |g: &IrGraph| serde_json::to_string(&g.irs).unwrap();
@@ -1242,7 +1228,7 @@ mod tests {
         raw.iter().copied().filter(|&a| a != drop).collect()
     }
 
-    /// Serial oracle for the whole build: interner, origins and IR
+    /// Serial oracle for the whole build: address table, origins and IR
     /// numbering written out directly, then every [`LinkObs`] of the corpus
     /// in one vector, sorted, and folded in runs of equal `(ir, dst)` into
     /// trees. Each link's destination-AS set is built whole, as the build
@@ -1256,17 +1242,16 @@ mod tests {
         rels: &AsRelationships,
         cones: &CustomerCones,
     ) -> (IrGraph, Trees) {
-        let interner = AddrInterner::from_addrs(
-            traces
-                .iter()
-                .flat_map(|t| t.responsive().map(|(_, h)| h.addr)),
-        );
-        let n = interner.len();
-        let iface_origin: Vec<OriginInfo> =
-            interner.addrs().iter().map(|&a| ip2as.lookup(a)).collect();
+        let mut addrs: Vec<u32> = (traces.iter())
+            .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
+            .collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let n = addrs.len();
+        let iface_origin: Vec<OriginInfo> = addrs.iter().map(|&a| ip2as.lookup(a)).collect();
         let mut iface_ir = vec![IrId(u32::MAX); n];
         let mut members: Vec<Vec<IfIdx>> = aliases
-            .interned_groups(&interner)
+            .interned_groups(&addrs)
             .into_iter()
             .filter(|g| g.len() >= 2)
             .map(|g| g.into_iter().map(IfIdx).collect())
@@ -1292,7 +1277,7 @@ mod tests {
             });
         }
 
-        let id = |addr: u32| interner.id(addr).expect("hop addr interned");
+        let id = |addr: u32| addrs.binary_search(&addr).expect("hop addr observed") as u32;
         let mut link_obs: Vec<LinkObs> = Vec::new();
         let mut dest_obs: Vec<(u32, Asn)> = Vec::new();
         for t in traces {
@@ -1376,14 +1361,11 @@ mod tests {
                 ir_dests[k].extend(filtered_iface_dests(raw, o.asn, &cfg(), rels, cones));
             }
         }
-        let shards = ShardPlan::compute(&irs, &iface_ir);
         let graph = IrGraph {
             irs,
-            iface_addrs: interner.addrs().to_vec(),
+            iface_addrs: addrs,
             iface_origin,
             iface_ir,
-            interner,
-            shards,
             ..IrGraph::default()
         };
         let trees = Trees {
@@ -1445,16 +1427,7 @@ mod tests {
             };
             let rec = obs::Recorder::new(false);
             let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
-            let g = IrGraph::build_in_pool(
-                &corpus,
-                &aliases,
-                &oracle(),
-                &cfg,
-                &rels,
-                &cones,
-                &wp,
-                &rec,
-            );
+            let g = IrGraph::build(&corpus, &aliases, &oracle(), &cfg, &rels, &cones, &wp, &rec);
             if let Err(e) = compare(&g, &want, &trees) {
                 panic!("threads={threads}: {e}");
             }
@@ -1486,9 +1459,9 @@ mod tests {
 
     /// The build's pass 0 before corpora carried an address index: workers
     /// scan trace shards for responding addresses and for the destinations
-    /// of traces with one, and the unions become the interner and the
-    /// sorted destination table.
-    fn intern_pass(traces: &Corpus, wp: &pool::WorkerPool) -> (AddrInterner, Vec<u32>) {
+    /// of traces with one, and the unions become the sorted address and
+    /// destination tables.
+    fn intern_pass(traces: &Corpus, wp: &pool::WorkerPool) -> (Vec<u32>, Vec<u32>) {
         let trace_batch = wp.batch_size(traces.len());
         let addr_shards = wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
@@ -1523,25 +1496,27 @@ mod tests {
             addrs.extend(a);
             dst_addrs.extend(d);
         }
+        addrs.sort_unstable();
+        addrs.dedup();
         dst_addrs.sort_unstable();
         dst_addrs.dedup();
-        (AddrInterner::from_addrs(addrs), dst_addrs)
+        (addrs, dst_addrs)
     }
 
     /// Whether `index` is what the intern pass and the extract pass's
     /// searches found in `traces`: the addresses and destinations, every
-    /// slot's rank (`interner.id` of its address), every row's destination
+    /// slot's rank (its address's index in the address table), every row's destination
     /// rank, and the responsive-slot count.
     fn check_index(traces: &Corpus, index: &traceroute::AddrIndex) -> Result<(), String> {
-        let (interner, dsts) = intern_pass(traces, &pool::WorkerPool::new(1));
-        if index.addrs() != interner.addrs() || index.dsts() != dsts {
+        let (addrs, dsts) = intern_pass(traces, &pool::WorkerPool::new(1));
+        if index.addrs() != addrs || index.dsts() != dsts {
             return Err("address or destination tables differ".into());
         }
         let mut responsive = 0;
         for (row, t) in traces.iter().enumerate() {
             let ranks = &index.ranks()[traces.slots(row..row + 1)];
             let want = t.hops.iter().map(|h| match h {
-                Some(h) => interner.id(h.addr).expect("interned"),
+                Some(h) => addrs.binary_search(&h.addr).expect("observed") as u32,
                 None => traceroute::NO_RANK,
             });
             if !want.eq(ranks.iter().copied()) {
@@ -1671,9 +1646,12 @@ mod tests {
                 indexed.addr_index(&pool::WorkerPool::new(8));
                 for threads in [1usize, 2, 8] {
                     let cfg = Config { threads, ..Config::default() };
+                    let (wp, rec) = (pool::WorkerPool::new(threads), obs::Recorder::disabled());
                     let fresh: Corpus = traces.iter().cloned().collect();
                     for (kind, corpus) in [("indexed", &indexed), ("fresh", &fresh)] {
-                        let g = IrGraph::build(corpus, &aliases, &ip2as, &cfg, &rels, &cones);
+                        let g = IrGraph::build(
+                            corpus, &aliases, &ip2as, &cfg, &rels, &cones, &wp, &rec,
+                        );
                         let same = compare(&g, &want, &trees);
                         prop_assert!(same.is_ok(), "{} threads={}: {:?}", kind, threads, same);
                     }
@@ -1724,7 +1702,7 @@ mod tests {
                     let same = check_index(&traces, index);
                     prop_assert!(same.is_ok(), "threads={}: {:?}", threads, same);
                     let cfg = Config { threads, ..Config::default() };
-                    let g = IrGraph::build_in_pool(
+                    let g = IrGraph::build(
                         &traces, &AliasSets::empty(), &ip2as(), &cfg, &rels, &cones, &wp, &rec,
                     );
                     prop_assert_eq!(&g.iface_addrs[..], index.addrs());

@@ -162,7 +162,7 @@ impl Bdrmapit {
         };
         let graph = {
             let _span = self.obs.span(names::PHASE_GRAPH);
-            let graph = IrGraph::build_in_pool(
+            let graph = IrGraph::build(
                 traces, aliases, ip2as, &self.cfg, rels, &cones, &wp, &self.obs,
             );
             self.obs.add(names::GRAPH_IRS, graph.irs.len() as u64);
@@ -202,9 +202,9 @@ pub struct AnnotationState {
     pub iface: Vec<Asn>,
     /// Refinement iterations executed.
     pub iterations: usize,
-    /// Per-shard convergence hash traces, indexed by the shard's position in
-    /// the [`ShardPlan`](refine::shard::ShardPlan): `[h_0, h_1, ..., h_n]`,
-    /// the shard-state hash before refinement and after each iteration.
+    /// The convergence hash trace `[h_0, h_1, ..., h_n]`: the whole graph's
+    /// state hash before refinement and after each of the `iterations`
+    /// iterations. One trace for a graph with an IR, none for an empty one.
     /// Part of the determinism contract — runs at every thread count must
     /// produce identical traces, not merely identical fixpoints.
     pub convergence_traces: Vec<Vec<u64>>,

@@ -3,11 +3,9 @@
 //!
 //! The paper stops at a *repeated* state rather than an unchanged one —
 //! annotation dynamics can enter short cycles (Fig. 14 shows a two-step
-//! correction) — so every post-iteration state is hashed and the loop exits
-//! on the first recurrence, with a configurable iteration cap as a backstop.
-//! Convergence is detected per [`shard`](crate::refine::shard): shards share
-//! no annotation state, so each component stops at its own first repeated
-//! state, and `state.iterations` reports the maximum across shards.
+//! correction) — so every post-iteration state of the whole graph is hashed
+//! and the loop exits on the first recurrence, with a configurable
+//! iteration cap as a backstop.
 //!
 //! Each sweep is Gauss-Seidel and runs on the calling thread: IRs are
 //! annotated in ascending index order, in place, so a read of a
@@ -15,12 +13,10 @@
 //! one the pre-sweep value.
 
 use crate::graph::IrGraph;
-use crate::refine::shard::Shard;
 use crate::refine::{interface, router};
 use crate::{AnnotationState, Config};
 use as_rel::{AsRelationships, CustomerCones};
 use net_types::Asn;
-use std::collections::HashSet;
 
 /// Seed of the convergence hash. Fixed (rather than `DefaultHasher`'s
 /// per-process randomness) so convergence traces are reproducible across
@@ -32,15 +28,15 @@ pub const CONVERGENCE_HASH_SEED: u64 = 0xbd12_a917_2018_0603;
 /// `std::collections::hash_map::DefaultHasher` — specified, so hashes never
 /// change under a different standard library.
 #[derive(Clone, Copy, Debug)]
-pub struct ShardHasher(u64);
+pub struct StateHasher(u64);
 
-impl ShardHasher {
+impl StateHasher {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
     /// Starts a hash folding `seed` into the FNV offset basis.
-    pub fn new(seed: u64) -> ShardHasher {
-        let mut h = ShardHasher(Self::OFFSET);
+    pub fn new(seed: u64) -> StateHasher {
+        let mut h = StateHasher(Self::OFFSET);
         h.write_u64(seed);
         h
     }
@@ -144,22 +140,18 @@ pub fn refine(
 ) {
     use obs::names;
 
-    let plan = &graph.shards;
     let mut ctx = SweepCtx::new(graph, cfg, rels, cones, rec);
-    let mut iterations = 0;
-    let mut traces = Vec::with_capacity(plan.shards.len());
-    for (idx, shard) in plan.shards.iter().enumerate() {
-        let trace = converge_shard(idx, shard, state, &mut ctx);
-        iterations = iterations.max(trace.len() - 1);
-        traces.push(trace);
+    state.iterations = 0;
+    state.convergence_traces = Vec::new();
+    if !graph.irs.is_empty() {
+        let trace = converge(state, &mut ctx);
+        state.iterations = trace.len() - 1;
+        state.convergence_traces.push(trace);
     }
-    state.iterations = iterations;
-    state.convergence_traces = traces;
 
     ctx.sheet.inc(names::REFINE_RUNS);
-    ctx.sheet.add(names::REFINE_ITERATIONS, iterations as u64);
     ctx.sheet
-        .add(names::REFINE_SHARDS, plan.shards.len() as u64);
+        .add(names::REFINE_ITERATIONS, state.iterations as u64);
     ctx.sheet.add(
         names::REFINE_ROUTERS_ANNOTATED,
         state.router.iter().filter(|a| **a != Asn::NONE).count() as u64,
@@ -168,56 +160,45 @@ pub fn refine(
     rec.absorb(&ctx.sheet);
 }
 
-/// Stable hash of one shard's annotation state (routers then interfaces,
-/// ascending index order).
-fn shard_hash(shard: &Shard, state: &AnnotationState) -> u64 {
-    let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
-    for &ir in &shard.irs {
-        h.write_u32(state.router[ir as usize].0);
+/// Stable hash of the whole annotation state: every router, then every
+/// interface, in ascending index order.
+fn state_hash(state: &AnnotationState) -> u64 {
+    let mut h = StateHasher::new(CONVERGENCE_HASH_SEED);
+    for a in &state.router {
+        h.write_u32(a.0);
     }
-    for &j in &shard.ifaces {
-        h.write_u32(state.iface[j as usize].0);
+    for a in &state.iface {
+        h.write_u32(a.0);
     }
     h.finish()
 }
 
-/// Runs shard `idx` to convergence (§6.3 applied shard-locally): sweep the
-/// mid-path routers in ascending IR order, sweep the interfaces, and stop
-/// at the first repeated shard state, with `cfg.max_iterations` as the
-/// backstop. Annotations are written in place, so the router sweep is
-/// Gauss-Seidel; the interface sweep reads only router annotations, so its
-/// order does not matter.
+/// Runs the graph to convergence (§6.3): sweep the mid-path routers in
+/// ascending IR order, sweep the interfaces, and stop at the first repeated
+/// state, with `cfg.max_iterations` as the backstop. Annotations are
+/// written in place, so the router sweep is Gauss-Seidel; the interface
+/// sweep reads only router annotations, so its order does not matter.
 ///
-/// Returns the convergence trace `[h_0, h_1, ..., h_n]`: the shard-state
-/// hash before refinement and after each of the `n` iterations. The trace
-/// is part of the determinism contract: runs must produce identical
-/// traces, not merely identical fixpoints, so an ordering bug that happens
-/// to converge to the right answer still shows up.
-fn converge_shard(
-    idx: usize,
-    shard: &Shard,
-    state: &mut AnnotationState,
-    ctx: &mut SweepCtx<'_>,
-) -> Vec<u64> {
+/// Returns the convergence trace `[h_0, h_1, ..., h_n]`: the state hash
+/// before refinement and after each of the `n` iterations. The trace holds
+/// at most `max_iterations + 1` hashes, so scanning it is the repeat test.
+/// The trace is part of the determinism contract: runs must produce
+/// identical traces, not merely identical fixpoints, so an ordering bug
+/// that happens to converge to the right answer still shows up.
+fn converge(state: &mut AnnotationState, ctx: &mut SweepCtx<'_>) -> Vec<u64> {
     use obs::names;
 
     let graph = ctx.graph;
-    ctx.tracer.begin(names::EV_REFINE_SHARD, idx as u64);
-    // detlint::allow(unordered-collection): membership-only duplicate
-    // detector for convergence hashes; never iterated, so storage order
-    // cannot influence when the loop stops
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut trace = vec![shard_hash(shard, state)];
-    seen.insert(trace[0]);
+    let mut trace = vec![state_hash(state)];
     for i in 0..ctx.cfg.max_iterations {
         ctx.tracer.begin(names::EV_REFINE_WAVE, i as u64);
         // Router sweep (§6.1).
-        for &iri in &shard.mid_path {
-            let iri = iri as usize;
+        for ir in graph.mid_path_irs() {
+            let iri = ir.id.0 as usize;
             if state.frozen[iri] {
                 continue;
             }
-            let a = router::annotate_ir(&graph.irs[iri], state, ctx);
+            let a = router::annotate_ir(ir, state, ctx);
             if a.is_some() {
                 if state.router[iri] != a {
                     ctx.sheet.inc(names::REFINE_VOTES_CHANGED);
@@ -226,21 +207,19 @@ fn converge_shard(
             }
         }
         // Interface sweep (§6.2).
-        for &j in &shard.ifaces {
-            if let Some(a) = interface::annotate_iface_one(j as usize, state, ctx) {
-                state.iface[j as usize] = a;
+        for j in 0..state.iface.len() {
+            if let Some(a) = interface::annotate_iface_one(j, state, ctx) {
+                state.iface[j] = a;
             }
         }
-        let h = shard_hash(shard, state);
+        let h = state_hash(state);
+        let repeated = trace.contains(&h);
         trace.push(h);
         ctx.tracer.end(names::EV_REFINE_WAVE);
-        if !seen.insert(h) {
+        if repeated {
             break;
         }
     }
-    ctx.tracer.end(names::EV_REFINE_SHARD);
-    ctx.sheet
-        .record(names::HIST_SHARD_ITERATIONS, trace.len() as u64 - 1);
     trace
 }
 
@@ -263,14 +242,14 @@ mod tests {
         println!("convergence hash seed: {CONVERGENCE_HASH_SEED:#018x}");
         // Golden value: any change to the hashing scheme shows up here
         // (and would invalidate recorded convergence traces).
-        let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
+        let mut h = StateHasher::new(CONVERGENCE_HASH_SEED);
         for v in [1u32, 2, 3, 0, u32::MAX] {
             h.write_u32(v);
         }
         assert_eq!(h.finish(), 0x05c2_d6bc_0506_dcbd);
         // Distinct inputs hash apart; same input hashes the same.
         let one = |vals: &[u32]| {
-            let mut h = ShardHasher::new(CONVERGENCE_HASH_SEED);
+            let mut h = StateHasher::new(CONVERGENCE_HASH_SEED);
             vals.iter().for_each(|&v| h.write_u32(v));
             h.finish()
         };
@@ -281,8 +260,8 @@ mod tests {
 
     #[test]
     fn seed_changes_the_hash() {
-        let mut a = ShardHasher::new(1);
-        let mut b = ShardHasher::new(2);
+        let mut a = StateHasher::new(1);
+        let mut b = StateHasher::new(2);
         a.write_u32(42);
         b.write_u32(42);
         assert_ne!(a.finish(), b.finish());
@@ -292,16 +271,13 @@ mod tests {
     /// IRs run in wavefront levels (longest chain of links into
     /// lower-indexed mid-path IRs), each against a versioned view: this
     /// sweep's value for lower-indexed IRs, the pre-sweep value for the rest.
-    fn oracle_converge(
-        shard: &Shard,
-        state: &mut AnnotationState,
-        ctx: &mut SweepCtx<'_>,
-    ) -> Vec<u64> {
+    /// It stops at the first repeated whole-graph state.
+    fn oracle_converge(state: &mut AnnotationState, ctx: &mut SweepCtx<'_>) -> Vec<u64> {
         let graph = ctx.graph;
         let mut depth = vec![0usize; graph.irs.len()];
         let mut levels: Vec<Vec<u32>> = Vec::new();
-        for &i in &shard.mid_path {
-            let ir = &graph.irs[i as usize];
+        for ir in graph.mid_path_irs() {
+            let i = ir.id.0;
             let d = (ir.links.iter())
                 .map(|l| graph.iface_ir[l.dst.0 as usize].0)
                 .filter(|&jr| jr < i && !graph.irs[jr as usize].links.is_empty())
@@ -312,7 +288,7 @@ mod tests {
             levels.resize(levels.len().max(d + 1), Vec::new());
             levels[d].push(i);
         }
-        let mut trace = vec![shard_hash(shard, state)];
+        let mut trace = vec![state_hash(state)];
         for _ in 0..ctx.cfg.max_iterations {
             let prev = state.router.clone();
             for &iri in levels.iter().flatten() {
@@ -326,12 +302,12 @@ mod tests {
                     state.router[iri as usize] = a;
                 }
             }
-            for &j in &shard.ifaces {
-                if let Some(a) = interface::annotate_iface_one(j as usize, state, ctx) {
-                    state.iface[j as usize] = a;
+            for j in 0..state.iface.len() {
+                if let Some(a) = interface::annotate_iface_one(j, state, ctx) {
+                    state.iface[j] = a;
                 }
             }
-            let h = shard_hash(shard, state);
+            let h = state_hash(state);
             let repeated = trace.contains(&h);
             trace.push(h);
             if repeated {
@@ -343,7 +319,7 @@ mod tests {
 
     /// Island `k` of three: `10.(2k+1)/16` (AS 2k+1), `10.(2k+2)/16`
     /// (AS 2k+2) and unannounced `172.(16+k)/16`. No trace crosses islands,
-    /// so each is at least one shard.
+    /// so each is at least one link-connected component of the graph.
     fn addr(k: u32, space: u32, host: u32) -> u32 {
         match space {
             0 | 1 => 0x0A00_0000 + ((2 * k + 1 + space) << 16) + host,
@@ -420,41 +396,96 @@ mod tests {
         })
     }
 
+    /// The islands' phases 1 and 2 over `traces`: interfaces 2m and 2m+1
+    /// of one /16 are aliases, and the six island ASes are related.
+    struct Fixture {
+        graph: IrGraph,
+        rels: AsRelationships,
+        cones: CustomerCones,
+        cfg: Config,
+        initial: AnnotationState,
+    }
+
+    fn fixture(traces: Vec<Trace>) -> Fixture {
+        let mut observed: Vec<u32> = (traces.iter())
+            .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
+            .collect();
+        observed.sort_unstable();
+        observed.dedup();
+        let aliases = AliasSets::from_groups(
+            (observed.chunk_by(|x, y| x & !1 == y & !1)).map(|g| g.iter().copied().collect()),
+        );
+        let ip2as = IpToAs::from_pairs((1..=6u32).map(|n| {
+            let prefix = format!("10.{n}.0.0/16").parse::<Prefix>().unwrap();
+            (prefix, Asn(n))
+        }));
+        let mut rels = AsRelationships::new();
+        rels.add_p2p(Asn(1), Asn(2));
+        for (p, c) in [(3, 4), (5, 6), (1, 3), (2, 5)] {
+            rels.add_p2c(Asn(p), Asn(c));
+        }
+        let cones = CustomerCones::compute(&rels);
+        let cfg = Config {
+            threads: 1,
+            ..Config::default()
+        };
+        let graph = IrGraph::build(
+            &traces.into_iter().collect(),
+            &aliases,
+            &ip2as,
+            &cfg,
+            &rels,
+            &cones,
+            &pool::WorkerPool::new(1),
+            &obs::Recorder::disabled(),
+        );
+        let mut initial = AnnotationState::new(&graph);
+        lasthop::annotate_last_hops(&graph, &rels, &cones, &mut initial);
+        Fixture {
+            graph,
+            rels,
+            cones,
+            cfg,
+            initial,
+        }
+    }
+
+    #[test]
+    fn disconnected_islands_converge_as_one_graph() {
+        let f = fixture((0..2).flat_map(scaffold).collect());
+        let mut state = f.initial.clone();
+        let rec = obs::Recorder::disabled();
+        refine(&f.graph, &f.rels, &f.cones, &f.cfg, &mut state, &rec);
+        assert_eq!(state.convergence_traces.len(), 1, "one trace per graph");
+        let trace = &state.convergence_traces[0];
+        assert_eq!(state.iterations, trace.len() - 1);
+        assert!(trace[..trace.len() - 1].contains(trace.last().unwrap()));
+    }
+
+    #[test]
+    fn a_graph_without_routers_converges_nothing() {
+        let f = fixture(Vec::new());
+        let mut state = f.initial.clone();
+        let rec = obs::Recorder::disabled();
+        refine(&f.graph, &f.rels, &f.cones, &f.cfg, &mut state, &rec);
+        assert!(state.convergence_traces.is_empty());
+        assert_eq!(state.iterations, 0);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The in-place ascending sweep reproduces the oracle exactly:
-        /// annotations, iteration count and every shard's convergence trace.
+        /// annotations, iteration count and the convergence trace.
         #[test]
         fn in_place_sweep_matches_the_versioned_view_oracle(
             random in proptest::collection::vec(random_trace(), 0..40),
         ) {
             let mut traces: Vec<Trace> = (0..3).flat_map(scaffold).collect();
             traces.extend(random);
-            // Interfaces 2m and 2m+1 of one /16 are aliases.
-            let mut observed: Vec<u32> =
-                traces.iter().flat_map(|t| t.responsive().map(|(_, h)| h.addr)).collect();
-            observed.sort_unstable();
-            observed.dedup();
-            let aliases = AliasSets::from_groups(
-                observed.chunk_by(|x, y| x & !1 == y & !1).map(|g| g.iter().copied().collect()),
-            );
-            let ip2as = IpToAs::from_pairs((1..=6u32).map(|n| {
-                (format!("10.{n}.0.0/16").parse::<Prefix>().unwrap(), Asn(n))
-            }));
-            let mut rels = AsRelationships::new();
-            rels.add_p2p(Asn(1), Asn(2));
-            for (p, c) in [(3, 4), (5, 6), (1, 3), (2, 5)] {
-                rels.add_p2c(Asn(p), Asn(c));
-            }
-            let cones = CustomerCones::compute(&rels);
-            let cfg = Config { threads: 1, ..Config::default() };
-            let graph = IrGraph::build(&traces.into_iter().collect(), &aliases, &ip2as, &cfg, &rels, &cones);
-            let mut initial = AnnotationState::new(&graph);
-            lasthop::annotate_last_hops(&graph, &rels, &cones, &mut initial);
+            let Fixture { graph, rels, cones, cfg, initial } = fixture(traces);
 
             // The corpus exercises everything the sweep order matters for.
-            prop_assert!(graph.shards.shards.len() >= 3);
             prop_assert!(initial.frozen.contains(&true), "no frozen IR");
             let links = || graph.irs.iter().flat_map(|ir| ir.links.iter().map(move |l| (ir, l)));
             let labels: BTreeSet<LinkLabel> = links().map(|(_, l)| l.label).collect();
@@ -469,14 +500,11 @@ mod tests {
 
             let mut want = initial;
             let mut ctx = SweepCtx::new(&graph, &cfg, &rels, &cones, &obs::Recorder::disabled());
-            let traces: Vec<Vec<u64>> = (graph.shards.shards.iter())
-                .map(|shard| oracle_converge(shard, &mut want, &mut ctx))
-                .collect();
+            let trace = oracle_converge(&mut want, &mut ctx);
             prop_assert_eq!(&swept.router, &want.router);
             prop_assert_eq!(&swept.iface, &want.iface);
-            let iterations = traces.iter().map(|t| t.len() - 1).max().unwrap_or(0);
-            prop_assert_eq!(swept.iterations, iterations);
-            prop_assert_eq!(&swept.convergence_traces, &traces);
+            prop_assert_eq!(swept.iterations, trace.len() - 1);
+            prop_assert_eq!(&swept.convergence_traces, &vec![trace]);
         }
     }
 }

@@ -80,7 +80,10 @@ proptest! {
     fn graph_construction_invariants(traces in corpus_strategy()) {
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        let g = IrGraph::build(&traces, &AliasSets::empty(), &oracle(), &Config::default(), &r, &cones);
+        let (wp, rec) = (pool::WorkerPool::new(1), obs::Recorder::disabled());
+        let g = IrGraph::build(
+            &traces, &AliasSets::empty(), &oracle(), &Config::default(), &r, &cones, &wp, &rec,
+        );
 
         // Every responsive address has exactly one interface and one IR.
         let observed: BTreeSet<u32> = traces
@@ -93,6 +96,12 @@ proptest! {
             prop_assert_eq!(g.iface_addrs[idx.0 as usize], addr);
             let ir = g.iface_ir[idx.0 as usize];
             prop_assert!(g.irs[ir.0 as usize].ifaces.contains(&idx));
+        }
+        // Addresses never observed, the extremes included, have none.
+        for addr in [0, u32::MAX, 0x0A00_0000, 0x0AFF_FFFF] {
+            if !observed.contains(&addr) {
+                prop_assert_eq!(g.iface_of_addr(addr), None);
+            }
         }
 
         // Links point at observed interfaces, never at the IR itself, and
@@ -160,8 +169,11 @@ proptest! {
         let aliases = AliasSets::from_groups([BTreeSet::from([a, b])]);
         let r = rels();
         let cones = CustomerCones::compute(&r);
-        let with = IrGraph::build(&traces, &aliases, &oracle(), &Config::default(), &r, &cones);
-        let without = IrGraph::build(&traces, &AliasSets::empty(), &oracle(), &Config::default(), &r, &cones);
+        let (wp, rec) = (pool::WorkerPool::new(1), obs::Recorder::disabled());
+        let build = |aliases: &AliasSets| {
+            IrGraph::build(&traces, aliases, &oracle(), &Config::default(), &r, &cones, &wp, &rec)
+        };
+        let (with, without) = (build(&aliases), build(&AliasSets::empty()));
         prop_assert_eq!(with.ir_of_addr(a), with.ir_of_addr(b));
         prop_assert_eq!(with.irs.len() + 1, without.irs.len());
     }

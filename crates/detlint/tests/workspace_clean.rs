@@ -53,11 +53,9 @@ fn allow_inventory_does_not_silently_grow() {
         *by_rule.entry(f.rule.as_str()).or_insert(0) += 1;
     }
     let expected: std::collections::BTreeMap<&str, usize> = [
-        // Refine duplicate filter, snapshot interface→router hash index
-        // (read-only after construction; query answers never iterate it).
-        // The graph build's former per-hop HashMap is gone: interned ids
-        // made it a sorted-vec binary search.
-        ("unordered-collection", 2),
+        // The snapshot's interface→router hash index (read-only after
+        // construction; query answers never iterate it).
+        ("unordered-collection", 1),
         // eval metric folds in tests.
         ("float-accum", 4),
         // serve's request-serving worker pool + background accept-loop

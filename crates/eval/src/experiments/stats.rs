@@ -109,13 +109,16 @@ impl CorpusStats {
 /// Computes the statistics for a corpus.
 pub fn corpus_stats(s: &Scenario, bundle: &CorpusBundle) -> CorpusStats {
     let cones = CustomerCones::compute(&s.rels);
+    let cfg = Config::default();
     let graph = IrGraph::build(
         &bundle.traces,
         &bundle.aliases,
         &s.ip2as,
-        &Config::default(),
+        &cfg,
         &s.rels,
         &cones,
+        &pool::WorkerPool::new(cfg.threads),
+        &obs::Recorder::disabled(),
     );
     let dist = graph.label_distribution();
     let get = |l: LinkLabel| dist.get(&l).copied().unwrap_or(0);

@@ -25,14 +25,12 @@
 mod asn;
 mod column;
 mod counter;
-mod intern;
 mod prefix;
 mod trie;
 
 pub use asn::{Asn, AsnParseError};
 pub use column::{AsSets, SetColumn};
 pub use counter::Counter;
-pub use intern::AddrInterner;
 pub use prefix::{Prefix, PrefixParseError};
 pub use trie::PrefixTrie;
 

@@ -80,9 +80,11 @@ pub const GRAPH_IFACES: &str = "graph.ifaces";
 pub const LASTHOP_FROZEN: &str = "lasthop.frozen";
 /// Refinement runs executed (a report can cover several).
 pub const REFINE_RUNS: &str = "refine.runs";
-/// Refinement iterations (max across shards, summed over runs).
+/// Refinement iterations (summed over runs).
 pub const REFINE_ITERATIONS: &str = "refine.iterations";
-/// Shards in the refinement plans processed.
+/// Shards in the refinement plans processed. No longer recorded
+/// (refinement converges the whole graph); kept because the benchmark's
+/// per-layer report reads it.
 pub const REFINE_SHARDS: &str = "refine.shards";
 /// Router annotations that changed value during a sweep.
 pub const REFINE_VOTES_CHANGED: &str = "refine.votes_changed";
@@ -125,8 +127,6 @@ pub const PHASE_CHURN_SPLICE: &str = "churn.splice";
 
 // ---- deterministic histograms ----------------------------------------------
 
-/// Iterations to convergence, one sample per shard.
-pub const HIST_SHARD_ITERATIONS: &str = "refine.shard_iterations";
 /// Wavefront levels, one sample per shard. No longer recorded (refinement
 /// sweeps serially); kept because the benchmark's per-layer report reads it.
 pub const HIST_SHARD_WAVEFRONTS: &str = "refine.shard_wavefronts";
@@ -202,7 +202,7 @@ pub const EXEC_SERVE_ERRORS: &str = "serve.errors";
 // Passes of the graph build, visible as nested spans under `phase1.graph`
 // in the run report and on the trace's `main` track.
 
-/// The interner and destination table, copied from the corpus's address
+/// The interface and destination tables, copied from the corpus's address
 /// index.
 pub const PHASE1_INTERN: &str = "phase1.intern";
 /// Origin-AS resolution over the interned interface space.
@@ -215,8 +215,6 @@ pub const PHASE1_LINKS: &str = "phase1.links";
 pub const PHASE1_REDUCE: &str = "phase1.reduce";
 /// Per-IR metadata annotation (degree, relationships, cone membership).
 pub const PHASE1_METADATA: &str = "phase1.metadata";
-/// Shard-plan computation over the finished graph.
-pub const PHASE1_SHARD_PLAN: &str = "phase1.shard_plan";
 
 // ---- trace tracks and events -------------------------------------------------
 // Names used by `obs::trace`: tracks become Chrome `thread_name`s, events
@@ -240,9 +238,7 @@ pub const EV_POOL_TASK: &str = "pool.task";
 pub const EV_POOL_STEAL: &str = "pool.steal";
 /// Span: index-ordered reassembly of batch results on the coordinator.
 pub const EV_POOL_REASSEMBLE: &str = "pool.reassemble";
-/// Span: one shard converging (arg: shard index).
-pub const EV_REFINE_SHARD: &str = "refine.shard";
-/// Span: one refinement iteration of a shard (arg: iteration index).
+/// Span: one refinement iteration (arg: iteration index).
 pub const EV_REFINE_WAVE: &str = "refine.wave";
 /// Instant: probe campaign destination count (arg: destinations).
 pub const EV_CAMPAIGN_DESTS: &str = "traceroute.dests";

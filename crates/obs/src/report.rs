@@ -177,6 +177,9 @@ mod tests {
     use crate::clock::MockClock;
     use crate::Recorder;
 
+    /// A histogram fixture: no pipeline phase records one.
+    const HIST: &str = "h";
+
     fn complete_report() -> RunReport {
         let clock = MockClock::new();
         let rec = Recorder::with_clock(false, Box::new(clock.clone()));
@@ -185,7 +188,7 @@ mod tests {
             clock.advance(1_000_000);
         }
         rec.add(names::REFINE_ITERATIONS, 3);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
+        rec.record(HIST, 2);
         rec.add_exec(names::EXEC_POOL_STEALS, 99);
         rec.report()
     }
@@ -232,7 +235,7 @@ mod tests {
             clock.advance(42_000_000); // very different timings
         }
         rec.add(names::REFINE_ITERATIONS, 3);
-        rec.record(names::HIST_SHARD_ITERATIONS, 2);
+        rec.record(HIST, 2);
         rec.add_exec(names::EXEC_POOL_STEALS, 1); // very different steal counts
         let b = rec.report();
         // ...differs as a whole report but not in the deterministic view.

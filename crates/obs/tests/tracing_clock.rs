@@ -15,20 +15,20 @@ fn overlapping_spans_on_shared_clock_stay_monotone_per_track() {
     // clock, with spans interleaved so no single track sees every tick:
     // main opens, worker 0 opens, worker 1 opens+closes inside, worker 0
     // closes after main's nested instant.
-    let mut w0 = tracer.worker(names::TRACK_REFINE_WORKER, 0);
-    let mut w1 = tracer.worker(names::TRACK_REFINE_WORKER, 1);
+    let mut w0 = tracer.worker(names::TRACK_POOL_WORKER, 0);
+    let mut w1 = tracer.worker(names::TRACK_POOL_WORKER, 1);
     tracer.begin_main(names::PHASE_REFINE, 0);
     clock.advance(1_000);
-    w0.begin(names::EV_REFINE_SHARD, 0);
+    w0.begin(names::EV_POOL_TASK, 0);
     clock.advance(1_000);
-    w1.begin(names::EV_REFINE_SHARD, 1);
+    w1.begin(names::EV_POOL_TASK, 1);
     clock.advance(500);
-    w1.instant(names::EV_REFINE_WAVE, 1);
-    w1.end(names::EV_REFINE_SHARD);
+    w1.instant(names::EV_POOL_STEAL, 1);
+    w1.end(names::EV_POOL_TASK);
     clock.advance(500);
     tracer.instant_main(names::EV_CAMPAIGN_DESTS, 42);
     clock.advance(1_000);
-    w0.end(names::EV_REFINE_SHARD);
+    w0.end(names::EV_POOL_TASK);
     tracer.end_main(names::PHASE_REFINE);
     tracer.submit(w0);
     tracer.submit(w1);
@@ -59,11 +59,11 @@ fn overlapping_spans_on_shared_clock_stay_monotone_per_track() {
             .unwrap()
     };
     use obs::trace::EventKind::{Begin, End};
-    assert_eq!(at("refine.worker0", Begin), 1_000);
-    assert_eq!(at("refine.worker1", Begin), 2_000);
-    assert_eq!(at("refine.worker1", End), 2_500);
-    assert_eq!(at("refine.worker0", End), 4_000);
-    assert!(at("refine.worker1", End) < at("refine.worker0", End));
+    assert_eq!(at("pool.worker0", Begin), 1_000);
+    assert_eq!(at("pool.worker1", Begin), 2_000);
+    assert_eq!(at("pool.worker1", End), 2_500);
+    assert_eq!(at("pool.worker0", End), 4_000);
+    assert!(at("pool.worker1", End) < at("pool.worker0", End));
 }
 
 #[test]

@@ -223,7 +223,7 @@ fn front_end(threads: usize, with_obs: bool) -> (u64, u64, usize, usize) {
         ..Config::default()
     };
     let wp = s.worker_pool();
-    let g = IrGraph::build_in_pool(
+    let g = IrGraph::build(
         &bundle.traces,
         &bundle.aliases,
         &s.ip2as,
