@@ -1,6 +1,6 @@
 //! Customer cones.
 
-use crate::AsRelationships;
+use crate::{AsRelationships, Relationship};
 use net_types::{AsSets, Asn, SetColumn};
 
 /// Per-AS customer cones: the set of ASes reachable from an AS by following
@@ -43,13 +43,40 @@ impl CustomerCones {
     /// path reaches, by induction on the path's length. The least fixpoint
     /// is unique, so this equals the pass-until-stable computation.
     pub fn compute(rels: &AsRelationships) -> Self {
-        let ases: Vec<Asn> = rels.ases().into_iter().collect();
-        let rank = |a: Asn| ases.binary_search(&a).expect("customer is a known AS");
-        // Customer ranks per rank; `customers_of` is ascending, so are they.
-        let mut customers = SetColumn::new();
-        for &a in &ases {
-            customers.push_with(|v| v.extend(rels.customers_of(a).map(rank)));
+        // One pass over the relationships yields every AS and every
+        // customer edge, `provider:32 | customer:32`. Each sort below puts
+        // one end's ASNs in order, so walking the AS table beside them
+        // ranks that end and moves it to the low half: no edge searches
+        // the table. The last sort orders each provider's customer ranks.
+        let (mut ases, mut edges) = (Vec::new(), Vec::new());
+        for (a, b, rel) in rels.iter() {
+            ases.extend([a, b]);
+            match rel {
+                Relationship::Provider => edges.push(u64::from(a.0) << 32 | u64::from(b.0)),
+                Relationship::Customer => edges.push(u64::from(b.0) << 32 | u64::from(a.0)),
+                Relationship::Peer => {}
+            }
         }
+        ases.sort_unstable();
+        ases.dedup();
+        let rank_high = |edges: &mut Vec<u64>| {
+            edges.sort_unstable();
+            let mut rank = 0;
+            for e in edges.iter_mut() {
+                while ases[rank].0 < (*e >> 32) as u32 {
+                    rank += 1;
+                }
+                *e = u64::from(*e as u32) << 32 | rank as u64;
+            }
+        };
+        rank_high(&mut edges); // customer ASN | provider rank
+        rank_high(&mut edges); // provider rank | customer rank
+        edges.sort_unstable();
+        let mut customers: SetColumn<usize> = SetColumn::new();
+        for e in edges {
+            customers.push_to((e >> 32) as usize, e as u32 as usize);
+        }
+        customers.close_to(ases.len());
         let mut seen = vec![0u64; ases.len().div_ceil(64)];
         let mut stack = Vec::new();
         let mut cones = AsSets::new();

@@ -179,9 +179,12 @@ impl AsRelationships {
         self.pairs.is_empty()
     }
 
-    /// Every AS that appears in at least one relationship.
-    pub fn ases(&self) -> BTreeSet<Asn> {
-        self.pairs.keys().flat_map(|&(a, b)| [a, b]).collect()
+    /// Every AS that appears in at least one relationship, ascending.
+    pub fn ases(&self) -> Vec<Asn> {
+        let mut ases: Vec<Asn> = self.pairs.keys().flat_map(|&(a, b)| [a, b]).collect();
+        ases.sort_unstable();
+        ases.dedup();
+        ases
     }
 
     /// Iterates over `(a, b, relationship-of-a-toward-b)` with `a < b`.

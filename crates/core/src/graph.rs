@@ -22,24 +22,31 @@
 //!    split that built the index), and an address finds its interface by
 //!    binary search. The index's sorted destinations are the destination
 //!    table; each destination's AS is looked up once.
-//! 2. **Extract**: workers walk their trace shards emitting packed,
-//!    IR-major link keys (`u128`) and interface-major destination keys
-//!    (`u64`), entirely in interned-id space: a hop's id is its slot's rank
-//!    and a trace's destination has its rank too, so nothing is searched
-//!    per hop. Keys are sorted and deduplicated per task, after exact
-//!    repeats of a key the task just emitted were skipped at the source
-//!    (`RecentKeys`).
-//! 3. **Reduce**: tasks over disjoint IR ranges cut their range out of every
-//!    shard by binary search, sort and deduplicate it, and derive the
-//!    predecessor records it carries; a second pass over interface ranges
-//!    cuts and sorts destination keys and predecessor records the same way.
-//!    The calling thread then folds the sorted ranges, in range order, into
-//!    links and the sorted set columns ([`SetColumn`]): the keys arrive in
-//!    set order, so each set is appended, never inserted into. Each range's
-//!    sorted keys depend only on the set of keys in it, and every
-//!    accumulator is order-insensitive — link label by `min`, the probed bit
-//!    by `or`, origin/destination/predecessor collections are sets — so
-//!    neither the shard nor the range split can reach the output.
+//! 2. **Extract**: workers walk their trace shards emitting packed link
+//!    keys (`ir | dst | pred | probed | label`) and destination keys
+//!    (`iface | as_rank`), entirely in interned-id space: a hop's id is its
+//!    slot's rank and a trace's destination has its rank too, so nothing
+//!    is searched per hop. Exact repeats of a key the task just emitted are
+//!    skipped at the source (`RecentKeys`). Nothing is sorted: each key is
+//!    pushed into the bucket of its reduce range, link keys by IR range and
+//!    destination keys by interface range.
+//! 3. **Reduce**: the caller regroups the buckets by range, in task order,
+//!    moving them. A task per IR range orders its keys once: a counting
+//!    pass over the dense IR field, then a small sort of each IR's run,
+//!    then dedup. Its runs of equal `(ir, dst)` fold into links and origin
+//!    sets, and the predecessor records (`dst | ir | pred`) they carry go
+//!    to interface-range buckets. A task per interface range orders those
+//!    records the same way, and its destination keys by two counting
+//!    passes (AS rank, then interface). Each task writes [`SetColumn`]s of
+//!    its own, which the calling thread appends in range order. Each
+//!    range's ordered keys depend only on the set of keys in it, and every
+//!    accumulator is order-insensitive — link label by `min`, the probed
+//!    bit by `or`, origin/destination/predecessor collections are sets —
+//!    so neither the shard nor the range split can reach the output.
+//!
+//!    Link and predecessor keys are a `u64` while
+//!    `2·bits(interfaces) + bits(IRs) + 3 ≤ 64` (2²⁰ of each), and a
+//!    `u128` past that; one generic pass runs on either (`Layout`).
 //! 4. **Annotate** (per-IR metadata): workers process disjoint IR ranges,
 //!    querying the relationship database and customer cones directly for
 //!    §4.4's filter, each writing its IRs' origin and filtered destination
@@ -52,7 +59,8 @@ use bgp::{IpToAs, OriginInfo, OriginKind};
 use net_types::{AsSets, Asn, SetColumn};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use traceroute::{Corpus, ReplyType};
+use std::ops::BitOr;
+use traceroute::{AddrIndex, Corpus, ReplyType, NO_RANK};
 
 /// Index of an inferred router.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
@@ -132,77 +140,244 @@ pub struct IrGraph {
     pub preds: SetColumn<(IrId, IfIdx)>,
 }
 
-/// One link observation from a single adjacent-hop pair, packed IR-major
-/// into a `u128`: `ir:32 | dst:32 | pred:32 | 0:29 | probed:1 | label:2`.
-/// `ir` is the prior hop's IR, `dst` the next hop's interface, `pred` the
-/// prior interface (its origin is `iface_origin[pred]`, so the origin needs
-/// no field), `probed` whether the trace was destined to `dst`'s announced
-/// origin AS, and `label` the Table 3 label of this one observation.
-/// Sorting keys groups them by `(ir, dst)`, the grouping key of the
-/// reduction; the other fields only feed order-insensitive accumulators.
-/// A `(ir, dst, pred)` triple has at most six keys, whatever the number of
-/// destination ASes behind it.
-fn pack_link(ir: u32, dst: u32, pred: u32, probed: bool, label: LinkLabel) -> u128 {
-    (ir as u128) << 96
-        | (dst as u128) << 64
-        | (pred as u128) << 32
-        | (probed as u128) << 2
-        | label as u128
+/// A packed link or predecessor key: a `u64` when the build's [`Layout`]
+/// fits 64 bits, a `u128` otherwise. One generic build runs on either.
+trait Key: Copy + Ord + Default + Send + Sync + BitOr<Output = Self> {
+    /// The [`RecentKeys`] empty-slot marker, which no key equals: a link
+    /// key's label field is never 3.
+    const EMPTY: Self;
+    /// `value` shifted `shift` bits up.
+    fn put(value: u32, shift: u32) -> Self;
+    /// The `bits`-wide field `shift` bits up.
+    fn get(self, shift: u32, bits: u32) -> u32;
+    /// The key folded to 64 bits, for hashing.
+    fn fold(self) -> u64;
 }
 
-/// Inverse of [`pack_link`]: `(ir, dst, pred, probed, label)`.
-fn unpack_link(key: u128) -> (u32, u32, u32, bool, LinkLabel) {
-    let label = match key & 3 {
-        0 => LinkLabel::Nexthop,
-        1 => LinkLabel::Echo,
-        _ => LinkLabel::Multihop,
-    };
-    (
-        (key >> 96) as u32,
-        (key >> 64) as u32,
-        (key >> 32) as u32,
-        key & 4 != 0,
-        label,
-    )
+impl Key for u64 {
+    const EMPTY: u64 = u64::MAX;
+    #[inline]
+    fn put(value: u32, shift: u32) -> u64 {
+        u64::from(value) << shift
+    }
+    #[inline]
+    fn get(self, shift: u32, bits: u32) -> u32 {
+        ((self >> shift) & ((1 << bits) - 1)) as u32
+    }
+    #[inline]
+    fn fold(self) -> u64 {
+        self
+    }
 }
 
-/// One destination observation, `iface:32 | dest_as:32`: the interface saw
-/// a trace toward the destination AS.
-fn pack_dest(iface: u32, dest_as: Asn) -> u64 {
-    (iface as u64) << 32 | dest_as.0 as u64
+impl Key for u128 {
+    const EMPTY: u128 = u128::MAX;
+    #[inline]
+    fn put(value: u32, shift: u32) -> u128 {
+        u128::from(value) << shift
+    }
+    #[inline]
+    fn get(self, shift: u32, bits: u32) -> u32 {
+        ((self >> shift) & ((1 << bits) - 1)) as u32
+    }
+    #[inline]
+    fn fold(self) -> u64 {
+        self as u64 ^ (self >> 64) as u64
+    }
 }
 
-/// One predecessor record from the link reduction, interface-major:
-/// `dst:32 | ir:32 | pred:32` — interface `pred` of IR `ir` was seen
-/// immediately before interface `dst`.
-fn pack_pred(dst: u32, ir: u32, pred: u32) -> u128 {
-    (dst as u128) << 64 | (ir as u128) << 32 | pred as u128
+/// Bits that hold every rank below `n`.
+fn rank_bits(n: usize) -> u32 {
+    usize::BITS - n.saturating_sub(1).leading_zeros()
 }
 
-/// The keys of every sorted shard whose major field (`major`) lies in
-/// `[lo, hi)`, found by binary search and gathered into one allocation,
-/// sorted and deduplicated.
-fn gather<K: Copy + Ord>(
-    shards: &[Vec<K>],
-    major: impl Fn(K) -> usize,
+/// Field widths of the link and predecessor keys, from the build's rank
+/// counts: `if_bits` holds every interface rank, `ir_bits` every IR rank.
+///
+/// - A link key is `ir | dst | pred | probed:1 | label:2`, `width()` bits.
+///   `ir` is the prior hop's IR, `dst` the next hop's interface, `pred`
+///   the prior interface (its origin is `iface_origin[pred]`, so the
+///   origin needs no field), `probed` whether the trace was destined to
+///   `dst`'s announced origin AS, and `label` the Table 3 label of this
+///   one observation. Keys order by `(ir, dst)`, the grouping key of the
+///   reduction; the other fields only feed order-insensitive
+///   accumulators. A `(ir, dst, pred)` triple has at most six keys,
+///   whatever the number of destination ASes behind it.
+/// - A predecessor record is `dst | ir | pred`: interface `pred` of IR
+///   `ir` was seen immediately before interface `dst`. It is 3 bits
+///   narrower than a link key.
+///
+/// Ranks are under 2³², so `width()` never exceeds 99 bits and a `u128`
+/// always holds the layout; a `u64` holds it while `width()` is at most
+/// 64, as for 2²⁰ interfaces and IRs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Layout {
+    if_bits: u32,
+    ir_bits: u32,
+}
+
+impl Layout {
+    fn of(n_ifaces: usize, n_irs: usize) -> Layout {
+        Layout {
+            if_bits: rank_bits(n_ifaces),
+            ir_bits: rank_bits(n_irs),
+        }
+    }
+
+    /// A link key's width in bits.
+    fn width(self) -> u32 {
+        2 * self.if_bits + self.ir_bits + 3
+    }
+
+    /// The link key's shift of `dst`; `(ir, dst)` lies above it.
+    fn dst_shift(self) -> u32 {
+        3 + self.if_bits
+    }
+
+    fn link<K: Key>(self, ir: u32, dst: u32, pred: u32, probed: bool, label: LinkLabel) -> K {
+        K::put(ir, self.dst_shift() + self.if_bits)
+            | K::put(dst, self.dst_shift())
+            | K::put(pred, 3)
+            | K::put(u32::from(probed), 2)
+            | K::put(label as u32, 0)
+    }
+
+    /// Inverse of [`Layout::link`]: `(ir, dst, pred, probed, label)`.
+    fn unlink<K: Key>(self, key: K) -> (u32, u32, u32, bool, LinkLabel) {
+        let label = match key.get(0, 2) {
+            0 => LinkLabel::Nexthop,
+            1 => LinkLabel::Echo,
+            _ => LinkLabel::Multihop,
+        };
+        let (ir, dst) = self.link_pair(key);
+        (ir, dst, key.get(3, self.if_bits), key.get(2, 1) != 0, label)
+    }
+
+    /// A link key's `(ir, dst)`, the link it observes.
+    fn link_pair<K: Key>(self, key: K) -> (u32, u32) {
+        (self.link_ir(key), key.get(self.dst_shift(), self.if_bits))
+    }
+
+    /// A link key's IR, its major field.
+    fn link_ir<K: Key>(self, key: K) -> u32 {
+        key.get(self.dst_shift() + self.if_bits, self.ir_bits)
+    }
+
+    fn pred<K: Key>(self, dst: u32, ir: u32, pred: u32) -> K {
+        K::put(dst, self.if_bits + self.ir_bits) | K::put(ir, self.if_bits) | K::put(pred, 0)
+    }
+
+    /// Inverse of [`Layout::pred`]: `(dst, ir, pred)`.
+    fn unpred<K: Key>(self, key: K) -> (u32, u32, u32) {
+        (
+            key.get(self.if_bits + self.ir_bits, self.if_bits),
+            key.get(self.if_bits, self.ir_bits),
+            key.get(0, self.if_bits),
+        )
+    }
+}
+
+/// One destination observation, `iface:32 | as_rank:32`: the interface saw
+/// a trace toward the AS of that rank among the destinations' ASes.
+/// Interface ranks are below `u32::MAX`, so no key is `u64::MAX`, the
+/// [`RecentKeys`] marker.
+fn pack_dest(iface: u32, as_rank: u32) -> u64 {
+    u64::from(iface) << 32 | u64::from(as_rank)
+}
+
+/// Scatters `keys` into `out` in ascending order of their `digit`, which
+/// is below `n`, keeping the input order among equal digits (one counting
+/// pass). Returns where each digit's run ends in `out`.
+fn counting_pass<'a, K: Copy + 'a>(
+    keys: impl Iterator<Item = &'a K> + Clone,
+    n: usize,
+    digit: impl Fn(K) -> usize,
+    out: &mut [K],
+) -> Vec<usize> {
+    // `end[d]` counts digit `d`, then holds where its run starts, and
+    // after the scatter where it ends.
+    let mut end = vec![0usize; n];
+    for &k in keys.clone() {
+        end[digit(k)] += 1;
+    }
+    let mut total = 0;
+    for slot in &mut end {
+        (*slot, total) = (total, total + *slot);
+    }
+    for &k in keys {
+        let slot = &mut end[digit(k)];
+        out[*slot] = k;
+        *slot += 1;
+    }
+    end
+}
+
+/// One range's keys, delivered in buckets (one per extract or reduce
+/// task), in ascending order without repeats. Every key's major field
+/// (`major`) lies in `[lo, hi)`, which is dense, so a counting pass places
+/// each key in its major's run, and only the runs, short and independent,
+/// are sorted. Buckets are freed once scattered.
+fn order_range<K: Copy + Ord + Default>(
+    buckets: Vec<Vec<K>>,
     lo: usize,
     hi: usize,
+    major: impl Fn(K) -> usize,
 ) -> Vec<K> {
-    let parts: Vec<&[K]> = shards
-        .iter()
-        .map(|s| {
-            let a = s.partition_point(|&k| major(k) < lo);
-            let b = s.partition_point(|&k| major(k) < hi);
-            &s[a..b]
-        })
-        .collect();
-    let mut keys = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-    for p in parts {
-        keys.extend_from_slice(p);
+    let mut keys = vec![K::default(); buckets.iter().map(Vec::len).sum()];
+    let end = counting_pass(
+        buckets.iter().flatten(),
+        hi - lo,
+        |k| major(k) - lo,
+        &mut keys,
+    );
+    drop(buckets);
+    let mut start = 0;
+    for stop in end {
+        if stop - start > 1 {
+            keys[start..stop].sort_unstable();
+        }
+        start = stop;
     }
-    keys.sort_unstable();
     keys.dedup();
     keys
+}
+
+/// [`order_range`] for destination keys of the interfaces `[lo, hi)`,
+/// whose AS ranks lie below `n_as`: both fields are dense, so two
+/// counting passes, by AS rank and then by interface, order them
+/// (an LSD radix sort over the packed key).
+fn order_dests(buckets: Vec<Vec<u64>>, lo: usize, hi: usize, n_as: usize) -> Vec<u64> {
+    let mut by_as = vec![0; buckets.iter().map(Vec::len).sum()];
+    counting_pass(
+        buckets.iter().flatten(),
+        n_as,
+        |k| k as u32 as usize,
+        &mut by_as,
+    );
+    drop(buckets);
+    let mut keys = vec![0; by_as.len()];
+    counting_pass(
+        by_as.iter(),
+        hi - lo,
+        |k| (k >> 32) as usize - lo,
+        &mut keys,
+    );
+    keys.dedup();
+    keys
+}
+
+/// Per-range buckets from every task, `[task][range]`, regrouped by range,
+/// `[range][task]`: each bucket is moved, in task order.
+fn by_range<K>(shards: Vec<Vec<Vec<K>>>, ranges: usize) -> Vec<Vec<Vec<K>>> {
+    let mut out: Vec<Vec<Vec<K>>> = (0..ranges)
+        .map(|_| Vec::with_capacity(shards.len()))
+        .collect();
+    for shard in shards {
+        for (range, bucket) in out.iter_mut().zip(shard) {
+            range.push(bucket);
+        }
+    }
+    out
 }
 
 /// Chunks `n` items into `batch`-sized pool tasks; returns the task count.
@@ -221,32 +396,29 @@ const FILTER_SLOTS_LOG2: u32 = 12;
 /// A pool task's direct-mapped table of the keys it emitted last, one per
 /// slot. Most hops re-observe a key seen a few traces earlier (traces from
 /// one VP share their first hops, and toward one destination their last),
-/// so checking the slot drops most repeats before they are pushed, sorted
-/// and deduplicated. Only a key equal to its slot's occupant, an exact
-/// repeat of a key the task already emitted, is dropped: the task's sort
-/// and dedup would drop it anyway, so the filter cannot reach the output.
+/// so checking the slot drops most repeats before they are pushed and
+/// ordered. Only a key equal to its slot's occupant, an exact repeat of a
+/// key the task already emitted, is dropped: the range dedup would drop it
+/// anyway, so the filter cannot reach the output.
 ///
-/// Keys are destination keys and link keys (and addresses, in the tests'
-/// oracle of the former intern pass), widened to `u128`. None of them is
-/// `u128::MAX`, the empty-slot marker: addresses and destination keys fit
-/// 64 bits, and a link key's label field is never 3.
-struct RecentKeys {
-    slots: Vec<u128>,
+/// Keys are link keys, destination keys (and addresses, in the tests'
+/// oracle of the former intern pass). None of them is [`Key::EMPTY`].
+struct RecentKeys<K> {
+    slots: Vec<K>,
 }
 
-impl RecentKeys {
+impl<K: Key> RecentKeys<K> {
     fn new() -> Self {
         RecentKeys {
-            slots: vec![u128::MAX; 1 << FILTER_SLOTS_LOG2],
+            slots: vec![K::EMPTY; 1 << FILTER_SLOTS_LOG2],
         }
     }
 
     /// Records `key` in its slot; false when the slot already held it.
     #[inline]
-    fn admit(&mut self, key: u128) -> bool {
-        let folded = key as u64 ^ (key >> 64) as u64;
+    fn admit(&mut self, key: K) -> bool {
         let slot =
-            (folded.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_SLOTS_LOG2)) as usize;
+            (key.fold().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FILTER_SLOTS_LOG2)) as usize;
         let fresh = self.slots[slot] != key;
         self.slots[slot] = key;
         fresh
@@ -356,213 +528,22 @@ impl IrGraph {
 
         drop(span);
 
-        // ---- extract packed link/destination keys per trace shard,
-        // entirely in interface-id space: each responsive hop's id is its
-        // rank in the index, gathered into a buffer the task reuses across
-        // its traces, and each trace's destination has its rank too.
-        let span = rec.span(obs::names::PHASE1_LINKS);
-        let graph = &g;
-        let trace_batch = wp.batch_size(traces.len());
-        let (ranks, dst_ranks) = (index.ranks(), index.dst_ranks());
-        let obs_shards = wp.run(
-            obs::names::EXEC_POOL_BUSY_GRAPH,
-            task_count(traces.len(), trace_batch),
-            |t| {
-                let (lo, hi) = task_range(traces.len(), t, trace_batch);
-                // Every responsive hop yields at most one key of each kind.
-                let bound = traces.hops(lo..hi).len();
-                let mut links: Vec<u128> = Vec::with_capacity(bound);
-                let mut dest_keys: Vec<u64> = Vec::with_capacity(bound);
-                let mut recent_links = RecentKeys::new();
-                let mut recent_dests = RecentKeys::new();
-                let mut hops: Vec<(u8, u32, ReplyType)> = Vec::new();
-                let mut walked = 0;
-                for row in lo..hi {
-                    hops.clear();
-                    let ids = &ranks[traces.slots(row..row + 1)];
-                    let slots = traces.hops(row..row + 1).iter().zip(ids);
-                    hops.extend(
-                        slots
-                            .enumerate()
-                            .filter_map(|(i, (h, &id))| h.map(|h| ((i + 1) as u8, id, h.reply))),
-                    );
-                    let Some(&(_, _, last_reply)) = hops.last() else {
-                        continue;
-                    };
-                    walked += hops.len();
-                    let dest_as = dst_as[dst_ranks[row] as usize];
-
-                    // Destination AS sets (§4.4): every responding interface
-                    // records the trace's destination AS — except an Echo Reply
-                    // last hop, whose "destination" is just the probed address.
-                    if dest_as.is_some() {
-                        let n = hops.len() - usize::from(last_reply == ReplyType::EchoReply);
-                        dest_keys.extend(
-                            hops[..n]
-                                .iter()
-                                .map(|&(_, i, _)| pack_dest(i, dest_as))
-                                .filter(|&k| recent_dests.admit(k.into())),
-                        );
-                    }
-
-                    // Links between adjacent responsive hops.
-                    for pair in hops.windows(2) {
-                        let ((ttl_x, xi, _), (ttl_y, yi, reply_y)) = (pair[0], pair[1]);
-                        if xi == yi {
-                            continue;
-                        }
-                        let ir_x = graph.iface_ir[xi as usize];
-                        if ir_x == graph.iface_ir[yi as usize] {
-                            continue; // both sides on one IR: not a link
-                        }
-                        let ox = graph.iface_origin[xi as usize];
-                        let oy = graph.iface_origin[yi as usize];
-                        let label = link_label(ttl_y - ttl_x, ox, oy, reply_y);
-                        let probed = dest_as.is_some() && dest_as == oy.asn;
-                        let key = pack_link(ir_x.0, yi, xi, probed, label);
-                        if recent_links.admit(key) {
-                            links.push(key);
-                        }
-                    }
-                }
-                // Sorted shards are what the reduction's binary searches
-                // cut; dedup drops the repeats the filter missed, which only
-                // re-feed idempotent accumulators. Shards live until the
-                // reduction ends, so each gives back the unused tail of its
-                // bound (in place).
-                let emitted = links.len();
-                links.sort_unstable();
-                links.dedup();
-                links.shrink_to_fit();
-                dest_keys.sort_unstable();
-                dest_keys.dedup();
-                dest_keys.shrink_to_fit();
-                (links, dest_keys, walked, emitted)
-            },
-        );
-        let (mut hops_walked, mut link_obs, mut link_keys) = (0, 0, 0);
-        let mut link_shards: Vec<Vec<u128>> = Vec::with_capacity(obs_shards.len());
-        let mut dest_shards: Vec<Vec<u64>> = Vec::with_capacity(obs_shards.len());
-        for (links, dest_keys, walked, emitted) in obs_shards {
-            hops_walked += walked;
-            link_obs += emitted;
-            link_keys += links.len();
-            link_shards.push(links);
-            dest_shards.push(dest_keys);
-        }
-        rec.add_exec(obs::names::EXEC_PHASE1_HOPS, hops_walked as u64);
-        rec.add_exec(obs::names::EXEC_PHASE1_LINK_OBS, link_obs as u64);
-        rec.add_exec(obs::names::EXEC_PHASE1_LINK_KEYS, link_keys as u64);
-        drop(span);
-
-        // ---- reduction, by IR range: each task cuts its IRs' keys out of
-        // every shard and restores their total order, and derives the
-        // predecessor records they carry, interface-major. Equal key sets in
-        // any shard distribution sort to the same sequence, so the ranges,
-        // rejoined in range order, are one sorted key sequence whatever the
-        // shard or range split.
-        let span = rec.span(obs::names::PHASE1_REDUCE);
+        // ---- links, destination sets and predecessors, on keys as narrow
+        // as the rank counts allow.
         let n_irs = g.irs.len();
-        let ir_batch = wp.batch_size(n_irs);
-        let reduced = wp.run(
-            obs::names::EXEC_POOL_BUSY_GRAPH,
-            task_count(n_irs, ir_batch),
-            |t| {
-                let (lo, hi) = task_range(n_irs, t, ir_batch);
-                let keys = gather(&link_shards, |k| (k >> 96) as usize, lo, hi);
-                let mut preds: Vec<u128> = keys
-                    .iter()
-                    .map(|&k| {
-                        let (ir, dst, pred, ..) = unpack_link(k);
-                        pack_pred(dst, ir, pred)
-                    })
-                    .collect();
-                preds.sort_unstable();
-                preds.dedup();
-                (keys, preds)
-            },
-        );
-        drop(link_shards);
-        let (link_keys, pred_parts): (Vec<Vec<u128>>, Vec<Vec<u128>>) = reduced.into_iter().unzip();
-
-        // Per-interface destination keys and predecessor records, cut by
-        // interface range from the destination shards and the reduction's
-        // records the same way.
-        let per_iface = wp.run(
-            obs::names::EXEC_POOL_BUSY_GRAPH,
-            task_count(n_ifaces, iface_batch),
-            |t| {
-                let (lo, hi) = task_range(n_ifaces, t, iface_batch);
-                (
-                    gather(&dest_shards, |k| (k >> 32) as usize, lo, hi),
-                    gather(&pred_parts, |k| (k >> 64) as usize, lo, hi),
-                )
-            },
-        );
-        drop(dest_shards);
-        drop(pred_parts);
-
-        // The folds append to the graph's columns here, on the calling
-        // thread, in range order: each range's keys arrive sorted by set,
-        // then by value, so every set is appended whole.
-        //
-        // A link's origin set comes from a sorted, deduplicated scratch
-        // vector: `pred` ascends within a run, so its origins need one lookup
-        // per distinct interface.
-        let mut origins: Vec<Asn> = Vec::new();
-        for keys in link_keys {
-            for run in keys.chunk_by(|a, b| a >> 64 == b >> 64) {
-                let (ir, dst, ..) = unpack_link(run[0]);
-                let mut label = LinkLabel::Multihop;
-                let mut dst_origin_probed = false;
-                origins.clear();
-                let mut last_pred = None;
-                for &key in run {
-                    let (_, _, pred, probed, l) = unpack_link(key);
-                    label = label.min(l); // keep the highest confidence
-                    dst_origin_probed |= probed;
-                    if last_pred != Some(pred) {
-                        last_pred = Some(pred);
-                        let o = g.iface_origin[pred as usize].asn;
-                        if o.is_some() {
-                            origins.push(o);
-                        }
-                    }
-                }
-                origins.sort_unstable();
-                origins.dedup();
-                // Runs arrive in ascending (ir, dst) order, so each IR's
-                // link vector comes out sorted by destination interface, and
-                // link rows ascend with (ir, dst).
-                g.irs[ir as usize].links.push(Link {
-                    dst: IfIdx(dst),
-                    label,
-                    row: g.link_origins.len() as u32,
-                    dst_origin_probed,
-                });
-                g.link_origins.push(&origins);
-            }
+        let layout = Layout::of(n_ifaces, n_irs);
+        if layout.width() <= u64::BITS {
+            g.observe::<u64>(traces, index, &dst_as, layout, wp, rec);
+        } else {
+            g.observe::<u128>(traces, index, &dst_as, layout, wp, rec);
         }
-        for (dest_keys, pred_keys) in per_iface {
-            for &k in &dest_keys {
-                g.iface_dests.push_to((k >> 32) as usize, Asn(k as u32));
-            }
-            // Predecessor pairs for §6.2 interface voting.
-            for &k in &pred_keys {
-                let pair = (IrId((k >> 32) as u32), IfIdx(k as u32));
-                g.preds.push_to((k >> 64) as usize, pair);
-            }
-        }
-        g.iface_dests.close_to(n_ifaces);
-        g.preds.close_to(n_ifaces);
-
-        drop(span);
 
         // ---- per-IR metadata: origin-AS unions and §4.4-filtered
         // destination sets, chunked over the IR space into task-local
         // columns that append in IR order.
         let span = rec.span(obs::names::PHASE1_METADATA);
         let graph = &g;
+        let ir_batch = wp.batch_size(n_irs);
         let meta_shards = wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
             task_count(n_irs, ir_batch),
@@ -582,6 +563,234 @@ impl IrGraph {
         drop(span);
 
         g
+    }
+
+    /// Steps 2 and 3 of the build (module docs): extracts every trace's
+    /// link and destination keys, scattered by range, orders each range
+    /// once, and folds the ranges into the graph's links, `link_origins`,
+    /// `iface_dests` and `preds`. The graph holds its interface table,
+    /// origins and IRs, without links; `dst_as` is the AS of each of the
+    /// index's destinations. `K` holds `layout`'s keys.
+    fn observe<K: Key>(
+        &mut self,
+        traces: &Corpus,
+        index: &AddrIndex,
+        dst_as: &[Asn],
+        layout: Layout,
+        wp: &pool::WorkerPool,
+        rec: &obs::Recorder,
+    ) {
+        let (n_ifaces, n_irs) = (self.iface_addrs.len(), self.irs.len());
+        let (ir_batch, iface_batch) = (wp.batch_size(n_irs), wp.batch_size(n_ifaces));
+        let ir_ranges = task_count(n_irs, ir_batch);
+        let iface_ranges = task_count(n_ifaces, iface_batch);
+
+        // ---- extract, entirely in interface-id space, in one pass over
+        // each trace's slots: each responsive hop's id is its rank in the
+        // index, and each trace's destination has its rank too. Keys go to
+        // the bucket of their reduce range: link keys by IR, destination
+        // keys by interface.
+        let span = rec.span(obs::names::PHASE1_LINKS);
+        // Each interface's IR and origin AS side by side, one read per hop.
+        let iface_meta: Vec<(u32, Asn)> = (self.iface_ir.iter().zip(&self.iface_origin))
+            .map(|(ir, o)| (ir.0, o.asn))
+            .collect();
+        // Destination ASes by rank among their distinct values, ascending.
+        let mut as_table: Vec<Asn> = dst_as.iter().copied().filter(|a| a.is_some()).collect();
+        as_table.sort_unstable();
+        as_table.dedup();
+        let as_rank: Vec<u32> = (dst_as.iter())
+            .map(|a| as_table.binary_search(a).map_or(u32::MAX, |r| r as u32))
+            .collect();
+        let trace_batch = wp.batch_size(traces.len());
+        let (ranks, dst_ranks) = (index.ranks(), index.dst_ranks());
+        let obs_shards = wp.run(
+            obs::names::EXEC_POOL_BUSY_GRAPH,
+            task_count(traces.len(), trace_batch),
+            |t| {
+                let (lo, hi) = task_range(traces.len(), t, trace_batch);
+                let mut links: Vec<Vec<K>> = vec![Vec::new(); ir_ranges];
+                let mut dest_keys: Vec<Vec<u64>> = vec![Vec::new(); iface_ranges];
+                let mut recent_links = RecentKeys::<K>::new();
+                let mut recent_dests = RecentKeys::<u64>::new();
+                let (mut walked, mut emitted) = (0, 0);
+                for row in lo..hi {
+                    if dst_ranks[row] == NO_RANK {
+                        continue; // no responsive hop
+                    }
+                    let dst = dst_ranks[row] as usize;
+                    let dest_as = dst_as[dst];
+                    // Destination AS sets (§4.4): every responding interface
+                    // records the trace's destination AS — except an Echo
+                    // Reply last hop, whose "destination" is just the probed
+                    // address. So a hop's key waits for the next hop.
+                    let mut push_dest = |i: u32| {
+                        let key = pack_dest(i, as_rank[dst]);
+                        if dest_as.is_some() && recent_dests.admit(key) {
+                            dest_keys[i as usize / iface_batch].push(key);
+                        }
+                    };
+                    let ids = &ranks[traces.slots(row..row + 1)];
+                    let slots = traces.hops(row..row + 1).iter().zip(ids);
+                    let mut prev: Option<(u8, u32, ReplyType)> = None;
+                    for (i, (h, &yi)) in slots.enumerate() {
+                        let Some(h) = h else { continue };
+                        walked += 1;
+                        let ttl_y = (i + 1) as u8;
+                        let Some((ttl_x, xi, _)) = prev.replace((ttl_y, yi, h.reply)) else {
+                            continue;
+                        };
+                        push_dest(xi);
+
+                        // A link between adjacent responsive hops.
+                        if xi == yi {
+                            continue;
+                        }
+                        let (ir_x, ox) = iface_meta[xi as usize];
+                        let (ir_y, oy) = iface_meta[yi as usize];
+                        if ir_x == ir_y {
+                            continue; // both sides on one IR: not a link
+                        }
+                        let label = link_label(ttl_y - ttl_x, ox, oy, h.reply);
+                        let probed = dest_as.is_some() && dest_as == oy;
+                        let key = layout.link(ir_x, yi, xi, probed, label);
+                        if recent_links.admit(key) {
+                            links[ir_x as usize / ir_batch].push(key);
+                            emitted += 1;
+                        }
+                    }
+                    if let Some((_, last, reply)) = prev {
+                        if reply != ReplyType::EchoReply {
+                            push_dest(last);
+                        }
+                    }
+                }
+                (links, dest_keys, walked, emitted)
+            },
+        );
+        drop(iface_meta);
+        let (mut hops_walked, mut link_obs) = (0, 0);
+        let mut link_shards = Vec::with_capacity(obs_shards.len());
+        let mut dest_shards = Vec::with_capacity(obs_shards.len());
+        for (links, dest_keys, walked, emitted) in obs_shards {
+            hops_walked += walked;
+            link_obs += emitted;
+            link_shards.push(links);
+            dest_shards.push(dest_keys);
+        }
+        rec.add_exec(obs::names::EXEC_PHASE1_HOPS, hops_walked as u64);
+        rec.add_exec(obs::names::EXEC_PHASE1_LINK_OBS, link_obs as u64);
+        drop(span);
+
+        // ---- reduction, by IR range: each task takes its range's buckets
+        // and orders their keys. Runs of equal `(ir, dst)` become links
+        // (label by `min`, the probed bit by `or`) and their origin sets a
+        // task column; the predecessor records they carry are scattered by
+        // interface range. A range's ordered keys depend only on the set of
+        // keys in it, so neither the task nor the range split can reach
+        // the output.
+        let span = rec.span(obs::names::PHASE1_REDUCE);
+        let mut link_ranges = by_range(link_shards, ir_ranges);
+        let origin = &self.iface_origin;
+        let reduced = wp.run_split(
+            obs::names::EXEC_POOL_BUSY_GRAPH,
+            &mut link_ranges,
+            &(0..=ir_ranges).collect::<Vec<_>>(),
+            |t, range| {
+                let (lo, hi) = task_range(n_irs, t, ir_batch);
+                let keys = order_range(std::mem::take(&mut range[0]), lo, hi, |k| {
+                    layout.link_ir(k) as usize
+                });
+                let mut links: Vec<(u32, Link)> = Vec::new();
+                let mut origins = AsSets::new();
+                let mut preds: Vec<Vec<K>> = vec![Vec::new(); iface_ranges];
+                for run in keys.chunk_by(|&a, &b| layout.link_pair(a) == layout.link_pair(b)) {
+                    let (ir, dst, ..) = layout.unlink(run[0]);
+                    let mut label = LinkLabel::Multihop;
+                    let mut dst_origin_probed = false;
+                    let mut last_pred = None;
+                    origins.push_union(|out| {
+                        for &key in run {
+                            let (_, _, pred, probed, l) = layout.unlink(key);
+                            label = label.min(l); // keep the highest confidence
+                            dst_origin_probed |= probed;
+                            // `pred` ascends within a run: one origin and one
+                            // predecessor record per distinct interface.
+                            if last_pred != Some(pred) {
+                                last_pred = Some(pred);
+                                preds[dst as usize / iface_batch].push(layout.pred(dst, ir, pred));
+                                let o = origin[pred as usize].asn;
+                                if o.is_some() {
+                                    out.push(o);
+                                }
+                            }
+                        }
+                    });
+                    let row = (origins.len() - 1) as u32;
+                    let link = Link {
+                        dst: IfIdx(dst),
+                        label,
+                        row,
+                        dst_origin_probed,
+                    };
+                    links.push((ir, link));
+                }
+                (keys.len(), links, origins, preds)
+            },
+        );
+        drop(link_ranges);
+        // Ranges append in range order, so each IR's links come out sorted
+        // by destination interface, and link rows ascend with (ir, dst).
+        let (mut link_keys, mut pred_shards) = (0, Vec::with_capacity(reduced.len()));
+        for (kept, links, origins, preds) in reduced {
+            link_keys += kept;
+            let base = self.link_origins.len() as u32;
+            for group in links.chunk_by(|a, b| a.0 == b.0) {
+                let rebased = group.iter().map(|(_, l)| Link {
+                    row: base + l.row,
+                    ..l.clone()
+                });
+                self.irs[group[0].0 as usize].links.extend(rebased);
+            }
+            self.link_origins.append(&origins);
+            pred_shards.push(preds);
+        }
+        rec.add_exec(obs::names::EXEC_PHASE1_LINK_KEYS, link_keys as u64);
+
+        // Per interface range, destination keys and predecessor records are
+        // ordered the same way and become task columns, appended in range
+        // order.
+        let mut iface_work: Vec<_> = (by_range(dest_shards, iface_ranges).into_iter())
+            .zip(by_range(pred_shards, iface_ranges))
+            .collect();
+        let per_iface = wp.run_split(
+            obs::names::EXEC_POOL_BUSY_GRAPH,
+            &mut iface_work,
+            &(0..=iface_ranges).collect::<Vec<_>>(),
+            |t, range| {
+                let (lo, hi) = task_range(n_ifaces, t, iface_batch);
+                let (dest_keys, pred_keys) = std::mem::take(&mut range[0]);
+                let mut dests = AsSets::new();
+                for k in order_dests(dest_keys, lo, hi, as_table.len()) {
+                    dests.push_to((k >> 32) as usize - lo, as_table[k as u32 as usize]);
+                }
+                dests.close_to(hi - lo);
+                // Predecessor pairs for §6.2 interface voting.
+                let mut preds = SetColumn::new();
+                for k in order_range(pred_keys, lo, hi, |k| layout.unpred(k).0 as usize) {
+                    let (dst, ir, pred) = layout.unpred(k);
+                    preds.push_to(dst as usize - lo, (IrId(ir), IfIdx(pred)));
+                }
+                preds.close_to(hi - lo);
+                (dests, preds)
+            },
+        );
+        drop(iface_work);
+        for (dests, preds) in per_iface {
+            self.iface_dests.append(&dests);
+            self.preds.append(&preds);
+        }
+        drop(span);
     }
 
     /// Appends `ir`'s origin-AS union to `origins` and the union of its
@@ -653,15 +862,16 @@ impl IrGraph {
 }
 
 /// Table 3's labelling rules.
-fn link_label(dist: u8, ox: OriginInfo, oy: OriginInfo, reply: ReplyType) -> LinkLabel {
+/// `ox` and `oy` are the two interfaces' origin ASes.
+fn link_label(dist: u8, ox: Asn, oy: Asn, reply: ReplyType) -> LinkLabel {
     if reply == ReplyType::EchoReply {
         // Echo replies only prove the address is on the responding router.
-        if dist == 1 || (ox.asn.is_some() && ox.asn == oy.asn) {
+        if dist == 1 || (ox.is_some() && ox == oy) {
             LinkLabel::Echo
         } else {
             LinkLabel::Multihop
         }
-    } else if dist == 1 || (ox.asn.is_some() && ox.asn == oy.asn) {
+    } else if dist == 1 || (ox.is_some() && ox == oy) {
         LinkLabel::Nexthop
     } else {
         LinkLabel::Multihop
@@ -953,11 +1163,10 @@ mod tests {
         assert_eq!(g.last_hop_irs().count(), 1);
     }
 
-    #[test]
-    fn build_is_thread_count_invariant() {
-        // A corpus exercising every accumulator: alias-grouped IRs, echo
-        // last hops, the same link observed with different labels, and
-        // destination sets fed by many traces.
+    /// A corpus exercising every accumulator: alias-grouped IRs, echo last
+    /// hops, the same link observed with different labels, and destination
+    /// sets fed by many traces.
+    fn mixed_corpus() -> (Vec<Trace>, AliasSets) {
         let aliases = AliasSets::from_groups([BTreeSet::from([a("10.1.0.1"), a("10.1.0.2")])]);
         let mut traces = Vec::new();
         for i in 0..40u32 {
@@ -972,6 +1181,12 @@ mod tests {
             ));
             traces.push(tr(leaf, &[(1, a("10.1.0.2"), TE), (2, leaf, ER)]));
         }
+        (traces, aliases)
+    }
+
+    #[test]
+    fn build_is_thread_count_invariant() {
+        let (traces, aliases) = mixed_corpus();
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
         // One corpus indexed once, by the first build, and a fresh one per
@@ -1079,49 +1294,153 @@ mod tests {
         assert_eq!(g.link_count(), 1);
     }
 
-    #[test]
-    fn keys_pack_and_unpack_at_the_extremes() {
-        let ids = [0, 1, u32::MAX - 1, u32::MAX];
-        for label in [LinkLabel::Nexthop, LinkLabel::Echo, LinkLabel::Multihop] {
-            for (ir, dst, pred) in [(0, 0, 0), (u32::MAX, u32::MAX, u32::MAX), (u32::MAX, 0, 1)] {
-                for probed in [false, true] {
-                    let key = pack_link(ir, dst, pred, probed, label);
-                    assert_eq!(unpack_link(key), (ir, dst, pred, probed, label));
-                    assert_ne!(key, u128::MAX, "the filter's empty-slot marker");
+    /// Packs and unpacks link and predecessor keys of `layout` in `K` at
+    /// the extreme ranks below `n_ifaces` and `n_irs`, and checks the
+    /// orders the reduction relies on.
+    fn check_layout<K: Key + std::fmt::Debug>(layout: Layout, n_ifaces: usize, n_irs: usize) {
+        let (last_if, last_ir) = (n_ifaces as u32 - 1, n_irs as u32 - 1);
+        let labels = [LinkLabel::Nexthop, LinkLabel::Echo, LinkLabel::Multihop];
+        for ir in [0, 1, last_ir] {
+            for (dst, pred) in [(0, 0), (last_if, last_if), (last_if, 0), (1, last_if)] {
+                for (label, probed) in labels.into_iter().flat_map(|l| [(l, false), (l, true)]) {
+                    let key: K = layout.link(ir, dst, pred, probed, label);
+                    assert_eq!(layout.unlink(key), (ir, dst, pred, probed, label));
+                    assert_eq!(layout.link_pair(key), (ir, dst));
+                    assert_ne!(key, K::EMPTY, "the filter's empty-slot marker");
                 }
+                let key: K = layout.pred(dst, ir, pred);
+                assert_eq!(layout.unpred(key), (dst, ir, pred));
             }
         }
         // IR-major, then destination interface; within one observation the
-        // label's numeric order is its confidence order.
-        let top = pack_link(0, u32::MAX, u32::MAX, true, LinkLabel::Multihop);
-        assert!(top < pack_link(1, 0, 0, false, LinkLabel::Nexthop));
+        // label's numeric order is its confidence order. Predecessor
+        // records are interface-major.
+        let link =
+            |ir, dst, pred, probed, label| -> K { layout.link(ir, dst, pred, probed, label) };
+        let top = link(0, last_if, last_if, true, LinkLabel::Multihop);
+        assert!(top < link(1, 0, 0, false, LinkLabel::Nexthop));
+        assert!(
+            link(5, 0, last_if, true, LinkLabel::Multihop)
+                < link(5, 1, 0, false, LinkLabel::Nexthop)
+        );
         for probed in [false, true] {
-            let key = |l| pack_link(7, 7, 7, probed, l);
+            let key = |l| link(1, 1, 1, probed, l);
             assert!(key(LinkLabel::Nexthop) < key(LinkLabel::Echo));
             assert!(key(LinkLabel::Echo) < key(LinkLabel::Multihop));
         }
-        for &i in &ids {
-            for &r in &ids {
-                let key = pack_dest(i, Asn(r));
-                assert_eq!(((key >> 32) as u32, key as u32), (i, r));
-            }
-            let key = pack_pred(i, u32::MAX, i);
-            assert_eq!(
-                ((key >> 64) as u32, (key >> 32) as u32, key as u32),
-                (i, u32::MAX, i)
-            );
+        let pred = |dst, ir, pred| -> K { layout.pred(dst, ir, pred) };
+        assert!(pred(0, last_ir, last_if) < pred(1, 0, 0));
+        assert!(pred(1, 0, last_if) < pred(1, 1, 0));
+    }
+
+    #[test]
+    fn keys_pack_and_unpack_at_the_extremes() {
+        // `large` (68,566 interfaces, 46,872 IRs), then the largest counts
+        // a `u64` key holds: 2²⁰ of each, and 2²¹ interfaces with 2¹⁹ IRs.
+        for (n_ifaces, n_irs, width) in [
+            (68_566, 46_872, 53),
+            (1 << 20, 1 << 20, 63),
+            (1 << 21, 1 << 19, 64),
+        ] {
+            let layout = Layout::of(n_ifaces, n_irs);
+            assert_eq!(layout.width(), width, "{n_ifaces} interfaces, {n_irs} IRs");
+            check_layout::<u64>(layout, n_ifaces, n_irs);
+            check_layout::<u128>(layout, n_ifaces, n_irs);
         }
-        // The range cut reaches the largest id, whose upper bound is 2³²,
-        // and a key held by two shards is gathered once.
-        let last_ir = top | (u128::from(u32::MAX) << 96);
-        let first = pack_link(3, 0, 0, false, LinkLabel::Echo);
-        let shards = vec![vec![first, last_ir], vec![last_ir]];
-        let ir_major = |k: u128| (k >> 96) as usize;
+        // The first counts past them, and every rank a `u32` holds, take
+        // the `u128` key.
+        for (n_ifaces, n_irs, width) in [
+            ((1 << 20) + 1, (1 << 20) + 1, 66),
+            (1 << 21, (1 << 19) + 1, 65),
+            (u32::MAX as usize, u32::MAX as usize, 99),
+        ] {
+            let layout = Layout::of(n_ifaces, n_irs);
+            assert_eq!(layout.width(), width, "{n_ifaces} interfaces, {n_irs} IRs");
+            check_layout::<u128>(layout, n_ifaces, n_irs);
+        }
+        // Empty and single-rank spaces need no bits.
+        assert_eq!(Layout::of(0, 0).width(), 3);
+        assert_eq!(Layout::of(1, 1).width(), 3);
+        assert_eq!(Layout::of(2, 1).width(), 5);
+
+        for i in [0, 1, u32::MAX - 1] {
+            for r in [0, 1, u32::MAX] {
+                let key = pack_dest(i, r);
+                assert_eq!(((key >> 32) as u32, key as u32), (i, r));
+                assert_ne!(key, u64::EMPTY);
+            }
+        }
+
+        // A range's keys come out ascending and once each, whichever
+        // bucket held them, up to the range's last major.
+        let layout = Layout::of(u32::MAX as usize, u32::MAX as usize);
+        let key = |ir, dst| -> u128 { layout.link(ir, dst, 0, false, LinkLabel::Echo) };
+        let last = u32::MAX - 1;
+        let buckets = vec![
+            vec![key(last, 4), key(last - 2, 9), key(last, 1)],
+            vec![],
+            vec![key(last, 4), key(last - 2, 3)],
+        ];
+        let lo = last as usize - 2;
         assert_eq!(
-            gather(&shards, ir_major, u32::MAX as usize, 1 << 32),
-            [last_ir]
+            order_range(buckets, lo, lo + 3, |k| layout.link_ir(k) as usize),
+            [
+                key(last - 2, 3),
+                key(last - 2, 9),
+                key(last, 1),
+                key(last, 4)
+            ]
         );
-        assert_eq!(gather(&shards, ir_major, 0, 4), [first]);
+        assert!(order_range(Vec::<Vec<u64>>::new(), 0, 0, |k| k as usize).is_empty());
+    }
+
+    #[test]
+    fn both_key_widths_build_the_same_columns() {
+        // The corpus's ranks fit a `u64`; the `u128` key at the widest
+        // layout puts every field at bits no `u64` key reaches.
+        let (traces, aliases) = mixed_corpus();
+        let corpus: Corpus = traces.iter().cloned().collect();
+        let rels = AsRelationships::new();
+        let cones = CustomerCones::compute(&rels);
+        let widest = Layout::of(u32::MAX as usize, u32::MAX as usize);
+        for threads in [1, 2] {
+            let cfg = Config {
+                threads,
+                ..Config::default()
+            };
+            let (wp, rec) = (pool::WorkerPool::new(threads), obs::Recorder::disabled());
+            let narrow =
+                IrGraph::build(&corpus, &aliases, &oracle(), &cfg, &rels, &cones, &wp, &rec);
+            assert!(Layout::of(narrow.iface_addrs.len(), narrow.irs.len()).width() <= 64);
+            let mut wide = IrGraph {
+                irs: (narrow.irs.iter())
+                    .map(|ir| Ir {
+                        links: Vec::new(),
+                        ..ir.clone()
+                    })
+                    .collect(),
+                iface_addrs: narrow.iface_addrs.clone(),
+                iface_origin: narrow.iface_origin.clone(),
+                iface_ir: narrow.iface_ir.clone(),
+                ..IrGraph::default()
+            };
+            let index = corpus.addr_index(&wp);
+            let dst_as: Vec<Asn> = index
+                .dsts()
+                .iter()
+                .map(|&a| oracle().lookup(a).asn)
+                .collect();
+            wide.observe::<u128>(&corpus, index, &dst_as, widest, &wp, &rec);
+            assert!(narrow.link_count() > 0 && !narrow.preds.is_empty());
+            assert_eq!(
+                serde_json::to_string(&wide.irs).unwrap(),
+                serde_json::to_string(&narrow.irs).unwrap(),
+                "threads={threads}"
+            );
+            assert_eq!(wide.link_origins, narrow.link_origins, "threads={threads}");
+            assert_eq!(wide.iface_dests, narrow.iface_dests, "threads={threads}");
+            assert_eq!(wide.preds, narrow.preds, "threads={threads}");
+        }
     }
 
     /// One observation of the reduction the build used before its keys
@@ -1305,7 +1624,7 @@ mod tests {
                 link_obs.push(LinkObs {
                     ir: ir_x.0,
                     dst: yi,
-                    label: link_label(ttl_y - ttl_x, ox, oy, y.reply),
+                    label: link_label(ttl_y - ttl_x, ox.asn, oy.asn, y.reply),
                     origin: ox.asn,
                     dest: dest_as,
                     pred: xi,
@@ -1431,28 +1750,44 @@ mod tests {
             if let Err(e) = compare(&g, &want, &trees) {
                 panic!("threads={threads}: {e}");
             }
+            // `phase1.link_keys` counts the distinct link keys at every
+            // thread count. At one thread the filter dropped repeats, and
+            // evicted keys came back: the emitted keys lie between every
+            // link observation and the distinct keys.
+            let (mut unfiltered, mut distinct) = (0u64, BTreeSet::new());
+            for t in &traces {
+                let dest_as = oracle().lookup(t.dst).asn;
+                let hops: Vec<(u8, Hop)> = t.responsive().collect();
+                for w in hops.windows(2) {
+                    let ((ttl_x, x), (ttl_y, y)) = (w[0], w[1]);
+                    let xi = g.iface_of_addr(x.addr).unwrap().0 as usize;
+                    let yi = g.iface_of_addr(y.addr).unwrap().0 as usize;
+                    let ir = g.iface_ir[xi];
+                    if ir != g.iface_ir[yi] {
+                        let (ox, oy) = (g.iface_origin[xi], g.iface_origin[yi]);
+                        let label = link_label(ttl_y - ttl_x, ox.asn, oy.asn, y.reply);
+                        let probed = dest_as.is_some() && dest_as == oy.asn;
+                        distinct.insert((ir, yi, xi, probed, label));
+                        unfiltered += 1;
+                    }
+                }
+            }
+            let exec = rec.report().exec;
+            let (obs, keys) = (
+                exec[obs::names::EXEC_PHASE1_LINK_OBS],
+                exec[obs::names::EXEC_PHASE1_LINK_KEYS],
+            );
+            assert_eq!(keys, distinct.len() as u64, "threads={threads}");
             if threads == 1 {
-                // The filter dropped repeats, and evicted keys came back:
-                // between every link observation and the kept keys.
-                let unfiltered: usize = traces
-                    .iter()
-                    .map(|t| {
-                        let irs: Vec<_> =
-                            t.responsive().map(|(_, h)| g.ir_of_addr(h.addr)).collect();
-                        irs.windows(2).filter(|w| w[0] != w[1]).count()
-                    })
-                    .sum();
-                let exec = rec.report().exec;
-                let (obs, keys) = (
-                    exec[obs::names::EXEC_PHASE1_LINK_OBS],
-                    exec[obs::names::EXEC_PHASE1_LINK_KEYS],
-                );
                 assert!(keys < obs, "no evicted key was re-emitted: {keys} vs {obs}");
                 assert!(
-                    obs < unfiltered as u64,
+                    obs < unfiltered,
                     "no repeat was filtered: {obs} vs {unfiltered}"
                 );
-                assert!(keys as usize > slots, "fewer kept keys than slots: {keys}");
+                assert!(
+                    keys as usize > slots,
+                    "fewer distinct keys than slots: {keys}"
+                );
             }
         }
     }
@@ -1470,7 +1805,7 @@ mod tests {
                 let (lo, hi) = task_range(traces.len(), t, trace_batch);
                 let mut addrs: Vec<u32> = Vec::new();
                 let mut dsts: Vec<u32> = Vec::new();
-                let mut recent = RecentKeys::new();
+                let mut recent = RecentKeys::<u64>::new();
                 for t in traces.rows(lo..hi) {
                     let mut responsive = false;
                     for h in t.hops.iter().flatten() {

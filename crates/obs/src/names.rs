@@ -187,8 +187,9 @@ pub const EXEC_PHASE1_HOPS: &str = "phase1.hops";
 /// recent keys. Execution-dependent: what the filter drops depends on how
 /// the corpus is split into tasks.
 pub const EXEC_PHASE1_LINK_OBS: &str = "phase1.link_obs";
-/// Link keys the phase-1 extract tasks kept after their per-task sort and
-/// dedup (a key seen by two tasks counts twice).
+/// Distinct link keys after the phase-1 reduction's dedup of each IR range.
+/// The same at every thread count; reported beside `phase1.link_obs`, the
+/// emitted keys that dedup started from.
 pub const EXEC_PHASE1_LINK_KEYS: &str = "phase1.link_keys";
 /// Connections accepted by the query server. Traffic-driven, so every
 /// serve counter is execution-dependent by construction.

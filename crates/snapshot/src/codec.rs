@@ -205,14 +205,35 @@ fn expect_consumed(cur: &Cursor<'_>, section: SectionId, count: u64) -> Result<(
     Ok(())
 }
 
+/// A record whose key does not rise above the previous record's: the
+/// annotation and router sections are indexes, strictly ascending by
+/// address and by IR, so a repeat cannot shadow an earlier record.
+fn out_of_order(
+    section: SectionId,
+    record: u64,
+    what: &str,
+    prev: u32,
+    found: u32,
+) -> SnapshotError {
+    SnapshotError::Malformed {
+        section,
+        record,
+        reason: format!("{what} {found} does not ascend past the previous record's {prev}"),
+    }
+}
+
 fn decode_annotations(payload: &[u8]) -> Result<Vec<AnnRecord>, SnapshotError> {
     let section = SectionId::Annotations;
     let mut cur = Cursor::new(payload);
     let count = record_count(&mut cur, section, 20)?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
+    let mut out: Vec<AnnRecord> = Vec::with_capacity(count as usize);
+    for record in 0..count {
+        let addr = cur.u32("annotation record")?;
+        if let Some(prev) = out.last().filter(|prev| prev.addr >= addr) {
+            return Err(out_of_order(section, record, "address", prev.addr, addr));
+        }
         out.push(AnnRecord {
-            addr: cur.u32("annotation record")?,
+            addr,
             ir: cur.u32("annotation record")?,
             asn: Asn(cur.u32("annotation record")?),
             origin: Asn(cur.u32("annotation record")?),
@@ -260,9 +281,12 @@ fn decode_routers(payload: &[u8]) -> Result<Vec<RouterRecord>, SnapshotError> {
     let section = SectionId::Routers;
     let mut cur = Cursor::new(payload);
     let count = record_count(&mut cur, section, 12)?;
-    let mut out = Vec::with_capacity(count as usize);
+    let mut out: Vec<RouterRecord> = Vec::with_capacity(count as usize);
     for record in 0..count {
         let ir = cur.u32("router record")?;
+        if let Some(prev) = out.last().filter(|prev| prev.ir >= ir) {
+            return Err(out_of_order(section, record, "IR", prev.ir, ir));
+        }
         let asn = Asn(cur.u32("router record")?);
         let n = cur.u32("router record")?;
         if u64::from(n) * 4 > cur.remaining() {

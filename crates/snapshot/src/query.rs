@@ -40,7 +40,7 @@ pub struct Snapshot {
     data: SnapshotData,
     // detlint::allow(unordered-collection): point-lookup index queried by
     // key only and never iterated; every enumeration goes through the
-    // ordered `data` vectors (same pattern as core's graph addr_index)
+    // ordered `data` vectors
     addr_index: HashMap<u32, u32>,
     prefix_trie: PrefixTrie<Asn>,
     links_by_as: BTreeMap<Asn, Vec<u32>>,

@@ -68,6 +68,12 @@ prop_compose! {
         routers in proptest::collection::vec(router_strategy(), 0..8),
         prefixes in proptest::collection::vec(prefix_strategy(), 0..12),
     ) -> SnapshotData {
+        // Annotation and router records are indexes: keys strictly ascend.
+        let (mut annotations, mut routers) = (annotations, routers);
+        annotations.sort_by_key(|r| r.addr);
+        annotations.dedup_by_key(|r| r.addr);
+        routers.sort_by_key(|r| r.ir);
+        routers.dedup_by_key(|r| r.ir);
         SnapshotData { annotations, links, routers, prefixes }
     }
 }
@@ -207,4 +213,48 @@ fn exhaustive_truncation_sweep_rejects_every_length() {
             bytes.len()
         );
     }
+}
+
+/// Two records for one key, or keys out of order, would let `lookup_addr`
+/// or `router` answer with one record while `data` holds another: the
+/// decoder rejects both sections unless their keys strictly ascend.
+#[test]
+fn repeated_or_descending_keys_are_rejected() {
+    use snapshot::{SectionId, SnapshotError};
+    let malformed = |data: &SnapshotData| match codec::from_bytes(&codec::to_bytes(data)) {
+        Err(SnapshotError::Malformed {
+            section, record, ..
+        }) => Some((section, record)),
+        _ => None,
+    };
+    let base = sample();
+    assert!(codec::from_bytes(&codec::to_bytes(&base)).is_ok());
+    for (addr, what) in [(base.annotations[0].addr, "repeated"), (0, "descending")] {
+        let mut data = base.clone();
+        data.annotations[1].addr = addr;
+        assert_eq!(
+            malformed(&data),
+            Some((SectionId::Annotations, 1)),
+            "{what} annotation address"
+        );
+    }
+    let mut data = base.clone();
+    data.routers.push(RouterRecord {
+        ir: base.routers[0].ir,
+        ..base.routers[0].clone()
+    });
+    let last = data.routers.len() as u64 - 1;
+    assert_eq!(
+        malformed(&data),
+        Some((SectionId::Routers, last)),
+        "repeated IR"
+    );
+    data.routers.last_mut().unwrap().ir = base.routers[0].ir + 1;
+    assert!(malformed(&data).is_none());
+    data.routers.reverse();
+    assert_eq!(
+        malformed(&data),
+        Some((SectionId::Routers, 1)),
+        "descending IR"
+    );
 }
