@@ -188,18 +188,9 @@ impl UnionFind {
 }
 
 /// Every address observed as a responding hop in the corpus, sorted and
-/// deduplicated: the addresses of the corpus's address index
-/// ([`Corpus::addr_index`]). A corpus nobody indexed yet is indexed here,
-/// on one thread.
+/// deduplicated: the corpus's address table ([`Corpus::addrs`]).
 pub fn observed_addresses(traces: &Corpus) -> Vec<u32> {
-    index_addresses(traces, &obs::Recorder::disabled())
-}
-
-/// [`observed_addresses`], with the `corpus.index` span of a corpus indexed
-/// here recorded on `rec`.
-fn index_addresses(traces: &Corpus, rec: &obs::Recorder) -> Vec<u32> {
-    let wp = traceroute::WorkerPool::with_recorder(1, rec.clone());
-    traces.addr_index(&wp).addrs().to_vec()
+    traces.addrs().to_vec()
 }
 
 /// Synthetic MIDAR + iffinder: per router, with probability `coverage`,
@@ -246,8 +237,7 @@ pub fn resolve_corpus(
     rec: &obs::Recorder,
 ) -> AliasSets {
     let _span = rec.span(obs::names::PHASE_ALIAS);
-    let observed = index_addresses(traces, rec);
-    record(resolve_midar(net, &observed, coverage, seed), rec)
+    record(resolve_midar(net, traces.addrs(), coverage, seed), rec)
 }
 
 /// Records the alias dataset's size counters.
@@ -454,6 +444,7 @@ mod tests {
     use super::*;
     use topo_gen::GeneratorConfig;
     use traceroute::sim::{probe_campaign_in_pool, select_vps, ProbeConfig};
+    use traceroute::TraceRef;
 
     fn corpus() -> (Internet, Corpus) {
         let net = Internet::generate(GeneratorConfig::tiny(55));
@@ -536,14 +527,13 @@ mod tests {
     }
 
     /// The walk `observed_addresses` made before corpora carried an
-    /// address index: one pass over the flat hop column, a direct-mapped
-    /// table of recent addresses dropping most exact repeats, then a sort
-    /// and dedup.
+    /// address table: one pass over the hops, a direct-mapped table of
+    /// recent addresses dropping most exact repeats, then a sort and dedup.
     fn observed_walk(traces: &Corpus) -> Vec<u32> {
         const SLOTS_LOG2: u32 = 16;
         let mut recent = vec![u64::MAX; 1 << SLOTS_LOG2];
         let mut addrs = Vec::new();
-        for h in traces.hops(0..traces.len()).iter().flatten() {
+        for (_, h) in traces.iter().flat_map(TraceRef::responsive) {
             let slot = (h.addr.wrapping_mul(0x9E37_79B1) >> (32 - SLOTS_LOG2)) as usize;
             if recent[slot] != u64::from(h.addr) {
                 recent[slot] = u64::from(h.addr);
@@ -575,9 +565,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// The index's addresses are the walk's, whether a corpus was
-            /// indexed by its first reader or beforehand at any pool size,
-            /// and after a JSONL round trip.
+            /// The address table is the walk's, for a collected corpus and
+            /// after a JSONL round trip.
             #[test]
             fn observed_addresses_match_the_walk(
                 rows in proptest::collection::vec(
@@ -603,14 +592,8 @@ mod tests {
                 prop_assert_eq!(&observed_addresses(&corpus()), &want);
                 let mut jsonl = Vec::new();
                 traceroute::io::write_jsonl(&mut jsonl, &corpus()).unwrap();
-                for threads in [1usize, 2, 8] {
-                    let wp = pool::WorkerPool::new(threads);
-                    let read = traceroute::io::read_jsonl(&jsonl[..]).unwrap();
-                    for c in [corpus(), read] {
-                        c.addr_index(&wp);
-                        prop_assert_eq!(&observed_addresses(&c), &want);
-                    }
-                }
+                let read = traceroute::io::read_jsonl(&jsonl[..]).unwrap();
+                prop_assert_eq!(&observed_addresses(&read), &want);
             }
         }
     }

@@ -19,8 +19,11 @@
 //! crate's untouched-pairs contract test backs this). The epoch's corpus
 //! is spliced by copying rows, fresh or cached, in pair order.
 //!
-//! The spliced corpus is indexed once per epoch on the driver's pool
-//! ([`Corpus::addr_index`]); alias resolution and phase 1 both read that index.
+//! The cache is a [`CorpusBuilder`] whose address numbering persists, so
+//! a replayed row is copied as it is and only a fresh row is numbered. The
+//! spliced corpus, its responsive rows, is sealed once per epoch on the
+//! driver's pool ([`Corpus::concat`]); alias resolution and phase 1 both
+//! read the sealed corpus's address table.
 //! Phases 1–3 run from scratch every epoch, through the same entry point
 //! as the full path.
 //!
@@ -48,7 +51,7 @@ use topo_gen::{GeneratorConfig, Internet, RouterId};
 use traceroute::sim::{
     destinations, probe_campaign_in_pool, probe_pairs_in_pool, select_vps, ProbeConfig,
 };
-use traceroute::Corpus;
+use traceroute::{Corpus, CorpusBuilder};
 
 /// Knobs for one churn run.
 #[derive(Clone, Debug)]
@@ -132,8 +135,10 @@ pub struct ChurnRun {
 struct PairCache {
     /// The epoch's destinations, sorted.
     dests: Vec<u32>,
-    /// One row per pair, unresponsive ones included, in pair order.
-    rows: Corpus,
+    /// One row per pair, unresponsive ones included, in pair order. Its
+    /// numbering persists from epoch to epoch, so a replayed row is copied
+    /// as it is.
+    rows: CorpusBuilder,
     /// Per pair, its traversed-AS set.
     ases: AsSets,
 }
@@ -142,18 +147,9 @@ impl PairCache {
     fn new() -> PairCache {
         PairCache {
             dests: Vec::new(),
-            rows: Corpus::new(),
+            rows: CorpusBuilder::new(),
             ases: AsSets::new(),
         }
-    }
-
-    /// Empties the cache, keeping its allocations: the driver fills two
-    /// caches in turn, so an epoch's splice writes into memory the
-    /// process already holds instead of faulting in fresh pages.
-    fn clear(&mut self) {
-        self.dests.clear();
-        self.rows.clear();
-        self.ases.clear();
     }
 
     /// The pair index of `(v, dst)`, if it was in the cached matrix.
@@ -220,8 +216,7 @@ fn run_schedule(
     let mut ip2as = IpToAs::build(&rib, &net.addressing.delegations, &net.addressing.ixps);
     let mut rels = infer_relationships(&rib.collapsed_paths(), &InferenceConfig::default());
 
-    let (mut cache, mut next) = (PairCache::new(), PairCache::new());
-    let mut corpus = Corpus::new();
+    let mut cache = PairCache::new();
     let mut epochs_out = Vec::with_capacity(schedule.epochs.len() + 1);
     let mut report_mark = rec.report();
 
@@ -292,39 +287,37 @@ fn run_schedule(
             probe_pairs_in_pool(&net, &dirty, &opts.probe, &wp)
         };
 
-        // 4. The next cache and the spliced corpus: every pair's row, fresh
-        // or cached, in pair order; the corpus keeps the responsive ones,
+        // 4. The cache and the spliced corpus: every pair's row, fresh or
+        // cached, in pair order; the corpus keeps the responsive ones,
         // exactly like a full campaign.
         let splice_span = rec.span(names::PHASE_CHURN_SPLICE);
-        next.clear();
-        next.rows
-            .reserve(n_pairs, cache.rows.hops(0..cache.rows.len()).len());
-        next.ases.reserve(n_pairs);
-        corpus.clear();
+        let mut ases = AsSets::new();
+        ases.reserve(n_pairs);
         let mut fresh_rows = 0..fresh.rows.len();
-        for src in &source {
-            let (row, ases) = match *src {
-                Some(o) => (cache.rows.row(o), cache.ases.get(o)),
-                None => {
-                    let f = fresh_rows.next().expect("one fresh row per dirty pair");
-                    (fresh.rows.row(f), fresh.ases.get(f))
-                }
-            };
-            next.ases.push(ases);
-            next.rows.push(row).expect("a cached row fits a corpus");
-            if row.responsive_count() > 0 {
-                corpus.push(row).expect("a cached row fits a corpus");
+        let picks = source.iter().map(|src| match *src {
+            Some(o) => {
+                ases.push(cache.ases.get(o));
+                Ok(o)
             }
-        }
-        next.dests = dests;
-        std::mem::swap(&mut cache, &mut next);
+            None => {
+                let f = fresh_rows.next().expect("one fresh row per dirty pair");
+                ases.push(fresh.ases.get(f));
+                Err(fresh.rows.row(f))
+            }
+        });
+        cache.rows = cache
+            .rows
+            .select(picks)
+            .expect("a cached row fits a corpus");
+        (cache.dests, cache.ases) = (dests, ases);
+        let spliced = cache.rows.responsive_rows();
         drop(splice_span);
 
-        // 5. The spliced corpus is indexed once, on the pool, for both of
+        // 5. The spliced corpus is sealed once, on the pool, for both of
         // its readers below. Aliases are re-resolved from scratch: alias
         // sets are global (any changed trace can re-cluster distant
         // interfaces), and the resolver is cheap next to probing.
-        corpus.addr_index(&wp);
+        let corpus = Corpus::concat(vec![spliced], &wp).expect("a cached row fits a corpus");
         let aliases = resolve_corpus(&net, &corpus, 0.9, opts.seed, rec);
 
         // 6. Phases 1–3 on the spliced corpus.

@@ -175,7 +175,7 @@ mod tests {
         };
         Server::bind(
             "127.0.0.1:0",
-            Arc::new(Snapshot::from_data(data)),
+            Arc::new(Snapshot::from_data(data).unwrap()),
             ServerConfig::default(),
             obs::Recorder::disabled(),
         )

@@ -8,25 +8,25 @@
 //! destined to the far interface's origin AS. Per-IR destination AS sets
 //! apply the reallocated-prefix filter of §4.4.
 //!
-//! # Parallel build over the corpus's address index (DESIGN.md §12, pool scheduling §13)
+//! # Parallel build over a corpus in rank space (DESIGN.md §12, pool scheduling §13)
 //!
 //! The build is chunked into tasks on the shared [`pool::WorkerPool`] and
-//! is bit-identical to a serial walk for every thread count. It starts
-//! from the corpus's address index ([`Corpus::addr_index`], built on first use
-//! and usually by the campaign), so it never walks the hop column to find
+//! is bit-identical to a serial walk for every thread count. A [`Corpus`]
+//! is indexed by construction (its hop slots hold ranks into its sorted
+//! address table), so the build never walks the hop column to find
 //! addresses:
 //!
-//! 1. **Interfaces**: the index's sorted responding addresses become the
+//! 1. **Interfaces**: the corpus's sorted responding addresses become the
 //!    interface table, so `IfIdx(i)` and a hop slot's rank are the same
 //!    number (ranks are *canonical*: ascending address order, whatever the
-//!    split that built the index), and an address finds its interface by
-//!    binary search. The index's sorted destinations are the destination
+//!    split that built the corpus), and an address finds its interface by
+//!    binary search. The corpus's sorted destinations are the destination
 //!    table; each destination's AS is looked up once.
 //! 2. **Extract**: workers walk their trace shards emitting packed link
 //!    keys (`ir | dst | pred | probed | label`) and destination keys
-//!    (`iface | as_rank`), entirely in interned-id space: a hop's id is its
-//!    slot's rank and a trace's destination has its rank too, so nothing
-//!    is searched per hop. Exact repeats of a key the task just emitted are
+//!    (`iface | as_rank`), entirely in interned-id space: a hop's id and
+//!    reply type come from its one 4-byte slot and a trace's destination
+//!    has its rank too, so nothing is searched per hop. Exact repeats of a key the task just emitted are
 //!    skipped at the source (`RecentKeys`). Nothing is sorted: each key is
 //!    pushed into the bucket of its reduce range, link keys by IR range and
 //!    destination keys by interface range.
@@ -60,7 +60,7 @@ use net_types::{AsSets, Asn, SetColumn};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::BitOr;
-use traceroute::{AddrIndex, Corpus, ReplyType, NO_RANK};
+use traceroute::{Corpus, ReplyType, NO_RANK};
 
 /// Index of an inferred router.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
@@ -450,15 +450,13 @@ impl IrGraph {
         );
         let mut g = IrGraph::default();
 
-        // The corpus's address index (built here on first use): its sorted
-        // addresses are the interface table, so a hop slot's rank is its
-        // interface's `IfIdx`, and its sorted destinations are the
-        // destination table.
-        let index = traces.addr_index(wp);
+        // The corpus's sorted addresses are the interface table, so a hop
+        // slot's rank is its interface's `IfIdx`, and its sorted
+        // destinations are the destination table.
         let span = rec.span(obs::names::PHASE1_INTERN);
-        g.iface_addrs = index.addrs().to_vec();
+        g.iface_addrs = traces.addrs().to_vec();
         let n_ifaces = g.iface_addrs.len();
-        let dst_addrs = index.dsts();
+        let dst_addrs = traces.dsts();
         drop(span);
 
         // Origin resolution per interface and per destination: independent
@@ -533,9 +531,9 @@ impl IrGraph {
         let n_irs = g.irs.len();
         let layout = Layout::of(n_ifaces, n_irs);
         if layout.width() <= u64::BITS {
-            g.observe::<u64>(traces, index, &dst_as, layout, wp, rec);
+            g.observe::<u64>(traces, &dst_as, layout, wp, rec);
         } else {
-            g.observe::<u128>(traces, index, &dst_as, layout, wp, rec);
+            g.observe::<u128>(traces, &dst_as, layout, wp, rec);
         }
 
         // ---- per-IR metadata: origin-AS unions and §4.4-filtered
@@ -570,11 +568,10 @@ impl IrGraph {
     /// once, and folds the ranges into the graph's links, `link_origins`,
     /// `iface_dests` and `preds`. The graph holds its interface table,
     /// origins and IRs, without links; `dst_as` is the AS of each of the
-    /// index's destinations. `K` holds `layout`'s keys.
+    /// corpus's destinations. `K` holds `layout`'s keys.
     fn observe<K: Key>(
         &mut self,
         traces: &Corpus,
-        index: &AddrIndex,
         dst_as: &[Asn],
         layout: Layout,
         wp: &pool::WorkerPool,
@@ -586,8 +583,9 @@ impl IrGraph {
         let iface_ranges = task_count(n_ifaces, iface_batch);
 
         // ---- extract, entirely in interface-id space, in one pass over
-        // each trace's slots: each responsive hop's id is its rank in the
-        // index, and each trace's destination has its rank too. Keys go to
+        // each trace's slots: each responsive hop's slot holds its id (its
+        // address's rank) and its reply type, and each trace's destination
+        // has its rank too. Keys go to
         // the bucket of their reduce range: link keys by IR, destination
         // keys by interface.
         let span = rec.span(obs::names::PHASE1_LINKS);
@@ -603,7 +601,7 @@ impl IrGraph {
             .map(|a| as_table.binary_search(a).map_or(u32::MAX, |r| r as u32))
             .collect();
         let trace_batch = wp.batch_size(traces.len());
-        let (ranks, dst_ranks) = (index.ranks(), index.dst_ranks());
+        let dst_ranks = traces.dst_ranks();
         let obs_shards = wp.run(
             obs::names::EXEC_POOL_BUSY_GRAPH,
             task_count(traces.len(), trace_batch),
@@ -614,11 +612,11 @@ impl IrGraph {
                 let mut recent_links = RecentKeys::<K>::new();
                 let mut recent_dests = RecentKeys::<u64>::new();
                 let (mut walked, mut emitted) = (0, 0);
-                for row in lo..hi {
-                    if dst_ranks[row] == NO_RANK {
+                for (row, &dst) in (lo..hi).zip(&dst_ranks[lo..hi]) {
+                    if dst == NO_RANK {
                         continue; // no responsive hop
                     }
-                    let dst = dst_ranks[row] as usize;
+                    let dst = dst as usize;
                     let dest_as = dst_as[dst];
                     // Destination AS sets (§4.4): every responding interface
                     // records the trace's destination AS — except an Echo
@@ -630,14 +628,14 @@ impl IrGraph {
                             dest_keys[i as usize / iface_batch].push(key);
                         }
                     };
-                    let ids = &ranks[traces.slots(row..row + 1)];
-                    let slots = traces.hops(row..row + 1).iter().zip(ids);
                     let mut prev: Option<(u8, u32, ReplyType)> = None;
-                    for (i, (h, &yi)) in slots.enumerate() {
-                        let Some(h) = h else { continue };
+                    for (i, &hop) in traces.slots(row..row + 1).iter().enumerate() {
+                        let Some((yi, reply)) = traceroute::decode(hop) else {
+                            continue;
+                        };
                         walked += 1;
                         let ttl_y = (i + 1) as u8;
-                        let Some((ttl_x, xi, _)) = prev.replace((ttl_y, yi, h.reply)) else {
+                        let Some((ttl_x, xi, _)) = prev.replace((ttl_y, yi, reply)) else {
                             continue;
                         };
                         push_dest(xi);
@@ -651,7 +649,7 @@ impl IrGraph {
                         if ir_x == ir_y {
                             continue; // both sides on one IR: not a link
                         }
-                        let label = link_label(ttl_y - ttl_x, ox, oy, h.reply);
+                        let label = link_label(ttl_y - ttl_x, ox, oy, reply);
                         let probed = dest_as.is_some() && dest_as == oy;
                         let key = layout.link(ir_x, yi, xi, probed, label);
                         if recent_links.admit(key) {
@@ -1189,9 +1187,6 @@ mod tests {
         let (traces, aliases) = mixed_corpus();
         let rels = AsRelationships::new();
         let cones = CustomerCones::compute(&rels);
-        // One corpus indexed once, by the first build, and a fresh one per
-        // build, which that build indexes at its own thread count.
-        let indexed: Corpus = traces.iter().cloned().collect();
         let build_at = |threads: usize, traces: &Corpus| {
             let cfg = Config {
                 threads,
@@ -1200,10 +1195,11 @@ mod tests {
             let (wp, rec) = (pool::WorkerPool::new(threads), obs::Recorder::disabled());
             IrGraph::build(traces, &aliases, &oracle(), &cfg, &rels, &cones, &wp, &rec)
         };
-        let base = build_at(1, &traces.iter().cloned().collect());
-        let builds = [2, 3, 8].into_iter().flat_map(|threads| {
-            let fresh: Corpus = traces.iter().cloned().collect();
-            [build_at(threads, &indexed), build_at(threads, &fresh)].map(|g| (threads, g))
+        let corpus: Corpus = traces.iter().cloned().collect();
+        let base = build_at(1, &corpus);
+        let builds = [2, 3, 8].into_iter().map(|threads| {
+            let sealed = sealed(&traces, &pool::WorkerPool::new(threads));
+            (threads, build_at(threads, &sealed))
         });
         for (threads, g) in builds {
             assert_eq!(g.iface_addrs, base.iface_addrs, "threads={threads}");
@@ -1424,13 +1420,10 @@ mod tests {
                 iface_ir: narrow.iface_ir.clone(),
                 ..IrGraph::default()
             };
-            let index = corpus.addr_index(&wp);
-            let dst_as: Vec<Asn> = index
-                .dsts()
-                .iter()
+            let dst_as: Vec<Asn> = (corpus.dsts().iter())
                 .map(|&a| oracle().lookup(a).asn)
                 .collect();
-            wide.observe::<u128>(&corpus, index, &dst_as, widest, &wp, &rec);
+            wide.observe::<u128>(&corpus, &dst_as, widest, &wp, &rec);
             assert!(narrow.link_count() > 0 && !narrow.preds.is_empty());
             assert_eq!(
                 serde_json::to_string(&wide.irs).unwrap(),
@@ -1792,7 +1785,7 @@ mod tests {
         }
     }
 
-    /// The build's pass 0 before corpora carried an address index: workers
+    /// The build's pass 0 before corpora were indexed by construction: workers
     /// scan trace shards for responding addresses and for the destinations
     /// of traces with one, and the unions become the sorted address and
     /// destination tables.
@@ -1808,7 +1801,7 @@ mod tests {
                 let mut recent = RecentKeys::<u64>::new();
                 for t in traces.rows(lo..hi) {
                     let mut responsive = false;
-                    for h in t.hops.iter().flatten() {
+                    for h in t.hops().flatten() {
                         responsive = true;
                         if recent.admit(h.addr.into()) {
                             addrs.push(h.addr);
@@ -1838,24 +1831,26 @@ mod tests {
         (addrs, dst_addrs)
     }
 
-    /// Whether `index` is what the intern pass and the extract pass's
-    /// searches found in `traces`: the addresses and destinations, every
-    /// slot's rank (its address's index in the address table), every row's destination
-    /// rank, and the responsive-slot count.
-    fn check_index(traces: &Corpus, index: &traceroute::AddrIndex) -> Result<(), String> {
+    /// Whether `traces` holds what the intern pass and the extract pass's
+    /// searches found in its rows: the addresses and destinations, every
+    /// slot's rank (its address's index in the address table) and reply
+    /// type, every row's destination rank, and the responsive-slot count.
+    fn check_index(traces: &Corpus) -> Result<(), String> {
         let (addrs, dsts) = intern_pass(traces, &pool::WorkerPool::new(1));
-        if index.addrs() != addrs || index.dsts() != dsts {
+        if traces.addrs() != addrs || traces.dsts() != dsts {
             return Err("address or destination tables differ".into());
         }
         let mut responsive = 0;
         for (row, t) in traces.iter().enumerate() {
-            let ranks = &index.ranks()[traces.slots(row..row + 1)];
-            let want = t.hops.iter().map(|h| match h {
-                Some(h) => addrs.binary_search(&h.addr).expect("observed") as u32,
-                None => traceroute::NO_RANK,
+            let slots = traces.slots(row..row + 1).iter();
+            let want = t.hops().map(|h| {
+                h.map(|h| {
+                    let rank = addrs.binary_search(&h.addr).expect("observed");
+                    (rank as u32, h.reply)
+                })
             });
-            if !want.eq(ranks.iter().copied()) {
-                return Err(format!("row {row}: hop ranks differ"));
+            if !want.eq(slots.map(|&s| traceroute::decode(s))) {
+                return Err(format!("row {row}: hop slots differ"));
             }
             let answered = t.responsive_count();
             responsive += answered;
@@ -1863,17 +1858,26 @@ mod tests {
                 0 => traceroute::NO_RANK,
                 _ => dsts.binary_search(&t.dst).expect("destination listed") as u32,
             };
-            if index.dst_ranks()[row] != dst {
+            if traces.dst_ranks()[row] != dst {
                 return Err(format!("row {row}: destination rank differs"));
             }
         }
-        if index.ranks().len() != traces.slots(0..traces.len()).len()
-            || index.dst_ranks().len() != traces.len()
-            || index.responsive_hops() != responsive
-        {
+        if traces.dst_ranks().len() != traces.len() || traces.responsive_hops() != responsive {
             return Err("column lengths or responsive count differ".into());
         }
         Ok(())
+    }
+
+    /// `traces` cut into `wp`-batch-sized builders and sealed on `wp`.
+    fn sealed(traces: &[Trace], wp: &pool::WorkerPool) -> Corpus {
+        let parts = (traces.chunks(wp.batch_size(traces.len()).max(1)))
+            .map(|chunk| {
+                let mut b = traceroute::CorpusBuilder::new();
+                chunk.iter().for_each(|t| b.push_trace(t).unwrap());
+                b
+            })
+            .collect();
+        Corpus::concat(parts, wp).unwrap()
     }
 
     mod oracle_props {
@@ -1975,15 +1979,14 @@ mod tests {
                 let (ip2as, rels) = (ip2as(), rels());
                 let cones = CustomerCones::compute(&rels);
                 let (want, trees) = oracle_build(&traces, &aliases, &ip2as, &rels, &cones);
-                // Indexed at 8 threads before any build, and fresh corpora
-                // that each build indexes itself.
-                let indexed: Corpus = traces.iter().cloned().collect();
-                indexed.addr_index(&pool::WorkerPool::new(8));
+                // Collected on one thread, and sealed in parts at the
+                // build's thread count.
+                let collected: Corpus = traces.iter().cloned().collect();
                 for threads in [1usize, 2, 8] {
                     let cfg = Config { threads, ..Config::default() };
                     let (wp, rec) = (pool::WorkerPool::new(threads), obs::Recorder::disabled());
-                    let fresh: Corpus = traces.iter().cloned().collect();
-                    for (kind, corpus) in [("indexed", &indexed), ("fresh", &fresh)] {
+                    let sealed = sealed(&traces, &wp);
+                    for (kind, corpus) in [("collected", &collected), ("sealed", &sealed)] {
                         let g = IrGraph::build(
                             corpus, &aliases, &ip2as, &cfg, &rels, &cones, &wp, &rec,
                         );
@@ -1997,17 +2000,19 @@ mod tests {
             fn index_matches_the_intern_pass_at_every_thread_count(
                 traces in proptest::collection::vec(trace_strategy(), 0..40),
             ) {
-                let built: Corpus = traces.iter().cloned().collect();
+                let collected: Corpus = traces.iter().cloned().collect();
                 let mut jsonl = Vec::new();
-                traceroute::io::write_jsonl(&mut jsonl, &built).unwrap();
-                for threads in [1usize, 2, 8] {
-                    let wp = pool::WorkerPool::new(threads);
-                    let read = traceroute::io::read_jsonl(&jsonl[..]).unwrap();
-                    let fresh: Corpus = traces.iter().cloned().collect();
-                    for (kind, corpus) in [("hand-built", &fresh), ("jsonl", &read)] {
-                        let same = check_index(corpus, corpus.addr_index(&wp));
-                        prop_assert!(same.is_ok(), "{} threads={}: {:?}", kind, threads, same);
-                    }
+                traceroute::io::write_jsonl(&mut jsonl, &collected).unwrap();
+                let read = traceroute::io::read_jsonl(&jsonl[..]).unwrap();
+                for (kind, corpus) in [("collected", &collected), ("jsonl", &read)] {
+                    let same = check_index(corpus);
+                    prop_assert!(same.is_ok(), "{}: {:?}", kind, same);
+                }
+                for threads in [1usize, 2, 3, 8] {
+                    let corpus = sealed(&traces, &pool::WorkerPool::new(threads));
+                    let same = check_index(&corpus);
+                    prop_assert!(same.is_ok(), "sealed threads={}: {:?}", threads, same);
+                    prop_assert_eq!(corpus.slots(0..corpus.len()), collected.slots(0..traces.len()));
                 }
             }
         }
@@ -2027,20 +2032,19 @@ mod tests {
                 let vps = select_vps(&net, vps, &[], seed);
                 let rels = AsRelationships::new();
                 let cones = CustomerCones::compute(&rels);
-                for threads in [1usize, 2, 8] {
+                for threads in [1usize, 2, 3, 8] {
                     let rec = obs::Recorder::new(false);
                     let wp = pool::WorkerPool::with_recorder(threads, rec.clone());
                     let traces = probe_campaign_in_pool(&net, &vps, &probe, &wp, &rec);
-                    // The campaign indexed its corpus, and phase 1 reads that
-                    // index rather than building another.
-                    let index = traces.addr_index(&pool::WorkerPool::new(1));
-                    let same = check_index(&traces, index);
+                    // The campaign's seal indexed its corpus, and phase 1
+                    // reads its tables rather than building another index.
+                    let same = check_index(&traces);
                     prop_assert!(same.is_ok(), "threads={}: {:?}", threads, same);
                     let cfg = Config { threads, ..Config::default() };
                     let g = IrGraph::build(
                         &traces, &AliasSets::empty(), &ip2as(), &cfg, &rels, &cones, &wp, &rec,
                     );
-                    prop_assert_eq!(&g.iface_addrs[..], index.addrs());
+                    prop_assert_eq!(&g.iface_addrs[..], traces.addrs());
                     prop_assert_eq!(rec.report().phases[obs::names::CORPUS_INDEX].count, 1);
                 }
             }

@@ -53,9 +53,8 @@ fn allow_inventory_does_not_silently_grow() {
         *by_rule.entry(f.rule.as_str()).or_insert(0) += 1;
     }
     let expected: std::collections::BTreeMap<&str, usize> = [
-        // The snapshot's interface→router hash index (read-only after
-        // construction; query answers never iterate it).
-        ("unordered-collection", 1),
+        // No `unordered-collection` allow remains: the snapshot's lookups
+        // binary-search its sorted sections.
         // eval metric folds in tests.
         ("float-accum", 4),
         // serve's request-serving worker pool + background accept-loop

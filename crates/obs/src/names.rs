@@ -32,9 +32,8 @@ pub const PHASE_WRITE_OUTPUTS: &str = "io.write_outputs";
 /// Scoring the inferred links and annotations against a bundle's ground
 /// truth (`bdrmapit infer`).
 pub const PHASE_SCORE_TRUTH: &str = "eval.score_truth";
-/// Building a corpus's address index (`traceroute::Corpus::addr_index`):
-/// nested in whichever phase reads the corpus first, the campaign for a
-/// probed corpus and `phase1.graph` for one read from disk.
+/// Sealing builders into an indexed corpus (`traceroute::Corpus::concat`):
+/// nested in the campaign for a probed corpus and in each churn epoch.
 pub const CORPUS_INDEX: &str = "corpus.index";
 /// Customer-cone computation from the AS relationships, ahead of phase 1
 /// (once per `Bdrmapit::run`, so once per churn epoch).
@@ -169,8 +168,8 @@ pub const EXEC_POOL_STEALS: &str = "pool.steals";
 pub const EXEC_POOL_BUSY_CAMPAIGN: &str = "pool.busy_us.campaign";
 /// Aggregate pool worker busy time in the phase-1 graph build, microseconds.
 pub const EXEC_POOL_BUSY_GRAPH: &str = "pool.busy_us.graph";
-/// Aggregate pool worker busy time building corpus address indexes,
-/// microseconds.
+/// Aggregate pool worker busy time sealing corpora (the `corpus.index`
+/// span), microseconds.
 pub const EXEC_POOL_BUSY_INDEX: &str = "pool.busy_us.index";
 /// Aggregate pool worker busy time in phase-3 refinement, microseconds. No
 /// longer recorded (refinement runs on the calling thread); kept because

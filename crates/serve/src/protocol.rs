@@ -297,6 +297,7 @@ mod tests {
             }],
             prefixes: vec![("10.0.0.0/24".parse().unwrap(), Asn(100))],
         })
+        .unwrap()
     }
 
     fn req(json: &str) -> Response {

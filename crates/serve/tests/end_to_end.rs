@@ -35,12 +35,15 @@ fn test_snapshot() -> Arc<Snapshot> {
         ("10.0.0.0/8".parse().unwrap(), Asn(10)),
         ("10.0.0.0/26".parse().unwrap(), Asn(100)),
     ];
-    Arc::new(Snapshot::from_data(SnapshotData {
-        annotations,
-        links,
-        routers,
-        prefixes,
-    }))
+    Arc::new(
+        Snapshot::from_data(SnapshotData {
+            annotations,
+            links,
+            routers,
+            prefixes,
+        })
+        .unwrap(),
+    )
 }
 
 fn start() -> serve::RunningServer {

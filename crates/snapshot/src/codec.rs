@@ -205,21 +205,31 @@ fn expect_consumed(cur: &Cursor<'_>, section: SectionId, count: u64) -> Result<(
     Ok(())
 }
 
-/// A record whose key does not rise above the previous record's: the
-/// annotation and router sections are indexes, strictly ascending by
-/// address and by IR, so a repeat cannot shadow an earlier record.
-fn out_of_order(
+/// Checks that `keys` strictly ascend, naming the first record whose key
+/// does not rise above the previous record's: the annotation and router
+/// sections are indexes, strictly ascending by address and by IR, so a
+/// repeat cannot shadow an earlier record. The decoder and
+/// [`Snapshot::from_data`](crate::Snapshot::from_data) both apply it.
+pub(crate) fn ascending(
     section: SectionId,
-    record: u64,
     what: &str,
-    prev: u32,
-    found: u32,
-) -> SnapshotError {
-    SnapshotError::Malformed {
-        section,
-        record,
-        reason: format!("{what} {found} does not ascend past the previous record's {prev}"),
+    keys: impl IntoIterator<Item = u32>,
+) -> Result<(), SnapshotError> {
+    let mut keys = keys.into_iter();
+    let Some(mut prev) = keys.next() else {
+        return Ok(());
+    };
+    for (record, found) in (1u64..).zip(keys) {
+        if found <= prev {
+            return Err(SnapshotError::Malformed {
+                section,
+                record,
+                reason: format!("{what} {found} does not ascend past the previous record's {prev}"),
+            });
+        }
+        prev = found;
     }
+    Ok(())
 }
 
 fn decode_annotations(payload: &[u8]) -> Result<Vec<AnnRecord>, SnapshotError> {
@@ -227,13 +237,9 @@ fn decode_annotations(payload: &[u8]) -> Result<Vec<AnnRecord>, SnapshotError> {
     let mut cur = Cursor::new(payload);
     let count = record_count(&mut cur, section, 20)?;
     let mut out: Vec<AnnRecord> = Vec::with_capacity(count as usize);
-    for record in 0..count {
-        let addr = cur.u32("annotation record")?;
-        if let Some(prev) = out.last().filter(|prev| prev.addr >= addr) {
-            return Err(out_of_order(section, record, "address", prev.addr, addr));
-        }
+    for _ in 0..count {
         out.push(AnnRecord {
-            addr,
+            addr: cur.u32("annotation record")?,
             ir: cur.u32("annotation record")?,
             asn: Asn(cur.u32("annotation record")?),
             origin: Asn(cur.u32("annotation record")?),
@@ -241,6 +247,7 @@ fn decode_annotations(payload: &[u8]) -> Result<Vec<AnnRecord>, SnapshotError> {
         });
     }
     expect_consumed(&cur, section, count)?;
+    ascending(section, "address", out.iter().map(|r| r.addr))?;
     Ok(out)
 }
 
@@ -284,9 +291,6 @@ fn decode_routers(payload: &[u8]) -> Result<Vec<RouterRecord>, SnapshotError> {
     let mut out: Vec<RouterRecord> = Vec::with_capacity(count as usize);
     for record in 0..count {
         let ir = cur.u32("router record")?;
-        if let Some(prev) = out.last().filter(|prev| prev.ir >= ir) {
-            return Err(out_of_order(section, record, "IR", prev.ir, ir));
-        }
         let asn = Asn(cur.u32("router record")?);
         let n = cur.u32("router record")?;
         if u64::from(n) * 4 > cur.remaining() {
@@ -307,6 +311,7 @@ fn decode_routers(payload: &[u8]) -> Result<Vec<RouterRecord>, SnapshotError> {
         out.push(RouterRecord { ir, asn, ifaces });
     }
     expect_consumed(&cur, section, count)?;
+    ascending(section, "IR", out.iter().map(|r| r.ir))?;
     Ok(out)
 }
 

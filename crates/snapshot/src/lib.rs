@@ -36,9 +36,10 @@
 //! | 4  | prefixes    | `addr u32, len u8, asn u32` |
 //!
 //! Annotation records strictly ascend by `addr`, and router records by
-//! `ir`: the decoder rejects a repeated or out-of-order key as
-//! [`SnapshotError::Malformed`], so no record can shadow another. The
-//! pipeline writes both in that order ([`SnapshotData::from_annotated`]).
+//! `ir`: the decoder and [`Snapshot::from_data`] reject a repeated or
+//! out-of-order key as [`SnapshotError::Malformed`], so no record can
+//! shadow another and lookups binary-search the sections. The pipeline
+//! writes both in that order ([`SnapshotData::from_annotated`]).
 //!
 //! Every payload starts with its record count as a `u64`. Each section
 //! carries an FNV-1a-64 checksum of its payload, and the header + section

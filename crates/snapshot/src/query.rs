@@ -1,10 +1,10 @@
 //! The loaded, query-optimized form of a snapshot.
 //!
-//! [`Snapshot`] owns the decoded [`SnapshotData`] plus three indexes built
-//! in one pass at load time:
+//! [`Snapshot`] owns the decoded [`SnapshotData`]. Its annotation and
+//! router sections are their own indexes: they strictly ascend by address
+//! and by IR (checked at load), so `lookup_addr` and `router` binary-search
+//! them. Two more indexes are built at load time:
 //!
-//! * `addr_index` — hash index from interface address to its annotation row
-//!   (interface → router → operator AS in O(1));
 //! * `prefix_trie` — a path-compressed binary trie for longest-prefix-match
 //!   over the prefix→origin-AS table;
 //! * `links_by_as` — adjacency index from an AS (either side) to the
@@ -13,11 +13,11 @@
 //! All query methods take `&self`; a loaded snapshot is immutable and
 //! freely shared across server worker threads behind an `Arc`.
 
-use crate::codec;
-use crate::error::SnapshotError;
+use crate::codec::{self, ascending};
+use crate::error::{SectionId, SnapshotError};
 use crate::{AnnRecord, LinkRecord, RouterRecord, SnapshotData};
 use net_types::{Asn, Prefix, PrefixTrie};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::path::Path;
 
@@ -38,22 +38,18 @@ pub struct SnapshotStats {
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     data: SnapshotData,
-    // detlint::allow(unordered-collection): point-lookup index queried by
-    // key only and never iterated; every enumeration goes through the
-    // ordered `data` vectors
-    addr_index: HashMap<u32, u32>,
     prefix_trie: PrefixTrie<Asn>,
     links_by_as: BTreeMap<Asn, Vec<u32>>,
-    routers_by_ir: BTreeMap<u32, u32>,
 }
 
 impl Snapshot {
-    /// Indexes already-decoded snapshot content.
-    pub fn from_data(data: SnapshotData) -> Snapshot {
-        let mut addr_index = HashMap::with_capacity(data.annotations.len());
-        for (i, r) in data.annotations.iter().enumerate() {
-            addr_index.insert(r.addr, i as u32);
-        }
+    /// Indexes already-decoded snapshot content. Like the decoder, it
+    /// rejects annotations whose addresses, or routers whose IRs, do not
+    /// strictly ascend, as [`SnapshotError::Malformed`].
+    pub fn from_data(data: SnapshotData) -> Result<Snapshot, SnapshotError> {
+        let addrs = data.annotations.iter().map(|r| r.addr);
+        ascending(SectionId::Annotations, "address", addrs)?;
+        ascending(SectionId::Routers, "IR", data.routers.iter().map(|r| r.ir))?;
         let prefix_trie: PrefixTrie<Asn> = data.prefixes.iter().copied().collect();
         let mut links_by_as: BTreeMap<Asn, Vec<u32>> = BTreeMap::new();
         for (i, l) in data.links.iter().enumerate() {
@@ -62,24 +58,16 @@ impl Snapshot {
                 links_by_as.entry(l.conn_as).or_default().push(i as u32);
             }
         }
-        let routers_by_ir = data
-            .routers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.ir, i as u32))
-            .collect();
-        Snapshot {
+        Ok(Snapshot {
             data,
-            addr_index,
             prefix_trie,
             links_by_as,
-            routers_by_ir,
-        }
+        })
     }
 
     /// Parses and indexes a snapshot from bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        Ok(Snapshot::from_data(codec::from_bytes(bytes)?))
+        Snapshot::from_data(codec::from_bytes(bytes)?)
     }
 
     /// Reads, parses, and indexes a snapshot from any reader.
@@ -101,8 +89,9 @@ impl Snapshot {
 
     /// The annotation row for an interface address, if observed.
     pub fn lookup_addr(&self, addr: u32) -> Option<&AnnRecord> {
-        let &i = self.addr_index.get(&addr)?;
-        Some(&self.data.annotations[i as usize])
+        let rows = &self.data.annotations;
+        let i = rows.binary_search_by_key(&addr, |r| r.addr).ok()?;
+        Some(&rows[i])
     }
 
     /// Longest-prefix-match of `addr` against the prefix→origin table.
@@ -112,8 +101,9 @@ impl Snapshot {
 
     /// The membership record for an inferred router.
     pub fn router(&self, ir: u32) -> Option<&RouterRecord> {
-        let &i = self.routers_by_ir.get(&ir)?;
-        Some(&self.data.routers[i as usize])
+        let rows = &self.data.routers;
+        let i = rows.binary_search_by_key(&ir, |r| r.ir).ok()?;
+        Some(&rows[i])
     }
 
     /// Every interdomain link record naming `asn` on either side, in file
@@ -185,7 +175,30 @@ mod tests {
                 ("10.0.0.0/24".parse().unwrap(), Asn(100)),
             ],
         };
-        Snapshot::from_data(data)
+        Snapshot::from_data(data).unwrap()
+    }
+
+    #[test]
+    fn from_data_rejects_a_repeated_address_or_ir() {
+        let rejected = |data: SnapshotData| match Snapshot::from_data(data) {
+            Err(SnapshotError::Malformed {
+                section, record, ..
+            }) => Some((section, record)),
+            _ => None,
+        };
+        let mut data = snapshot().data().clone();
+        data.annotations[1].addr = data.annotations[0].addr;
+        assert_eq!(rejected(data), Some((SectionId::Annotations, 1)));
+        let mut data = snapshot().data().clone();
+        data.routers.push(data.routers[0].clone());
+        assert_eq!(rejected(data), Some((SectionId::Routers, 1)));
+        let mut data = snapshot().data().clone();
+        data.routers.push(RouterRecord {
+            ir: 1,
+            ..data.routers[0].clone()
+        });
+        let s = Snapshot::from_data(data).unwrap();
+        assert_eq!(s.router(1).unwrap().ir, 1);
     }
 
     #[test]

@@ -1,111 +1,71 @@
-//! A corpus's address index (DESIGN.md §18): the sorted distinct
-//! responding addresses and destinations of a [`Corpus`], and the rank of
-//! every hop slot's address and every row's destination in them.
-//!
-//! The index is a function of the row sequence alone. It is built once per
-//! corpus ([`Corpus::addr_index`]) and read by every consumer that needs the
-//! observed address set: alias resolution takes the addresses, and phase 1
-//! takes them as its interface table and reads the ranks as interface ids,
-//! so no consumer walks the hop column for addresses again.
+//! Sealing builders into a corpus (DESIGN.md §18). A [`CorpusBuilder`]
+//! numbers the addresses and destinations it meets in first-seen order
+//! ([`LocalIds`]); the seal merges the sorted keys the builders' rows use
+//! into the corpus's two tables and rewrites each builder's local ids as
+//! ranks in them. Local ids depend on how the rows were split between
+//! builders, ranks do not: a table is the sorted union of the rows' keys,
+//! the same at every split, and a rank is a key's position in it.
 
-use crate::Corpus;
-use std::ops::Range;
+use crate::corpus::{addr_count, CODE_BITS, CODE_MASK};
+use crate::{Corpus, CorpusBuilder, CorpusError};
 
-/// The rank of an unresponsive hop slot (`*`), and the destination rank of
-/// a row with no responsive hop.
+/// The destination rank of a row with no responsive hop.
 pub const NO_RANK: u32 = u32::MAX;
 
-/// The address index of a [`Corpus`] (see the module docs).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct AddrIndex {
-    addrs: Vec<u32>,
-    dsts: Vec<u32>,
-    ranks: Vec<u32>,
-    dst_ranks: Vec<u32>,
-    responsive: usize,
-}
-
-impl AddrIndex {
-    /// Every address seen as a responding hop, ascending and distinct.
-    pub fn addrs(&self) -> &[u32] {
-        &self.addrs
-    }
-
-    /// The destinations of the rows with a responsive hop, ascending and
-    /// distinct.
-    pub fn dsts(&self) -> &[u32] {
-        &self.dsts
-    }
-
-    /// Per hop slot, aligned with [`Corpus::hops`] over every row: the rank
-    /// of the slot's address in [`AddrIndex::addrs`], or [`NO_RANK`] for
-    /// `*`.
-    pub fn ranks(&self) -> &[u32] {
-        &self.ranks
-    }
-
-    /// Per row: the rank of its destination in [`AddrIndex::dsts`], or
-    /// [`NO_RANK`] when no hop of the row answered.
-    pub fn dst_ranks(&self) -> &[u32] {
-        &self.dst_ranks
-    }
-
-    /// The number of responsive hop slots (ranked slots) in the corpus.
-    pub fn responsive_hops(&self) -> usize {
-        self.responsive
-    }
-
-    /// Indexes `corpus` on `wp` in two pool passes over contiguous row
-    /// ranges, each writing its own piece of the one rank column.
-    ///
-    /// 1. Each task walks its rows once. It numbers the addresses and
-    ///    destinations it meets in first-seen order ([`LocalIds`]), writes
-    ///    each slot's local id plus one (0 for `*`) into its piece of the
-    ///    column and each row's into a vector of its own, and sorts its
-    ///    distinct keys.
-    /// 2. The tasks' sorted keys merge into the two global tables; then each
-    ///    task maps its local ids to global ranks and rewrites its piece in
-    ///    place. The calling thread appends the row columns in task order.
-    ///
-    /// Local ids depend on the task split, global ranks do not: a table is
-    /// the sorted union of the tasks' key sets, so it is the corpus's
-    /// distinct key set in ascending order at every pool size, and a rank
-    /// is a key's position in it.
-    pub(crate) fn build(corpus: &Corpus, wp: &pool::WorkerPool) -> AddrIndex {
+impl Corpus {
+    /// Seals `parts` into one corpus, their rows in order (the order a
+    /// pool's tasks returned them in), on `wp` under a `corpus.index` span:
+    /// the corpus's one index build. Each part is freed once appended.
+    pub fn concat(
+        mut parts: Vec<CorpusBuilder>,
+        wp: &pool::WorkerPool,
+    ) -> Result<Corpus, CorpusError> {
         let _span = wp.recorder().span(obs::names::CORPUS_INDEX);
         let busy = obs::names::EXEC_POOL_BUSY_INDEX;
-        let rows = corpus.len();
-        let batch = wp.batch_size(rows);
-        let row_bounds: Vec<usize> = (0..rows.div_ceil(batch))
-            .map(|t| t * batch)
-            .chain([rows])
-            .collect();
-        let bounds: Vec<usize> = row_bounds.iter().map(|&r| corpus.slots(0..r).end).collect();
-        // Zeroed pages are mapped on first write, so the workers, not this
-        // thread, touch the column's memory; pass 1 writes every slot.
-        let mut ranks = vec![0u32; corpus.slots(0..rows).end];
-        let parts = wp.run_split(busy, &mut ranks, &bounds, |t, piece| {
-            Part::walk(corpus, row_bounds[t]..row_bounds[t + 1], piece)
+        let bounds: Vec<usize> = (0..=parts.len()).collect();
+        // Each part sorts the keys its rows use and counts its responsive
+        // slots.
+        let responsive = wp.run_split(busy, &mut parts, &bounds, |_, part| {
+            let part = &mut part[0];
+            let (mut addrs, mut responsive) = (vec![false; part.addrs.len()], 0);
+            for &s in part.rows.slots.iter().filter(|&&s| s & CODE_MASK != 0) {
+                addrs[(s >> CODE_BITS) as usize] = true;
+                responsive += 1;
+            }
+            let mut dsts = vec![false; part.dsts.len()];
+            for &d in part.rows.dst_ranks.iter().filter(|&&d| d != NO_RANK) {
+                dsts[d as usize] = true;
+            }
+            part.addrs.seal(&addrs);
+            part.dsts.seal(&dsts);
+            responsive
         });
         let addrs = union(parts.iter().map(|p| &p.addrs.sorted[..]));
+        addr_count(addrs.len())?;
         let dsts = union(parts.iter().map(|p| &p.dsts.sorted[..]));
-        let dst_ranks = wp.run_split(busy, &mut ranks, &bounds, |t, piece| {
-            let part = &parts[t];
+        wp.run_split(busy, &mut parts, &bounds, |_, part| {
+            let part = &mut part[0];
             let map = part.addrs.ranks_in(&addrs);
-            piece.iter_mut().for_each(|r| *r = map[*r as usize]);
+            for s in &mut part.rows.slots {
+                if *s & CODE_MASK != 0 {
+                    *s = map[(*s >> CODE_BITS) as usize] << CODE_BITS | *s & CODE_MASK;
+                }
+            }
             let map = part.dsts.ranks_in(&dsts);
-            part.dst_ranks
-                .iter()
-                .map(|&l| map[l as usize])
-                .collect::<Vec<u32>>()
+            for d in &mut part.rows.dst_ranks {
+                *d = map.get(*d as usize).map_or(NO_RANK, |&r| r);
+            }
         });
-        AddrIndex {
-            addrs,
-            dsts,
-            ranks,
-            dst_ranks: dst_ranks.concat(),
-            responsive: parts.iter().map(|p| p.responsive).sum(),
+        let slots = parts.iter().map(|p| p.rows.slots.len()).sum::<usize>();
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_default();
+        out.rows.slots.reserve(slots - out.rows.slots.len());
+        for part in parts {
+            out.append(part.rows)?;
         }
+        (out.rows.addrs, out.rows.dsts) = (addrs, dsts);
+        out.rows.responsive = responsive.iter().sum();
+        Ok(out.rows)
     }
 }
 
@@ -144,85 +104,45 @@ fn merge(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// One pool task's pass-1 output over its row range.
-struct Part {
-    addrs: LocalIds,
-    dsts: LocalIds,
-    /// Per row, its destination's local id plus one, or 0 when no hop of
-    /// the row answered.
-    dst_ranks: Vec<u32>,
-    responsive: usize,
-}
-
-impl Part {
-    /// Walks `rows` of `corpus` once, writing into `piece`, the rows' share
-    /// of the rank column, each hop slot's local id plus one, or 0 for `*`.
-    /// Rows are cut straight from the offset and destination columns.
-    fn walk(corpus: &Corpus, rows: Range<usize>, piece: &mut [u32]) -> Part {
-        let (mut addrs, mut dsts) = (LocalIds::new(), LocalIds::new());
-        let mut dst_ranks = Vec::with_capacity(rows.len());
-        let mut responsive = 0;
-        let hops = corpus.hops(rows.clone());
-        let offsets = &corpus.offsets[rows.start..=rows.end];
-        let base = offsets[0] as usize;
-        for (w, &dst) in offsets.windows(2).zip(&corpus.dst[rows]) {
-            let slots = w[0] as usize - base..w[1] as usize - base;
-            let before = responsive;
-            for (slot, rank) in hops[slots.clone()].iter().zip(&mut piece[slots]) {
-                *rank = match slot {
-                    Some(h) => {
-                        responsive += 1;
-                        addrs.id(h.addr) + 1
-                    }
-                    None => 0,
-                };
-            }
-            dst_ranks.push(match responsive > before {
-                true => dsts.id(dst) + 1,
-                false => 0,
-            });
-        }
-        addrs.seal();
-        dsts.seal();
-        Part {
-            addrs,
-            dsts,
-            dst_ranks,
-            responsive,
-        }
-    }
-}
-
 /// The empty slot of a [`LocalIds`] table. No entry equals it: an entry's
 /// id half is below the number of keys seen, which is below `u32::MAX`.
 const EMPTY: u64 = u64::MAX;
 
-/// A pool task's numbering of the keys it meets, in first-seen order: an
+/// A builder's numbering of the keys it meets, in first-seen order: an
 /// open-addressing table with linear probing, kept at most a quarter full,
 /// whose slots pack `key:32 | local id:32`. Probing hashes nothing but the
 /// key (a fixed multiplier), and only a key's id is ever read back, never
 /// the table's order, so the table cannot reach the output.
-struct LocalIds {
+#[derive(Clone)]
+pub(crate) struct LocalIds {
+    /// The table; empty once frozen.
     slots: Vec<u64>,
     /// `32 − log2(slots.len())`: the hash keeps the product's top bits.
     shift: u32,
     /// Local id → key.
     keys: Vec<u32>,
-    /// `key:32 | local id:32` per key, ascending (filled by
+    /// `key:32 | local id:32` per used key, ascending (filled by
     /// [`LocalIds::seal`]).
     sorted: Vec<u64>,
 }
 
-impl LocalIds {
-    const MIN_BITS: u32 = 10;
-
-    fn new() -> LocalIds {
+impl Default for LocalIds {
+    fn default() -> LocalIds {
         LocalIds {
             slots: vec![EMPTY; 1 << Self::MIN_BITS],
             shift: 32 - Self::MIN_BITS,
             keys: Vec::new(),
             sorted: Vec::new(),
         }
+    }
+}
+
+impl LocalIds {
+    const MIN_BITS: u32 = 10;
+
+    /// The number of keys numbered so far.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
     }
 
     #[inline]
@@ -232,7 +152,7 @@ impl LocalIds {
 
     /// `key`'s local id, numbering it on first sight.
     #[inline]
-    fn id(&mut self, key: u32) -> u32 {
+    pub(crate) fn id(&mut self, key: u32) -> u32 {
         let mask = self.slots.len() - 1;
         let mut i = self.slot(key);
         loop {
@@ -270,30 +190,33 @@ impl LocalIds {
         }
     }
 
-    /// Frees the table and sorts the keys with their ids, once every key
-    /// is numbered.
-    fn seal(&mut self) {
+    /// Frees the table once every key is numbered.
+    pub(crate) fn freeze(&mut self) {
         self.slots = Vec::new();
+    }
+
+    /// Sorts the keys whose `used` entry is set with their ids, once every
+    /// key is numbered.
+    pub(crate) fn seal(&mut self, used: &[bool]) {
+        self.freeze();
         self.sorted = (self.keys.iter().enumerate())
+            .filter(|&(id, _)| used[id])
             .map(|(id, &key)| u64::from(key) << 32 | id as u64)
             .collect();
         self.sorted.sort_unstable();
-        self.keys = Vec::new();
     }
 
-    /// The map from a pass-1 value to a global rank: [`NO_RANK`] for 0
-    /// (no key), and for local id `l + 1` the key's rank in `table`, a
-    /// sorted superset of the keys. One merge walk of the sorted keys
-    /// against the table fills it; with the no-key entry in the map, the
-    /// rewrite of a rank column is one load per slot and no branch.
+    /// The map from a local id to the key's rank in `table`, a sorted
+    /// superset of the keys. One merge walk of the sorted keys against the
+    /// table fills it, so the rewrite of a slot is one load.
     fn ranks_in(&self, table: &[u32]) -> Vec<u32> {
-        let mut map = vec![NO_RANK; self.sorted.len() + 1];
+        let mut map = vec![NO_RANK; self.keys.len()];
         let mut rank = 0;
         for &e in &self.sorted {
             while table[rank] < (e >> 32) as u32 {
                 rank += 1;
             }
-            map[e as u32 as usize + 1] = rank as u32;
+            map[e as u32 as usize] = rank as u32;
         }
         map
     }
@@ -302,12 +225,12 @@ impl LocalIds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Hop, ReplyType, StopReason, Trace};
+    use crate::{decode, Hop, ReplyType, StopReason, Trace};
     use std::collections::BTreeSet;
 
     #[test]
     fn local_ids_number_in_first_seen_order_across_growth() {
-        let mut ids = LocalIds::new();
+        let mut ids = LocalIds::default();
         // Far more keys than the first table holds, with repeats.
         let keys: Vec<u32> = (0..20_000u32)
             .map(|i| i.wrapping_mul(7919) ^ 0xA5A5)
@@ -319,25 +242,34 @@ mod tests {
             assert_eq!(ids.id(k), i as u32);
         }
         assert!(ids.slots.len() >= 4 * keys.len());
-        ids.seal();
-        let table: Vec<u32> = keys
-            .iter()
-            .copied()
+        // Every third key is left unused: it gets no rank.
+        let used: Vec<bool> = (0..keys.len()).map(|id| id % 3 != 0).collect();
+        ids.seal(&used);
+        assert!(ids.slots.is_empty() && ids.sorted.len() == keys.len() - keys.len().div_ceil(3));
+        let table: Vec<u32> = (keys.iter().zip(&used))
+            .filter_map(|(&k, &u)| u.then_some(k))
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
         let map = ids.ranks_in(&table);
-        assert_eq!(map[0], NO_RANK);
         for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(table[map[i + 1] as usize], k);
+            match used[i] {
+                true => assert_eq!(table[map[i] as usize], k),
+                false => assert_eq!(map[i], NO_RANK),
+            }
         }
     }
 
-    #[test]
-    fn index_is_the_same_at_every_pool_size() {
-        // Rows sharing and repeating addresses over more keys than a first
-        // table holds, with unresponsive rows and `*` slots.
-        let corpus: Corpus = (0..600u32)
+    /// Rows sharing and repeating addresses over more keys than a first
+    /// table holds, with unresponsive rows, `*` slots and all three reply
+    /// types.
+    fn traces() -> Vec<Trace> {
+        let replies = [
+            ReplyType::TimeExceeded,
+            ReplyType::EchoReply,
+            ReplyType::DestUnreachable,
+        ];
+        (0..600u32)
             .map(|t| Trace {
                 monitor: format!("vp{}", t % 3),
                 src: 1,
@@ -346,25 +278,69 @@ mod tests {
                     .map(|h| {
                         (t % 11 != 0 && h % 5 != 3).then_some(Hop {
                             addr: 0x0B00_0000 + (t * 7 + h * 131) % 4000,
-                            reply: ReplyType::TimeExceeded,
+                            reply: replies[((t + h) % 3) as usize],
                         })
                     })
                     .collect(),
                 stop: StopReason::GapLimit,
             })
+            .collect()
+    }
+
+    /// The corpus sealed from `traces` cut into `threads` builders.
+    fn sealed(traces: &[Trace], threads: usize) -> Corpus {
+        let wp = pool::WorkerPool::new(threads);
+        let batch = wp.batch_size(traces.len());
+        let parts = traces
+            .chunks(batch.max(1))
+            .map(|chunk| {
+                let mut b = CorpusBuilder::new();
+                chunk.iter().for_each(|t| b.push_trace(t).unwrap());
+                b
+            })
             .collect();
-        let addrs: BTreeSet<u32> = corpus
-            .iter()
+        Corpus::concat(parts, &wp).unwrap()
+    }
+
+    #[test]
+    fn index_is_the_same_at_every_pool_size() {
+        let traces = traces();
+        let addrs: BTreeSet<u32> = (traces.iter())
             .flat_map(|t| t.responsive().map(|(_, h)| h.addr))
             .collect();
-        let base = AddrIndex::build(&corpus, &pool::WorkerPool::new(1));
+        let base = sealed(&traces, 1);
         assert!(base.addrs().iter().eq(addrs.iter()));
-        assert_eq!(base.ranks().len(), corpus.slots(0..corpus.len()).len());
-        for threads in [2, 3, 8] {
-            let index = AddrIndex::build(&corpus, &pool::WorkerPool::new(threads));
-            assert_eq!(index, base, "threads={threads}");
+        assert_eq!(base.slots(0..base.len()).len(), 600 * 12);
+        for (row, t) in base.iter().zip(&traces) {
+            assert_eq!(row.to_owned(), *t);
+            for (&s, h) in row.slots.iter().zip(&t.hops) {
+                let rank =
+                    h.map(|h| (base.addrs().binary_search(&h.addr).unwrap() as u32, h.reply));
+                assert_eq!(decode(s), rank);
+            }
         }
-        let empty = AddrIndex::build(&Corpus::new(), &pool::WorkerPool::new(8));
-        assert_eq!(empty, AddrIndex::default());
+        let collected: Corpus = traces.iter().cloned().collect();
+        for threads in [2, 3, 8] {
+            let c = sealed(&traces, threads);
+            assert_eq!(
+                c.slots(0..c.len()),
+                base.slots(0..base.len()),
+                "threads={threads}"
+            );
+            assert_eq!(c.addrs(), base.addrs(), "threads={threads}");
+            assert_eq!(c.dsts(), base.dsts(), "threads={threads}");
+            assert_eq!(c.dst_ranks(), base.dst_ranks(), "threads={threads}");
+            assert_eq!(c.responsive_hops(), base.responsive_hops());
+            assert_eq!(c, base);
+        }
+        assert_eq!(collected.slots(0..600), base.slots(0..600));
+        let mut jsonl = Vec::new();
+        crate::io::write_jsonl(&mut jsonl, &base).unwrap();
+        let read = crate::io::read_jsonl(&jsonl[..]).unwrap();
+        assert_eq!(read.slots(0..600), base.slots(0..600));
+        assert_eq!(read.dst_ranks(), base.dst_ranks());
+        let empty = Corpus::concat(Vec::new(), &pool::WorkerPool::new(8)).unwrap();
+        assert_eq!(empty, Corpus::new());
+        assert!(empty.addrs().is_empty() && empty.dst_ranks().is_empty());
     }
 }

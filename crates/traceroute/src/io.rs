@@ -8,13 +8,14 @@
 //! ```
 //!
 //! [`write_jsonl`] renders each row straight from the corpus columns, and
-//! [`read_jsonl`] parses each line straight into them with a parser for
-//! this one schema, reusing one line buffer: no record is materialized as a
-//! [`Trace`](crate::Trace) or a JSON tree on either side. Lines are bounded
-//! by [`MAX_LINE_BYTES`], and every rejection is an `InvalidData` error
-//! naming the line.
+//! [`read_jsonl`] parses each line straight into a [`CorpusBuilder`] with a
+//! parser for this one schema, reusing one line buffer and one row of hop
+//! slots: no record is materialized as a [`Trace`](crate::Trace) or a JSON
+//! tree on either side, and the builder numbers each row's addresses as it
+//! arrives. Lines are bounded by [`MAX_LINE_BYTES`], and every rejection is
+//! an `InvalidData` error naming the line.
 
-use crate::{Corpus, Hop, ReplyType, StopReason};
+use crate::{Corpus, CorpusBuilder, Hop, ReplyType, StopReason};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
 /// The longest line [`read_jsonl`] accepts, excluding its newline: a
@@ -31,7 +32,7 @@ pub fn write_jsonl<W: Write>(w: W, traces: &Corpus) -> std::io::Result<()> {
         line.push_str("{\"monitor\":");
         push_escaped(&mut line, t.monitor);
         let _ = write!(line, ",\"src\":{},\"dst\":{},\"hops\":[", t.src, t.dst);
-        for (i, hop) in t.hops.iter().enumerate() {
+        for (i, hop) in t.hops().enumerate() {
             if i > 0 {
                 line.push(',');
             }
@@ -99,9 +100,8 @@ fn stop_name(s: StopReason) -> &'static str {
 /// repeated field's last value wins.
 pub fn read_jsonl<R: Read>(r: R) -> std::io::Result<Corpus> {
     let mut reader = BufReader::new(r);
-    let mut out = Corpus::new();
-    let mut buf = Vec::new();
-    let mut name = String::new();
+    let mut out = CorpusBuilder::new();
+    let (mut buf, mut name, mut hops) = (Vec::new(), String::new(), Vec::new());
     for line_no in 1usize.. {
         buf.clear();
         let limit = MAX_LINE_BYTES as u64 + 1;
@@ -123,21 +123,27 @@ pub fn read_jsonl<R: Read>(r: R) -> std::io::Result<Corpus> {
         if line.trim().is_empty() {
             continue;
         }
-        parse_record(line.as_bytes(), &mut out, &mut name).map_err(|e| invalid(&e))?;
+        parse_record(line.as_bytes(), &mut out, &mut name, &mut hops).map_err(|e| invalid(&e))?;
     }
-    Ok(out)
+    // Each row's addresses were counted as it was added, so the seal of
+    // this one builder fits.
+    out.finish()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 /// Parses one record into `out` as a new row. `name` is scratch space for
-/// a monitor name that carries escapes.
-fn parse_record(line: &[u8], out: &mut Corpus, name: &mut String) -> Result<(), String> {
+/// a monitor name that carries escapes, `hops` for the record's hop slots.
+fn parse_record(
+    line: &[u8],
+    out: &mut CorpusBuilder,
+    name: &mut String,
+    hops: &mut Vec<Option<Hop>>,
+) -> Result<(), String> {
     let mut p = Parser {
         bytes: line,
         pos: 0,
     };
-    let start = out.pending_start();
-    out.hops.truncate(start);
-    let (mut monitor, mut src, mut dst, mut stop, mut hops) = (None, None, None, None, false);
+    let (mut monitor, mut src, mut dst, mut stop, mut has_hops) = (None, None, None, None, false);
     p.object(|p, key| {
         match key {
             b"monitor" => {
@@ -156,13 +162,12 @@ fn parse_record(line: &[u8], out: &mut Corpus, name: &mut String) -> Result<(), 
                 });
             }
             b"hops" => {
-                out.hops.truncate(start);
+                hops.clear();
                 p.array(|p| {
-                    let hop = p.hop(name)?;
-                    out.hops.push(hop);
+                    hops.push(p.hop(name)?);
                     Ok(())
                 })?;
-                hops = true;
+                has_hops = true;
             }
             _ => p.skip_value()?,
         }
@@ -176,11 +181,11 @@ fn parse_record(line: &[u8], out: &mut Corpus, name: &mut String) -> Result<(), 
     let monitor = monitor.ok_or_else(|| missing("monitor"))?;
     let src = src.ok_or_else(|| missing("src"))?;
     let dst = dst.ok_or_else(|| missing("dst"))?;
-    if !hops {
+    if !has_hops {
         return Err(missing("hops"));
     }
     let stop = stop.ok_or_else(|| missing("stop"))?;
-    out.commit_row(monitor, src, dst, stop)
+    out.commit(monitor, src, dst, stop, hops.iter().copied())
         .map_err(|e| e.to_string())
 }
 
@@ -526,7 +531,7 @@ mod tests {
     #[test]
     fn accepts_255_hop_slots() {
         let back = read_jsonl(&lines(&[trace_with_slots(255)])[..]).unwrap();
-        assert_eq!(back.row(0).hops.len(), 255);
+        assert_eq!(back.row(0).hops().len(), 255);
         assert_eq!(
             back.row(0).responsive().last().map(|(ttl, _)| ttl),
             Some(255)

@@ -5,9 +5,11 @@
 //! destination, and per-TTL the responding address and ICMP reply type (the
 //! paper's §4.2 link-confidence labels depend on reply types and hop gaps).
 //! Traces serialize to JSON-lines ([`io`]), the shape CAIDA publishes.
-//! A [`Corpus`] stores them column-wise and carries its [`AddrIndex`]: the
-//! distinct responding addresses and destinations, and their rank in every
-//! hop slot and row, built once and read by alias resolution and phase 1.
+//! A [`Corpus`] stores them column-wise in rank space: it holds the
+//! distinct responding addresses and destinations, and every hop slot and
+//! row carries the rank of its address and destination in them. A corpus
+//! is indexed as it is sealed from a [`CorpusBuilder`], so alias
+//! resolution and phase 1 read the tables it was built with.
 //!
 //! The simulator ([`sim`]) replaces the Ark measurement infrastructure: it
 //! probes a synthetic [`topo_gen::Internet`] from a set of vantage points,
@@ -23,9 +25,11 @@ mod index;
 pub mod io;
 pub mod sim;
 
-pub use corpus::{Corpus, CorpusError, Rows, MAX_HOPS, MAX_MONITORS};
-pub use index::{AddrIndex, NO_RANK};
-/// The pool [`Corpus::addr_index`] builds on, for readers that hold none.
+pub use corpus::{
+    decode, Corpus, CorpusBuilder, CorpusError, Rows, MAX_ADDRS, MAX_HOPS, MAX_MONITORS,
+};
+pub use index::NO_RANK;
+/// The pool [`Corpus::concat`] seals on, for callers that hold none.
 pub use pool::WorkerPool;
 
 use net_types::format_ipv4;
@@ -37,7 +41,8 @@ use std::fmt;
 /// The paper's link labels (§4.2): Time Exceeded / Destination Unreachable
 /// "typically indicate that the traceroute probe arrived at interface j on
 /// the responding router", while Echo Reply only proves the address is *on*
-/// the responding router.
+/// the responding router. A hop slot's code is the variant's position plus
+/// one ([`decode`]); code 0 is `*`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ReplyType {
     /// ICMP Time Exceeded — the normal intermediate-hop reply.
@@ -89,48 +94,44 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// The borrowed row view of this trace.
-    pub fn view(&self) -> TraceRef<'_> {
-        TraceRef {
-            monitor: &self.monitor,
-            src: self.src,
-            dst: self.dst,
-            hops: &self.hops,
-            stop: self.stop,
-        }
-    }
-
     /// The responsive hops with their TTL (1-based), in order.
-    pub fn responsive(&self) -> impl Iterator<Item = (u8, Hop)> + '_ {
-        self.view().responsive()
+    pub fn responsive(&self) -> impl DoubleEndedIterator<Item = (u8, Hop)> + '_ {
+        (self.hops.iter().enumerate()).filter_map(|(i, h)| h.map(|h| ((i + 1) as u8, h)))
     }
 
     /// The final responsive hop, if any.
     pub fn last_hop(&self) -> Option<(u8, Hop)> {
-        self.view().last_hop()
+        self.responsive().next_back()
     }
 
     /// Did the destination itself answer (the measurement completed)?
     pub fn reached_dst(&self) -> bool {
-        self.view().reached_dst()
+        self.stop == StopReason::Completed
     }
 
     /// Total responsive hop count.
     pub fn responsive_count(&self) -> usize {
-        self.view().responsive_count()
+        self.hops.iter().flatten().count()
     }
 }
 
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.view().fmt(f)
+        let (src, dst) = (format_ipv4(self.src), format_ipv4(self.dst));
+        write!(f, "trace {src} -> {dst} [{:?}]", self.stop)?;
+        for (ttl, hop) in (1..).zip(&self.hops) {
+            match hop {
+                Some(h) => write!(f, "\n  {ttl:>2}  {}  {:?}", format_ipv4(h.addr), h.reply)?,
+                None => write!(f, "\n  {ttl:>2}  *")?,
+            }
+        }
+        Ok(())
     }
 }
 
-/// One row of a [`Corpus`], borrowed: the same fields as [`Trace`], with
-/// the monitor name and the hop slots pointing into the corpus's monitor
-/// table and hop column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One row of a [`Corpus`], borrowed: the same fields as [`Trace`], its
+/// hop slots decoded through the corpus's address table.
+#[derive(Clone, Copy)]
 pub struct TraceRef<'a> {
     /// Monitor (VP) name.
     pub monitor: &'a str,
@@ -138,20 +139,28 @@ pub struct TraceRef<'a> {
     pub src: u32,
     /// Probed destination address.
     pub dst: u32,
-    /// Per-TTL responses; `hops[t]` is the reply to the TTL `t+1` probe,
-    /// `None` for an unresponsive hop (`*`).
-    pub hops: &'a [Option<Hop>],
     /// Why the measurement stopped.
     pub stop: StopReason,
+    /// The row's hop slots ([`decode`]).
+    slots: &'a [u32],
+    /// The table the slots' ranks index.
+    addrs: &'a [u32],
 }
 
 impl<'a> TraceRef<'a> {
+    /// Per-TTL responses: the reply to the TTL `t+1` probe is the `t`-th
+    /// item, `None` for an unresponsive hop (`*`).
+    pub fn hops(self) -> impl DoubleEndedIterator<Item = Option<Hop>> + ExactSizeIterator + 'a {
+        let hop = |(rank, reply): (u32, ReplyType)| Hop {
+            addr: self.addrs[rank as usize],
+            reply,
+        };
+        self.slots.iter().map(move |&s| decode(s).map(hop))
+    }
+
     /// The responsive hops with their TTL (1-based), in order.
     pub fn responsive(self) -> impl DoubleEndedIterator<Item = (u8, Hop)> + 'a {
-        self.hops
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.map(|h| ((i + 1) as u8, h)))
+        (self.hops().enumerate()).filter_map(|(i, h)| h.map(|h| ((i + 1) as u8, h)))
     }
 
     /// The final responsive hop, if any.
@@ -166,7 +175,7 @@ impl<'a> TraceRef<'a> {
 
     /// Total responsive hop count.
     pub fn responsive_count(self) -> usize {
-        self.hops.iter().flatten().count()
+        self.hops().flatten().count()
     }
 
     /// An owned copy of the row.
@@ -175,34 +184,33 @@ impl<'a> TraceRef<'a> {
             monitor: self.monitor.to_owned(),
             src: self.src,
             dst: self.dst,
-            hops: self.hops.to_vec(),
+            hops: self.hops().collect(),
             stop: self.stop,
         }
     }
 }
 
+/// Rows are equal when their decoded fields are, whatever the rank spaces
+/// of their corpora.
+impl PartialEq for TraceRef<'_> {
+    fn eq(&self, other: &TraceRef<'_>) -> bool {
+        (self.monitor, self.src, self.dst, self.stop)
+            == (other.monitor, other.src, other.dst, other.stop)
+            && self.hops().eq(other.hops())
+    }
+}
+
+impl Eq for TraceRef<'_> {}
+
+impl fmt::Debug for TraceRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        TraceRef::to_owned(*self).fmt(f)
+    }
+}
+
 impl fmt::Display for TraceRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace {} -> {} [{:?}]",
-            format_ipv4(self.src),
-            format_ipv4(self.dst),
-            self.stop
-        )?;
-        for (ttl, hop) in self.hops.iter().enumerate() {
-            match hop {
-                Some(h) => write!(
-                    f,
-                    "\n  {:>2}  {}  {:?}",
-                    ttl + 1,
-                    format_ipv4(h.addr),
-                    h.reply
-                )?,
-                None => write!(f, "\n  {:>2}  *", ttl + 1)?,
-            }
-        }
-        Ok(())
+        TraceRef::to_owned(*self).fmt(f)
     }
 }
 

@@ -17,7 +17,7 @@
 //! Everything is seeded; the same `(campaign seed, vp, dst)` triple always
 //! produces the same trace, regardless of thread scheduling.
 
-use crate::{Corpus, Hop, ReplyType, StopReason, Trace};
+use crate::{Corpus, CorpusBuilder, Hop, ReplyType, StopReason, Trace};
 use net_types::{AsSets, Asn};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -146,22 +146,25 @@ pub fn trace_one(net: &Internet, vp: RouterId, dst: u32, cfg: &ProbeConfig) -> T
     }
 }
 
-/// One pool task of a campaign: the rows it probed, and the walk buffers
-/// its probes reuse.
+/// One pool task of a campaign: the rows it probed, and the walk and hop
+/// buffers its probes reuse.
 struct Task {
     /// Starts as a copy of the campaign's (empty) monitor table.
-    rows: Corpus,
+    rows: CorpusBuilder,
     /// Pair campaigns only: each row's traversed-AS set.
     ases: AsSets,
     walk: ForwardBuf,
+    /// The hop slots of the measurement being synthesized.
+    hops: Vec<Option<Hop>>,
 }
 
 impl Task {
-    fn new(table: &Corpus) -> Task {
+    fn new(table: &CorpusBuilder) -> Task {
         Task {
             rows: table.clone(),
             ases: AsSets::new(),
             walk: ForwardBuf::default(),
+            hops: Vec::new(),
         }
     }
 
@@ -178,15 +181,13 @@ impl Task {
         keep_unresponsive: bool,
     ) -> ForwardOutcome {
         let outcome = net.forward(vp, plan, &mut self.walk);
-        let out = &mut self.rows;
-        let start = out.pending_start();
-        let (src, stop) = synthesize(net, vp, dst, outcome, &self.walk.hops, cfg, &mut out.hops);
-        if keep_unresponsive || out.hops[start..].iter().any(Option::is_some) {
-            let monitor = out.intern(monitor).unwrap_or_else(|e| panic!("{e}"));
-            out.commit_row(monitor, src, dst, stop)
+        self.hops.clear();
+        let (src, stop) = synthesize(net, vp, dst, outcome, &self.walk.hops, cfg, &mut self.hops);
+        if keep_unresponsive || self.hops.iter().any(Option::is_some) {
+            let out = &mut self.rows;
+            (out.intern(monitor))
+                .and_then(|monitor| out.commit(monitor, src, dst, stop, self.hops.iter().copied()))
                 .unwrap_or_else(|e| panic!("{e}"));
-        } else {
-            out.hops.truncate(start);
         }
         outcome
     }
@@ -195,8 +196,7 @@ impl Task {
 /// Synthesizes the `(vp, dst)` measurement from its forward walk (`walk`,
 /// ending in `outcome`): appends its hop slots to `hops` and returns the
 /// probe source address and the stop reason. The one body behind
-/// [`trace_one`] and every campaign, which write into a corpus's hop
-/// column.
+/// [`trace_one`] and every campaign.
 fn synthesize(
     net: &Internet,
     vp: RouterId,
@@ -345,7 +345,7 @@ pub fn reactive_campaign(
     follow_ups: usize,
 ) -> Corpus {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x6264_7270);
-    let mut out = Corpus::new();
+    let mut out = CorpusBuilder::new();
     for &(prefix, origin) in &net.addressing.announced {
         let sub24s = 1u64 << (24u8.saturating_sub(prefix.len()));
         let pick = |rng: &mut ChaCha8Rng| {
@@ -364,20 +364,19 @@ pub fn reactive_campaign(
                 suspicious = true;
             }
         }
-        let keep_first = first.responsive_count() > 0;
-        if keep_first {
-            out.extend([first]);
-        }
+        let mut keep = |t: Trace| {
+            if t.responsive_count() > 0 {
+                out.push_trace(&t).unwrap_or_else(|e| panic!("{e}"));
+            }
+        };
+        keep(first);
         if suspicious {
             for _ in 0..follow_ups {
-                let t = trace_one(net, vp, pick(&mut rng), cfg);
-                if t.responsive_count() > 0 {
-                    out.extend([t]);
-                }
+                keep(trace_one(net, vp, pick(&mut rng), cfg));
             }
         }
     }
-    out
+    out.finish().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the full campaign on `wp`: every VP probes every destination.
@@ -387,15 +386,14 @@ pub fn reactive_campaign(
 /// Each destination is planned once ([`Internet::plan`]), inside the span,
 /// and every VP's probe toward it walks that plan. The `(vp, dst)` probe
 /// matrix is flattened vp-major and split into pool-sized task chunks;
-/// each task synthesizes its contiguous index range into a private chunk
-/// [`Corpus`], keeping responsive traces only, and the chunks are appended
-/// in range order. Because every trace depends only on `(campaign seed,
-/// vp, dst)` and the ranges partition the matrix in its canonical order,
-/// the corpus is byte-identical for every pool size — stealing can move a
-/// chunk between workers, never reorder the chunks. Monitor names are
-/// formatted once per VP. The corpus comes back indexed
-/// ([`Corpus::addr_index`]), the index built on `wp` inside the span, so its
-/// readers (alias resolution, phase 1) find it ready.
+/// each task synthesizes its contiguous index range into a private
+/// [`CorpusBuilder`], keeping responsive traces only and numbering their
+/// addresses, and [`Corpus::concat`] seals the builders in range order on
+/// `wp`, inside the span. Because every trace depends only on `(campaign
+/// seed, vp, dst)` and the ranges partition the matrix in its canonical
+/// order, the corpus is byte-identical for every pool size — stealing can
+/// move a chunk between workers, never reorder the chunks. Monitor names
+/// are formatted once per VP.
 pub fn probe_campaign_in_pool(
     net: &Internet,
     vps: &[RouterId],
@@ -409,8 +407,8 @@ pub fn probe_campaign_in_pool(
         .instant_main(obs::names::EV_CAMPAIGN_DESTS, dests.len() as u64);
     let plans: Vec<Option<DestPlan>> = dests.iter().map(|&d| net.plan(d)).collect();
     let names: Vec<String> = vps.iter().map(|&vp| monitor_name(net, vp)).collect();
-    let table =
-        Corpus::with_monitors(names.iter().map(String::as_str)).unwrap_or_else(|e| panic!("{e}"));
+    let table = CorpusBuilder::with_monitors(names.iter().map(String::as_str))
+        .unwrap_or_else(|e| panic!("{e}"));
     let jobs = vps.len() * dests.len();
     let tasks = probe_in_pool(jobs, wp, &table, |k, task| {
         let (v, j) = (k / dests.len(), k % dests.len());
@@ -422,9 +420,8 @@ pub fn probe_campaign_in_pool(
             false,
         );
     });
-    let traces = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect())
+    let traces = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect(), wp)
         .unwrap_or_else(|e| panic!("{e}"));
-    let index = traces.addr_index(wp);
     rec.add(obs::names::TRACEROUTE_TRACES, traces.len() as u64);
     rec.add(
         obs::names::TRACEROUTE_HOPS,
@@ -432,7 +429,7 @@ pub fn probe_campaign_in_pool(
     );
     rec.add(
         obs::names::TRACEROUTE_RESPONSIVE_HOPS,
-        index.responsive_hops() as u64,
+        traces.responsive_hops() as u64,
     );
     rec.add_exec(
         obs::names::EXEC_CAMPAIGN_WORKERS,
@@ -472,8 +469,8 @@ pub fn probe_pairs_in_pool(
         .iter()
         .map(|&(vp, _)| (vp, monitor_name(net, vp)))
         .collect();
-    let table =
-        Corpus::with_monitors(names.values().map(String::as_str)).unwrap_or_else(|e| panic!("{e}"));
+    let table = CorpusBuilder::with_monitors(names.values().map(String::as_str))
+        .unwrap_or_else(|e| panic!("{e}"));
     let tasks = probe_in_pool(pairs.len(), wp, &table, |k, task| {
         let (vp, dst) = pairs[k];
         let plan = net.plan(dst);
@@ -485,19 +482,20 @@ pub fn probe_pairs_in_pool(
     for t in &tasks {
         ases.append(&t.ases);
     }
-    let rows = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect())
+    let rows = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect(), wp)
         .unwrap_or_else(|e| panic!("{e}"));
     ProbedPairs { rows, ases }
 }
 
 /// Runs `probe(k, task)` for every job `k` in `0..jobs`, split into
 /// pool-sized contiguous chunks, each a [`Task`] starting from `table` (an
-/// empty corpus holding the campaign's monitor table), and returns the
-/// tasks in job order (one empty task when there are no jobs).
+/// empty builder holding the campaign's monitor table), and returns the
+/// tasks in job order (one empty task when there are no jobs), each with
+/// its hash tables freed.
 fn probe_in_pool(
     jobs: usize,
     wp: &pool::WorkerPool,
-    table: &Corpus,
+    table: &CorpusBuilder,
     probe: impl Fn(usize, &mut Task) + Sync,
 ) -> Vec<Task> {
     if jobs == 0 {
@@ -512,6 +510,9 @@ fn probe_in_pool(
             for k in t * batch..((t + 1) * batch).min(jobs) {
                 probe(k, &mut task);
             }
+            // Free the hash tables now, not when every task is done.
+            task.rows.addrs.freeze();
+            task.rows.dsts.freeze();
             task
         },
     )
@@ -646,6 +647,22 @@ mod tests {
     }
 
     #[test]
+    fn campaign_jsonl_write_read_write_is_byte_identical() {
+        let (net, cfg) = fixture();
+        let traces = campaign(&net, &select_vps(&net, 3, &[], 3), &cfg);
+        let write = |c: &Corpus| {
+            let mut buf = Vec::new();
+            crate::io::write_jsonl(&mut buf, c).unwrap();
+            buf
+        };
+        let first = write(&traces);
+        let read = crate::io::read_jsonl(&first[..]).unwrap();
+        assert_eq!(write(&read), first);
+        assert_eq!(read.slots(0..read.len()), traces.slots(0..traces.len()));
+        assert_eq!(read.addrs(), traces.addrs());
+    }
+
+    #[test]
     fn campaign_records_corpus_counters_and_workers() {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 2, &[], 9);
@@ -668,7 +685,7 @@ mod tests {
         let traces = campaign(&net, &vps, &cfg);
         assert!(!traces.is_empty());
         for t in traces.iter().take(50) {
-            if let Some(Some(h)) = t.hops.first() {
+            if let Some(Some(h)) = t.hops().next() {
                 // The first responding hop belongs to (or is reachable in)
                 // the VP AS — its address resolves somewhere sane.
                 assert!(h.addr != 0);
@@ -731,7 +748,7 @@ mod tests {
         let (net, cfg) = fixture();
         let vps = select_vps(&net, 4, &[], 6);
         let traces = campaign(&net, &vps, &cfg);
-        let hops = || traces.iter().flat_map(|t| t.hops.iter().flatten());
+        let hops = || traces.iter().flat_map(|t| t.hops().flatten());
         assert!(
             hops().any(|h| h.reply == ReplyType::EchoReply),
             "campaign should contain echo replies"
@@ -754,7 +771,7 @@ mod tests {
             let (_, last) = t.last_hop().expect("unreachable ends responsive");
             assert_eq!(last.reply, ReplyType::DestUnreachable);
             // The measurement stops right there: no trailing gap probes.
-            assert!(t.hops.last().unwrap().is_some());
+            assert!(t.hops().next_back().unwrap().is_some());
         }
     }
 
@@ -949,7 +966,7 @@ mod tests {
         let traces = campaign(&net, &vps, &cfg);
         for t in &traces {
             if t.stop != StopReason::Completed {
-                let trailing = t.hops.iter().rev().take_while(|h| h.is_none()).count();
+                let trailing = t.hops().rev().take_while(Option::is_none).count();
                 assert!(trailing <= cfg.gap_limit, "tail too long: {t}");
             }
         }

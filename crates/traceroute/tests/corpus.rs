@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use traceroute::io::{read_jsonl, write_jsonl};
-use traceroute::{Corpus, Hop, ReplyType, StopReason, Trace};
+use traceroute::{Corpus, CorpusBuilder, Hop, ReplyType, StopReason, Trace, WorkerPool};
 
 /// Written by the `Vec<Trace>` serde writer: `*` hops, all three reply
 /// types, all four stop reasons, three monitors and an escaped name.
@@ -75,6 +75,14 @@ fn trace() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// `out` with `traces` pushed.
+fn builder(mut out: CorpusBuilder, traces: &[Trace]) -> CorpusBuilder {
+    for t in traces {
+        out.push_trace(t).unwrap();
+    }
+    out
+}
+
 proptest! {
     #[test]
     fn rows_are_their_inputs(traces in proptest::collection::vec(trace(), 0..40)) {
@@ -97,15 +105,16 @@ proptest! {
         let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(traces.len())).collect();
         bounds.extend([0, traces.len()]);
         bounds.sort_unstable();
-        let chunks: Vec<Corpus> = bounds
+        let chunks: Vec<CorpusBuilder> = bounds
             .windows(2)
-            .map(|w| traces[w[0]..w[1]].iter().cloned().collect())
+            .map(|w| builder(CorpusBuilder::new(), &traces[w[0]..w[1]]))
             .collect();
-        let joined = Corpus::concat(chunks).unwrap();
+        let joined = Corpus::concat(chunks, &WorkerPool::new(2)).unwrap();
         prop_assert_eq!(&joined, &whole);
         for (a, b) in joined.iter().zip(&whole) {
             prop_assert_eq!(a, b);
         }
+        prop_assert_eq!(joined.slots(0..joined.len()), whole.slots(0..whole.len()));
     }
 
     #[test]
@@ -119,11 +128,11 @@ proptest! {
                 names.push(&t.monitor);
             }
         }
-        let mut reversed = Corpus::with_monitors(names.into_iter().rev()).unwrap();
-        reversed.extend(traces.iter().cloned());
-        prop_assert_eq!(&reversed, &forward);
-        let unused = Corpus::with_monitors(["unused"]).unwrap();
-        let joined = Corpus::concat(vec![unused, reversed]).unwrap();
+        let reversed = CorpusBuilder::with_monitors(names.into_iter().rev()).unwrap();
+        let reversed = builder(reversed, &traces);
+        prop_assert_eq!(&reversed.clone().finish().unwrap(), &forward);
+        let unused = CorpusBuilder::with_monitors(["unused"]).unwrap();
+        let joined = Corpus::concat(vec![unused, reversed], &WorkerPool::new(2)).unwrap();
         prop_assert_eq!(&joined, &forward);
     }
 

@@ -98,8 +98,8 @@ fn hash_traces(traces: &Corpus) -> u64 {
         h.u32(t.src);
         h.u32(t.dst);
         h.byte(stop_code(t.stop));
-        h.u64(t.hops.len() as u64);
-        for hop in t.hops {
+        h.u64(t.hops().len() as u64);
+        for hop in t.hops() {
             match hop {
                 Some(hop) => {
                     h.byte(1);
