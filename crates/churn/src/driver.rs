@@ -293,16 +293,16 @@ fn run_schedule(
         let splice_span = rec.span(names::PHASE_CHURN_SPLICE);
         let mut ases = AsSets::new();
         ases.reserve(n_pairs);
-        let mut fresh_rows = 0..fresh.rows.len();
+        let mut fresh_rows = fresh.rows().enumerate();
         let picks = source.iter().map(|src| match *src {
             Some(o) => {
                 ases.push(cache.ases.get(o));
                 Ok(o)
             }
             None => {
-                let f = fresh_rows.next().expect("one fresh row per dirty pair");
+                let (f, row) = fresh_rows.next().expect("one fresh row per dirty pair");
                 ases.push(fresh.ases.get(f));
-                Err(fresh.rows.row(f))
+                Err(row)
             }
         });
         cache.rows = cache
@@ -449,6 +449,8 @@ mod tests {
             assert_eq!(e.report.counters[names::CHURN_EPOCHS], 1);
             assert!(e.report.phases.contains_key(names::PHASE_CHURN_EPOCH));
             assert!(e.report.phases.contains_key(names::PHASE_REFINE));
+            // Re-probed rows reach the corpus unsealed: one seal per epoch.
+            assert_eq!(e.report.phases[names::CORPUS_INDEX].count, 1);
         }
         // The session recorder holds the cumulative view.
         let total = rec.report();

@@ -26,7 +26,7 @@ use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use topo_gen::GeneratorConfig;
-use traceroute::io::{read_jsonl, write_jsonl};
+use traceroute::io::{read_jsonl_with, write_jsonl};
 use traceroute::sim::ProbeConfig;
 
 /// File names inside a dataset bundle.
@@ -141,7 +141,7 @@ pub fn infer_from_bundle(dir: &Path, threads: usize, rec: &obs::Recorder) -> io:
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
 
     let read_span = rec.span(obs::names::PHASE_READ_BUNDLE);
-    let traces = read_jsonl(fs::File::open(dir.join(files::TRACES))?)?;
+    let traces = read_jsonl_with(fs::File::open(dir.join(files::TRACES))?, rec)?;
     let aliases = AliasSets::from_nodes_file(&fs::read_to_string(dir.join(files::NODES))?)
         .map_err(invalid)?;
     let rels = AsRelationships::from_serial1(&fs::read_to_string(dir.join(files::RELS))?)
@@ -357,6 +357,31 @@ mod tests {
             assert!(report.phases.contains_key(phase), "missing {phase}");
         }
         assert!(report.counters[obs::names::REFINE_ITERATIONS] > 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn infer_seals_the_read_corpus_once_while_reading() {
+        let dir = tmpdir("obs-index");
+        write_bundle(
+            &dir,
+            GeneratorConfig::tiny(407),
+            3,
+            407,
+            0,
+            &obs::Recorder::disabled(),
+        )
+        .unwrap();
+        let rec = obs::Recorder::new(false);
+        infer_from_bundle(&dir, 1, &rec).unwrap();
+        let report = rec.report();
+        let (index, read) = (
+            &report.phases[obs::names::CORPUS_INDEX],
+            &report.phases[obs::names::PHASE_READ_BUNDLE],
+        );
+        assert_eq!(index.count, 1);
+        assert!(index.wall_ms <= read.wall_ms);
+        assert!(report.exec[obs::names::EXEC_REFINE_ELECTIONS] > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -11,12 +11,20 @@
 //! annotated in ascending index order, in place, so a read of a
 //! lower-indexed IR sees this sweep's value and a read of a higher-indexed
 //! one the pre-sweep value.
+//!
+//! The sweeps are a worklist: an election is held only when an annotation
+//! it reads changed since its last one ([`Readers`] says who reads what),
+//! so the elections it skips are exactly those that would have returned the
+//! annotation already stored. Each router election's firing counts are kept
+//! per IR ([`Firings`]), and their running total is what every iteration
+//! adds to the counters, as if every election had been held.
 
 use crate::graph::IrGraph;
 use crate::refine::{interface, router};
 use crate::{AnnotationState, Config};
 use as_rel::{AsRelationships, CustomerCones};
-use net_types::Asn;
+use bgp::OriginKind;
+use net_types::{Asn, SetColumn};
 
 /// Seed of the convergence hash. Fixed (rather than `DefaultHasher`'s
 /// per-process randomness) so convergence traces are reproducible across
@@ -89,17 +97,52 @@ pub(crate) struct Scratch {
     pub iface_votes: Vec<(Asn, u64)>,
 }
 
+/// What one router election fired: the counts of the §6.1 heuristics that
+/// `refine.*` counters report. [`router::annotate_ir`] starts it at zero.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Firings {
+    /// Link votes redirected by third-party detection (Alg. 3 lines 6–8).
+    pub third_party_votes: u32,
+    /// An exception decided the election (§6.1.3): 0 or 1.
+    pub exception: u32,
+    /// The hidden-AS check replaced the winner (§6.1.5): 0 or 1.
+    pub hidden: u32,
+    /// The reallocated-prefix correction flipped votes (§6.1.2): 0 or 1.
+    pub realloc: u32,
+}
+
+impl Firings {
+    /// The counter each of [`Firings::counts`] adds to.
+    pub const NAMES: [&'static str; 4] = [
+        obs::names::REFINE_THIRD_PARTY_VOTES,
+        obs::names::REFINE_EXCEPTION_FIRINGS,
+        obs::names::REFINE_HIDDEN_FIRINGS,
+        obs::names::REFINE_REALLOC_FIRINGS,
+    ];
+
+    /// The four counts, in [`Firings::NAMES`] order.
+    pub fn counts(self) -> [u32; 4] {
+        [
+            self.third_party_votes,
+            self.exception,
+            self.hidden,
+            self.realloc,
+        ]
+    }
+}
+
 /// Context threaded through the annotation routines: the graph, the
 /// configuration, the relationship database and customer cones (queried
 /// directly, the same path phases 1 and 2 take), the elections' scratch
-/// buffers, and the write-only telemetry (nothing here reads the sheet or
-/// the tracer).
+/// buffers, what the last router election fired, and the write-only
+/// telemetry (nothing here reads the sheet or the tracer).
 pub(crate) struct SweepCtx<'a> {
     pub graph: &'a IrGraph,
     pub cfg: &'a Config,
     pub rels: &'a AsRelationships,
     pub cones: &'a CustomerCones,
     pub scratch: Scratch,
+    pub fired: Firings,
     pub sheet: obs::MetricSheet,
     pub tracer: obs::WorkerTracer,
 }
@@ -120,6 +163,7 @@ impl<'a> SweepCtx<'a> {
             rels,
             cones,
             scratch: Scratch::default(),
+            fired: Firings::default(),
             sheet: obs::MetricSheet::new(),
             tracer: rec.tracer().worker(obs::names::TRACK_REFINE_WORKER, 0),
         }
@@ -173,11 +217,89 @@ fn state_hash(state: &AnnotationState) -> u64 {
     h.finish()
 }
 
+/// Which elections read which annotation, for the worklist: the inputs of
+/// every election that can change during refinement.
+struct Readers {
+    /// Per interface `j`: the electable IRs with a link to `j` whose vote
+    /// or reallocation check may read `iface[j]` or `router[iface_ir[j]]`.
+    irs: SetColumn<u32>,
+    /// Per IR `x`: the interfaces whose §6.2 election reads `router[x]`,
+    /// as their own IR or as a predecessor.
+    ifaces: SetColumn<u32>,
+}
+
+impl Readers {
+    /// The index over `graph`'s electable IRs (ascending). A link that reads
+    /// no annotation is left out: one below its IR's best label, one Alg. 3
+    /// line 1 decides, one to an IXP address — unless it is one of two or
+    /// more reallocation candidates, whose check reads their routers.
+    fn build(graph: &IrGraph, electable: &[u32]) -> Readers {
+        let (mut pairs, mut held) = (Vec::new(), Vec::new());
+        for &x in electable {
+            let ir = &graph.irs[x as usize];
+            let origins = &graph.ir_origins[x as usize];
+            let best = ir.links.iter().map(|l| l.label).min();
+            let mut candidates = 0;
+            held.clear();
+            for l in ir.links.iter().filter(|l| Some(l.label) == best) {
+                let o = graph.iface_origin[l.dst.0 as usize];
+                let candidate = o.asn.is_some() && origins.contains(&o.asn);
+                candidates += usize::from(candidate);
+                let line1 = o.asn.is_some() && graph.link_origins[l.row as usize].contains(&o.asn);
+                if !line1 && o.kind != OriginKind::Ixp {
+                    pairs.push((l.dst.0, x));
+                } else if candidate {
+                    held.push((l.dst.0, x));
+                }
+            }
+            if candidates >= 2 {
+                pairs.extend_from_slice(&held);
+            }
+        }
+        let irs = SetColumn::group(graph.iface_ir.len(), &pairs);
+
+        let mut can_change = vec![false; graph.irs.len()];
+        for &x in electable {
+            can_change[x as usize] = true;
+        }
+        pairs.clear();
+        for (j, o) in graph.iface_origin.iter().enumerate() {
+            if o.kind == OriginKind::Ixp {
+                continue;
+            }
+            // The own IR, then the predecessors' IRs, which ascend: a
+            // repeat is the IR just before it.
+            let own = graph.iface_ir[j].0;
+            let preds = graph.preds[j].iter().map(|&(p, _)| p.0);
+            let mut last = None;
+            for x in std::iter::once(own).chain(preds.filter(|&p| p != own)) {
+                if last != Some(x) && can_change[x as usize] {
+                    pairs.push((x, j as u32));
+                }
+                last = Some(x);
+            }
+        }
+        let ifaces = SetColumn::group(graph.irs.len(), &pairs);
+        Readers { irs, ifaces }
+    }
+}
+
 /// Runs the graph to convergence (§6.3): sweep the mid-path routers in
 /// ascending IR order, sweep the interfaces, and stop at the first repeated
 /// state, with `cfg.max_iterations` as the backstop. Annotations are
 /// written in place, so the router sweep is Gauss-Seidel; the interface
 /// sweep reads only router annotations, so its order does not matter.
+///
+/// Each sweep holds only the elections that are due. The first iteration
+/// holds them all. After that, when `router[x]` changes, a reader IR above
+/// `x` is due later in the same sweep (the full sweep would read the new
+/// value there), one at or below `x` in the next sweep, and every interface
+/// reading `router[x]` in this iteration's interface sweep; when an
+/// interface annotation changes, its reader IRs are due in the next sweep.
+/// An election that is not due reads what its last one read and so would
+/// return the annotation it already wrote. Its firings would be the same
+/// too, so each iteration adds the running total of every IR's last
+/// [`Firings`].
 ///
 /// Returns the convergence trace `[h_0, h_1, ..., h_n]`: the state hash
 /// before refinement and after each of the `n` iterations. The trace holds
@@ -189,27 +311,75 @@ fn converge(state: &mut AnnotationState, ctx: &mut SweepCtx<'_>) -> Vec<u64> {
     use obs::names;
 
     let graph = ctx.graph;
+    let electable: Vec<u32> = (graph.mid_path_irs())
+        .map(|ir| ir.id.0)
+        .filter(|&x| !state.frozen[x as usize])
+        .collect();
+    let readers = Readers::build(graph, &electable);
+    // Router elections due in this sweep and in the next; interface
+    // elections due in this iteration.
+    let mut due = vec![false; graph.irs.len()];
+    for &x in &electable {
+        due[x as usize] = true;
+    }
+    let mut due_next = vec![false; graph.irs.len()];
+    let mut iface_due = vec![true; state.iface.len()];
+    // Every IR's last firings, and their total over all IRs.
+    let mut fired = vec![Firings::default(); graph.irs.len()];
+    let mut total = [0u64; 4];
+    let mut elections = 0u64;
+
     let mut trace = vec![state_hash(state)];
     for i in 0..ctx.cfg.max_iterations {
         ctx.tracer.begin(names::EV_REFINE_WAVE, i as u64);
         // Router sweep (§6.1).
-        for ir in graph.mid_path_irs() {
-            let iri = ir.id.0 as usize;
-            if state.frozen[iri] {
+        for &x in &electable {
+            let xi = x as usize;
+            if !std::mem::take(&mut due[xi]) {
                 continue;
             }
-            let a = router::annotate_ir(ir, state, ctx);
-            if a.is_some() {
-                if state.router[iri] != a {
-                    ctx.sheet.inc(names::REFINE_VOTES_CHANGED);
+            elections += 1;
+            let a = router::annotate_ir(&graph.irs[xi], state, ctx);
+            let counts = (fired[xi].counts().into_iter()).zip(ctx.fired.counts());
+            for (t, (old, new)) in total.iter_mut().zip(counts) {
+                *t = *t - u64::from(old) + u64::from(new);
+            }
+            fired[xi] = ctx.fired;
+            if a.is_none() || state.router[xi] == a {
+                continue;
+            }
+            ctx.sheet.inc(names::REFINE_VOTES_CHANGED);
+            state.router[xi] = a;
+            for j in &graph.irs[xi].ifaces {
+                for &r in readers.irs.get(j.0 as usize) {
+                    match r > x {
+                        true => due[r as usize] = true,
+                        false => due_next[r as usize] = true,
+                    }
                 }
-                state.router[iri] = a;
+            }
+            for &j in readers.ifaces.get(xi) {
+                iface_due[j as usize] = true;
             }
         }
+        // A zero is not added: adding it would create the counter.
+        for (name, n) in Firings::NAMES.into_iter().zip(total) {
+            if n > 0 {
+                ctx.sheet.add(name, n);
+            }
+        }
+        std::mem::swap(&mut due, &mut due_next);
         // Interface sweep (§6.2).
-        for j in 0..state.iface.len() {
-            if let Some(a) = interface::annotate_iface_one(j, state, ctx) {
-                state.iface[j] = a;
+        for (j, iface_due) in iface_due.iter_mut().enumerate() {
+            if !std::mem::take(iface_due) {
+                continue;
+            }
+            match interface::annotate_iface_one(j, state, ctx) {
+                Some(a) if state.iface[j] != a => state.iface[j] = a,
+                _ => continue,
+            }
+            for &r in readers.irs.get(j) {
+                due[r as usize] = true;
             }
         }
         let h = state_hash(state);
@@ -220,6 +390,7 @@ fn converge(state: &mut AnnotationState, ctx: &mut SweepCtx<'_>) -> Vec<u64> {
             break;
         }
     }
+    ctx.sheet.add_exec(names::EXEC_REFINE_ELECTIONS, elections);
     trace
 }
 
@@ -231,8 +402,9 @@ mod tests {
     use alias::AliasSets;
     use bgp::IpToAs;
     use net_types::{Asn, Prefix};
+    use obs::names;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use traceroute::{Hop, ReplyType, StopReason, Trace};
 
     #[test]
@@ -267,12 +439,18 @@ mod tests {
         assert_ne!(a.finish(), b.finish());
     }
 
-    /// Oracle: the sweep as the former lockstep engine scheduled it. Mid-path
-    /// IRs run in wavefront levels (longest chain of links into
-    /// lower-indexed mid-path IRs), each against a versioned view: this
-    /// sweep's value for lower-indexed IRs, the pre-sweep value for the rest.
-    /// It stops at the first repeated whole-graph state.
-    fn oracle_converge(state: &mut AnnotationState, ctx: &mut SweepCtx<'_>) -> Vec<u64> {
+    /// Oracle: the full sweep, every election in every iteration, as the
+    /// former lockstep engine scheduled it. Mid-path IRs run in wavefront
+    /// levels (longest chain of links into lower-indexed mid-path IRs),
+    /// each against a versioned view: this sweep's value for lower-indexed
+    /// IRs, the pre-sweep value for the rest. It stops at the first
+    /// repeated whole-graph state, counts every election's firings and
+    /// every changed router annotation into `ctx.sheet`, and returns the
+    /// convergence trace and the router annotations after each iteration.
+    fn oracle_converge(
+        state: &mut AnnotationState,
+        ctx: &mut SweepCtx<'_>,
+    ) -> (Vec<u64>, Vec<Vec<Asn>>) {
         let graph = ctx.graph;
         let mut depth = vec![0usize; graph.irs.len()];
         let mut levels: Vec<Vec<u32>> = Vec::new();
@@ -289,6 +467,7 @@ mod tests {
             levels[d].push(i);
         }
         let mut trace = vec![state_hash(state)];
+        let mut history = Vec::new();
         for _ in 0..ctx.cfg.max_iterations {
             let prev = state.router.clone();
             for &iri in levels.iter().flatten() {
@@ -298,10 +477,17 @@ mod tests {
                 let mut view = state.clone();
                 view.router[iri as usize..].copy_from_slice(&prev[iri as usize..]);
                 let a = router::annotate_ir(&graph.irs[iri as usize], &view, ctx);
+                for (name, n) in Firings::NAMES.into_iter().zip(ctx.fired.counts()) {
+                    (0..n).for_each(|_| ctx.sheet.inc(name));
+                }
                 if a.is_some() {
+                    if state.router[iri as usize] != a {
+                        ctx.sheet.inc(names::REFINE_VOTES_CHANGED);
+                    }
                     state.router[iri as usize] = a;
                 }
             }
+            history.push(state.router.clone());
             for j in 0..state.iface.len() {
                 if let Some(a) = interface::annotate_iface_one(j, state, ctx) {
                     state.iface[j] = a;
@@ -314,7 +500,7 @@ mod tests {
                 break;
             }
         }
-        trace
+        (trace, history)
     }
 
     /// Island `k` of three: `10.(2k+1)/16` (AS 2k+1), `10.(2k+2)/16`
@@ -343,12 +529,14 @@ mod tests {
     /// Fixed traces per island, on hosts ≥ 220 that random traces never
     /// use: a Nexthop chain walked forward and back (back-edges into
     /// lower-indexed mid-path IRs), an Echo link, a Multihop link across a
-    /// gap, frozen last hops, and a descending unannounced chain whose
-    /// votes are its successors' router annotations.
+    /// gap, frozen last hops, a descending unannounced chain whose votes
+    /// are its successors' router annotations, and a router whose
+    /// annotation changes and changes back.
     fn scaffold(k: u32) -> Vec<Trace> {
-        use ReplyType::{EchoReply as ER, TimeExceeded as TE};
+        use ReplyType::{DestUnreachable as DU, EchoReply as ER, TimeExceeded as TE};
         let (a1, a2, b3) = (addr(k, 0, 221), addr(k, 0, 222), addr(k, 1, 223));
         let (b9, u4, u5) = (addr(k, 1, 229), addr(k, 2, 240), addr(k, 2, 250));
+        let (r, u) = (addr(k, 1, 1197), |host: u32| addr(k, 2, 1000 + host));
         vec![
             trace(
                 b9,
@@ -378,7 +566,46 @@ mod tests {
                     Some((b3, TE)),
                 ],
             ),
+            // Router `r` and its two unannounced successors, both above it
+            // in IR order. On island 1 the first is annotated AS3 in the
+            // sweep that first elects `r`, the second AS4 one sweep later
+            // (its own successor is above it too), so `r` goes AS4 → AS3
+            // → AS4.
+            trace(
+                addr(k, 1, 1030),
+                &[Some((r, TE)), Some((addr(k, 0, 1056), TE))],
+            ),
+            trace(
+                addr(k, 1, 1100),
+                &[
+                    Some((r, TE)),
+                    Some((u(31), TE)),
+                    Some((addr(k, 0, 1152), ER)),
+                ],
+            ),
+            trace(
+                addr(k, 1, 1077),
+                &[
+                    Some((r, TE)),
+                    Some((u(143), TE)),
+                    Some((u(192), DU)),
+                    Some((u(155), TE)),
+                ],
+            ),
         ]
+    }
+
+    /// Whether some router's annotation, over the per-iteration `history`,
+    /// changes to another AS and later changes back.
+    fn changes_back(history: &[Vec<Asn>]) -> bool {
+        let routers = history.first().map_or(0, Vec::len);
+        (0..routers).any(|x| {
+            let mut runs: Vec<Asn> = history.iter().map(|h| h[x]).collect();
+            runs.dedup();
+            let back =
+                |(i, a): (usize, &Asn)| a.is_some() && runs[i..].iter().skip(2).any(|b| b == a);
+            runs.iter().enumerate().any(back)
+        })
     }
 
     fn random_trace() -> impl Strategy<Value = Trace> {
@@ -495,16 +722,40 @@ mod tests {
                 jr < ir.id && !graph.irs[jr.0 as usize].links.is_empty()
             }), "no back-edge");
 
+            let rec = obs::Recorder::new(false);
             let mut swept = initial.clone();
-            refine(&graph, &rels, &cones, &cfg, &mut swept, &obs::Recorder::disabled());
+            refine(&graph, &rels, &cones, &cfg, &mut swept, &rec);
 
             let mut want = initial;
             let mut ctx = SweepCtx::new(&graph, &cfg, &rels, &cones, &obs::Recorder::disabled());
-            let trace = oracle_converge(&mut want, &mut ctx);
+            let (trace, history) = oracle_converge(&mut want, &mut ctx);
+            prop_assert!(changes_back(&history), "no annotation changes back");
             prop_assert_eq!(&swept.router, &want.router);
             prop_assert_eq!(&swept.iface, &want.iface);
             prop_assert_eq!(swept.iterations, trace.len() - 1);
+
+            // Every `refine.*` counter, absent ones included, as the full
+            // sweep counts them.
+            let oracle = obs::Recorder::new(false);
+            oracle.absorb(&ctx.sheet);
+            oracle.inc(names::REFINE_RUNS);
+            oracle.add(names::REFINE_ITERATIONS, (trace.len() - 1) as u64);
+            let annotated = want.router.iter().filter(|a| a.is_some()).count();
+            oracle.add(names::REFINE_ROUTERS_ANNOTATED, annotated as u64);
+            let refine_counters = |r: &obs::Recorder| -> BTreeMap<String, u64> {
+                (r.report().counters.into_iter())
+                    .filter(|(name, _)| name.starts_with("refine."))
+                    .collect()
+            };
+            prop_assert_eq!(refine_counters(&rec), refine_counters(&oracle));
             prop_assert_eq!(&swept.convergence_traces, &vec![trace]);
+
+            // The worklist holds no more elections than the full sweep.
+            let electable = (graph.mid_path_irs())
+                .filter(|ir| !swept.frozen[ir.id.0 as usize])
+                .count();
+            let held = rec.report().exec[names::EXEC_REFINE_ELECTIONS];
+            prop_assert!(held <= (swept.iterations * electable) as u64);
         }
     }
 }

@@ -5,7 +5,10 @@
 //! it connects to ([`interface`], §6.2). Annotations propagate across the
 //! graph between iterations, and the loop stops when the whole graph's state
 //! repeats ([`engine`], §6.3). Every sweep runs on the calling thread, in
-//! ascending IR order and in place (Gauss-Seidel).
+//! ascending IR order and in place (Gauss-Seidel), and holds only the
+//! elections whose inputs changed since their last one: the others would
+//! return what they already wrote, so the annotations, the convergence
+//! trace and the `refine.*` counters are those of sweeping everything.
 
 pub mod engine;
 pub mod exceptions;

@@ -4,10 +4,10 @@
 //! as `BTreeSet`s. The sweep runs the scratch-buffer form
 //! ([`router::annotate_ir`], [`interface::annotate_iface_one`]); the
 //! proptests below hold it to this one on random IRs, returned ASN and
-//! firing counters alike.
+//! each election's [`Firings`] alike.
 
 use crate::graph::{IfIdx, Ir, IrId, LinkLabel};
-use crate::refine::engine::SweepCtx;
+use crate::refine::engine::{Firings, SweepCtx};
 use crate::refine::votes;
 use crate::AnnotationState;
 use as_rel::{AsRelationships, CustomerCones, Relationship};
@@ -15,8 +15,10 @@ use bgp::OriginKind;
 use net_types::{Asn, Counter, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Algorithm 2 over a `Counter` and a `BTreeMap<Asn, BTreeSet<Asn>>`.
+/// Algorithm 2 over a `Counter` and a `BTreeMap<Asn, BTreeSet<Asn>>`,
+/// leaving what it fired in [`SweepCtx::fired`].
 fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn {
+    ctx.fired = Firings::default();
     let graph = ctx.graph;
     let ir_origins: BTreeSet<Asn> = graph.ir_origins[ir.id.0 as usize].iter().copied().collect();
     let best_label = ir
@@ -60,7 +62,7 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
     }
     if ctx.cfg.enable_exceptions {
         if let Some(a) = check_exceptions(&ir_origins, &link_vote_ases, &v, ctx.rels) {
-            ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
+            ctx.fired.exception += 1;
             return a;
         }
     }
@@ -82,7 +84,7 @@ fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn 
         let vote_origins = m.get(&a).cloned().unwrap_or_default();
         let replaced = check_hidden_as(&ir_origins, a, &vote_origins, ctx.rels);
         if replaced != a {
-            ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
+            ctx.fired.hidden += 1;
         }
         return replaced;
     }
@@ -203,7 +205,7 @@ fn correct_reallocated(
         }
     }
     if flipped {
-        ctx.sheet.inc(obs::names::REFINE_REALLOC_FIRINGS);
+        ctx.fired.realloc += 1;
     }
 }
 
@@ -501,30 +503,30 @@ mod props {
         }
     }
 
-    /// The firing counters both forms must agree on.
-    const FIRINGS: [&str; 4] = [
-        obs::names::REFINE_THIRD_PARTY_VOTES,
-        obs::names::REFINE_EXCEPTION_FIRINGS,
-        obs::names::REFINE_HIDDEN_FIRINGS,
-        obs::names::REFINE_REALLOC_FIRINGS,
-    ];
+    /// What the router elections of [`compare`] returned and fired: per
+    /// IR its annotation, per interface its election's result, and the
+    /// firing counts summed over the elections, in [`Firings::NAMES`]
+    /// order.
+    type Decided = (Vec<Asn>, Vec<Option<Asn>>, [u64; 4]);
 
     /// Runs every router election in `order`, then every interface
     /// election, in both forms, each form on one context for the whole
     /// run so the scratch form reuses its buffers; returns the first
-    /// disagreement.
+    /// disagreement, in an annotation or in an election's four firing
+    /// counts.
     fn compare(
         graph: &IrGraph,
         state: &AnnotationState,
         cfg: &Config,
         order: &[usize],
-    ) -> Result<(Vec<Asn>, Vec<Option<Asn>>), String> {
+    ) -> Result<Decided, String> {
         let rels = rels();
         let cones = CustomerCones::compute(&rels);
         let rec = obs::Recorder::disabled();
         let mut old = SweepCtx::new(graph, cfg, &rels, &cones, &rec);
         let mut new = SweepCtx::new(graph, cfg, &rels, &cones, &rec);
         let mut got = vec![Asn::NONE; graph.irs.len()];
+        let mut fired = [0u64; 4];
         for &k in order {
             let ir = &graph.irs[k];
             let (want, have) = (
@@ -533,6 +535,13 @@ mod props {
             );
             if want != have {
                 return Err(format!("IR {k}: set form {want:?}, scratch form {have:?}"));
+            }
+            if old.fired != new.fired {
+                let (want, have) = (old.fired, new.fired);
+                return Err(format!("IR {k}: set form {want:?}, scratch form {have:?}"));
+            }
+            for (sum, n) in fired.iter_mut().zip(new.fired.counts()) {
+                *sum += u64::from(n);
             }
             got[k] = have;
         }
@@ -549,13 +558,7 @@ mod props {
             }
             ifaces.push(have);
         }
-        for name in FIRINGS {
-            let (want, have) = (old.sheet.counter(name), new.sheet.counter(name));
-            if want != have {
-                return Err(format!("{name}: set form {want}, scratch form {have}"));
-            }
-        }
-        Ok((got, ifaces))
+        Ok((got, ifaces, fired))
     }
 
     /// Both forms decide every scaffold rule as the rule says.
@@ -591,21 +594,16 @@ mod props {
             .map(|&(_, k, _)| graph.irs[k].links.len())
             .min();
         assert!(graph.irs[order[0]].links.len() > shortest.unwrap());
-        let (routers, ifaces) = compare(&graph, &state, &cfg, &order).unwrap();
+        let (routers, ifaces, _) = compare(&graph, &state, &cfg, &order).unwrap();
         check_scaffold(&sc, &routers, &ifaces).unwrap();
-        let rels = rels();
-        let cones = CustomerCones::compute(&rels);
-        let rec = obs::Recorder::disabled();
-        let mut ctx = SweepCtx::new(&graph, &cfg, &rels, &cones, &rec);
-        for &(_, k, _) in &sc.routers {
-            router::annotate_ir(&graph.irs[k], &state, &mut ctx);
-        }
+        let rule_irs: Vec<usize> = sc.routers.iter().map(|&(_, k, _)| k).collect();
+        let (_, _, fired) = compare(&graph, &state, &cfg, &rule_irs).unwrap();
         // Multihomed, single-origin, mirror, and the flipped realloc votes
         // (then one subsequent AS, a customer of the origin).
-        let fired = |name| ctx.sheet.counter(name);
-        assert_eq!(fired(obs::names::REFINE_EXCEPTION_FIRINGS), 4);
-        assert_eq!(fired(obs::names::REFINE_HIDDEN_FIRINGS), 1);
-        assert_eq!(fired(obs::names::REFINE_REALLOC_FIRINGS), 1);
+        let [_, exception, hidden, realloc] = fired;
+        assert_eq!(exception, 4);
+        assert_eq!(hidden, 1);
+        assert_eq!(realloc, 1);
     }
 
     fn iface_spec() -> impl Strategy<Value = IfaceSpec> {
@@ -675,7 +673,7 @@ mod props {
             };
             let mut order: Vec<usize> = (0..irs.len()).collect();
             order.sort_by_key(|&k| std::cmp::Reverse(graph.irs[k].links.len()));
-            let (routers, ifaces) =
+            let (routers, ifaces, _) =
                 compare(&graph, &state, &cfg, &order).map_err(TestCaseError::fail)?;
             order.reverse();
             compare(&graph, &state, &cfg, &order).map_err(TestCaseError::fail)?;

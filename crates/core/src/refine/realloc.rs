@@ -68,6 +68,6 @@ pub(crate) fn correct_reallocated(
         }
     }
     if flipped {
-        ctx.sheet.inc(obs::names::REFINE_REALLOC_FIRINGS);
+        ctx.fired.realloc += 1;
     }
 }

@@ -6,7 +6,7 @@
 //! an AS names the links behind its votes.
 
 use crate::graph::{Ir, LinkLabel};
-use crate::refine::engine::{Scratch, SweepCtx};
+use crate::refine::engine::{Firings, Scratch, SweepCtx};
 use crate::refine::{exceptions, hidden, realloc, votes};
 use crate::AnnotationState;
 use as_rel::CustomerCones;
@@ -15,8 +15,10 @@ use net_types::Asn;
 
 /// Annotates one IR (Algorithm 2), returning its new annotation
 /// ([`Asn::NONE`] when no evidence exists at all) from the annotation state
-/// as the in-place sweep leaves it at this IR's turn.
+/// as the in-place sweep leaves it at this IR's turn, and leaving what it
+/// fired in [`SweepCtx::fired`].
 pub(crate) fn annotate_ir(ir: &Ir, state: &AnnotationState, ctx: &mut SweepCtx<'_>) -> Asn {
+    ctx.fired = Firings::default();
     // The buffers leave the context for the election, which also hands the
     // context to the per-link vote; moving a `Vec` allocates nothing.
     let mut s = std::mem::take(&mut ctx.scratch);
@@ -103,7 +105,7 @@ fn annotate_ir_in(
         if let Some(a) =
             exceptions::check_exceptions(origins, &s.link_vote_ases, &s.tally, ctx.rels)
         {
-            ctx.sheet.inc(obs::names::REFINE_EXCEPTION_FIRINGS);
+            ctx.fired.exception += 1;
             return a;
         }
     }
@@ -144,7 +146,7 @@ fn annotate_ir_in(
         }
         let replaced = hidden::check_hidden_as(origins, a, &s.vote_origins, ctx.rels);
         if replaced != a {
-            ctx.sheet.inc(obs::names::REFINE_HIDDEN_FIRINGS);
+            ctx.fired.hidden += 1;
         }
         return replaced;
     }

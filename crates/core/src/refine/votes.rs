@@ -69,7 +69,7 @@ pub(crate) fn link_vote(
         && origins.iter().any(|&o| ctx.rels.has_relationship(o, as_j))
         && !link.dst_origin_probed
     {
-        ctx.sheet.inc(obs::names::REFINE_THIRD_PARTY_VOTES);
+        ctx.fired.third_party_votes += 1;
         return Some(as_j);
     }
 

@@ -117,6 +117,36 @@ impl<T: Copy + Ord> SetColumn<T> {
         }
     }
 
+    /// `n` sets from `(set, value)` pairs in any set order, by a counting
+    /// sort: set `i` holds the values of the pairs naming it, in pair
+    /// order, which must be ascending and without repeats.
+    pub fn group(n: usize, pairs: &[(u32, T)]) -> SetColumn<T>
+    where
+        T: Default,
+    {
+        u32::try_from(pairs.len()).expect("column holds under 2³² values");
+        let mut off = vec![0u32; n + 1];
+        for &(set, _) in pairs {
+            off[set as usize + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
+        let mut at = off.clone();
+        let mut values = vec![T::default(); pairs.len()];
+        for &(set, value) in pairs {
+            let at = &mut at[set as usize];
+            values[*at as usize] = value;
+            *at += 1;
+        }
+        let out = SetColumn { values, off };
+        debug_assert!(
+            (0..n).all(|i| out.get(i).windows(2).all(|w| w[0] < w[1])),
+            "set not ascending"
+        );
+        out
+    }
+
     /// Appends every set of `other`.
     pub fn append(&mut self, other: &SetColumn<T>) {
         u32::try_from(self.values.len() + other.values.len())
@@ -194,6 +224,14 @@ mod tests {
         assert_eq!(a, col(&[&[1], &[2, 3], &[], &[4, 9]]));
         a.clear();
         assert_eq!(a, SetColumn::new());
+    }
+
+    #[test]
+    fn group_gathers_each_sets_values_in_pair_order() {
+        let pairs = [(2, 4u32), (0, 1), (2, 6), (0, 3), (2, 9)];
+        let c = SetColumn::group(4, &pairs);
+        assert_eq!(c, col(&[&[1, 3], &[], &[4, 6, 9], &[]]));
+        assert_eq!(SetColumn::<u32>::group(2, &[]), col(&[&[], &[]]));
     }
 
     #[test]

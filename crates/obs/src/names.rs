@@ -175,6 +175,11 @@ pub const EXEC_POOL_BUSY_INDEX: &str = "pool.busy_us.index";
 /// longer recorded (refinement runs on the calling thread); kept because
 /// the benchmark's per-layer report reads it.
 pub const EXEC_POOL_BUSY_REFINE: &str = "pool.busy_us.refine";
+/// Router elections phase 3 held. The worklist skips an election whose
+/// inputs did not change, so this is the work it did, not the iterations
+/// times the routers; reported beside the deterministic `refine.*`
+/// counters, which count as if every election had been held.
+pub const EXEC_REFINE_ELECTIONS: &str = "refine.elections";
 /// Aggregate pool worker busy time in detlint's phase-A file scan,
 /// microseconds.
 pub const EXEC_POOL_BUSY_DETLINT: &str = "pool.busy_us.detlint";

@@ -318,6 +318,14 @@ impl CorpusBuilder {
         Ok(out)
     }
 
+    /// Row `i`, its slots decoded through this builder's own numbering.
+    pub(crate) fn row(&self, i: usize) -> TraceRef<'_> {
+        TraceRef {
+            addrs: self.addrs.keys(),
+            ..self.rows.row(i)
+        }
+    }
+
     /// The rows with a responsive hop, selected ([`CorpusBuilder::select`]).
     pub fn responsive_rows(&self) -> CorpusBuilder {
         let rows = (self.rows.dst_ranks.iter().enumerate()).filter(|&(_, &d)| d != NO_RANK);

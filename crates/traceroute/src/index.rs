@@ -145,6 +145,11 @@ impl LocalIds {
         self.keys.len()
     }
 
+    /// Local id → key, for every key numbered so far.
+    pub(crate) fn keys(&self) -> &[u32] {
+        &self.keys
+    }
+
     #[inline]
     fn slot(&self, key: u32) -> usize {
         (key.wrapping_mul(0x9E37_79B1) >> self.shift) as usize

@@ -99,6 +99,12 @@ fn stop_name(s: StopReason) -> &'static str {
 /// exceeded. Fields may come in any order; unknown fields are skipped and a
 /// repeated field's last value wins.
 pub fn read_jsonl<R: Read>(r: R) -> std::io::Result<Corpus> {
+    read_jsonl_with(r, &obs::Recorder::disabled())
+}
+
+/// [`read_jsonl`], sealing the corpus under a `corpus.index` span reported
+/// to `rec`.
+pub fn read_jsonl_with<R: Read>(r: R, rec: &obs::Recorder) -> std::io::Result<Corpus> {
     let mut reader = BufReader::new(r);
     let mut out = CorpusBuilder::new();
     let (mut buf, mut name, mut hops) = (Vec::new(), String::new(), Vec::new());
@@ -127,7 +133,8 @@ pub fn read_jsonl<R: Read>(r: R) -> std::io::Result<Corpus> {
     }
     // Each row's addresses were counted as it was added, so the seal of
     // this one builder fits.
-    out.finish()
+    let wp = pool::WorkerPool::with_recorder(1, rec.clone());
+    Corpus::concat(vec![out], &wp)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 

@@ -17,7 +17,7 @@
 //! Everything is seeded; the same `(campaign seed, vp, dst)` triple always
 //! produces the same trace, regardless of thread scheduling.
 
-use crate::{Corpus, CorpusBuilder, Hop, ReplyType, StopReason, Trace};
+use crate::{Corpus, CorpusBuilder, Hop, ReplyType, StopReason, Trace, TraceRef};
 use net_types::{AsSets, Asn};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -439,12 +439,20 @@ pub fn probe_campaign_in_pool(
 }
 
 /// The result of [`probe_pairs_in_pool`], index-aligned with its pairs.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct ProbedPairs {
-    /// One row per pair, unresponsive ones included.
-    pub rows: Corpus,
+    /// The pool tasks' rows, in task order and unsealed: the caller copies
+    /// them into its own builder, whose seal is the only one they need.
+    parts: Vec<CorpusBuilder>,
     /// Per pair, its [`traversed_ases`] set.
     pub ases: AsSets,
+}
+
+impl ProbedPairs {
+    /// One row per pair, unresponsive ones included, in pair order.
+    pub fn rows(&self) -> impl Iterator<Item = TraceRef<'_>> {
+        (self.parts.iter()).flat_map(|part| (0..part.rows.len()).map(|i| part.row(i)))
+    }
 }
 
 /// Probes an explicit list of `(vp, dst)` pairs on the given pool, returning
@@ -482,9 +490,8 @@ pub fn probe_pairs_in_pool(
     for t in &tasks {
         ases.append(&t.ases);
     }
-    let rows = Corpus::concat(tasks.into_iter().map(|t| t.rows).collect(), wp)
-        .unwrap_or_else(|e| panic!("{e}"));
-    ProbedPairs { rows, ases }
+    let parts = tasks.into_iter().map(|t| t.rows).collect();
+    ProbedPairs { parts, ases }
 }
 
 /// Runs `probe(k, task)` for every job `k` in `0..jobs`, split into
@@ -815,12 +822,12 @@ mod tests {
         let wp = pool::WorkerPool::new(2);
         let probed = probe_pairs_in_pool(&net, &pairs, &cfg, &wp);
         assert_eq!(
-            probed.rows.len(),
+            probed.rows().count(),
             pairs.len(),
             "unfiltered: one trace per pair"
         );
         assert_eq!(probed.ases.len(), pairs.len());
-        for (&(vp, dst), t) in pairs.iter().zip(&probed.rows) {
+        for (&(vp, dst), t) in pairs.iter().zip(probed.rows()) {
             assert_eq!(t.to_owned(), trace_one(&net, vp, dst, &cfg));
             assert_eq!(t.dst, dst);
         }
@@ -905,12 +912,12 @@ mod tests {
             let wp = pool::WorkerPool::new(2);
             let probed = probe_pairs_in_pool(net, pairs, cfg, &wp);
             prop_assert_eq!(probed.ases.len(), pairs.len());
-            for (k, &(vp, dst)) in pairs.iter().enumerate() {
+            for ((k, &(vp, dst)), row) in pairs.iter().enumerate().zip(probed.rows()) {
                 let fwd = net.forward_path(vp, dst);
                 let mut want = AsSets::new();
                 traversed_ases(net, vp, dst, &fwd.hops, fwd.outcome, &mut want);
                 prop_assert_eq!(probed.ases.get(k), want.get(0), "pair {}", k);
-                prop_assert_eq!(probed.rows.row(k).to_owned(), trace_one(net, vp, dst, cfg));
+                prop_assert_eq!(row.to_owned(), trace_one(net, vp, dst, cfg));
             }
             Ok(())
         }
