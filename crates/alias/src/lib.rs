@@ -223,12 +223,17 @@ pub fn resolve_midar_with_obs(
     rec: &obs::Recorder,
 ) -> AliasSets {
     let _span = rec.span(obs::names::PHASE_ALIAS);
-    record(resolve_midar(net, observed, coverage, seed), rec)
+    let sets = resolve_midar(net, observed, coverage, seed);
+    rec.add(obs::names::ALIAS_GROUPS, sets.len() as u64);
+    rec.add(
+        obs::names::ALIAS_ALIASED_ADDRS,
+        sets.iter().map(|g| g.len() as u64).sum(),
+    );
+    sets
 }
 
-/// The alias phase for a corpus: [`observed_addresses`] and
-/// [`resolve_midar`], both inside one `alias.resolve` span, with the
-/// dataset size counters of [`resolve_midar_with_obs`].
+/// The alias phase for a corpus: [`resolve_midar_with_obs`] over the
+/// corpus's address table ([`Corpus::addrs`]).
 pub fn resolve_corpus(
     net: &Internet,
     traces: &Corpus,
@@ -236,18 +241,7 @@ pub fn resolve_corpus(
     seed: u64,
     rec: &obs::Recorder,
 ) -> AliasSets {
-    let _span = rec.span(obs::names::PHASE_ALIAS);
-    record(resolve_midar(net, traces.addrs(), coverage, seed), rec)
-}
-
-/// Records the alias dataset's size counters.
-fn record(sets: AliasSets, rec: &obs::Recorder) -> AliasSets {
-    rec.add(obs::names::ALIAS_GROUPS, sets.len() as u64);
-    rec.add(
-        obs::names::ALIAS_ALIASED_ADDRS,
-        sets.iter().map(|g| g.len() as u64).sum(),
-    );
-    sets
+    resolve_midar_with_obs(net, traces.addrs(), coverage, seed, rec)
 }
 
 /// Analytic kapar-style resolution from the traces alone.

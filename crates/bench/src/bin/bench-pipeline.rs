@@ -18,7 +18,7 @@
 //!   reported separately as `generate_ms`
 //! - every thread run dispatches campaign and graph build on ONE shared
 //!   worker pool, and reports that pool's cumulative scheduling stats
-//!   (tasks, steals, batches, busy time)
+//!   (tasks, batches, busy time)
 //! - an `end_to_end` speedup series (sum of the top-level phases) joins the
 //!   per-phase ones, and the top-level `crossover` records the first swept
 //!   scale where end-to-end speedup at 2 threads exceeds 1.0
@@ -150,7 +150,6 @@ struct RunDoc {
 #[derive(Serialize)]
 struct PoolDoc {
     tasks: u64,
-    steals: u64,
     batches: u64,
     busy_ms: f64,
 }
@@ -170,7 +169,7 @@ struct OutputDoc<'a> {
 /// FNV-1a over a canonical JSON rendering of everything downstream
 /// consumers can observe: annotations, links, convergence traces, and the
 /// deterministic counter/histogram slice of the run report. Wall times and
-/// exec counters (worker slots, steal counts) are excluded by
+/// exec counters (worker slots, pool tasks) are excluded by
 /// construction — they legitimately vary with the thread count.
 fn output_hash(result: &Annotated, report: &obs::RunReport) -> u64 {
     let doc = OutputDoc {
@@ -230,7 +229,6 @@ fn run_once(
     let stats = wp.stats();
     let pool_doc = PoolDoc {
         tasks: stats.tasks,
-        steals: stats.steals,
         batches: stats.batches,
         busy_ms: stats.busy_nanos as f64 / 1e6,
     };

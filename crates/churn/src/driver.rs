@@ -36,7 +36,7 @@
 
 use crate::bench::{report_delta, EpochCost};
 use crate::schedule::ChurnSchedule;
-use alias::{observed_addresses, resolve_corpus, resolve_midar};
+use alias::{resolve_corpus, resolve_midar};
 use as_rel::infer::{infer_relationships, InferenceConfig};
 use bdrmapit_core::{Bdrmapit, Config};
 use bgp::IpToAs;
@@ -346,7 +346,7 @@ fn run_schedule(
                 full_corpus.len()
             ));
         }
-        let full_aliases = resolve_midar(&net, &observed_addresses(&full_corpus), 0.9, opts.seed);
+        let full_aliases = resolve_midar(&net, full_corpus.addrs(), 0.9, opts.seed);
         if full_aliases != aliases {
             return Err(format!("epoch {epoch}: alias sets diverge"));
         }

@@ -432,7 +432,7 @@ impl IrGraph {
     /// Each parallel pass is chunked into
     /// [`pool::WorkerPool::batch_size`]-sized tasks (see the module docs for
     /// the sharding scheme); task outputs rejoin in task-index order, so
-    /// stealing never reaches the output.
+    /// scheduling never reaches the output.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         traces: &Corpus,

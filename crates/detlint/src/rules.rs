@@ -77,7 +77,7 @@ const NONDET_IDENTS: &[&str] = &["DefaultHasher", "RandomState", "thread_rng"];
 /// `Type::now()` clock reads flagged as nondeterministic sources.
 const CLOCK_TYPES: &[&str] = &["SystemTime", "Instant"];
 
-/// The only file allowed to create threads (the shared work-stealing pool
+/// The only file allowed to create threads (the shared self-scheduling pool
 /// every pipeline phase dispatches on). Also exempt from the
 /// worker-closure interior-mutability rule: the pool *is* the
 /// synchronization layer.

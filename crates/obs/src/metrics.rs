@@ -86,7 +86,7 @@ impl Histogram {
 ///
 /// Counters come in two classes: *deterministic* ([`MetricSheet::add`]) —
 /// per-decision counts that must match across thread counts — and
-/// *execution-dependent* ([`MetricSheet::add_exec`]) — pool steals, worker
+/// *execution-dependent* ([`MetricSheet::add_exec`]) — pool tasks, worker
 /// slots and similar scheduling artifacts, reported for tuning but excluded
 /// from determinism comparisons.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

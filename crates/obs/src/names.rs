@@ -145,7 +145,7 @@ pub const DETLINT_TAINT_SOURCES: &str = "detlint.taint_sources";
 pub const DETLINT_TAINTED_FNS: &str = "detlint.tainted_fns";
 
 // ---- execution-dependent metrics -------------------------------------------
-// Vary with thread count and scheduling (pool splits, steals, timings);
+// Vary with thread count and scheduling (pool splits, timings);
 // reported for tuning but excluded from the deterministic view.
 
 /// Relationship memo hits. No longer recorded (every phase queries the AS
@@ -162,7 +162,9 @@ pub const EXEC_CAMPAIGN_WORKERS: &str = "campaign.workers";
 pub const EXEC_GRAPH_WORKERS: &str = "graph.workers";
 /// Tasks dispatched by the shared worker pool (all phases).
 pub const EXEC_POOL_TASKS: &str = "pool.tasks";
-/// Tasks a pool worker took from a sibling's dealt interval.
+/// Tasks a pool worker took from a sibling's dealt interval. No longer
+/// recorded (pool workers claim tasks from one shared counter); kept
+/// because the benchmark's per-layer report reads it.
 pub const EXEC_POOL_STEALS: &str = "pool.steals";
 /// Aggregate pool worker busy time in the probe campaign, microseconds.
 pub const EXEC_POOL_BUSY_CAMPAIGN: &str = "pool.busy_us.campaign";
@@ -235,12 +237,10 @@ pub const TRACK_POOL_BATCHES: &str = "pool.batches";
 pub const TRACK_REFINE_WORKER: &str = "refine.worker";
 /// Per-worker serve tracks (`serve.worker0`, ...).
 pub const TRACK_SERVE_WORKER: &str = "serve.worker";
-/// Span: one pool batch from deal-out to join (arg: task count).
+/// Span: one pool batch from dispatch to reassembly (arg: task count).
 pub const EV_POOL_BATCH: &str = "pool.batch";
 /// Span: one task executing on a pool worker (arg: task index).
 pub const EV_POOL_TASK: &str = "pool.task";
-/// Instant: a worker stole from a sibling's interval (arg: tasks taken).
-pub const EV_POOL_STEAL: &str = "pool.steal";
 /// Span: index-ordered reassembly of batch results on the coordinator.
 pub const EV_POOL_REASSEMBLE: &str = "pool.reassemble";
 /// Span: one refinement iteration (arg: iteration index).

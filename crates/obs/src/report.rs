@@ -62,7 +62,7 @@ pub struct RunReport {
     pub phases: BTreeMap<String, PhaseStats>,
     /// Deterministic counters: identical for every thread count.
     pub counters: BTreeMap<String, u64>,
-    /// Execution-dependent counters (pool steals, worker slots).
+    /// Execution-dependent counters (pool tasks, worker slots).
     pub exec: BTreeMap<String, u64>,
     /// Deterministic histograms.
     pub histograms: BTreeMap<String, HistogramSummary>,

@@ -23,7 +23,7 @@ fn overlapping_spans_on_shared_clock_stay_monotone_per_track() {
     clock.advance(1_000);
     w1.begin(names::EV_POOL_TASK, 1);
     clock.advance(500);
-    w1.instant(names::EV_POOL_STEAL, 1);
+    w1.instant(names::EV_CAMPAIGN_DESTS, 1);
     w1.end(names::EV_POOL_TASK);
     clock.advance(500);
     tracer.instant_main(names::EV_CAMPAIGN_DESTS, 42);

@@ -1,4 +1,4 @@
-//! **pool**: the pipeline's shared work-stealing worker pool.
+//! **pool**: the pipeline's shared self-scheduling worker pool.
 //!
 //! One [`WorkerPool`] is created per pipeline run and threaded through the
 //! probe campaign and the phase-1 graph build, replacing the per-phase
@@ -10,28 +10,27 @@
 //! # Scheduling model (DESIGN.md §13)
 //!
 //! [`WorkerPool::run`] executes `tasks` indexed closures on up to
-//! [`WorkerPool::workers`] scoped threads. Tasks are **dealt out in
-//! contiguous per-worker intervals** of the index space (the same canonical
-//! split the old fixed-slot pools used), and a worker that drains its own
-//! interval **steals the back half** of the most-loaded sibling's interval —
-//! owner pops at the front, thieves split at the back, in the spirit of a
-//! Chase-Lev deque built from safe primitives. Callers choose task
-//! granularity with [`WorkerPool::batch_size`], which targets
-//! [`TASKS_PER_WORKER`] chunks per worker: enough slack for stealing to
-//! rebalance skewed shards, coarse enough that per-task overhead (one lock
-//! acquisition and one channel send) stays invisible.
+//! [`WorkerPool::workers`] threads, the calling thread being worker 0.
+//! Every worker **claims the next task index from one shared counter**
+//! (`fetch_add`) until the indices run out, so a worker that finishes early
+//! simply claims more: the tasks are independent, and no other balancing is
+//! needed. Callers choose task granularity with [`WorkerPool::batch_size`],
+//! which targets [`TASKS_PER_WORKER`] chunks per worker: enough slack that a
+//! straggler chunk does not leave the other workers idle, coarse enough that
+//! per-task overhead (one atomic add and one push) stays invisible.
 //!
-//! # Why determinism survives stealing
+//! # Why determinism survives scheduling
 //!
-//! Results are keyed by task index and reassembled in index order after the
-//! scope joins, so *which worker* ran a task is unobservable in the output.
-//! Every call site feeds the indexed results into an order-insensitive or
+//! Each worker keeps its own `(index, result)` list and hands it back
+//! through its thread's join handle; the caller places the results in index
+//! order, so *which worker* ran a task is unobservable in the output. Every
+//! call site feeds the indexed results into an order-insensitive or
 //! index-ordered reduction (concatenation in index order, sort+dedup+fold,
 //! or commutative metric-sheet merges), so the bit-identical-at-every-
 //! thread-count contract holds under any interleaving. Scheduling *is*
 //! visible in wall time and in the execution-dependent counter class
-//! (`pool.tasks`, `pool.steals`, per-phase busy time) — exactly the values
-//! the determinism suite excludes.
+//! (`pool.tasks`, per-phase busy time) — exactly the values the determinism
+//! suite excludes.
 //!
 //! The pool object itself is what persists across phases: the resolved
 //! thread budget and the cumulative scheduling statistics. The OS threads
@@ -40,9 +39,8 @@
 //! corpus or the half-built graph, so each `run` opens a
 //! `crossbeam::thread::scope` whose threads may freely borrow from the
 //! caller's stack. Spawning a scoped thread costs tens of microseconds;
-//! at the scales where parallelism pays at all this is noise, and at toy
-//! scales the `workers == 1` / single-task fast path skips threads
-//! entirely.
+//! at the scales where parallelism pays at all this is noise, and a batch
+//! with one worker spawns nothing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,46 +49,30 @@ use obs::trace::Tracer;
 use obs::{Clock, MonotonicClock, Recorder, WorkerTracer};
 use parking_lot::Mutex;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Target task chunks per worker for [`WorkerPool::batch_size`]: small
-/// enough that a straggler chunk can be rebalanced by stealing, large
-/// enough that per-task overhead is amortized over many items.
+/// enough that a straggler chunk leaves the other workers more to claim,
+/// large enough that per-task overhead is amortized over many items.
 pub const TASKS_PER_WORKER: usize = 8;
-
-/// The canonical chunked deal-out: worker `w` of `crew` owns the contiguous
-/// half-open task interval `[tasks*w/crew, tasks*(w+1)/crew)`. Factored out
-/// of [`WorkerPool::run`] so the loom protocol model (tests/loom_model.rs)
-/// checks the very arithmetic production uses, not a reimplementation.
-pub fn deal_intervals(tasks: usize, crew: usize) -> Vec<(usize, usize)> {
-    (0..crew)
-        .map(|w| (tasks * w / crew, tasks * (w + 1) / crew))
-        .collect()
-}
-
-/// How many tasks a thief splits off the back of a victim interval with
-/// `rem` tasks remaining: the back half, rounded up so a 1-task interval is
-/// still stealable. Shared with the loom protocol model like
-/// [`deal_intervals`].
-pub fn steal_take(rem: usize) -> usize {
-    rem.div_ceil(2)
-}
 
 /// Cumulative scheduling statistics, across every batch a pool has run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Tasks executed.
     pub tasks: u64,
-    /// Tasks taken from a sibling's interval rather than the dealt one.
-    pub steals: u64,
     /// `run` batches dispatched.
     pub batches: u64,
     /// Aggregate worker busy time, in nanoseconds (sums across workers, so
     /// it can exceed wall time).
     pub busy_nanos: u64,
 }
+
+/// What one worker hands back through its join handle: the tasks it ran
+/// with their results, in the order it claimed them (ascending), its busy
+/// time in nanoseconds, and its private event buffer.
+type WorkerShare<T> = (Vec<(usize, T)>, u64, WorkerTracer);
 
 /// The shared worker pool: a thread budget plus cumulative scheduling
 /// statistics, created once per pipeline run and passed to every phase.
@@ -100,7 +82,6 @@ pub struct WorkerPool {
     rec: Recorder,
     tracer: Tracer,
     tasks: AtomicU64,
-    steals: AtomicU64,
     batches: AtomicU64,
     busy_nanos: AtomicU64,
 }
@@ -121,7 +102,7 @@ impl WorkerPool {
         WorkerPool::with_recorder(threads, Recorder::disabled())
     }
 
-    /// A pool that reports `pool.tasks` / `pool.steals` and per-phase busy
+    /// A pool that reports `pool.tasks` and per-phase busy
     /// time into `rec` as execution-dependent counters after every batch.
     pub fn with_recorder(threads: usize, rec: Recorder) -> WorkerPool {
         let workers = if threads == 0 {
@@ -136,7 +117,6 @@ impl WorkerPool {
             rec,
             tracer,
             tasks: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
         }
@@ -155,8 +135,8 @@ impl WorkerPool {
     }
 
     /// The per-shard batch size for `items` work items: aims for
-    /// [`TASKS_PER_WORKER`] tasks per worker so stealing has slack to
-    /// rebalance, never below 1.
+    /// [`TASKS_PER_WORKER`] tasks per worker so workers that finish
+    /// early have more to claim, never below 1.
     pub fn batch_size(&self, items: usize) -> usize {
         (items / (self.workers * TASKS_PER_WORKER).max(1)).max(1)
     }
@@ -171,7 +151,6 @@ impl WorkerPool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             tasks: self.tasks.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             busy_nanos: self.busy_nanos.load(Ordering::Relaxed),
         }
@@ -197,82 +176,55 @@ impl WorkerPool {
             // An empty batch is still a dispatched batch: `batches` counts
             // every `run` invocation so callers can reconcile call counts
             // against the stats (PoolStats accounting contract).
-            self.account(busy, 0, 0, 0);
+            self.account(busy, 0, 0);
             return Vec::new();
         }
-        let crew = self.workers.min(tasks);
-        if crew == 1 {
-            let mut batch_tr = self.tracer.track(obs::names::TRACK_POOL_BATCHES);
-            batch_tr.begin(obs::names::EV_POOL_BATCH, tasks as u64);
+        let next = AtomicUsize::new(0);
+        // One worker's schedule: claim indices from the shared counter until
+        // they run out. Each index is returned by exactly one `fetch_add`.
+        let work = |w: usize| -> WorkerShare<T> {
+            let mut wt = self.tracer.worker(obs::names::TRACK_POOL_WORKER, w);
+            let mut done = Vec::new();
             let t0 = self.clock.now_nanos();
-            let out: Vec<T> = (0..tasks).map(job).collect();
-            let busy_ns = self.clock.now_nanos().saturating_sub(t0);
-            batch_tr.end(obs::names::EV_POOL_BATCH);
-            self.tracer.submit(batch_tr);
-            self.account(busy, tasks as u64, 0, busy_ns);
-            return out;
-        }
-        // Chunked deal-out: worker `w` owns the contiguous task interval
-        // `[tasks*w/crew, tasks*(w+1)/crew)`; intervals shrink from the
-        // front as the owner pops and from the back as thieves split.
-        let slots: Vec<Mutex<(usize, usize)>> = deal_intervals(tasks, crew)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let steals = AtomicU64::new(0);
-        let busy_ns = AtomicU64::new(0);
-        // Per-worker event buffers: each worker records into its own
-        // tracer (no shared state on the hot path) and parks it in its
-        // slot; the coordinator submits them in worker-index order below.
-        let trace_slots: Vec<Mutex<Option<WorkerTracer>>> =
-            (0..crew).map(|_| Mutex::new(None)).collect();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= tasks {
+                    break;
+                }
+                wt.begin(obs::names::EV_POOL_TASK, t as u64);
+                done.push((t, job(t)));
+                wt.end(obs::names::EV_POOL_TASK);
+            }
+            (done, self.clock.now_nanos().saturating_sub(t0), wt)
+        };
         let mut batch_tr = self.tracer.track(obs::names::TRACK_POOL_BATCHES);
         batch_tr.begin(obs::names::EV_POOL_BATCH, tasks as u64);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
         let result = crossbeam::thread::scope(|s| {
-            let (slots, job) = (&slots, &job);
-            let (steals, busy_ns) = (&steals, &busy_ns);
-            let (clock, tracer) = (&self.clock, &self.tracer);
-            for (w, trace_slot) in trace_slots.iter().enumerate().skip(1) {
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    let mut wt = tracer.worker(obs::names::TRACK_POOL_WORKER, w);
-                    let t0 = clock.now_nanos();
-                    steal_loop(w, slots, job, &tx, steals, &mut wt);
-                    busy_ns.fetch_add(clock.now_nanos().saturating_sub(t0), Ordering::Relaxed);
-                    *trace_slot.lock() = Some(wt);
-                });
+            let work = &work;
+            let spawned: Vec<_> = (1..self.workers.min(tasks))
+                .map(|w| s.spawn(move |_| work(w)))
+                .collect();
+            let mut shares = vec![work(0)];
+            for h in spawned {
+                shares.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
             }
-            let mut wt = tracer.worker(obs::names::TRACK_POOL_WORKER, 0);
-            let t0 = clock.now_nanos();
-            steal_loop(0, slots, job, &tx, steals, &mut wt);
-            busy_ns.fetch_add(clock.now_nanos().saturating_sub(t0), Ordering::Relaxed);
-            *trace_slots[0].lock() = Some(wt);
+            shares
         });
-        drop(tx);
-        if let Err(payload) = result {
-            std::panic::resume_unwind(payload);
-        }
+        let shares = result.unwrap_or_else(|p| std::panic::resume_unwind(p));
         batch_tr.begin(obs::names::EV_POOL_REASSEMBLE, tasks as u64);
         let mut out: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-        for (i, v) in rx {
-            out[i] = Some(v);
+        let mut busy_nanos = 0;
+        for (done, worker_busy, wt) in shares {
+            for (i, v) in done {
+                out[i] = Some(v);
+            }
+            busy_nanos += worker_busy;
+            self.tracer.submit(wt);
         }
         batch_tr.end(obs::names::EV_POOL_REASSEMBLE);
         batch_tr.end(obs::names::EV_POOL_BATCH);
-        for slot in trace_slots {
-            if let Some(wt) = slot.into_inner() {
-                self.tracer.submit(wt);
-            }
-        }
         self.tracer.submit(batch_tr);
-        self.account(
-            busy,
-            tasks as u64,
-            // detlint::allow(relaxed-atomic-output): counters feed the exec-only PoolStats/metrics surface, never the returned Vec
-            steals.load(Ordering::Relaxed),
-            busy_ns.load(Ordering::Relaxed),
-        );
+        self.account(busy, tasks as u64, busy_nanos);
         out.into_iter()
             .map(|s| s.expect("worker pool lost a task"))
             .collect()
@@ -316,74 +268,12 @@ impl WorkerPool {
 
     /// Folds one batch's scheduling tallies into the cumulative stats and
     /// the execution-dependent counter class.
-    fn account(&self, busy: &'static str, tasks: u64, steals: u64, busy_nanos: u64) {
+    fn account(&self, busy: &'static str, tasks: u64, busy_nanos: u64) {
         self.tasks.fetch_add(tasks, Ordering::Relaxed);
-        self.steals.fetch_add(steals, Ordering::Relaxed);
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.busy_nanos.fetch_add(busy_nanos, Ordering::Relaxed);
         self.rec.add_exec(obs::names::EXEC_POOL_TASKS, tasks);
-        self.rec.add_exec(obs::names::EXEC_POOL_STEALS, steals);
         self.rec.add_exec(busy, busy_nanos / 1_000);
-    }
-}
-
-/// One worker's schedule: pop single tasks from the front of the own
-/// interval; when it runs dry, split the back half off the most-loaded
-/// sibling and continue; stop when every interval is empty.
-fn steal_loop<T: Send, F: Fn(usize) -> T + Sync>(
-    me: usize,
-    slots: &[Mutex<(usize, usize)>],
-    job: &F,
-    tx: &mpsc::Sender<(usize, T)>,
-    steals: &AtomicU64,
-    wt: &mut WorkerTracer,
-) {
-    loop {
-        let task = {
-            let mut own = slots[me].lock();
-            if own.0 < own.1 {
-                let t = own.0;
-                own.0 += 1;
-                Some(t)
-            } else {
-                None
-            }
-        };
-        if let Some(t) = task {
-            wt.begin(obs::names::EV_POOL_TASK, t as u64);
-            // The receiver outlives the scope, so a send only fails after a
-            // sibling panicked and the whole batch is being torn down.
-            let _ = tx.send((t, job(t)));
-            wt.end(obs::names::EV_POOL_TASK);
-            continue;
-        }
-        let mut victim = None;
-        let mut best = 0usize;
-        for (v, slot) in slots.iter().enumerate() {
-            if v == me {
-                continue;
-            }
-            let g = slot.lock();
-            let rem = g.1 - g.0;
-            if rem > best {
-                best = rem;
-                victim = Some(v);
-            }
-        }
-        let Some(v) = victim else { break };
-        let stolen = {
-            let mut g = slots[v].lock();
-            let rem = g.1 - g.0;
-            if rem == 0 {
-                continue; // raced with the owner; rescan
-            }
-            let take = steal_take(rem);
-            g.1 -= take;
-            (g.1, g.1 + take)
-        };
-        *slots[me].lock() = stolen;
-        steals.fetch_add(1, Ordering::Relaxed);
-        wt.instant(obs::names::EV_POOL_STEAL, (stolen.1 - stolen.0) as u64);
     }
 }
 
@@ -415,27 +305,38 @@ mod tests {
         assert_eq!(pool.run("pool.busy_us.test", 1, |i| i + 7), vec![7]);
     }
 
-    /// The satellite's "deterministic reduction order under stealing" test:
-    /// a deliberately skewed batch (one task orders of magnitude slower than
-    /// the rest) forces real steals, and the result vector must still equal
-    /// the serial map — task index order, not completion order.
+    /// Track names of the worker tracks that recorded at least one task.
+    fn tracks_with_tasks(doc: &obs::trace::TraceDoc) -> Vec<&str> {
+        doc.tracks
+            .iter()
+            .filter(|t| t.name.starts_with(obs::names::TRACK_POOL_WORKER))
+            .filter(|t| t.events.iter().any(|e| e.name == obs::names::EV_POOL_TASK))
+            .map(|t| t.name.as_str())
+            .collect()
+    }
+
+    /// A deliberately skewed batch (one task orders of magnitude slower than
+    /// the rest) makes the other worker claim the remaining tasks, and the
+    /// result vector must still equal the serial map — task index order,
+    /// not completion order.
     #[test]
-    fn reduction_order_is_index_order_even_under_stealing() {
-        let pool = WorkerPool::new(2);
-        let before = pool.stats().steals;
+    fn reduction_order_is_index_order_even_under_skew() {
+        let rec = Recorder::with_tracing(false, 4096);
+        let pool = WorkerPool::with_recorder(2, rec.clone());
         let out = pool.run("pool.busy_us.test", 64, |i| {
             if i == 0 {
-                // Pin worker 0 on its first task so worker 1 must drain its
-                // own interval and then steal the rest of worker 0's.
+                // Pin whichever worker claims task 0 so the other one must
+                // claim the rest.
                 std::thread::sleep(std::time::Duration::from_millis(40));
             }
             i * 3
         });
         let serial: Vec<usize> = (0..64).map(|i| i * 3).collect();
-        assert_eq!(out, serial, "stealing must not reorder results");
+        assert_eq!(out, serial, "scheduling must not reorder results");
+        let doc = rec.tracer().finish();
         assert!(
-            pool.stats().steals > before,
-            "skewed batch should force at least one steal"
+            tracks_with_tasks(&doc).len() > 1,
+            "skewed batch should run tasks on both workers"
         );
     }
 
@@ -451,6 +352,31 @@ mod tests {
             })
         }));
         assert!(caught.is_err(), "panic must reach the caller");
+        // Every task panics, so the calling thread (worker 0) and a spawned
+        // worker both panic: whichever panic is seen first reaches the
+        // caller, with its own payload, after every worker is joined.
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run("pool.busy_us.test", 32, |i| -> usize {
+                // Hold every worker in its first task so each claims one.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                panic!("task {i} exploded")
+            })
+        }));
+        let payload = caught.expect_err("panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.ends_with("exploded"), "{msg}");
+        // Only spawned workers panic: their payload crosses the join.
+        let caller = std::thread::current().id();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run("pool.busy_us.test", 32, |i| {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                assert_eq!(std::thread::current().id(), caller, "spawned worker");
+                i
+            })
+        }));
+        let payload = caught.expect_err("a spawned worker's panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("spawned worker"), "{msg}");
         // The pool is still usable after a failed batch.
         assert_eq!(pool.run("pool.busy_us.test", 3, |i| i), vec![0, 1, 2]);
     }
@@ -488,25 +414,6 @@ mod tests {
         );
     }
 
-    /// The factored deal-out must partition `0..tasks` into contiguous,
-    /// non-overlapping, exhaustive per-worker intervals for every shape.
-    #[test]
-    fn deal_intervals_partition_the_index_space() {
-        for tasks in 0..48 {
-            for crew in 1..9 {
-                let iv = deal_intervals(tasks, crew);
-                assert_eq!(iv.len(), crew);
-                assert_eq!(iv[0].0, 0);
-                assert_eq!(iv[crew - 1].1, tasks);
-                for w in 1..crew {
-                    assert_eq!(iv[w - 1].1, iv[w].0, "gap or overlap at worker {w}");
-                }
-            }
-        }
-        assert_eq!(steal_take(1), 1, "a 1-task interval is still stealable");
-        assert_eq!(steal_take(7), 4, "thieves take the back half, rounded up");
-    }
-
     #[test]
     fn run_split_hands_each_task_its_own_piece() {
         for workers in [1, 2, 8] {
@@ -531,37 +438,31 @@ mod tests {
         pool.run("pool.busy_us.test", 20, |i| i);
         let report = rec.report();
         assert_eq!(report.exec[obs::names::EXEC_POOL_TASKS], 20);
-        assert!(report.exec.contains_key(obs::names::EXEC_POOL_STEALS));
         assert!(report.exec.contains_key("pool.busy_us.test"));
     }
 
-    /// Tracing captures the scheduling story: a skewed batch that forces
-    /// real steals must surface per-task spans, a steal instant, and the
-    /// batch dispatch/reassembly spans, and the merged export must pass the
-    /// trace validator.
+    /// Tracing captures the scheduling story: a batch must surface per-task
+    /// spans on worker tracks and the batch dispatch/reassembly spans, and
+    /// the merged export must pass the trace validator — also when the
+    /// batch has one worker and runs on the calling thread alone.
     #[test]
-    fn tracing_records_dispatch_steal_and_reassembly() {
-        let rec = Recorder::with_tracing(false, 4096);
-        let pool = WorkerPool::with_recorder(2, rec.clone());
-        let out = pool.run("pool.busy_us.test", 64, |i| {
-            if i == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(40));
-            }
-            i
-        });
-        assert_eq!(out.len(), 64);
-        assert!(pool.stats().steals > 0, "skewed batch should force a steal");
-        let doc = rec.tracer().finish();
-        let names: Vec<&str> = doc.tracks.iter().map(|t| t.name.as_str()).collect();
-        assert!(names.contains(&obs::names::TRACK_POOL_BATCHES));
-        // Which workers ran tasks is scheduling-dependent (a thief can
-        // drain a sibling's whole interval), but someone always did.
-        assert!(names.iter().any(|n| n.starts_with("pool.worker")));
-        let json = doc.to_chrome_json();
-        assert!(json.contains(obs::names::EV_POOL_TASK));
-        assert!(json.contains(obs::names::EV_POOL_STEAL));
-        assert!(json.contains(obs::names::EV_POOL_REASSEMBLE));
-        obs::trace::validate_chrome_json(&json).expect("pool trace validates");
+    fn tracing_records_dispatch_tasks_and_reassembly() {
+        for workers in [1, 2] {
+            let rec = Recorder::with_tracing(false, 4096);
+            let pool = WorkerPool::with_recorder(workers, rec.clone());
+            let out = pool.run("pool.busy_us.test", 64, |i| i);
+            assert_eq!(out.len(), 64);
+            let doc = rec.tracer().finish();
+            let names: Vec<&str> = doc.tracks.iter().map(|t| t.name.as_str()).collect();
+            assert!(names.contains(&obs::names::TRACK_POOL_BATCHES));
+            // Which workers ran tasks is scheduling-dependent (one worker
+            // can claim every index), but someone always did.
+            assert!(!tracks_with_tasks(&doc).is_empty());
+            let json = doc.to_chrome_json();
+            assert!(json.contains(obs::names::EV_POOL_TASK));
+            assert!(json.contains(obs::names::EV_POOL_REASSEMBLE));
+            obs::trace::validate_chrome_json(&json).expect("pool trace validates");
+        }
     }
 
     /// With tracing off (the default recorder), the pool allocates no

@@ -391,7 +391,7 @@ pub fn reactive_campaign(
 /// addresses, and [`Corpus::concat`] seals the builders in range order on
 /// `wp`, inside the span. Because every trace depends only on `(campaign
 /// seed, vp, dst)` and the ranges partition the matrix in its canonical
-/// order, the corpus is byte-identical for every pool size — stealing can
+/// order, the corpus is byte-identical for every pool size — scheduling can
 /// move a chunk between workers, never reorder the chunks. Monitor names
 /// are formatted once per VP.
 pub fn probe_campaign_in_pool(
