@@ -128,8 +128,11 @@ fn main() -> ExitCode {
     let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(CLIENTS * REQUESTS_PER_CLIENT));
     let errors: Mutex<usize> = Mutex::new(0);
     let bench_start = clock.now_nanos();
-    // detlint::allow(unscoped-thread): benchmark load generation; client
-    // concurrency exercises the server's worker pool and never feeds inference
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "benchmark load generation; client concurrency exercises the server's worker \
+                  pool and never feeds inference"
+    )]
     crossbeam::thread::scope(|s| {
         for c in 0..CLIENTS {
             let snap = &snap;

@@ -497,14 +497,14 @@ mod tests {
     fn allow_annotations_are_parsed() {
         let marker = "detlint::allow";
         let src = format!(
-            "// {marker}(unordered-iter): memo table, lookup-only\nlet x = 1;\n// {marker}(a, b): two rules\n// {marker}(broken
+            "// {marker}(float-accum): fixed-order fold\nlet x = 1;\n// {marker}(a, b): two rules\n// {marker}(broken
 "
         );
         let (_, allows) = lex(&src);
         assert_eq!(allows.len(), 3);
         assert_eq!(allows[0].line, 1);
-        assert_eq!(allows[0].rules, vec!["unordered-iter"]);
-        assert_eq!(allows[0].reason, "memo table, lookup-only");
+        assert_eq!(allows[0].rules, vec!["float-accum"]);
+        assert_eq!(allows[0].reason, "fixed-order fold");
         assert!(allows[0].well_formed);
         assert_eq!(allows[1].rules, vec!["a", "b"]);
         assert!(!allows[2].well_formed);

@@ -6,7 +6,6 @@
 //! cargo run -p detlint -- --format json      # machine-readable report
 //! cargo run -p detlint -- --out report.json  # also write JSON to a file
 //! cargo run -p detlint -- --root ../other    # scan a different tree
-//! cargo run -p detlint -- --baseline base.json  # only fail on NEW findings
 //! ```
 //!
 //! `--out` and `--format` are independent: the JSON report is written to
@@ -18,14 +17,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str =
-    "usage: detlint [--format human|json] [--root DIR] [--out FILE] [--baseline FILE]";
+const USAGE: &str = "usage: detlint [--format human|json] [--root DIR] [--out FILE]";
 
 struct Args {
     format: String,
     root: Option<PathBuf>,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -33,7 +30,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         format: "human".to_string(),
         root: None,
         out: None,
-        baseline: None,
     };
     let mut it = argv.iter();
     while let Some(a) = it.next() {
@@ -47,9 +43,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--root" => args.root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?)),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?));
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -85,21 +78,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut report = detlint::analyze_workspace(&root);
-
-    if let Some(baseline) = &args.baseline {
-        let text = match std::fs::read_to_string(baseline) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {}: {e}", baseline.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = report.apply_baseline(&text) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let report = detlint::analyze_workspace(&root);
 
     if let Some(out) = &args.out {
         if let Err(e) = std::fs::write(out, report.to_json()) {

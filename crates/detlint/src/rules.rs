@@ -1,33 +1,28 @@
 //! The determinism rules and the per-file analysis driver.
 //!
 //! Every rule is a token-stream heuristic, deliberately file-local: detlint
-//! has no type information, so it tracks names bound to hash-ordered
-//! collections (including in-file `type` aliases of them) and names bound to
-//! floats, then pattern-matches the operations the determinism contract
-//! cares about. The heuristics over-approximate — that is the point of a
-//! gate — and every benign site is silenced with an explicit
-//! `detlint::allow` annotation (rule list, then `: reason`) on or above the
-//! offending line, so the justification lives next to the code it excuses.
+//! has no type information, so it tracks names bound to floats and the
+//! closures handed to the worker pool, then pattern-matches the operations
+//! the determinism contract cares about. The heuristics over-approximate —
+//! that is the point of a gate — and every benign site is silenced with an
+//! explicit `detlint::allow` annotation (rule list, then `: reason`) on or
+//! above the offending line, so the justification lives next to the code
+//! it excuses.
 
-use crate::lexer::{lex, AllowSite, TokKind};
+use crate::lexer::{lex, TokKind};
+use crate::spans::{fn_spans, worker_closures, KEYWORDS};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Rule identifiers. Keep in sync with [`KNOWN_RULES`] and DESIGN.md §9.
-pub const RULE_UNORDERED_ITER: &str = "unordered-iter";
-/// Declaration/binding of an unordered hash collection.
-pub const RULE_UNORDERED_COLLECTION: &str = "unordered-collection";
-/// Use of a nondeterministic value source.
-pub const RULE_NONDET_SOURCE: &str = "nondet-source";
-/// Thread creation outside the pool crate.
-pub const RULE_UNSCOPED_THREAD: &str = "unscoped-thread";
+// Rule identifiers. Keep in sync with [`KNOWN_RULES`] and DESIGN.md §9.
+
 /// Float accumulation in vote-tally / metric paths.
 pub const RULE_FLOAT_ACCUM: &str = "float-accum";
 /// Crate root missing `#![forbid(unsafe_code)]`.
 pub const RULE_MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
 /// Malformed or unknown `detlint::allow` annotation.
 pub const RULE_INVALID_ALLOW: &str = "invalid-allow";
-/// Closure passed to `WorkerPool::run` captures an identifier
+/// Closure passed to `WorkerPool::run`/`run_split` captures an identifier
 /// also mutated outside the closure in the same file.
 pub const RULE_POOL_SHARED_CAPTURE: &str = "pool-shared-capture";
 /// A function with a return type performs an `Ordering::Relaxed` atomic
@@ -36,52 +31,20 @@ pub const RULE_RELAXED_ATOMIC_OUTPUT: &str = "relaxed-atomic-output";
 /// `Mutex`/`RefCell`/`Cell` use inside a worker closure outside the pool
 /// crate (lock/borrow order is scheduling-dependent).
 pub const RULE_INTERIOR_MUT_IN_WORKER: &str = "interior-mut-in-worker";
-/// Cross-file rule (phase B, [`crate::dataflow`]): a call site receives
-/// hash-collection iteration order through the call graph.
-pub const RULE_ORDER_TAINT_FLOW: &str = "order-taint-flow";
 
 /// All valid rule names (what `detlint::allow` may reference).
 pub const KNOWN_RULES: &[&str] = &[
-    RULE_UNORDERED_ITER,
-    RULE_UNORDERED_COLLECTION,
-    RULE_NONDET_SOURCE,
-    RULE_UNSCOPED_THREAD,
     RULE_FLOAT_ACCUM,
     RULE_MISSING_FORBID_UNSAFE,
     RULE_INVALID_ALLOW,
     RULE_POOL_SHARED_CAPTURE,
     RULE_RELAXED_ATOMIC_OUTPUT,
     RULE_INTERIOR_MUT_IN_WORKER,
-    RULE_ORDER_TAINT_FLOW,
 ];
 
-/// Hash-ordered collection type names (iteration order is unspecified).
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
-
-/// Methods that iterate a collection in storage order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-];
-
-/// Identifiers that are nondeterministic value sources wherever they appear.
-const NONDET_IDENTS: &[&str] = &["DefaultHasher", "RandomState", "thread_rng"];
-
-/// `Type::now()` clock reads flagged as nondeterministic sources.
-const CLOCK_TYPES: &[&str] = &["SystemTime", "Instant"];
-
-/// The only file allowed to create threads (the shared self-scheduling pool
-/// every pipeline phase dispatches on). Also exempt from the
-/// worker-closure interior-mutability rule: the pool *is* the
-/// synchronization layer.
-const THREAD_EXEMPT_SUFFIX: &str = "pool/src/lib.rs";
+/// The shared worker pool's source, exempt from the worker-closure
+/// interior-mutability rule: the pool *is* the synchronization layer.
+const POOL_SOURCE_SUFFIX: &str = "pool/src/lib.rs";
 
 /// Interior-mutability type names flagged inside worker closures.
 const INTERIOR_MUT_TYPES: &[&str] = &["Mutex", "RefCell", "Cell"];
@@ -94,19 +57,6 @@ const INTERIOR_MUT_METHODS: &[&str] = &["lock", "borrow", "borrow_mut"];
 const ASSIGN_OPS: &[&str] = &[
     "=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=", "<<=", ">>=",
 ];
-
-/// One frame of an order-taint propagation chain: seed definition, then
-/// each function the taint traversed, ending at the reported call site.
-#[derive(Clone, Debug, Serialize)]
-pub struct ChainStep {
-    /// Function name (`<item scope>` for calls outside any fn).
-    #[serde(rename = "fn")]
-    pub fn_name: String,
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line of the definition (or call site, for the final step).
-    pub line: u32,
-}
 
 /// One diagnostic.
 #[derive(Clone, Debug, Serialize)]
@@ -126,43 +76,11 @@ pub struct Finding {
     /// Justification from a matching `detlint::allow`, if any.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub allowed: Option<String>,
-    /// Cross-file propagation chain (`order-taint-flow` findings only).
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub chain: Option<Vec<ChainStep>>,
-}
-
-/// A well-formed allow annotation with the source lines it covers —
-/// retained on [`FileAnalysis`] so the cross-file phase-B rules, which run
-/// after the per-file pass, can be silenced at their call sites too.
-#[derive(Clone, Debug)]
-pub struct AllowCover {
-    /// Lines the annotation silences (its own plus the next token's).
-    pub lines: BTreeSet<u32>,
-    /// Rule names the annotation lists.
-    pub rules: Vec<String>,
-    /// The justification text.
-    pub reason: String,
-}
-
-/// Analysis result for one file.
-#[derive(Clone, Debug, Default)]
-pub struct FileAnalysis {
-    /// Every finding, including allowed ones.
-    pub findings: Vec<Finding>,
-    /// Well-formed allow annotations (for phase-B allow application).
-    pub allows: Vec<AllowCover>,
-}
-
-impl FileAnalysis {
-    /// Findings not silenced by an allow annotation.
-    pub fn unallowed(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| f.allowed.is_none())
-    }
 }
 
 /// True for files that are crate roots (where `#![forbid(unsafe_code)]`
 /// must appear).
-pub fn is_crate_root(rel_path: &str) -> bool {
+fn is_crate_root(rel_path: &str) -> bool {
     rel_path.ends_with("src/lib.rs") || rel_path.ends_with("src/main.rs")
 }
 
@@ -172,23 +90,12 @@ fn float_rule_applies(rel_path: &str) -> bool {
     rel_path.contains("/refine/") || rel_path.contains("crates/eval/")
 }
 
-/// Analyzes one file. `rel_path` is the workspace-relative path (forward
-/// slashes); it scopes the path-dependent rules, so fixture tests can pass
-/// a logical path independent of where the fixture lives on disk.
-pub fn analyze_source(rel_path: &str, source: &str) -> FileAnalysis {
+/// Analyzes one file and returns every finding, allowed ones included, in
+/// line, column and rule order. `rel_path` is the workspace-relative path
+/// (forward slashes); it scopes the path-dependent rules, so fixture tests
+/// can pass a logical path independent of where the fixture lives on disk.
+pub fn analyze_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let (toks, allows) = lex(source);
-    analyze_lexed(rel_path, source, &toks, &allows)
-}
-
-/// The per-file analysis over an already-lexed token stream — the shape the
-/// two-phase workspace driver uses so each file is lexed exactly once for
-/// both the rules and the symbol index.
-pub(crate) fn analyze_lexed(
-    rel_path: &str,
-    source: &str,
-    toks: &[crate::lexer::Tok],
-    allows: &[AllowSite],
-) -> FileAnalysis {
     let lines: Vec<&str> = source.lines().collect();
     let snippet = |line: u32| -> String {
         lines
@@ -200,8 +107,8 @@ pub(crate) fn analyze_lexed(
     // Map each allow annotation to the lines it covers: its own line (for a
     // trailing comment) plus the line of the first token after it (for a
     // comment-above annotation).
-    let mut allow_cover: Vec<(BTreeSet<u32>, &AllowSite)> = Vec::new();
-    for a in allows {
+    let mut allow_cover = Vec::new();
+    for a in &allows {
         let mut covered = BTreeSet::new();
         covered.insert(a.line);
         if let Some(t) = toks.iter().find(|t| t.line > a.line) {
@@ -220,45 +127,10 @@ pub(crate) fn analyze_lexed(
             message,
             snippet: snippet(tok_line),
             allowed: None,
-            chain: None,
         });
     };
 
-    // ---- pass 1: in-file aliases of hash types --------------------------
-    let mut hash_names: BTreeSet<String> = HASH_TYPES.iter().map(|s| (*s).to_string()).collect();
-    loop {
-        let before = hash_names.len();
-        let mut i = 0;
-        while i < toks.len() {
-            if toks[i].is_ident("type")
-                && matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Ident)
-            {
-                let name = toks[i + 1].text.clone();
-                let mut j = i + 2;
-                let mut refers = false;
-                while j < toks.len() && !toks[j].is_punct(";") {
-                    if toks[j].kind == TokKind::Ident && hash_names.contains(&toks[j].text) {
-                        refers = true;
-                    }
-                    j += 1;
-                }
-                if refers {
-                    hash_names.insert(name);
-                }
-                i = j;
-            }
-            i += 1;
-        }
-        if hash_names.len() == before {
-            break;
-        }
-    }
-
-    // ---- pass 2: names bound to hash collections / floats ---------------
-    // decl site: var name -> (line, col, type name) of the first hash-type
-    // token that bound it (deduplicated per name: a struct field and its
-    // literal initialization are one variable).
-    let mut hash_vars: BTreeMap<String, (u32, u32, String)> = BTreeMap::new();
+    // ---- names bound to floats --------------------------------------------
     let mut float_vars: BTreeSet<String> = BTreeSet::new();
 
     // (a) `name: Type` ascriptions (fields, params, lets, statics).
@@ -285,251 +157,28 @@ pub(crate) fn analyze_lexed(
                     _ => {}
                 }
             }
-            if t.kind == TokKind::Ident {
-                if hash_names.contains(&t.text) {
-                    hash_vars.entry(name_tok.text.clone()).or_insert((
-                        t.line,
-                        t.col,
-                        t.text.clone(),
-                    ));
-                    break;
-                }
-                if t.text == "f32" || t.text == "f64" {
-                    float_vars.insert(name_tok.text.clone());
-                    break;
-                }
+            if t.is_ident("f32") || t.is_ident("f64") {
+                float_vars.insert(name_tok.text.clone());
+                break;
             }
             j += 1;
         }
     }
 
-    // (b) `let [mut] name = ...;` initializations. Pattern bindings
-    // (`let Ok(x) = ...`, `let (a, b) = ...`) are skipped: only a plain
-    // name directly followed by `:`, `=`, or `;` is a tracked binding.
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("let") {
-            let mut k = i + 1;
-            if toks.get(k).is_some_and(|t| t.is_ident("mut")) {
-                k += 1;
-            }
-            let plain_binding = toks.get(k).is_some_and(|t| t.kind == TokKind::Ident)
-                && toks
-                    .get(k + 1)
-                    .is_some_and(|t| t.is_punct(":") || t.is_punct("=") || t.is_punct(";"));
-            if plain_binding {
-                let name = toks[k].text.clone();
-                let mut j = k + 1;
-                let mut seen_eq = false;
-                while j < toks.len() && j - i < 200 {
-                    let t = &toks[j];
-                    if t.kind == TokKind::Punct {
-                        match t.text.as_str() {
-                            // A top-level block ends the simple-statement
-                            // scan; pass (a) covers struct-literal fields.
-                            ";" | "{" => break,
-                            "=" => seen_eq = true,
-                            _ => {}
-                        }
-                    }
-                    if t.kind == TokKind::Ident && hash_names.contains(&t.text) {
-                        hash_vars
-                            .entry(name.clone())
-                            .or_insert((t.line, t.col, t.text.clone()));
-                    }
-                    if seen_eq && j == k + 2 {
-                        if let TokKind::Number { float: true } = t.kind {
-                            // `let mut acc = 0.0;` style initialization.
-                            float_vars.insert(name.clone());
-                        }
-                    }
-                    j += 1;
-                }
-            }
-        }
-        i += 1;
-    }
-
-    // ---- rule: unordered-collection -------------------------------------
-    for (name, (line, col, ty)) in &hash_vars {
-        push(
-            RULE_UNORDERED_COLLECTION,
-            *line,
-            *col,
-            format!(
-                "`{name}` is bound to a {ty}, whose storage order is unspecified; \
-                 use BTreeMap/BTreeSet or justify why order never escapes"
-            ),
-        );
-    }
-
-    // ---- rule: unordered-iter (method calls) -----------------------------
+    // (b) `let [mut] name = <float literal>` initializations (`let mut acc
+    // = 0.0;`). Pattern bindings (`let (a, b) = ...`) are skipped.
     for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !hash_vars.contains_key(&t.text) {
+        if !toks[i].is_ident("let") {
             continue;
         }
-        if toks.get(i + 1).is_some_and(|d| d.is_punct(".")) {
-            if let Some(m) = toks.get(i + 2).filter(|m| m.kind == TokKind::Ident) {
-                if ITER_METHODS.contains(&m.text.as_str())
-                    && toks.get(i + 3).is_some_and(|p| p.is_punct("("))
-                {
-                    push(
-                        RULE_UNORDERED_ITER,
-                        m.line,
-                        m.col,
-                        format!(
-                            "`{}.{}()` iterates a hash collection in unspecified order",
-                            t.text, m.text
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    // ---- rule: unordered-iter (for loops) --------------------------------
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("for") {
-            // Find `in` at paren/bracket depth 0, then the loop body `{`.
-            let mut depth: i32 = 0;
-            let mut j = i + 1;
-            let mut in_pos = None;
-            while j < toks.len() && j - i < 64 {
-                let t = &toks[j];
-                if t.kind == TokKind::Punct {
-                    match t.text.as_str() {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        _ => {}
-                    }
-                }
-                if depth == 0 && t.is_ident("in") {
-                    in_pos = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            if let Some(in_pos) = in_pos {
-                let mut depth: i32 = 0;
-                let mut j = in_pos + 1;
-                while j < toks.len() && j - in_pos < 64 {
-                    let t = &toks[j];
-                    if t.kind == TokKind::Punct {
-                        match t.text.as_str() {
-                            "(" | "[" => depth += 1,
-                            ")" | "]" => depth -= 1,
-                            "{" if depth == 0 => break,
-                            _ => {}
-                        }
-                    }
-                    if t.kind == TokKind::Ident && hash_vars.contains_key(&t.text) {
-                        // Followed by a non-iterating method call: the loop
-                        // iterates the method's (possibly ordered) result,
-                        // and the method-call pass owns iter-method calls.
-                        let accessor = toks.get(j + 1).is_some_and(|d| d.is_punct("."))
-                            && toks.get(j + 2).is_some_and(|m| m.kind == TokKind::Ident)
-                            && toks.get(j + 3).is_some_and(|p| p.is_punct("("));
-                        if !accessor {
-                            push(
-                                RULE_UNORDERED_ITER,
-                                t.line,
-                                t.col,
-                                format!(
-                                    "for-loop over hash collection `{}` visits entries in \
-                                     unspecified order",
-                                    t.text
-                                ),
-                            );
-                        }
-                    }
-                    j += 1;
-                }
-                i = in_pos;
-            }
-        }
-        i += 1;
-    }
-
-    // ---- rule: nondet-source ---------------------------------------------
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if NONDET_IDENTS.contains(&t.text.as_str()) {
-            push(
-                RULE_NONDET_SOURCE,
-                t.line,
-                t.col,
-                format!(
-                    "`{}` is a nondeterministic source (per-process randomness); \
-                     results depending on it are not reproducible",
-                    t.text
-                ),
-            );
-        }
-        if CLOCK_TYPES.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|m| m.is_ident("now"))
+        let k = i + 1 + usize::from(toks.get(i + 1).is_some_and(|t| t.is_ident("mut")));
+        if toks.get(k).is_some_and(|t| t.kind == TokKind::Ident)
+            && toks.get(k + 1).is_some_and(|t| t.is_punct("="))
+            && toks
+                .get(k + 2)
+                .is_some_and(|t| t.kind == TokKind::Number { float: true })
         {
-            push(
-                RULE_NONDET_SOURCE,
-                t.line,
-                t.col,
-                format!(
-                    "`{}::now()` reads the clock; values derived from it differ \
-                     between runs",
-                    t.text
-                ),
-            );
-        }
-        if t.is_ident("rand")
-            && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|m| m.is_ident("random"))
-        {
-            push(
-                RULE_NONDET_SOURCE,
-                t.line,
-                t.col,
-                "`rand::random()` draws from the OS-seeded thread RNG".to_string(),
-            );
-        }
-    }
-
-    // ---- rule: unscoped-thread -------------------------------------------
-    if !rel_path.ends_with(THREAD_EXEMPT_SUFFIX) {
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            if t.is_ident("thread")
-                && toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|m| m.is_ident("spawn"))
-            {
-                push(
-                    RULE_UNSCOPED_THREAD,
-                    t.line,
-                    t.col,
-                    "`thread::spawn` outside pool/src/lib.rs: parallelism must go \
-                     through the shared deterministic worker pool"
-                        .to_string(),
-                );
-            }
-            if t.is_ident("rayon") || t.is_ident("crossbeam") {
-                push(
-                    RULE_UNSCOPED_THREAD,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{}` used outside pool/src/lib.rs: parallelism must go \
-                         through the shared deterministic worker pool",
-                        t.text
-                    ),
-                );
-            }
+            float_vars.insert(toks[k].text.clone());
         }
     }
 
@@ -602,10 +251,8 @@ pub(crate) fn analyze_lexed(
     }
 
     // ---- pool-concurrency rules -------------------------------------------
-    // These share phase A's span/closure scanners so the rules and the
-    // symbol index agree on what a function body and a worker closure are.
-    let spans = crate::index::fn_spans(toks);
-    let closures = crate::index::worker_closures(toks);
+    let spans = fn_spans(&toks);
+    let closures = worker_closures(&toks);
     let last = toks.len().saturating_sub(1);
 
     // ---- rule: relaxed-atomic-output ---------------------------------------
@@ -644,7 +291,7 @@ pub(crate) fn analyze_lexed(
     // Once per worker closure, at the first interior-mutability type or
     // access method. The pool crate itself is the synchronization layer and
     // is exempt.
-    if !rel_path.ends_with(THREAD_EXEMPT_SUFFIX) {
+    if !rel_path.ends_with(POOL_SOURCE_SUFFIX) {
         for c in &closures {
             for k in c.body.0..=c.body.1.min(last) {
                 let t = &toks[k];
@@ -662,7 +309,7 @@ pub(crate) fn analyze_lexed(
                         t.line,
                         t.col,
                         format!(
-                            "worker closure passed to `run` uses interior mutability \
+                            "worker closure passed to `run`/`run_split` uses interior mutability \
                              (`{}`): lock/borrow order is scheduling-dependent; merge \
                              per-worker results after the batch instead",
                             t.text
@@ -680,19 +327,6 @@ pub(crate) fn analyze_lexed(
     // boundary, whose final value depends on worker scheduling.
     for c in &closures {
         let in_body = |k: usize| k >= c.body.0 && k <= c.body.1;
-        // Closure-local `let` bindings are not captures.
-        let mut locals: BTreeSet<&str> = BTreeSet::new();
-        for k in c.body.0..=c.body.1.min(last) {
-            if toks[k].is_ident("let") {
-                let mut n = k + 1;
-                if toks.get(n).is_some_and(|t| t.is_ident("mut")) {
-                    n += 1;
-                }
-                if let Some(t) = toks.get(n).filter(|t| t.kind == TokKind::Ident) {
-                    locals.insert(t.text.as_str());
-                }
-            }
-        }
         // Names mutated outside the closure: `name =`/`name +=` (prev token
         // not `let`/`mut`/`.`/`:`, so declarations and field stores don't
         // count as mutating the bare name) or `&mut name`.
@@ -728,19 +362,18 @@ pub(crate) fn analyze_lexed(
         // First occurrence of each captured candidate that is mutated
         // outside: lowercase-initial ident, not a keyword, field access,
         // path segment, struct-literal field name / type ascription
-        // (followed by `:`), parameter, or closure-local.
+        // (followed by `:`), or a name the closure binds itself.
         let mut reported: BTreeSet<&str> = BTreeSet::new();
         for k in c.body.0..=c.body.1.min(last) {
             let t = &toks[k];
             if t.kind != TokKind::Ident
                 || !t.text.chars().next().is_some_and(char::is_lowercase)
-                || crate::index::KEYWORDS.contains(&t.text.as_str())
+                || KEYWORDS.contains(&t.text.as_str())
                 || (k > 0 && toks[k - 1].is_punct("."))
                 || toks
                     .get(k + 1)
                     .is_some_and(|p| p.is_punct("::") || p.is_punct(":"))
-                || c.params.contains(&t.text)
-                || locals.contains(t.text.as_str())
+                || c.locals.contains(&t.text)
                 || reported.contains(t.text.as_str())
             {
                 continue;
@@ -752,7 +385,7 @@ pub(crate) fn analyze_lexed(
                     t.line,
                     t.col,
                     format!(
-                        "worker closure passed to `run` captures `{}`, which is also \
+                        "worker closure passed to `run`/`run_split` captures `{}`, which is also \
                          mutated outside the closure: shared mutable state across \
                          the pool boundary makes results depend on worker scheduling",
                         t.text
@@ -763,7 +396,7 @@ pub(crate) fn analyze_lexed(
     }
 
     // ---- rule: invalid-allow ----------------------------------------------
-    for a in allows {
+    for a in &allows {
         if !a.well_formed || a.reason.is_empty() {
             push(
                 RULE_INVALID_ALLOW,
@@ -807,16 +440,5 @@ pub(crate) fn analyze_lexed(
     findings
         .sort_by(|a, b| (a.line, a.col, a.rule.as_str()).cmp(&(b.line, b.col, b.rule.as_str())));
     findings.dedup_by(|a, b| (a.line, a.col, &a.rule) == (b.line, b.col, &b.rule));
-
-    let allows = allow_cover
-        .iter()
-        .filter(|(_, a)| a.well_formed && !a.reason.is_empty())
-        .map(|(covered, a)| AllowCover {
-            lines: covered.clone(),
-            rules: a.rules.clone(),
-            reason: a.reason.clone(),
-        })
-        .collect();
-
-    FileAnalysis { findings, allows }
+    findings
 }

@@ -1,5 +1,5 @@
 fn demo() {
-    // detlint::allow(unordered-iter)
+    // detlint::allow(float-accum)
     let x = 1;
     // detlint::allow(no-such-rule): the rule name is wrong
     let y = 2;

@@ -26,3 +26,12 @@ fn stats_view(c: &AtomicU64) -> u64 {
 fn bump(c: &AtomicU64) {
     let _ = c.load(Ordering::Relaxed);
 }
+
+fn split(wp: &Pool, parts: &mut [Vec<u32>], bounds: &[usize]) -> usize {
+    let mut seen = 0;
+    wp.run_split("detlint.busy", parts, bounds, |_, part| {
+        seen += part[0].len();
+    });
+    seen = 1;
+    seen
+}

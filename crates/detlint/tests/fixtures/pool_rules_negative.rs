@@ -17,3 +17,16 @@ fn tally(wp: &Pool) -> usize {
     });
     out.len()
 }
+
+fn sum_parts(wp: &Pool, parts: &[Vec<u32>]) -> Vec<u32> {
+    let (mut s, mut d) = (0, 0);
+    s += 1;
+    d += 1;
+    wp.run("t", parts.len(), |i| {
+        let mut n = 0;
+        for &s in &parts[i] {
+            n += s;
+        }
+        n + parts[i].iter().map(|&d| d * 2).sum::<u32>()
+    })
+}

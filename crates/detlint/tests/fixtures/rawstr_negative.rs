@@ -1,4 +1,4 @@
-//! Negative fixture: nondet-source names inside byte/C/raw string literals
+//! Negative fixture: identifiers inside byte/C/raw string literals
 //! are string *content*, not identifiers, and must never fire a rule.
 
 fn f() -> u8 {

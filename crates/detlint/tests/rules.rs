@@ -3,8 +3,10 @@
 //!
 //! Fixtures live under `tests/fixtures/` (excluded from workspace scans);
 //! each is analyzed under a *logical* path so the path-scoped rules
-//! (float-accum, unscoped-thread exemption, crate-root detection) can be
-//! exercised independently of where the fixture sits on disk.
+//! (float-accum, the pool's interior-mutability exemption, crate-root
+//! detection) can be exercised independently of where the fixture sits on
+//! disk. `clippy_bans.rs` is not a detlint fixture: it is the negative
+//! control for the clippy bans, built by CI as a crate of its own.
 
 use detlint::analyze_source;
 use std::fs;
@@ -21,7 +23,6 @@ fn fixture(name: &str) -> String {
 /// `(rule, line, col, allowed)` for every finding, in report order.
 fn spans(logical_path: &str, name: &str) -> Vec<(String, u32, u32, bool)> {
     analyze_source(logical_path, &fixture(name))
-        .findings
         .into_iter()
         .map(|f| (f.rule, f.line, f.col, f.allowed.is_some()))
         .collect()
@@ -32,94 +33,23 @@ fn s(rule: &str, line: u32, col: u32, allowed: bool) -> (String, u32, u32, bool)
 }
 
 #[test]
-fn unordered_iter_positive_spans() {
-    assert_eq!(
-        spans("crates/demo/src/iter_positive.rs", "iter_positive.rs"),
-        vec![
-            s("unordered-collection", 6, 16, false), // let mut m: HashMap
-            s("unordered-iter", 8, 20, false),       // for (k, v) in &m
-            s("unordered-iter", 11, 25, false),      // m.values()
-            s("unordered-collection", 12, 15, false), // let memo: Memo (alias)
-            s("unordered-collection", 14, 17, false), // let mut s = HashSet::new()
-            s("unordered-iter", 16, 16, false),      // s.drain()
-        ]
-    );
-}
-
-#[test]
-fn unordered_iter_allowed_is_silenced() {
-    let found = spans("crates/demo/src/iter_allowed.rs", "iter_allowed.rs");
-    assert_eq!(
-        found,
-        vec![
-            s("unordered-collection", 5, 16, true), // annotated above
-            s("unordered-iter", 8, 32, true),       // annotated above
-            s("unordered-iter", 10, 16, true),      // trailing annotation
-        ]
-    );
-}
-
-#[test]
-fn btreemap_iteration_is_clean() {
-    assert_eq!(
-        spans("crates/demo/src/iter_negative.rs", "iter_negative.rs"),
-        vec![]
-    );
-}
-
-#[test]
-fn nondet_sources_fire_with_spans() {
-    assert_eq!(
-        spans("crates/demo/src/nondet_positive.rs", "nondet_positive.rs"),
-        vec![
-            s("nondet-source", 1, 34, false), // use ... DefaultHasher
-            s("nondet-source", 1, 49, false), // use ... RandomState
-            s("nondet-source", 5, 14, false), // DefaultHasher::new()
-            s("nondet-source", 6, 14, false), // RandomState::new()
-            s("nondet-source", 7, 15, false), // Instant::now()
-            s("nondet-source", 8, 17, false), // SystemTime::now()
-        ]
-    );
-}
-
-#[test]
-fn nondet_allowed_is_silenced() {
-    assert_eq!(
-        spans("crates/demo/src/nondet_allowed.rs", "nondet_allowed.rs"),
-        vec![s("nondet-source", 3, 26, true)]
-    );
-}
-
-#[test]
-fn thread_use_outside_parallel_fires() {
-    assert_eq!(
-        spans("crates/demo/src/thread_positive.rs", "thread_positive.rs"),
-        vec![
-            s("unscoped-thread", 2, 18, false), // std::thread::spawn
-            s("unscoped-thread", 4, 5, false),  // rayon::join
-            s("unscoped-thread", 5, 5, false),  // crossbeam::scope
-        ]
-    );
-}
-
-#[test]
-fn thread_use_inside_pool_is_exempt() {
-    // The pool crate root is the one thread-exempt file: none of the
-    // unscoped-thread findings fire. (The fixture is a crate root without
-    // `#![forbid(unsafe_code)]`, so that unrelated rule still does.)
-    assert_eq!(
-        spans("crates/pool/src/lib.rs", "thread_positive.rs"),
-        vec![s("missing-forbid-unsafe", 1, 1, false)]
-    );
-}
-
-#[test]
 fn float_accumulation_fires_in_eval_paths() {
     assert_eq!(
         spans("crates/eval/src/float_positive.rs", "float_positive.rs"),
         vec![
             s("float-accum", 8, 13, false),  // acc += r
             s("float-accum", 11, 14, false), // t.weight += 1.5
+        ]
+    );
+}
+
+#[test]
+fn float_allows_above_and_trailing_are_silenced() {
+    assert_eq!(
+        spans("crates/eval/src/float_allowed.rs", "float_allowed.rs"),
+        vec![
+            s("float-accum", 5, 13, true), // annotated above
+            s("float-accum", 7, 9, true),  // trailing annotation
         ]
     );
 }
@@ -172,6 +102,7 @@ fn pool_rules_positive_spans() {
             s("pool-shared-capture", 10, 9, false), // total += i inside worker
             s("interior-mut-in-worker", 11, 15, false), // cache.lock()
             s("relaxed-atomic-output", 19, 7, false), // counter_value's load
+            s("pool-shared-capture", 33, 9, false), // seen += inside run_split
         ]
     );
 }
@@ -179,7 +110,8 @@ fn pool_rules_positive_spans() {
 #[test]
 fn pool_rules_negative_shapes_are_clean() {
     // stats/account-named reporters, a no-return fn, a never-mutated
-    // capture, and a closure-local let: none fire.
+    // capture, a closure-local let, and names a worker closure binds in a
+    // `for` pattern and a nested closure's parameters: none fire.
     assert_eq!(
         spans("crates/demo/src/lib.rs", "pool_rules_negative.rs"),
         vec![]
@@ -197,14 +129,15 @@ fn pool_crate_is_exempt_from_interior_mut_only() {
             s("missing-forbid-unsafe", 1, 1, false), // fixture has no header
             s("pool-shared-capture", 10, 9, false),
             s("relaxed-atomic-output", 19, 7, false),
+            s("pool-shared-capture", 33, 9, false),
         ]
     );
 }
 
 #[test]
 fn raw_byte_and_c_strings_never_leak_identifier_tokens() {
-    // br#"…"#/cr#"…"# contents are literal text: no nondet-source or
-    // unscoped-thread findings, and no identifier token at all.
+    // br#"…"#/cr#"…"# contents are literal text: no findings, and no
+    // identifier token at all.
     assert_eq!(
         spans("crates/demo/src/rawstr.rs", "rawstr_negative.rs"),
         vec![]

@@ -4,9 +4,10 @@
 //! runs: a value derived from the clock differs between runs, so it must
 //! never reach an annotation decision. Observability still needs wall times,
 //! so this module concentrates the *entire* workspace's clock access into
-//! one trait with one sanctioned `Instant::now` call site — the detlint
-//! allow-inventory audit (`crates/detlint/tests/workspace_clean.rs`) pins
-//! that site and fails if another one appears.
+//! one trait with one sanctioned `Instant::now` call site. Clippy's
+//! `disallowed_methods` bans clock reads everywhere else, and the
+//! sanctioned-site inventory (`crates/detlint/tests/workspace_clean.rs`)
+//! pins this file as the only one whose `#[expect]` covers a clock read.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,11 +28,13 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// Creates a clock whose epoch is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the single sanctioned wall-clock read in the workspace; span durations \
+                  feed only the write-only RunReport and are excluded from report equality"
+    )]
     pub fn new() -> MonotonicClock {
         MonotonicClock {
-            // detlint::allow(nondet-source): the single sanctioned wall-clock
-            // read in the workspace; span durations feed only the write-only
-            // RunReport and are excluded from report equality
             epoch: Instant::now(),
         }
     }
@@ -45,8 +48,8 @@ impl Default for MonotonicClock {
 
 impl Clock for MonotonicClock {
     fn now_nanos(&self) -> u64 {
-        // `elapsed` is a subtraction against the stored epoch, not a second
-        // clock-read site in detlint's model; the read above is the only one.
+        // `elapsed` reads the clock through the stored epoch; it is not a
+        // banned entry point, and `Instant::now` above is the only one.
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }

@@ -6,7 +6,8 @@
 //! histograms ([`MetricSheet`]), and a machine-readable [`RunReport`]
 //! serialized to JSON at the end of a CLI run.
 //!
-//! The design contract — enforced by the determinism suite and by detlint —
+//! The design contract — enforced by the determinism suite and by clippy's
+//! clock ban —
 //! is that telemetry is **strictly write-only with respect to inference**:
 //!
 //! * no annotation decision ever reads a metric, a span, or the clock;
@@ -17,7 +18,8 @@
 //!   (not just the convergence hashes) are identical for every thread count;
 //! * the only wall-clock read in the workspace lives in
 //!   [`clock::MonotonicClock`], behind the mockable [`Clock`] trait, under a
-//!   single justified `detlint::allow` — wall times feed only the report,
+//!   single justified `#[expect(clippy::disallowed_methods)]` — wall times
+//!   feed only the report,
 //!   and are excluded from report equality (see
 //!   [`RunReport::deterministic_view`]).
 //!

@@ -130,20 +130,6 @@ pub const PHASE_CHURN_SPLICE: &str = "churn.splice";
 /// sweeps serially); kept because the benchmark's per-layer report reads it.
 pub const HIST_SHARD_WAVEFRONTS: &str = "refine.shard_wavefronts";
 
-// ---- detlint static-analysis counters ----------------------------------------
-// Deterministic: pure functions of the scanned source tree.
-
-/// Source files the detlint workspace scan lexed and indexed.
-pub const DETLINT_FILES: &str = "detlint.files";
-/// Function definitions in the detlint symbol index.
-pub const DETLINT_FNS: &str = "detlint.fns";
-/// Name-matched call edges in the detlint call graph.
-pub const DETLINT_CALL_EDGES: &str = "detlint.call_edges";
-/// Functions seeding order taint (return hash-collection iteration order).
-pub const DETLINT_TAINT_SOURCES: &str = "detlint.taint_sources";
-/// Functions carrying order taint after the cross-file fixpoint.
-pub const DETLINT_TAINTED_FNS: &str = "detlint.tainted_fns";
-
 // ---- execution-dependent metrics -------------------------------------------
 // Vary with thread count and scheduling (pool splits, timings);
 // reported for tuning but excluded from the deterministic view.
@@ -182,9 +168,6 @@ pub const EXEC_POOL_BUSY_REFINE: &str = "pool.busy_us.refine";
 /// times the routers; reported beside the deterministic `refine.*`
 /// counters, which count as if every election had been held.
 pub const EXEC_REFINE_ELECTIONS: &str = "refine.elections";
-/// Aggregate pool worker busy time in detlint's phase-A file scan,
-/// microseconds.
-pub const EXEC_POOL_BUSY_DETLINT: &str = "pool.busy_us.detlint";
 /// Responsive hops the phase-1 extract pass walked. The same at every
 /// thread count, but reported beside the two filter counters below rather
 /// than among the deterministic counters that run-report hashes cover.

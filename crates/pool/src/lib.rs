@@ -3,9 +3,10 @@
 //! One [`WorkerPool`] is created per pipeline run and threaded through the
 //! probe campaign and the phase-1 graph build, replacing the per-phase
 //! fixed-slot spawns each of those used to carry. The pool is the *only*
-//! place in the workspace allowed to create threads (detlint's
-//! `unscoped-thread` rule pins it); every other crate expresses parallelism
-//! as indexed task batches handed to [`WorkerPool::run`].
+//! place in the pipeline that creates threads (clippy's
+//! `disallowed_methods` bans thread creation elsewhere; the pool's scope
+//! carries the sanctioned `#[expect]`); every other crate expresses
+//! parallelism as indexed task batches handed to [`WorkerPool::run`].
 //!
 //! # Scheduling model (DESIGN.md §13)
 //!
@@ -199,6 +200,11 @@ impl WorkerPool {
         };
         let mut batch_tr = self.tracer.track(obs::names::TRACK_POOL_BATCHES);
         batch_tr.begin(obs::names::EV_POOL_BATCH, tasks as u64);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool is the pipeline's one thread-creation site; results are placed \
+                      in task-index order, so scheduling never reaches the output"
+        )]
         let result = crossbeam::thread::scope(|s| {
             let work = &work;
             let spawned: Vec<_> = (1..self.workers.min(tasks))

@@ -12,9 +12,9 @@
 //!
 //! * **No async runtime.** The workspace vendors its dependency graph and
 //!   carries no tokio; the server is a plain [`std::net::TcpListener`] with
-//!   a crossbeam scoped worker pool — the same primitive the refinement
-//!   engine uses (`core::refine::parallel`), under the same justified
-//!   `detlint::allow`.
+//!   a crossbeam scoped worker pool — the same primitive the pipeline's
+//!   `pool` crate uses, under a justified
+//!   `#[expect(clippy::disallowed_methods)]` of its own.
 //! * **Protocol = newline-delimited JSON** ([`protocol`]): one request
 //!   object per line, one response object per line, connections are
 //!   persistent. Verbs: `lookup_addr`, `lookup_prefix`, `router`,

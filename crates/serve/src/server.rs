@@ -163,9 +163,12 @@ impl Server {
         // a mutex-wrapped std receiver gives the same work-queue shape.
         let rx = Mutex::new(rx);
         let active = ActiveConns::default();
-        // detlint::allow(unscoped-thread): request-serving parallelism, not
-        // inference; the worker pool only moves bytes between sockets and a
-        // read-only snapshot, so scheduling cannot reach any pipeline output
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request-serving parallelism, not inference; the worker pool only moves \
+                      bytes between sockets and a read-only snapshot, so scheduling cannot \
+                      reach any pipeline output"
+        )]
         crossbeam::thread::scope(|s| {
             let (rx, active) = (&rx, &active);
             for w in 0..workers {
@@ -318,9 +321,12 @@ impl Server {
     pub fn spawn_background(self) -> RunningServer {
         let handle = self.shutdown_handle();
         let addr = self.local_addr;
-        // detlint::allow(unscoped-thread): hosts the blocking accept loop
-        // behind a joinable handle; serving threads never touch inference
-        // state, and RunningServer::shutdown joins before returning
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "hosts the blocking accept loop behind a joinable handle; serving threads \
+                      never touch inference state, and RunningServer::shutdown joins before \
+                      returning"
+        )]
         let join = std::thread::spawn(move || {
             let _ = self.run();
         });

@@ -138,8 +138,11 @@ fn malformed_lines_answer_without_dropping_the_connection() {
 fn concurrent_clients_get_consistent_answers() {
     let running = start();
     let addr = running.addr();
-    // detlint::allow(unscoped-thread): test-only client concurrency against
-    // a read-only snapshot; assertions are per-thread and order-free
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test-only client concurrency against a read-only snapshot; assertions are \
+                  per-thread and order-free"
+    )]
     crossbeam::thread::scope(|s| {
         for t in 0u32..8 {
             s.spawn(move |_| {
