@@ -69,7 +69,7 @@ pub(crate) fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
             i = j.max(i + 1);
             continue;
         };
-        let close = match_brace(toks, open);
+        let close = match_close(toks, open);
         out.push(FnSpan {
             name: name_tok.text.clone(),
             has_return,
@@ -81,20 +81,22 @@ pub(crate) fn fn_spans(toks: &[Tok]) -> Vec<FnSpan> {
     out
 }
 
-/// Index of the matching `}` for the `{` at `open` (or the last token).
-pub(crate) fn match_brace(toks: &[Tok], open: usize) -> usize {
+/// Index of the bracket closing the `{` or `(` at `open` (or the last
+/// token).
+fn match_close(toks: &[Tok], open: usize) -> usize {
+    let (o, c) = if toks[open].is_punct("(") {
+        ("(", ")")
+    } else {
+        ("{", "}")
+    };
     let mut depth = 0i32;
     for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return k;
-                    }
-                }
-                _ => {}
+        if t.is_punct(o) {
+            depth += 1;
+        } else if t.is_punct(c) {
+            depth -= 1;
+            if depth == 0 {
+                return k;
             }
         }
     }
@@ -130,7 +132,7 @@ pub(crate) fn worker_closures(toks: &[Tok]) -> Vec<WorkerClosure> {
             continue;
         }
         let open = i + 1;
-        let close = match_paren(toks, open);
+        let close = match_close(toks, open);
         if let Some(c) = inline_closure(toks, open + 1, close) {
             out.push(c);
             continue;
@@ -148,26 +150,6 @@ pub(crate) fn worker_closures(toks: &[Tok]) -> Vec<WorkerClosure> {
         }
     }
     out
-}
-
-/// Index of the matching `)` for the `(` at `open` (or the last token).
-fn match_paren(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return k;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// Parses an inline `|params| body` closure between `from..to` (exclusive),
@@ -203,7 +185,7 @@ fn inline_closure(toks: &[Tok], from: usize, to: usize) -> Option<WorkerClosure>
 fn closure_at(toks: &[Tok], params_open: usize, params_close: usize) -> WorkerClosure {
     let body_start = params_close + 1;
     let body_end = if toks.get(body_start).is_some_and(|t| t.is_punct("{")) {
-        match_brace(toks, body_start)
+        match_close(toks, body_start)
     } else {
         // Expression body: scan to `,` / `)` / `;` at depth 0.
         let mut depth = 0i32;

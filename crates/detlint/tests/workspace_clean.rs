@@ -41,7 +41,7 @@ fn workspace_has_no_unannotated_findings() {
 /// pins the exact per-rule `detlint::allow` count and the exact per-file
 /// count of clippy ban expectations, so a new sanctioned site anywhere in
 /// the workspace fails CI until the count here is consciously raised in
-/// the same change (and the reviewer sees both).
+/// the same change, where the new site and the new count are read together.
 #[test]
 fn allow_inventory_does_not_silently_grow() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

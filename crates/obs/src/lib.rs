@@ -7,8 +7,8 @@
 //! serialized to JSON at the end of a CLI run.
 //!
 //! The design contract — enforced by the determinism suite and by clippy's
-//! clock ban —
-//! is that telemetry is **strictly write-only with respect to inference**:
+//! clock ban — is that telemetry is **strictly write-only with respect to
+//! inference**:
 //!
 //! * no annotation decision ever reads a metric, a span, or the clock;
 //! * a disabled [`Recorder`] (the default) makes every call a no-op, so
@@ -19,8 +19,7 @@
 //! * the only wall-clock read in the workspace lives in
 //!   [`clock::MonotonicClock`], behind the mockable [`Clock`] trait, under a
 //!   single justified `#[expect(clippy::disallowed_methods)]` — wall times
-//!   feed only the report,
-//!   and are excluded from report equality (see
+//!   feed only the report, and are excluded from report equality (see
 //!   [`RunReport::deterministic_view`]).
 //!
 //! The same contract covers the event-tracing layer ([`trace`]): per-worker

@@ -7,7 +7,7 @@
 //! percentiles. Everything here is execution-dependent by construction
 //! (traffic-driven), so nothing feeds the deterministic counter class; the
 //! wall clock is read only through the [`obs::Clock`] trait, keeping the
-//! workspace's single-nondet-source discipline intact.
+//! workspace's single-clock-read discipline intact.
 
 use crate::protocol::{StatsJson, VerbStatsJson};
 use obs::{Clock, Histogram, MonotonicClock};
